@@ -28,14 +28,15 @@ from typing import Optional
 import numpy as np
 
 from . import montecarlo
-from .decomposition import SubgroupPartition, gap_estimate, gap_variance
+from .decomposition import SubgroupPartition, gap_inference
 from .distributions import EmpiricalDistribution, LogNormal, Uniform
 from .empirical import build_sample
 from .errors import (ColumnCountMismatch, EmptyInput, IndexLawError, ParseError,
                      UnknownExperiment)
 from .indices import NamedIndex, named_estimate, named_representation
 from .representation import confidence_interval, index_variance
-from .temporal import BivariateFrame, empirical_copula, relative_variation_law
+from .temporal import (BivariateFrame, empirical_copula, relative_variation_law,
+                       temporal_joint_covariance)
 
 _INDEX_CHOICES = ("fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
                   "takayama-ratio", "central-moment", "odd-moment", "even-moment")
@@ -118,7 +119,7 @@ def _build_index(args) -> NamedIndex:
     if kind == "sen":
         return NamedIndex.sen(z)
     if kind == "kakwani":
-        return NamedIndex.kakwani(args.k or 1, z)
+        return NamedIndex.kakwani(1 if args.k is None else args.k, z)
     if kind == "shorrocks":
         return NamedIndex.shorrocks(z)
     if kind == "thon":
@@ -127,12 +128,13 @@ def _build_index(args) -> NamedIndex:
         return NamedIndex.takayama(z)
     if kind == "takayama-ratio":
         return NamedIndex.takayama_ratio(z)
+    order = 2 if args.k is None else args.k
     if kind == "central-moment":
-        return NamedIndex.central_moment(args.k or 2)
+        return NamedIndex.central_moment(order)
     if kind == "odd-moment":
-        return NamedIndex.odd_normalized(args.k or 2)
+        return NamedIndex.odd_normalized(order)
     if kind == "even-moment":
-        return NamedIndex.even_normalized(args.k or 2)
+        return NamedIndex.even_normalized(order)
     raise _UsageError(f"unknown index {kind!r}")
 
 
@@ -157,7 +159,7 @@ def cmd_estimate(args) -> int:
     index = _build_index(args)
     est = named_estimate(sample, index)
     plug = EmpiricalDistribution(sample)
-    var = index_variance(plug, named_representation(plug, index), grid=args.grid).total
+    var = index_variance(plug, named_representation(plug, index)).total
     lo, hi = confidence_interval(est, var, sample.n, args.level)
     _emit({"index": index.kind, "params": _index_params(index), "n": sample.n,
            "estimate": est, "variance": var, "ci": [lo, hi], "level": args.level},
@@ -184,14 +186,12 @@ def cmd_compare(args) -> int:
     n = s1.n
     delta = i2 - i1
     if i1 != 0.0:
-        joint = relative_variation_law(frame, rep1, i1, i2, rep2=rep2, grid=args.grid)
+        joint = relative_variation_law(frame, rep1, i1, i2, rep2=rep2)
         rel = delta / i1
         rel_var = joint.rel_var
         rel_ci = confidence_interval(rel, rel_var, n, args.level)
     else:
-        from .temporal import temporal_joint_covariance
-
-        joint = temporal_joint_covariance(frame, rep1, rep2=rep2, grid=args.grid)
+        joint = temporal_joint_covariance(frame, rep1, rep2=rep2)
         rel = rel_var = rel_ci = None
     var1 = float(joint.matrix[0, 0])
     var2 = float(joint.matrix[1, 1])
@@ -217,33 +217,20 @@ def cmd_decompose(args) -> int:
     sample = build_sample(values)
     partition = SubgroupPartition.from_labels(labels)
     index = _build_index(args)
-    gap = gap_estimate(sample, partition, index)
-    models, weights, group_estimates = [], [], []
-    inp = sample.input_values()
-    for g in range(1, partition.n_groups + 1):
-        vals = inp[partition.labels == g]
-        if vals.size == 0:
-            continue
-        grp = build_sample(vals)
-        models.append(EmpiricalDistribution(grp))
-        weights.append(vals.size / sample.n)
-        group_estimates.append(named_estimate(grp, index))
-    w = np.asarray(weights)
-    w = w / w.sum()
-    dec = gap_variance(w, models, lambda m: named_representation(m, index),
-                       grid=args.grid)
-    var_gd = dec.theta1_sq + dec.theta2_sq
+    inference = gap_inference(sample, partition, index, level=args.level)
+    dec = inference.decomposition
     var_gd0 = dec.theta1_sq + dec.theta3_sq
     payload = {
         "index": index.kind, "params": _index_params(index), "n": sample.n,
-        "groups": list(partition.names), "weights": [float(v) for v in w],
-        "group_estimates": [float(v) for v in group_estimates],
-        "gap": gap,
+        "groups": list(partition.names), "weights": [float(v) for v in inference.weights],
+        "group_estimates": [float(v) for v in inference.group_estimates],
+        "gap": inference.gap,
         "theta1_sq": dec.theta1_sq, "theta2_sq": dec.theta2_sq,
         "theta3_sq": dec.theta3_sq,
-        "variance_gd": var_gd, "variance_gd0": var_gd0,
-        "ci_gd": list(confidence_interval(gap, max(var_gd, 0.0), sample.n, args.level)),
-        "ci_gd0": list(confidence_interval(gap, max(var_gd0, 0.0), sample.n, args.level)),
+        "variance_gd": inference.variance, "variance_gd0": var_gd0,
+        "ci_gd": list(inference.ci),
+        "ci_gd0": list(confidence_interval(inference.gap, max(var_gd0, 0.0), sample.n,
+                                           args.level)),
         "level": args.level,
     }
     _emit(payload, args.format)
@@ -251,8 +238,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.seed is None:
-        raise UnknownExperiment("--seed is required for validate")
     seed = args.seed
     name = args.experiment
     if name == "coverage":
@@ -299,18 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("estimate", cmd_estimate), ("compare", cmd_compare),
                      ("decompose", cmd_decompose), ("validate", cmd_validate)):
         p = sub.add_parser(name)
-        p.add_argument("--input", help="CSV input path")
-        p.add_argument("--input2",
-                       help="optional second single-column CSV (period 2 for compare)")
-        p.add_argument("--index", choices=_INDEX_CHOICES, default="fgt")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--poverty-line", dest="poverty_line", type=float, default=None)
+        if name == "validate":
+            p.add_argument("--experiment", choices=_EXPERIMENTS, required=True)
+            p.add_argument("--seed", type=int, required=True)
+        else:
+            p.add_argument("--input", required=True, help="CSV input path")
+            if name == "compare":
+                p.add_argument("--input2", help="optional second single-column CSV (period 2)")
+            p.add_argument("--index", choices=_INDEX_CHOICES, default="fgt")
+            p.add_argument("--alpha", type=float, default=None)
+            p.add_argument("--k", type=int, default=None)
+            p.add_argument("--poverty-line", dest="poverty_line", type=float, default=None)
         p.add_argument("--level", type=float, default=0.95)
-        p.add_argument("--grid", type=int, default=2048)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--experiment", choices=_EXPERIMENTS, default=None)
         p.set_defaults(func=fn)
     return parser
 
@@ -322,12 +308,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command in ("estimate", "compare", "decompose") and not args.input:
-            print("error: --input is required", file=sys.stderr)
-            return 2
-        if args.command == "validate" and not args.experiment:
-            print("error: --experiment is required", file=sys.stderr)
-            return 2
         return args.func(args)
     except (UnknownExperiment, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,11 @@ Each catalog entry provides two things: an exact finite-n point estimator
 over a sample, and an :class:`~indexlaw.representation.IndexRepresentation`
 (the (h, q) score pair plus the value functional) built against a reference
 distribution model, from which asymptotic variances and joint laws follow.
+The poverty scores share one masked form, ``f(x, F(x))`` on the poor and 0
+above the line, and two families cover most of the catalog: Sen is Kakwani
+with k = 1, and Shorrocks, Thon and the Takayama C statistic share the
+rank-linear pair ``h = (1 - F) d``, ``q = -d`` (``d`` twice the normalized
+gap for Shorrocks and Thon, the user's ``d`` for Takayama).
 
 Conventions adopted for finite data:
 
@@ -241,67 +246,65 @@ def _gap(z: float, x: np.ndarray) -> np.ndarray:
     return (z - x) / z
 
 
-def _fgt_h(z: float, alpha: float) -> ScoreFunction:
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        poor = x <= z
-        out[poor] = _gap(z, x[poor]) ** alpha
-        return out
-
-    return h
-
-
 def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _sen_constants(model: DistributionModel, z: float) -> tuple[float, float, float]:
-    fz = _check_threshold(model, z)
+def _poor_score(z: float, f: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray],
+                model: Optional[DistributionModel] = None) -> ScoreFunction:
+    """The score ``x -> f(x, F(x))`` on ``x <= Z`` and 0 above the line.
 
-    def j_score(x):
+    ``f`` and the model CDF ``F`` (``None`` without a model) see the poor
+    points only, so neither is evaluated at a negative gap.
+    """
+
+    def score(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         poor = x <= z
-        fx = np.asarray(model.cdf(x[poor]), dtype=float)
-        out[poor] = 2.0 * (1.0 - fx / fz) * _gap(z, x[poor])
+        xp = x[poor]
+        out[poor] = f(xp, None if model is None else np.asarray(model.cdf(xp), dtype=float))
         return out
 
-    js = model.integrate_score(j_score, breaks=(z,))
-    truncated_mean = model.integrate_score(
-        lambda x: np.where(np.asarray(x, dtype=float) <= z, np.asarray(x, dtype=float), 0.0),
-        breaks=(z,))
-    ks = 2.0 * (1.0 - truncated_mean / (z * fz)) + js / fz
-    if not (np.isfinite(js) and np.isfinite(ks)):
-        raise NonFiniteConstant("Sen constants are not finite")
-    return fz, js, ks
+    return score
 
 
 def _kakwani_constants(model: DistributionModel, z: float, k: int) -> tuple[float, float, float]:
     fz = _check_threshold(model, z)
-
-    def jk_score(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        poor = x <= z
-        fx = np.asarray(model.cdf(x[poor]), dtype=float)
-        out[poor] = (k + 1.0) * (1.0 - fx / fz) ** k * _gap(z, x[poor])
-        return out
-
-    jk = model.integrate_score(jk_score, breaks=(z,))
-
-    def kk_core(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        poor = x <= z
-        fx = np.asarray(model.cdf(x[poor]), dtype=float)
-        out[poor] = (1.0 - fx / fz) ** (k - 1) * _gap(z, x[poor])
-        return out
-
-    kk = k * (k + 1.0) / fz * model.integrate_score(kk_core, breaks=(z,)) + jk / fz
+    jk = model.integrate_score(_poor_score(
+        z, lambda x, fx: (k + 1.0) * (1.0 - fx / fz) ** k * _gap(z, x), model), breaks=(z,))
+    core = model.integrate_score(_poor_score(
+        z, lambda x, fx: (1.0 - fx / fz) ** (k - 1) * _gap(z, x), model), breaks=(z,))
+    kk = k * (k + 1.0) / fz * core + jk / fz
     if not (np.isfinite(jk) and np.isfinite(kk)):
         raise NonFiniteConstant("Kakwani constants are not finite")
     return fz, jk, kk
+
+
+def _kakwani_representation(model: DistributionModel, z: float, k: int,
+                            label: str) -> IndexRepresentation:
+    fz, jk, kk = _kakwani_constants(model, z, k)
+    h = _poor_score(z, lambda x, fx: (k + 1.0) * ((1.0 - fx / fz) ** k * _gap(z, x)
+                                                  - (jk / fz) * (fx / fz) ** k) + kk, model)
+    q = _poor_score(z, lambda x, fx: (-k * (k + 1.0) / fz
+                                      * ((1.0 - fx / fz) ** (k - 1) * _gap(z, x)
+                                         + (jk / fz) * (fx / fz) ** (k - 1))), model)
+    return IndexRepresentation(h=h, q=q, value=lambda m: _kakwani_constants(m, z, k)[1],
+                               breaks=(z,), label=label)
+
+
+def _rank_linear_representation(model: DistributionModel, z: float, d: ScoreFunction,
+                                label: str) -> IndexRepresentation:
+    """``h = (1 - F) d`` and ``q = -d`` on the poor; the value is E h under
+    whatever model it is applied to."""
+    _check_threshold(model, z)
+
+    def h_under(m):
+        return _poor_score(z, lambda x, fx: (1.0 - fx) * d(x), m)
+
+    return IndexRepresentation(h=h_under(model), q=_poor_score(z, lambda x, _: -d(x)),
+                               value=lambda m: m.integrate_score(h_under(m), breaks=(z,)),
+                               breaks=(z,), label=label)
 
 
 def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRepresentation:
@@ -317,126 +320,22 @@ def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRe
     if kind == "fgt":
         # no interior-threshold requirement: the FGT scores do not involve F,
         # and the variance degenerates gracefully when F(Z) hits 0 or 1
-        alpha = index.alpha
-        h = _fgt_h(z, alpha)
+        h = _poor_score(z, lambda x, _: _gap(z, x) ** index.alpha)
         return IndexRepresentation(
-            h=h, q=_zero,
-            value=lambda m, _z=z, _a=alpha: m.integrate_score(_fgt_h(_z, _a), breaks=(_z,)),
+            h=h, q=_zero, value=lambda m: m.integrate_score(h, breaks=(z,)),
             breaks=(z,), q_zero=True, label=index.label())
 
+    if kind in ("sen", "kakwani"):
+        return _kakwani_representation(model, z, 1 if kind == "sen" else index.k,
+                                       index.label())
+
     if kind in ("shorrocks", "thon"):
-        _check_threshold(model, z)
-
-        def h(x, _m=model):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            poor = x <= z
-            fx = np.asarray(_m.cdf(x[poor]), dtype=float)
-            out[poor] = 2.0 * (1.0 - fx) * _gap(z, x[poor])
-            return out
-
-        def q(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            poor = x <= z
-            out[poor] = -2.0 * _gap(z, x[poor])
-            return out
-
-        def value(m, _z=z):
-            def score(x):
-                x = np.asarray(x, dtype=float)
-                out = np.zeros_like(x)
-                poor = x <= _z
-                fx = np.asarray(m.cdf(x[poor]), dtype=float)
-                out[poor] = 2.0 * (1.0 - fx) * _gap(_z, x[poor])
-                return out
-
-            return m.integrate_score(score, breaks=(_z,))
-
-        return IndexRepresentation(h=h, q=q, value=value, breaks=(z,), label=index.label())
-
-    if kind == "sen":
-        fz, js, ks = _sen_constants(model, z)
-
-        def h(x, _m=model, _fz=fz, _js=js, _ks=ks):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            poor = x <= z
-            fx = np.asarray(_m.cdf(x[poor]), dtype=float)
-            out[poor] = (2.0 * ((1.0 - fx / _fz) * _gap(z, x[poor])
-                                - (fx / _fz) * (_js / _fz)) + _ks)
-            return out
-
-        def q(x, _fz=fz, _js=js):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            poor = x <= z
-            out[poor] = -2.0 / _fz * (_gap(z, x[poor]) + _js / _fz)
-            return out
-
-        return IndexRepresentation(
-            h=h, q=q, value=lambda m, _z=z: _sen_constants(m, _z)[1],
-            breaks=(z,), label=index.label())
-
-    if kind == "kakwani":
-        k = index.k
-        fz, jk, kk = _kakwani_constants(model, z, k)
-
-        def h(x, _m=model, _fz=fz, _jk=jk, _kk=kk):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            poor = x <= z
-            fx = np.asarray(_m.cdf(x[poor]), dtype=float)
-            out[poor] = ((k + 1.0) * ((1.0 - fx / _fz) ** k * _gap(z, x[poor])
-                                      - (_jk / _fz) * (fx / _fz) ** k) + _kk)
-            return out
-
-        def q(x, _m=model, _fz=fz, _jk=jk):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            poor = x <= z
-            fx = np.asarray(_m.cdf(x[poor]), dtype=float)
-            out[poor] = (-k * (k + 1.0) / _fz
-                         * ((1.0 - fx / _fz) ** (k - 1) * _gap(z, x[poor])
-                            + (_jk / _fz) * (fx / _fz) ** (k - 1)))
-            return out
-
-        return IndexRepresentation(
-            h=h, q=q, value=lambda m, _z=z, _k=k: _kakwani_constants(m, _z, _k)[1],
-            breaks=(z,), label=index.label())
+        return _rank_linear_representation(model, z, lambda x: 2.0 * _gap(z, x),
+                                           index.label())
 
     if kind in ("takayama", "takayama_ratio"):
-        d = index.d
-        _check_threshold(model, z)
-
-        def hc(x, _m=model, _d=d):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            poor = x <= z
-            fx = np.asarray(_m.cdf(x[poor]), dtype=float)
-            out[poor] = (1.0 - fx) * np.asarray(_d(x[poor]), dtype=float)
-            return out
-
-        def q(x, _d=d):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            poor = x <= z
-            out[poor] = -np.asarray(_d(x[poor]), dtype=float)
-            return out
-
-        def c_value(m, _z=z, _d=d):
-            def score(x):
-                x = np.asarray(x, dtype=float)
-                out = np.zeros_like(x)
-                poor = x <= _z
-                fx = np.asarray(m.cdf(x[poor]), dtype=float)
-                out[poor] = (1.0 - fx) * np.asarray(_d(x[poor]), dtype=float)
-                return out
-
-            return m.integrate_score(score, breaks=(_z,))
-
-        c_rep = IndexRepresentation(h=hc, q=q, value=c_value, breaks=(z,),
-                                    label="takayama_c")
+        c_rep = _rank_linear_representation(
+            model, z, lambda x: np.asarray(index.d(x), dtype=float), "takayama_c")
         if kind == "takayama":
             return c_rep
         mu = model.raw_moment(1)
@@ -445,7 +344,7 @@ def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRe
         mean_rep = IndexRepresentation(h=_identity, q=_zero,
                                        value=lambda m: m.raw_moment(1),
                                        q_zero=True, label="mean")
-        return compose_ratio(c_rep, mean_rep, c_value(model), mu,
+        return compose_ratio(c_rep, mean_rep, c_rep.value(model), mu,
                              label=index.label())
 
     if kind == "central_moment":
@@ -504,49 +403,33 @@ def normalized_moment_representation(model: DistributionModel, p: int,
                                      kind: str) -> IndexRepresentation:
     """Representation of a normalized centered moment (q = 0).
 
-    Odd kind: score ``sigma^-(2p-1) (A(2p-1) - (2p-1)/2 sigma^-2 mu_{2p-1} A(2))``;
-    even kind: ``sigma^-2p (A(2p) - p sigma^-2 mu_{2p} A(2))``.
+    Score ``sigma^-t (A(t) - t/2 sigma^-2 mu_t A(2))`` with numerator order
+    ``t = 2p - 1`` (odd kind) or ``t = 2p`` (even kind).
     """
     if p < 2:
         raise OutOfRange("normalized moments need p >= 2")
     if kind not in ("odd", "even"):
         raise OutOfRange(f"kind must be 'odd' or 'even', got {kind!r}")
+    top = 2 * p - 1 if kind == "odd" else 2 * p
     sigma2 = _central_moment_value(model, 2)
     if sigma2 <= 0.0:
         raise ZeroVariance("normalized moments need positive variance")
     a2 = _influence_poly(model, 2)
-    if kind == "odd":
-        top = 2 * p - 1
-        mu_top = _central_moment_value(model, top)
-        atop = _influence_poly(model, top)
-        scale = sigma2 ** (-top / 2.0)
-        correction = 0.5 * top / sigma2 * mu_top
-    else:
-        top = 2 * p
-        mu_top = _central_moment_value(model, top)
-        atop = _influence_poly(model, top)
-        scale = sigma2 ** (-p)
-        correction = p / sigma2 * mu_top
+    mu_top = _central_moment_value(model, top)
+    atop = _influence_poly(model, top)
     coef = np.zeros(max(atop.size, a2.size))
     coef[: atop.size] += atop
-    coef[: a2.size] -= correction * a2
-    coef *= scale
+    coef[: a2.size] -= 0.5 * top / sigma2 * mu_top * a2
+    coef *= sigma2 ** (-top / 2.0)
 
     def h(x, _c=coef):
         return npoly.polyval(np.asarray(x, dtype=float), _c)
 
-    if kind == "odd":
-        def value(m, _p=p):
-            s2 = _central_moment_value(m, 2)
-            if s2 <= 0.0:
-                raise ZeroVariance("normalized moments need positive variance")
-            return _central_moment_value(m, 2 * _p - 1) / s2 ** ((2 * _p - 1) / 2.0)
-    else:
-        def value(m, _p=p):
-            s2 = _central_moment_value(m, 2)
-            if s2 <= 0.0:
-                raise ZeroVariance("normalized moments need positive variance")
-            return _central_moment_value(m, 2 * _p) / s2 ** _p
+    def value(m):
+        s2 = _central_moment_value(m, 2)
+        if s2 <= 0.0:
+            raise ZeroVariance("normalized moments need positive variance")
+        return _central_moment_value(m, top) / s2 ** (top / 2.0)
 
     return IndexRepresentation(h=h, q=_zero, value=value, q_zero=True,
                                label=f"{kind}_moment({p})")
@@ -624,6 +507,15 @@ def _num_partial(f: Callable[[float, float], float], arg: int,
     return deriv
 
 
+def _at_ranks(f: Callable[[float, float], float], fz: float, fx: np.ndarray) -> np.ndarray:
+    """``f(F(Z), F(x))`` at each poor point."""
+    return np.asarray([f(fz, float(v)) for v in np.atleast_1d(fx)])
+
+
+def _gpi_gaps(spec: GpiSpec, x: np.ndarray) -> np.ndarray:
+    return np.asarray(spec.d(_gap(spec.Z, x)), dtype=float)
+
+
 def gpi_constants(model: DistributionModel, spec: GpiSpec) -> GpiConstants:
     """The constants H_c, H_pi, J, K_c, K_pi, K of the GPI representation."""
     z = spec.Z
@@ -631,32 +523,10 @@ def gpi_constants(model: DistributionModel, spec: GpiSpec) -> GpiConstants:
     dc_dx = spec.dc_dx or _num_partial(spec.c, 0)
     dpi_dx = spec.dpi_dx or _num_partial(spec.pi, 0)
 
-    def gamma(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        poor = x <= z
-        out[poor] = np.asarray(spec.d((z - x[poor]) / z), dtype=float)
-        return out
-
-    def hc_score(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        poor = x <= z
-        fx = np.asarray(model.cdf(x[poor]), dtype=float)
-        out[poor] = (np.asarray([spec.c(fz, float(v)) for v in np.atleast_1d(fx)])
-                     * np.asarray(spec.d((z - x[poor]) / z), dtype=float))
-        return out
-
-    def hpi_score(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        poor = x <= z
-        fx = np.asarray(model.cdf(x[poor]), dtype=float)
-        out[poor] = np.asarray([spec.pi(fz, float(v)) for v in np.atleast_1d(fx)])
-        return out
-
-    h_c = model.integrate_score(hc_score, breaks=(z,))
-    h_pi = model.integrate_score(hpi_score, breaks=(z,))
+    h_c = model.integrate_score(_poor_score(
+        z, lambda x, fx: _at_ranks(spec.c, fz, fx) * _gpi_gaps(spec, x), model), breaks=(z,))
+    h_pi = model.integrate_score(_poor_score(
+        z, lambda x, fx: _at_ranks(spec.pi, fz, fx), model), breaks=(z,))
     if h_pi == 0.0 or not np.isfinite(h_pi):
         raise ZeroHpi(f"H_pi = {h_pi}")
 
@@ -693,28 +563,11 @@ def gpi_representation(model: DistributionModel, spec: GpiSpec) -> IndexRepresen
     ca = 1.0 / consts.H_pi
     cb = -consts.H_c / consts.H_pi ** 2
 
-    def h(x, _m=model):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        poor = x <= z
-        fx = np.asarray(_m.cdf(x[poor]), dtype=float)
-        gaps = np.asarray(spec.d((z - x[poor]) / z), dtype=float)
-        cvals = np.asarray([spec.c(fz, float(v)) for v in np.atleast_1d(fx)])
-        pvals = np.asarray([spec.pi(fz, float(v)) for v in np.atleast_1d(fx)])
-        out[poor] = ca * cvals * gaps + cb * pvals + consts.K
-        return out
-
-    def q(x, _m=model):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        poor = x <= z
-        fx = np.asarray(_m.cdf(x[poor]), dtype=float)
-        gaps = np.asarray(spec.d((z - x[poor]) / z), dtype=float)
-        dcv = np.asarray([dc_dy(fz, float(v)) for v in np.atleast_1d(fx)])
-        dpv = np.asarray([dpi_dy(fz, float(v)) for v in np.atleast_1d(fx)])
-        out[poor] = ca * dcv * gaps + cb * dpv
-        return out
+    h = _poor_score(z, lambda x, fx: (ca * _at_ranks(spec.c, fz, fx) * _gpi_gaps(spec, x)
+                                      + cb * _at_ranks(spec.pi, fz, fx) + consts.K), model)
+    q = _poor_score(z, lambda x, fx: (ca * _at_ranks(dc_dy, fz, fx) * _gpi_gaps(spec, x)
+                                      + cb * _at_ranks(dpi_dy, fz, fx)), model)
 
     return IndexRepresentation(
-        h=h, q=q, value=lambda m, _s=spec: gpi_constants(m, _s).J,
+        h=h, q=q, value=lambda m: gpi_constants(m, spec).J,
         breaks=(z,), label="gpi")

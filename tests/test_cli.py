@@ -70,6 +70,29 @@ class TestEstimate:
                              "--poverty-line", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("index", ["kakwani", "central-moment"])
+    def test_k_zero_rejected_not_defaulted(self, tmp_path, capsys, index):
+        path = write(tmp_path, "x.csv", "0.3\n0.7\n1.4\n2.9\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", path, "--index", index,
+                                 "--k", "0", "--poverty-line", "1.0")
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--seed", "3"),
+        ("estimate", "--grid", "8"),
+        ("validate", "--experiment", "cre2", "--seed", "1", "--input", "x.csv"),
+    ])
+    def test_flags_of_other_subcommands_are_usage_errors(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "x.csv", "1\n2\n")
+        if argv[0] == "estimate":
+            argv = (*argv, "--input", path, "--index", "fgt", "--alpha", "0",
+                    "--poverty-line", "1.5")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
 
 class TestCompare:
     def test_identical_periods(self, tmp_path, capsys):

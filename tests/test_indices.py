@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
@@ -113,6 +113,38 @@ class TestNamedEstimates:
                                       order=index.order, poverty_line=c * z, d=index.d)
             scaled = named_estimate(build_sample([c * v for v in vals]), scaled_index)
             assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=40),
+           st.floats(min_value=0.5, max_value=50.0))
+    def test_kakwani_one_is_sen(self, vals, z):
+        s = build_sample(vals)
+        assert named_estimate(s, NamedIndex.kakwani(1, z)) == pytest.approx(
+            named_estimate(s, NamedIndex.sen(z)), rel=1e-12, abs=1e-12)
+
+    CATALOG = (lambda z: NamedIndex.fgt(0.0, z), lambda z: NamedIndex.fgt(1.5, z),
+               NamedIndex.sen, lambda z: NamedIndex.kakwani(2, z), NamedIndex.shorrocks,
+               NamedIndex.thon, NamedIndex.takayama, NamedIndex.takayama_ratio,
+               lambda z: NamedIndex.central_moment(3), lambda z: NamedIndex.odd_normalized(2),
+               lambda z: NamedIndex.even_normalized(2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=2,
+                               max_size=30),
+           st.floats(min_value=0.05, max_value=0.95))
+    def test_permutation_invariance(self, data, vals, frac):
+        # Z strictly inside [min, max) keeps 0 < F_n(Z) < 1 for every poverty kind
+        z = min(vals) + frac * (max(vals) - min(vals))
+        assume(min(vals) <= z < max(vals))
+        perm = data.draw(st.permutations(vals))
+        s, sp = build_sample(vals), build_sample(perm)
+        m, mp = EmpiricalDistribution(s), EmpiricalDistribution(sp)
+        for make in self.CATALOG:
+            index = make(z)
+            assert named_estimate(sp, index) == pytest.approx(
+                named_estimate(s, index), rel=1e-12, abs=1e-12)
+            assert index_variance(mp, named_representation(mp, index)).total == pytest.approx(
+                index_variance(m, named_representation(m, index)).total, rel=1e-12, abs=1e-12)
 
 
 class TestMoments:
