@@ -220,14 +220,13 @@ def normalized_moment_estimate(sample: EmpiricalSample, p: int, kind: str) -> fl
     ``mu_{2p}/mu_2^p``."""
     if p < 2:
         raise OutOfRange("normalized moments need p >= 2")
+    if kind not in ("odd", "even"):
+        raise OutOfRange(f"kind must be 'odd' or 'even', got {kind!r}")
     mu2 = central_moment_estimate(sample, 2)
     if mu2 == 0.0:
         raise ZeroVariance("normalized moments are undefined at zero variance")
-    if kind == "odd":
-        return central_moment_estimate(sample, 2 * p - 1) / mu2 ** ((2 * p - 1) / 2.0)
-    if kind == "even":
-        return central_moment_estimate(sample, 2 * p) / mu2 ** p
-    raise OutOfRange(f"kind must be 'odd' or 'even', got {kind!r}")
+    top = 2 * p - 1 if kind == "odd" else 2 * p
+    return central_moment_estimate(sample, top) / mu2 ** (top / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Decomposability gap: exact estimates, variance constants vs a
 brute-force oracle, inference plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,35 @@ class TestGapVariance:
         got = (dec.A1, dec.A2, dec.A31, dec.A32, dec.B1, dec.B2, dec.B3)
         assert np.allclose(got, consts, rtol=1e-10, atol=1e-13)
         assert dec.theta1_sq == pytest.approx(want_theta1, rel=1e-10)
+
+    @pytest.mark.parametrize("index", [NamedIndex.shorrocks(1.0), NamedIndex.takayama(1.0)])
+    def test_a3_constants_match_dense_sum_large_groups(self, index):
+        # groups of a few hundred points: F_h o Q_i has many ties and long
+        # runs, which the sorted kernel must order exactly as the dense sum
+        rng = np.random.default_rng(17)
+        groups = [EmpiricalDistribution(build_sample(rng.lognormal(mean=mu, sigma=0.8, size=m)))
+                  for mu, m in ((-0.3, 300), (0.0, 420), (0.4, 250))]
+        p = [0.3, 0.45, 0.25]
+        builder = lambda m: named_representation(m, index)
+        dec = gap_variance(p, groups, builder)
+        q = builder(Mixture(p, groups)).q
+        x = [g.sample.values for g in groups]
+        qw = [np.asarray(q(xi), dtype=float) / xi.size for xi in x]
+
+        def dense(hg, i, j):
+            u = np.asarray(groups[hg].cdf(x[i]), dtype=float)
+            v = np.asarray(groups[hg].cdf(x[j]), dtype=float)
+            kern = np.minimum.outer(u, v) - np.outer(u, v)
+            return math.fsum((np.outer(qw[i], qw[j]) * kern).ravel())
+
+        a31 = sum(p[i] ** 2 * p[hg] * dense(hg, i, i)
+                  for i in range(3) for hg in range(3) if hg != i)
+        a32 = sum(p[i] * p[j] * p[hg] * dense(hg, i, j)
+                  for i in range(3) for j in range(3) for hg in range(3)
+                  if j != i and hg not in (i, j))
+        assert a31 != 0.0 and a32 != 0.0
+        assert dec.A31 == pytest.approx(a31, rel=1e-12)
+        assert dec.A32 == pytest.approx(a32, rel=1e-12)
 
     def test_single_group_all_zero(self):
         g = EmpiricalDistribution(build_sample(np.linspace(0.2, 3.0, 25)))
