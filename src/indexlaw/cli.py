@@ -7,9 +7,10 @@ Subcommands::
     indexlaw decompose --input grouped.csv --index shorrocks --poverty-line 1
     indexlaw validate  --experiment coverage --seed 42
 
-CSV conventions: comma-separated, decimal point, an optional single header
-row (auto-detected when the first row is non-numeric).  ``estimate`` expects
-one numeric column, ``compare`` two numeric columns of equal length (paired
+CSV conventions: UTF-8 (a leading byte-order mark is skipped), comma-separated,
+decimal point, blank lines ignored, an optional single header row
+(auto-detected when the first row is non-numeric).  ``estimate`` expects one
+numeric column, ``compare`` two numeric columns of equal length (paired
 periods), ``decompose`` a numeric value column followed by a group label
 column (labels map to 1..K in first-seen order).
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -38,8 +39,9 @@ from .representation import confidence_interval, index_variance
 from .temporal import (BivariateFrame, empirical_copula, relative_variation_law,
                        temporal_joint_covariance)
 
-_INDEX_CHOICES = ("fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
-                  "takayama-ratio", "central-moment", "odd-moment", "even-moment")
+_POVERTY_CHOICES = ("fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
+                    "takayama-ratio")
+_INDEX_CHOICES = _POVERTY_CHOICES + ("central-moment", "odd-moment", "even-moment")
 _EXPERIMENTS = ("normality", "coverage", "cre2", "decomposability")
 
 
@@ -67,42 +69,66 @@ def _round_tree(obj):
 
 
 def read_csv(path: str, n_columns: int, last_is_label: bool = False):
-    """Read a small CSV with line-accurate errors.
+    """Read a CSV with line-accurate errors.
 
     Returns a list of column arrays (floats, except the trailing label
-    column when requested).  Lines are 1-based including any header.
+    column when requested).  A UTF-8 byte-order mark is skipped.  Every
+    numeric cell is parsed by Python's ``float`` rules.  The file is parsed
+    in bulk: blank lines are dropped, the comma count of every line is
+    checked, the kept lines are split into one flat list of cells and that
+    list becomes one float array.  Only when a check or the conversion fails
+    are the lines read again one at a time, to raise the error of the first
+    bad line.  Lines are 1-based including any header and blank lines.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
-    rows = []
-    header_skipped = False
+    n_numeric = n_columns - int(last_is_label)
+    rows = [text for text in map(str.strip, lines) if text]
+    if any(row.count(",") != n_columns - 1 for row in rows):
+        _raise_first_error(path, lines, n_columns, n_numeric)
+    if rows and not _is_numeric(rows[0].split(",")[:n_numeric]):
+        del rows[0]  # the header
+    if not rows:
+        raise EmptyInput(f"no data rows in {path}")
+    cells = ",".join(rows).split(",")
+    labels = None
+    if last_is_label:
+        labels = [c.strip() for c in cells[n_numeric::n_columns]]
+        del cells[n_numeric::n_columns]
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        _raise_first_error(path, lines, n_columns, n_numeric)
+    out = list(np.ascontiguousarray(values.reshape(-1, n_numeric).T))
+    if last_is_label:
+        out.append(labels)
+    return out
+
+
+def _is_numeric(cells) -> bool:
+    try:
+        for c in cells:
+            float(c)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_error(path: str, lines: list, n_columns: int, n_numeric: int) -> NoReturn:
+    """Raise the error of the first line that does not read as a data row."""
+    first = True
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text:
             continue
-        cells = [c.strip() for c in text.split(",")]
+        cells = text.split(",")
         if len(cells) != n_columns:
             raise ColumnCountMismatch(
                 f"line {lineno}: expected {n_columns} columns, found {len(cells)}")
-        numeric_cells = cells[:-1] if last_is_label else cells
-        try:
-            values = [float(c) for c in numeric_cells]
-        except ValueError:
-            if not rows and not header_skipped:
-                header_skipped = True
-                continue
+        if not _is_numeric(cells[:n_numeric]) and not first:
             raise ParseError(lineno, text) from None
-        if last_is_label:
-            rows.append((*values, cells[-1]))
-        else:
-            rows.append(tuple(values))
-    if not rows:
-        raise EmptyInput(f"no data rows in {path}")
-    columns = list(zip(*rows))
-    out = [np.asarray(col, dtype=float) for col in columns[: n_columns - int(last_is_label)]]
-    if last_is_label:
-        out.append(list(columns[-1]))
-    return out
+        first = False
+    raise EmptyInput(f"no data rows in {path}")
 
 
 class _UsageError(Exception):
@@ -112,6 +138,8 @@ class _UsageError(Exception):
 def _build_index(args) -> NamedIndex:
     kind = args.index
     z = args.poverty_line
+    if z is None and kind in _POVERTY_CHOICES:
+        raise _UsageError(f"--poverty-line is required for {kind}")
     if kind == "fgt":
         if args.alpha is None:
             raise _UsageError("--alpha is required for fgt")
@@ -154,9 +182,9 @@ def _index_params(index: NamedIndex) -> dict:
 
 
 def cmd_estimate(args) -> int:
+    index = _build_index(args)
     (col,) = read_csv(args.input, 1)
     sample = build_sample(col)
-    index = _build_index(args)
     est = named_estimate(sample, index)
     plug = EmpiricalDistribution(sample)
     var = index_variance(plug, named_representation(plug, index)).total
@@ -168,6 +196,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    index = _build_index(args)
     if args.input2:
         (col1,) = read_csv(args.input, 1)
         (col2,) = read_csv(args.input2, 1)
@@ -176,7 +205,6 @@ def cmd_compare(args) -> int:
                 f"period files differ in length: {col1.size} vs {col2.size}")
     else:
         col1, col2 = read_csv(args.input, 2)
-    index = _build_index(args)
     s1, s2 = build_sample(col1), build_sample(col2)
     i1, i2 = named_estimate(s1, index), named_estimate(s2, index)
     m1, m2 = EmpiricalDistribution(s1), EmpiricalDistribution(s2)
@@ -213,10 +241,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    index = _build_index(args)
     values, labels = read_csv(args.input, 2, last_is_label=True)
     sample = build_sample(values)
     partition = SubgroupPartition.from_labels(labels)
-    index = _build_index(args)
     inference = gap_inference(sample, partition, index, level=args.level)
     dec = inference.decomposition
     var_gd0 = dec.theta1_sq + dec.theta3_sq

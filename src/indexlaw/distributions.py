@@ -23,7 +23,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .empirical import EmpiricalSample, build_sample, ecdf, equantile
 from .errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
@@ -137,6 +136,8 @@ class DistributionModel:
             return float(np.asarray(f(np.asarray(self.quantile(u)))))
 
         import warnings
+
+        from scipy import integrate
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)

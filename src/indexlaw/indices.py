@@ -32,7 +32,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import integrate
 
 from .distributions import DistributionModel
 from .empirical import EmpiricalSample
@@ -50,6 +49,11 @@ _MOMENT_KINDS = {"central_moment", "odd_moment", "even_moment"}
 
 def _identity(x):
     return np.asarray(x, dtype=float)
+
+
+def _line(poverty_line: Optional[float]) -> Optional[float]:
+    """A missing line stays None, so ``__post_init__`` rejects it as BadThreshold."""
+    return None if poverty_line is None else float(poverty_line)
 
 
 @dataclass(frozen=True)
@@ -82,31 +86,31 @@ class NamedIndex:
 
     @staticmethod
     def fgt(alpha: float, poverty_line: float) -> "NamedIndex":
-        return NamedIndex("fgt", alpha=float(alpha), poverty_line=float(poverty_line))
+        return NamedIndex("fgt", alpha=float(alpha), poverty_line=_line(poverty_line))
 
     @staticmethod
     def sen(poverty_line: float) -> "NamedIndex":
-        return NamedIndex("sen", poverty_line=float(poverty_line))
+        return NamedIndex("sen", poverty_line=_line(poverty_line))
 
     @staticmethod
     def kakwani(k: int, poverty_line: float) -> "NamedIndex":
-        return NamedIndex("kakwani", k=int(k), poverty_line=float(poverty_line))
+        return NamedIndex("kakwani", k=int(k), poverty_line=_line(poverty_line))
 
     @staticmethod
     def shorrocks(poverty_line: float) -> "NamedIndex":
-        return NamedIndex("shorrocks", poverty_line=float(poverty_line))
+        return NamedIndex("shorrocks", poverty_line=_line(poverty_line))
 
     @staticmethod
     def thon(poverty_line: float) -> "NamedIndex":
-        return NamedIndex("thon", poverty_line=float(poverty_line))
+        return NamedIndex("thon", poverty_line=_line(poverty_line))
 
     @staticmethod
     def takayama(poverty_line: float, d: Optional[ScoreFunction] = None) -> "NamedIndex":
-        return NamedIndex("takayama", poverty_line=float(poverty_line), d=d or _identity)
+        return NamedIndex("takayama", poverty_line=_line(poverty_line), d=d or _identity)
 
     @staticmethod
     def takayama_ratio(poverty_line: float, d: Optional[ScoreFunction] = None) -> "NamedIndex":
-        return NamedIndex("takayama_ratio", poverty_line=float(poverty_line), d=d or _identity)
+        return NamedIndex("takayama_ratio", poverty_line=_line(poverty_line), d=d or _identity)
 
     @staticmethod
     def central_moment(order: int) -> "NamedIndex":
@@ -517,6 +521,8 @@ def _gpi_gaps(spec: GpiSpec, x: np.ndarray) -> np.ndarray:
 
 def gpi_constants(model: DistributionModel, spec: GpiSpec) -> GpiConstants:
     """The constants H_c, H_pi, J, K_c, K_pi, K of the GPI representation."""
+    from scipy import integrate
+
     z = spec.Z
     fz = _check_threshold(model, z)
     dc_dx = spec.dc_dx or _num_partial(spec.c, 0)

@@ -1,11 +1,25 @@
 """Command-line interface: parsing, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from indexlaw.cli import main
+import indexlaw
+from indexlaw.cli import main, read_csv
+from indexlaw.errors import ColumnCountMismatch, EmptyInput, ParseError
+
+POVERTY_FLAGS = {
+    "fgt": ("--alpha", "1"), "sen": (), "kakwani": ("--k", "2"), "shorrocks": (),
+    "thon": (), "takayama": (), "takayama-ratio": (),
+}
 
 
 def run_cli(capsys, *args):
@@ -92,6 +106,180 @@ class TestEstimate:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
+
+    def test_utf8_bom_keeps_first_row(self, tmp_path, capsys):
+        rows = b"1.5\n2.5\n3.5\n0.5\n"
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(rows)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + rows)
+        argv = ("--index", "fgt", "--alpha", "0", "--poverty-line", "2", "--format", "json")
+        code, out_bom, _ = run_cli(capsys, "estimate", "--input", str(bom), *argv)
+        assert code == 0
+        payload = json.loads(out_bom)
+        assert payload["n"] == 4
+        assert payload["estimate"] == 0.5
+        _, out_plain, _ = run_cli(capsys, "estimate", "--input", str(plain), *argv)
+        assert out_bom == out_plain
+
+    def test_nan_reaches_build_sample(self, tmp_path, capsys):
+        path = write(tmp_path, "x.csv", "1\nnan\n3\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", path, "--index", "fgt",
+                                 "--alpha", "0", "--poverty-line", "2")
+        assert code == 1
+        assert out == ""
+        assert "non-finite value at input position 1" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "decompose"])
+@pytest.mark.parametrize("index", sorted(POVERTY_FLAGS))
+def test_missing_poverty_line_is_usage_error(tmp_path, capsys, command, index):
+    rows = {"estimate": "0.5\n1.5\n", "compare": "0.5,0.6\n1.5,1.4\n",
+            "decompose": "0.5,a\n1.5,b\n"}[command]
+    path = write(tmp_path, "x.csv", rows)
+    code, out, err = run_cli(capsys, command, "--input", path, "--index", index,
+                             *POVERTY_FLAGS[index])
+    assert code == 2
+    assert out == ""
+    assert f"error: --poverty-line is required for {index}" in err
+
+
+def test_index_flags_checked_before_input_is_read(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "estimate", "--input", str(tmp_path / "absent.csv"),
+                           "--index", "sen")
+    assert code == 2
+    assert "--poverty-line" in err
+
+
+def _oracle_read(text: str, n_numeric: int, label: bool):
+    """The CSV rules one line at a time, with Python's ``float``."""
+    rows = []
+    first = True
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        try:
+            values = [float(c) for c in cells[:n_numeric]]
+        except ValueError:
+            assert first, "only the first row may be a header"
+            first = False
+            continue
+        first = False
+        rows.append((values, cells[-1] if label else None))
+    columns = [np.array([v[j] for v, _ in rows], dtype=float) for j in range(n_numeric)]
+    return columns, [lab for _, lab in rows]
+
+
+_pad = st.text(alphabet=" \t", max_size=2)
+_cell = st.builds(lambda a, x, b: a + repr(x) + b, _pad, st.floats(), _pad)
+_label = st.builds(lambda a, x, b: a + x + b, _pad,
+                   st.text(alphabet="abcxyz019_-", min_size=1, max_size=4), _pad)
+
+
+@st.composite
+def _tables(draw):
+    n_numeric = draw(st.integers(1, 2))
+    label = draw(st.booleans())
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(["income", "period2"][:n_numeric] + ["group"] * label))
+    for _ in range(draw(st.integers(1, 25))):
+        cells = [draw(_cell) for _ in range(n_numeric)] + [draw(_label)] * label
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_pad))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    blank_start = draw(st.sampled_from(["", "\n", " \t\r\n"]))
+    return blank_start + "".join(l + e for l, e in zip(lines, ends)), n_numeric, label
+
+
+class TestReadCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(_tables())
+    def test_matches_line_by_line_float(self, table):
+        text, n_numeric, label = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            got = read_csv(str(path), n_numeric + label, last_is_label=label)
+        columns, labels = _oracle_read(text, n_numeric, label)
+        assert len(got) == n_numeric + label
+        for have, want in zip(got, columns):
+            assert have.dtype == want.dtype
+            assert np.array_equal(have, want, equal_nan=True)
+            assert have.tobytes() == want.tobytes()
+        if label:
+            assert got[-1] == labels
+
+    def test_parse_error_line_after_blank_lines(self, tmp_path):
+        path = write(tmp_path, "x.csv", "\n\n1\n\n2\nabc\n3\n")
+        with pytest.raises(ParseError) as exc:
+            read_csv(path, 1)
+        assert exc.value.line == 6
+        assert "abc" in str(exc.value)
+
+    def test_column_count_line_after_blank_lines(self, tmp_path):
+        path = write(tmp_path, "p.csv", "\n1,2\n \n\n3,4,5\n6\n")
+        with pytest.raises(ColumnCountMismatch, match="line 5: expected 2 columns, found 3"):
+            read_csv(path, 2)
+
+    def test_second_non_numeric_row(self, tmp_path):
+        path = write(tmp_path, "x.csv", "income\nwealth\n1\n")
+        with pytest.raises(ParseError) as exc:
+            read_csv(path, 1)
+        assert exc.value.line == 2
+
+    def test_bad_value_in_label_file(self, tmp_path):
+        path = write(tmp_path, "g.csv", "value,group\n1,a\n\nx,b\n")
+        with pytest.raises(ParseError) as exc:
+            read_csv(path, 2, last_is_label=True)
+        assert exc.value.line == 4
+
+    def test_header_only(self, tmp_path):
+        path = write(tmp_path, "x.csv", "\nincome\n\n")
+        with pytest.raises(EmptyInput):
+            read_csv(path, 1)
+
+    def test_python_float_spellings(self, tmp_path):
+        path = write(tmp_path, "x.csv", "1_000\n 2.5 \n-Infinity\n")
+        (col,) = read_csv(path, 1)
+        assert col.tolist() == [1000.0, 2.5, float("-inf")]
+
+
+def _run_python(code: str, *args: str):
+    src = str(Path(indexlaw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestImportCost:
+    """Empirical paths are exact sums: importing or running them loads no scipy."""
+
+    def test_import_loads_no_scipy(self):
+        proc = _run_python(f"import sys, indexlaw; print({_SCIPY_MODULES})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, rows", [
+        (("estimate", "--index", "sen"), "0.4\n1.2\n0.7\n2.5\n0.9\n"),
+        (("decompose", "--index", "shorrocks"), "0.4,a\n1.2,b\n0.7,b\n2.5,a\n0.9,a\n1.6,b\n"),
+    ], ids=["estimate-sen", "decompose-shorrocks"])
+    def test_empirical_commands_load_no_scipy(self, tmp_path, argv, rows):
+        path = write(tmp_path, "x.csv", rows)
+        code = ("import sys; from indexlaw.cli import main; code = main(sys.argv[1:]); "
+                f"print('scipy', {_SCIPY_MODULES}); sys.exit(code)")
+        proc = _run_python(code, *argv, "--input", path, "--poverty-line", "1.0",
+                           "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "scipy []"
 
 
 class TestCompare:

@@ -343,6 +343,14 @@ class TestNamedIndexValidation:
         with pytest.raises(BadThreshold):
             NamedIndex("sen")
 
+    @pytest.mark.parametrize("factory", [
+        lambda z: NamedIndex.fgt(1.0, z), NamedIndex.sen, lambda z: NamedIndex.kakwani(2, z),
+        NamedIndex.shorrocks, NamedIndex.thon, NamedIndex.takayama, NamedIndex.takayama_ratio,
+    ], ids=["fgt", "sen", "kakwani", "shorrocks", "thon", "takayama", "takayama_ratio"])
+    def test_factory_without_poverty_line(self, factory):
+        with pytest.raises(BadThreshold):
+            factory(None)
+
     def test_kakwani_k(self):
         with pytest.raises(OutOfRange):
             NamedIndex.kakwani(0, 1.0)
