@@ -113,7 +113,7 @@ class DistributionModel:
     def quantile(self, s):
         """Generalized inverse CDF on (0, 1)."""
         s_arr = np.asarray(s, dtype=float)
-        if np.any((s_arr <= 0.0) | (s_arr >= 1.0)):
+        if np.any(~((s_arr > 0.0) & (s_arr < 1.0))):
             raise OutOfRange("quantile level must lie in (0, 1)")
         return self.quantile_extended(s)
 
@@ -175,7 +175,7 @@ class EmpiricalDistribution(DistributionModel):
         s_arr = np.asarray(s, dtype=float)
         if s_arr.ndim == 0:
             return equantile(self.sample, float(s_arr))
-        if np.any((s_arr <= 0.0) | (s_arr > 1.0)):
+        if np.any(~((s_arr > 0.0) & (s_arr <= 1.0))):
             raise OutOfRange("quantile level must lie in (0, 1]")
         j = np.ceil(self.sample.n * s_arr).astype(int)
         return self.sample.values[j - 1]
@@ -325,29 +325,43 @@ class Mixture(DistributionModel):
         return float(out) if np.asarray(out).ndim == 0 else out
 
     def quantile_extended(self, s):
-        from scipy.optimize import brentq
+        """Generalized inverse ``inf {x : F(x) >= s}`` by vectorized bisection.
 
+        Each interior level is bracketed by the smallest and the largest
+        component quantile, and all brackets are bisected together with one
+        vectorized ``cdf`` call per step until each is two adjacent floats.
+        The upper end, the smallest float found with ``F(x) >= s``, is
+        returned, so in a flat region of F the result is its left end.
+        Levels <= 0 and >= 1 give the smallest and the largest component
+        endpoint.
+        """
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty_like(s_arr)
-        for i, si in enumerate(s_arr):
-            if si <= 0.0:
-                out[i] = min(float(np.min(np.atleast_1d(c.quantile_extended(0.0))))
-                             for c in self.components)
-                continue
-            if si >= 1.0:
-                out[i] = max(float(np.max(np.atleast_1d(c.quantile_extended(1.0))))
-                             for c in self.components)
-                continue
-            los, his = [], []
-            for c in self.components:
-                q = float(np.asarray(c.quantile_extended(si)))
-                los.append(q)
-                his.append(q)
-            lo, hi = min(los), max(his)
-            if lo == hi:
-                out[i] = lo
-                continue
-            out[i] = brentq(lambda x: float(self.cdf(x)) - si, lo, hi, xtol=1e-13, rtol=8.9e-16)
+        low, high = s_arr <= 0.0, s_arr >= 1.0
+        out[low] = min(np.min(c.quantile_extended(0.0)) for c in self.components)
+        out[high] = max(np.max(c.quantile_extended(1.0)) for c in self.components)
+        inner = ~(low | high)
+        level = s_arr[inner]
+        comp = np.array([c.quantile_extended(level) for c in self.components], dtype=float)
+        lo, hi = comp.min(axis=0), comp.max(axis=0)
+        # where a component's cdf and quantile disagree by round-off (deep
+        # tails) a bracket can miss; widen it until F(lo) < s <= F(hi)
+        step = hi - lo + np.abs(lo) + np.abs(hi) + np.finfo(float).tiny
+        while (miss := np.asarray(self.cdf(hi)) < level).any():
+            lo[miss], hi[miss] = hi[miss], hi[miss] + step[miss]
+            step[miss] *= 2.0
+        while (miss := np.asarray(self.cdf(lo)) >= level).any():
+            lo[miss], hi[miss] = lo[miss] - step[miss], lo[miss]
+            step[miss] *= 2.0
+        open_ = (lo < hi) & (np.nextafter(lo, hi) < hi)
+        while open_.any():
+            mid = lo[open_] + 0.5 * (hi[open_] - lo[open_])
+            above = np.asarray(self.cdf(mid)) >= level[open_]
+            idx = np.flatnonzero(open_)
+            hi[idx[above]] = mid[above]
+            lo[idx[~above]] = mid[~above]
+            open_[idx] = np.nextafter(lo[idx], hi[idx]) < hi[idx]
+        out[inner] = hi
         return float(out[0]) if np.asarray(s).ndim == 0 else out
 
     def integrate_score(self, f, breaks=()) -> float:

@@ -56,6 +56,16 @@ def _line(poverty_line: Optional[float]) -> Optional[float]:
     return None if poverty_line is None else float(poverty_line)
 
 
+def _whole(value, least: int, message: str) -> int:
+    """``value`` as an int if it is a whole number >= ``least``, else OutOfRange."""
+    try:
+        if int(value) == value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise OutOfRange(message)
+
+
 @dataclass(frozen=True)
 class NamedIndex:
     """A catalog index: a kind tag plus its parameters."""
@@ -73,20 +83,22 @@ class NamedIndex:
         if self.kind in _POVERTY_KINDS:
             if self.poverty_line is None or not (self.poverty_line > 0):
                 raise BadThreshold("poverty kinds need a positive poverty line")
-        if self.kind == "fgt" and not (self.alpha is not None and self.alpha >= 0):
-            raise BadThreshold("fgt needs alpha >= 0")
-        if self.kind == "kakwani" and not (self.k is not None and int(self.k) >= 1):
-            raise OutOfRange("kakwani needs an integer k >= 1")
-        if self.kind == "central_moment" and not (self.order and int(self.order) >= 1):
-            raise OutOfRange("central moment needs order >= 1")
-        if self.kind in ("odd_moment", "even_moment") and not (self.order and int(self.order) >= 2):
-            raise OutOfRange("normalized moments need order p >= 2")
+        if self.kind == "fgt":
+            if self.alpha is None or not self.alpha >= 0:
+                raise BadThreshold("fgt needs alpha >= 0")
+            object.__setattr__(self, "alpha", float(self.alpha))
+        if self.kind == "kakwani":
+            object.__setattr__(self, "k", _whole(self.k, 1, "kakwani needs an integer k >= 1"))
+        if self.kind in _MOMENT_KINDS:
+            least = 1 if self.kind == "central_moment" else 2
+            object.__setattr__(self, "order", _whole(
+                self.order, least, f"{self.kind} needs an integer order >= {least}"))
 
     # constructors ----------------------------------------------------------
 
     @staticmethod
     def fgt(alpha: float, poverty_line: float) -> "NamedIndex":
-        return NamedIndex("fgt", alpha=float(alpha), poverty_line=_line(poverty_line))
+        return NamedIndex("fgt", alpha=alpha, poverty_line=_line(poverty_line))
 
     @staticmethod
     def sen(poverty_line: float) -> "NamedIndex":
@@ -94,7 +106,7 @@ class NamedIndex:
 
     @staticmethod
     def kakwani(k: int, poverty_line: float) -> "NamedIndex":
-        return NamedIndex("kakwani", k=int(k), poverty_line=_line(poverty_line))
+        return NamedIndex("kakwani", k=k, poverty_line=_line(poverty_line))
 
     @staticmethod
     def shorrocks(poverty_line: float) -> "NamedIndex":
@@ -114,15 +126,15 @@ class NamedIndex:
 
     @staticmethod
     def central_moment(order: int) -> "NamedIndex":
-        return NamedIndex("central_moment", order=int(order))
+        return NamedIndex("central_moment", order=order)
 
     @staticmethod
     def odd_normalized(p: int) -> "NamedIndex":
-        return NamedIndex("odd_moment", order=int(p))
+        return NamedIndex("odd_moment", order=p)
 
     @staticmethod
     def even_normalized(p: int) -> "NamedIndex":
-        return NamedIndex("even_moment", order=int(p))
+        return NamedIndex("even_moment", order=p)
 
     def label(self) -> str:
         parts = [self.kind]

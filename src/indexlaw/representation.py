@@ -76,9 +76,16 @@ class CovarianceEstimate:
 # ---------------------------------------------------------------------------
 
 
+def check_grid(grid: int) -> None:
+    """Reject a grid size that is not an integer >= 1."""
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+        raise OutOfRange(f"grid size must be an integer >= 1, got {grid!r}")
+
+
 def quantile_grid(model: DistributionModel, grid: int) -> np.ndarray:
     """Quantile values at the nodes k/grid, with unbounded endpoints clipped
     to [h/2, 1 - h/2]."""
+    check_grid(grid)
     s = np.linspace(0.0, 1.0, grid + 1)
     x = np.asarray(model.quantile_extended(s), dtype=float)
     clip = 0.5 / grid

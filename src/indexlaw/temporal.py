@@ -11,6 +11,10 @@ the tail-integrated weight ``W(s) = int_s^1 q(Q(t)) dt``:
   the last one is the displayed double integral of ``(C(s,t) - s t)
   l_1(s) l_2(t)``.
 
+Every copula's ``cross_cov`` is bilinear under one fixed measure, so the four
+brackets are one call on ``h + W`` of each period: one bilinear call per atom
+pair.
+
 The variance of the difference is read off the assembled joint covariance
 matrix (the variance of a difference subtracts twice the cross term), and
 relative variations follow by the delta method with gradient
@@ -18,8 +22,8 @@ relative variations follow by the delta method with gradient
 
 Copula integrals: independence and comonotone copulas are evaluated in
 closed form (product and diagonal rules); the Gaussian copula uses a tensor
-midpoint grid on its density (default 512 per axis); empirical copulas are
-exact rank sums.
+midpoint grid on its density (default 512 per axis), built once per copula
+and grid size and kept on the copula; empirical copulas are exact rank sums.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from .distributions import DistributionModel, normal_quantile
 from .errors import BadParams, NegativeVariance, OutOfRange, TooFewPairs, ZeroBaseIndex
 from .representation import (DEFAULT_GRID, IndexRepresentation, UAtoms,
-                             atoms_cross_covariance, u_atoms)
+                             atoms_cross_covariance, check_grid, u_atoms)
 from .ugrid import CellPoly
 
 DEFAULT_COPULA_GRID = 512
@@ -98,6 +102,7 @@ class GaussianCopula(CopulaModel):
         if not (-1.0 < rho < 1.0):
             raise BadParams(f"gaussian copula needs rho in (-1, 1), got {rho}")
         self.rho = float(rho)
+        self._tensors: dict = {}
 
     def eval(self, u, v):
         from scipy.stats import multivariate_normal
@@ -125,6 +130,7 @@ class GaussianCopula(CopulaModel):
 
     def density_grid(self, grid: int) -> tuple[np.ndarray, np.ndarray]:
         """Midpoints and copula density values on a grid x grid tensor."""
+        check_grid(grid)
         mid = (np.arange(grid) + 0.5) / grid
         z = np.asarray(normal_quantile(mid), dtype=float)
         rho = self.rho
@@ -135,14 +141,23 @@ class GaussianCopula(CopulaModel):
         dens = np.exp(expo) / math.sqrt(denom)
         return mid, dens
 
+    def _tensor(self, grid: int) -> tuple:
+        """``(mid, dens, total, row sums, column sums)``, built on first use
+        and kept per ``(rho, grid)``."""
+        key = (self.rho, grid)
+        if key not in self._tensors:
+            mid, dens = self.density_grid(grid)
+            self._tensors[key] = (mid, dens, float(dens.sum()),
+                                  dens.sum(axis=1), dens.sum(axis=0))
+        return self._tensors[key]
+
     def cross_cov(self, phi, psi, grid):
-        mid, dens = self.density_grid(grid)
+        mid, dens, total, rows, cols = self._tensor(grid)
         pv = phi.eval(mid)
         qv = psi.eval(mid)
-        total = float(dens.sum())
         joint = float(pv @ dens @ qv) / total
-        mu_phi = float(dens.sum(axis=1) @ pv) / total
-        mu_psi = float(dens.sum(axis=0) @ qv) / total
+        mu_phi = float(rows @ pv) / total
+        mu_psi = float(cols @ qv) / total
         return joint - mu_phi * mu_psi
 
 
@@ -233,14 +248,12 @@ def _clamp_variance(value: float, what: str) -> float:
 def _cross_period_cov(copula: CopulaModel, a: UAtoms, b: UAtoms, grid: int) -> float:
     """Covariance between period-1 atom a and period-2 atom b.
 
-    Four brackets, each the covariance of a u-function with a v-function
-    under the copula: score x score, weight x weight and the two mixed ones
-    (the marginal mean of a tail-integrated weight is its first s-moment).
+    The sum of four brackets, score x score, weight x weight and the two
+    mixed ones, each the covariance of a u-function with a v-function under
+    the copula.  ``cross_cov`` is bilinear, so the sum is one call on the
+    summed score and weight of each period.
     """
-    return (copula.cross_cov(a.hmodel, b.hmodel, grid)
-            + copula.cross_cov(a.wmodel, b.wmodel, grid)
-            + copula.cross_cov(a.hmodel, b.wmodel, grid)
-            + copula.cross_cov(a.wmodel, b.hmodel, grid))
+    return copula.cross_cov(a.hmodel + a.wmodel, b.hmodel + b.wmodel, grid)
 
 
 def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
@@ -127,6 +129,67 @@ class TestMixture:
     def test_bad_weights(self):
         with pytest.raises(BadParams):
             Mixture([0.5, 0.6], [Uniform(0, 1), Uniform(0, 2)])
+
+
+_PAIRS = {
+    "lognormal": Mixture([0.5, 0.5], [LogNormal(0, 1), LogNormal(0.5, 1)]),
+    "exponential": Mixture([0.25, 0.75], [Exponential(1.0), Exponential(2.0)]),
+    "disjoint-uniform": Mixture([0.5, 0.5], [Uniform(0, 1), Uniform(2, 3)]),
+}
+
+
+class TestMixtureGeneralizedInverse:
+    @pytest.mark.parametrize("name", sorted(_PAIRS))
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_smallest_float_reaching_level(self, name, s):
+        mix = _PAIRS[name]
+        q = mix.quantile(s)
+        assert mix.cdf(q) >= s > mix.cdf(np.nextafter(q, -np.inf))
+
+    @pytest.mark.parametrize("name", sorted(_PAIRS))
+    def test_vector_matches_scalar(self, name):
+        mix = _PAIRS[name]
+        s = np.random.default_rng(8).uniform(size=300)
+        q = mix.quantile(s)
+        assert np.all(np.asarray(mix.cdf(q)) >= s)
+        assert np.all(np.asarray(mix.cdf(np.nextafter(q, -np.inf))) < s)
+        assert np.array_equal(q, [mix.quantile(x) for x in s])
+
+    def test_flat_region_left_end(self):
+        assert _PAIRS["disjoint-uniform"].quantile(0.5) == 1.0
+
+    def test_endpoints(self):
+        mix = _PAIRS["lognormal"]
+        assert mix.quantile_extended(0.0) == 0.0
+        assert np.array_equal(mix.quantile_extended(np.array([0.0, 1.0])), [0.0, np.inf])
+
+    def test_matches_brentq_oracle(self):
+        # the parametric-variance mixture of the benchmark at 2,049 nodes
+        from scipy.optimize import brentq
+
+        mix = _PAIRS["lognormal"]
+        s = np.linspace(0.0, 1.0, 2049)
+        got = mix.quantile_extended(s)
+        want = np.empty_like(s)
+        want[[0, -1]] = 0.0, np.inf
+        for i, si in enumerate(s[1:-1], start=1):
+            brackets = [float(c.quantile_extended(si)) for c in mix.components]
+            want[i] = brentq(lambda x: float(mix.cdf(x)) - si, min(brackets), max(brackets),
+                             xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert np.array_equal(got[[0, -1]], want[[0, -1]])
+        inner = slice(1, -1)
+        assert np.max(np.abs(got[inner] - want[inner]) / want[inner]) <= 1e-12
+
+
+class TestNanLevels:
+    @pytest.mark.parametrize("model", [LogNormal(), _PAIRS["lognormal"],
+                                       EmpiricalDistribution([3.0, 1.0, 2.0])],
+                             ids=["lognormal", "mixture", "empirical"])
+    @pytest.mark.parametrize("s", [np.nan, np.array([np.nan, 0.5])], ids=["scalar", "array"])
+    def test_nan_level_rejected(self, model, s):
+        with pytest.raises(OutOfRange):
+            model.quantile(s)
 
 
 def test_normal_cdf_quantile_consistency():

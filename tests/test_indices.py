@@ -361,6 +361,29 @@ class TestNamedIndexValidation:
         with pytest.raises(OutOfRange):
             NamedIndex.odd_normalized(1)
 
+    @pytest.mark.parametrize("make, error", [
+        (lambda: NamedIndex.fgt(None, 1.0), BadThreshold),
+        (lambda: NamedIndex.fgt(float("nan"), 1.0), BadThreshold),
+        (lambda: NamedIndex.kakwani(None, 1.0), OutOfRange),
+        (lambda: NamedIndex.kakwani(2.5, 1.0), OutOfRange),
+        (lambda: NamedIndex.kakwani(float("inf"), 1.0), OutOfRange),
+        (lambda: NamedIndex.central_moment(None), OutOfRange),
+        (lambda: NamedIndex.central_moment(2.7), OutOfRange),
+        (lambda: NamedIndex.odd_normalized(2.5), OutOfRange),
+        (lambda: NamedIndex.even_normalized(float("nan")), OutOfRange),
+    ], ids=["fgt-none", "fgt-nan", "kakwani-none", "kakwani-2.5", "kakwani-inf",
+            "central-none", "central-2.7", "odd-2.5", "even-nan"])
+    def test_missing_or_fractional_parameter(self, make, error):
+        with pytest.raises(error):
+            make()
+
+    def test_integral_floats_accepted(self):
+        assert NamedIndex.kakwani(2.0, 1.0) == NamedIndex.kakwani(2, 1.0)
+        assert type(NamedIndex.kakwani(2.0, 1.0).k) is int
+        assert NamedIndex.central_moment(3.0).order == 3
+        assert NamedIndex.even_normalized(np.int64(4)).order == 4
+        assert NamedIndex.fgt(1, 1.0).alpha == 1.0
+
 
 class TestCatalogConsistency:
     """named_estimate at large n lands within 4 SE of value(F) for every

@@ -108,6 +108,12 @@ class TestIndexVariance:
         cv = index_variance(m, rep)
         assert cv.total == cv.gamma1 + cv.gamma2 + 2 * cv.gamma3
 
+    @pytest.mark.parametrize("grid", [0, -3, 2.5])
+    def test_bad_grid(self, grid):
+        rep = named_representation(LogNormal(0, 1), NamedIndex.sen(1.0))
+        with pytest.raises(OutOfRange):
+            index_variance(LogNormal(0, 1), rep, grid=grid)
+
     def test_empirical_grid_invariance(self):
         m = EmpiricalDistribution(np.geomspace(0.2, 5.0, 31))
         rep = named_representation(m, NamedIndex.sen(1.0))

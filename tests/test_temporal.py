@@ -7,15 +7,16 @@ import pytest
 
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Uniform, normal_quantile)
-from indexlaw.errors import BadParams, TooFewPairs, ZeroBaseIndex
+from indexlaw.errors import BadParams, OutOfRange, TooFewPairs, ZeroBaseIndex
 from indexlaw.indices import NamedIndex, named_representation
-from indexlaw.representation import IndexRepresentation, index_variance
+from indexlaw.representation import IndexRepresentation, UAtoms, index_variance
 from indexlaw.rng import stream_seed, uniforms
 from indexlaw.temporal import (BivariateFrame, ComonotoneCopula,
-                               GaussianCopula, IndependenceCopula, empirical_copula,
-                               mutual_relative_covariance,
+                               GaussianCopula, IndependenceCopula, _cross_period_cov,
+                               empirical_copula, mutual_relative_covariance,
                                mutual_variation_covariance, relative_variation_law,
                                temporal_joint_covariance)
+from indexlaw.ugrid import CellPoly
 
 one = lambda x: np.ones_like(np.asarray(x, dtype=float))
 zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -279,3 +280,84 @@ class TestEmpiricalCopulaJointLaws:
         cop = empirical_copula(np.column_stack([x, x]))
         within = (a.hmodel * a.hmodel).integral() - a.eh**2
         assert cop.cross_cov(a.hmodel, a.hmodel, 512) == pytest.approx(within, abs=1e-14)
+
+
+def _random_atoms(rng, m, step):
+    """Atoms of random scores on m cells: step functions when ``step`` (the
+    empirical case), piecewise-linear interpolants otherwise."""
+    make = CellPoly.from_cells if step else CellPoly.from_nodes
+    hm = make(rng.normal(size=m if step else m + 1))
+    lm = make(rng.normal(size=m if step else m + 1))
+    return UAtoms(hmodel=hm, lmodel=lm, wmodel=lm.tail_integral_poly(),
+                  eh=hm.integral(), smom=lm.s_moment())
+
+
+def _random_pairs_copula():
+    xy = np.random.default_rng(41).normal(size=(300, 2))
+    return empirical_copula(xy @ np.array([[1.0, 0.4], [0.0, 1.0]]))
+
+
+class TestOneBilinearCall:
+    @pytest.mark.parametrize("cop", [
+        IndependenceCopula(), ComonotoneCopula(), GaussianCopula(-0.9), GaussianCopula(0.0),
+        GaussianCopula(0.6), _random_pairs_copula(),
+    ], ids=["independence", "comonotone", "gauss-0.9", "gauss0", "gauss0.6", "empirical"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_summed_call_equals_four_brackets(self, cop, seed):
+        rng = np.random.default_rng(seed)
+        step = rng.uniform() < 0.5
+        m1, m2 = (int(m) for m in rng.integers(20, 90, size=2))
+        for b_cells in (m1, m2):  # equal and (usually) unequal grids across periods
+            a, b = _random_atoms(rng, m1, step), _random_atoms(rng, b_cells, step)
+            brackets = [cop.cross_cov(p, q, 96) for p in (a.hmodel, a.wmodel)
+                        for q in (b.hmodel, b.wmodel)]
+            got = _cross_period_cov(cop, a, b, 96)
+            scale = sum(abs(x) for x in brackets)
+            if getattr(cop, "rho", None) == 0.0:
+                # every bracket is 0 up to cancellation; measure against the
+                # size of the terms that cancel instead
+                mid = (np.arange(96) + 0.5) / 96
+                scale = sum(np.mean(np.abs(p.eval(mid))) * np.mean(np.abs(q.eval(mid)))
+                            for p in (a.hmodel, a.wmodel) for q in (b.hmodel, b.wmodel))
+            assert abs(got - sum(brackets)) <= 1e-12 * scale
+
+
+class TestGaussianDensityOnce:
+    def _reps(self, frame):
+        idx = (NamedIndex.sen(1.0), NamedIndex.fgt(1.0, 1.0))
+        return ([named_representation(frame.margin1, ix) for ix in idx]
+                + [named_representation(frame.margin2, ix) for ix in idx])
+
+    def test_one_density_per_joint_law(self, monkeypatch):
+        calls = {"density_grid": 0, "cross_cov": 0}
+        for name in calls:
+            original = getattr(GaussianCopula, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(GaussianCopula, name, counted)
+        frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
+        r = self._reps(frame)
+        mutual_variation_covariance(frame, r[0], r[1], r[2], r[3], grid=256, copula_grid=128)
+        assert calls == {"density_grid": 1, "cross_cov": 4}
+
+    def test_memo_follows_rho(self):
+        frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
+        r = self._reps(frame)
+        mutual_variation_covariance(frame, r[0], r[1], grid=256, copula_grid=128)
+        frame.copula.rho = -0.3
+        moved = mutual_variation_covariance(frame, r[0], r[1], grid=256, copula_grid=128)
+        fresh = BivariateFrame(frame.margin1, frame.margin2, GaussianCopula(-0.3))
+        want = mutual_variation_covariance(fresh, r[0], r[1], grid=256, copula_grid=128)
+        assert np.array_equal(moved.matrix, want.matrix)
+
+    @pytest.mark.parametrize("copula_grid", [0, -3, 2.5])
+    def test_bad_copula_grid(self, copula_grid):
+        frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
+        r = self._reps(frame)
+        with pytest.raises(OutOfRange):
+            mutual_variation_covariance(frame, r[0], r[1], grid=64, copula_grid=copula_grid)
+        with pytest.raises(OutOfRange):
+            frame.copula.density_grid(copula_grid)
