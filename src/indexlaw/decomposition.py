@@ -18,7 +18,9 @@ All constants are integrals over transformed unit intervals; with empirical
 group models every one of them is an exact step sum.  Every A3x and B-type
 constant costs O(n log n) per group pair: A31/A32 through the sorted prefix
 sums of ``bridge_kernel_quad``, B2/B3 through cell lookups in antiderivatives
-built once per group, so no n-by-n kernel matrix is formed.
+built once per group, so no n-by-n kernel matrix is formed.  A3 takes
+2K(K-1) kernel calls, with no K^3 term: per group i and excluded group h, one
+for A31 and one for A32 on the concatenated cells of all groups j not in {i, h}.
 
 The printed forms of the A32 and B3 constants in their source derivation
 carry typographical slips; this module implements the forms obtained
@@ -36,7 +38,7 @@ import numpy as np
 
 from .distributions import DistributionModel, EmpiricalDistribution, Mixture
 from .empirical import EmpiricalSample, build_sample
-from .errors import BadWeights
+from .errors import BadWeights, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
 from .representation import (DEFAULT_GRID, IndexRepresentation,
                              confidence_interval, score_model)
@@ -45,22 +47,20 @@ from .ugrid import CellPoly, bridge_bilinear, bridge_cross, bridge_kernel_quad
 
 @dataclass(frozen=True)
 class SubgroupPartition:
-    """Per-observation group labels (input order) with weights.
+    """Per-observation group labels (input order) with group sizes.
 
-    ``labels`` holds integer codes 1..K.  ``weights`` defaults to the
-    observed frequencies n_i*/n; groups that happen to be empty keep weight 0
-    and are skipped in sums (the limit theory assumes all groups grow).
+    ``labels`` holds integer codes 1..K.  Group i is weighted by its observed
+    frequency n_i*/n; groups that happen to be empty are skipped in sums (the
+    limit theory assumes all groups grow).
     """
 
     labels: np.ndarray
     n_groups: int
     counts: np.ndarray
-    weights: np.ndarray
     names: tuple
 
     @staticmethod
-    def from_labels(labels: Sequence, weights: Optional[Sequence[float]] = None,
-                    ) -> "SubgroupPartition":
+    def from_labels(labels: Sequence) -> "SubgroupPartition":
         """Map arbitrary labels to 1..K in first-seen order."""
         seen: dict = {}
         codes = np.empty(len(labels), dtype=np.int64)
@@ -70,16 +70,8 @@ class SubgroupPartition:
             codes[i] = seen[lab]
         k = len(seen)
         counts = np.bincount(codes, minlength=k + 1)[1:]
-        if weights is None:
-            w = counts / counts.sum()
-        else:
-            w = np.asarray(weights, dtype=float)
-            if w.size != k:
-                raise BadWeights(f"got {w.size} weights for {k} groups")
-            if np.any(w < 0) or not np.isclose(w.sum(), 1.0, atol=1e-9):
-                raise BadWeights("weights must be nonnegative and sum to 1")
         return SubgroupPartition(labels=codes, n_groups=k, counts=counts,
-                                 weights=w, names=tuple(seen))
+                                 names=tuple(seen))
 
 
 @dataclass(frozen=True)
@@ -114,21 +106,28 @@ class GapInference:
 
 
 def _split_values(sample: EmpiricalSample, partition: SubgroupPartition) -> list[np.ndarray]:
+    if partition.labels.size != sample.n:
+        raise OutOfRange(f"partition has {partition.labels.size} labels for a sample "
+                         f"of {sample.n} values")
     inp = sample.input_values()
     return [inp[partition.labels == g] for g in range(1, partition.n_groups + 1)]
+
+
+def _recompose(whole: EmpiricalSample, groups: Sequence[np.ndarray], index: NamedIndex,
+               ) -> tuple[float, list[EmpiricalSample], list[float]]:
+    """The gap ``I_n - sum (n_i*/n) I_i``, the nonempty group samples and
+    their index estimates; empty groups are skipped."""
+    samples = [build_sample(vals) for vals in groups if vals.size]
+    estimates = [named_estimate(grp, index) for grp in samples]
+    parts = sum((grp.n / whole.n) * est for grp, est in zip(samples, estimates))
+    return named_estimate(whole, index) - parts, samples, estimates
 
 
 def gap_estimate(sample: EmpiricalSample, partition: SubgroupPartition,
                  index: NamedIndex) -> float:
     """Exact decomposability gap: whole-sample index minus the
     count-weighted recomposition from the subgroups."""
-    whole = named_estimate(sample, index)
-    parts = 0.0
-    for vals in _split_values(sample, partition):
-        if vals.size == 0:
-            continue
-        parts += (vals.size / sample.n) * named_estimate(build_sample(vals), index)
-    return whole - parts
+    return _recompose(sample, _split_values(sample, partition), index)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +209,19 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
                 if hgrp != i:
                     fcomp[(hgrp, i)], _ = _cell_values(
                         group_models[i], group_models[hgrp].cdf, grid)
+        aw = [qcells[i] * widths[i] for i in range(k)]
         for i in range(k):
             for hgrp in range(k):
                 if hgrp == i:
                     continue
                 u = fcomp[(hgrp, i)]
-                aw = qcells[i] * widths[i]
-                a31 += p[i] ** 2 * p[hgrp] * bridge_kernel_quad(u, aw, u, aw)
-        for i in range(k):
-            for j in range(k):
-                if j == i:
-                    continue
-                for hgrp in range(k):
-                    if hgrp in (i, j):
-                        continue
-                    a32 += (p[i] * p[j] * p[hgrp]
-                            * bridge_kernel_quad(fcomp[(hgrp, i)], qcells[i] * widths[i],
-                                                 fcomp[(hgrp, j)], qcells[j] * widths[j]))
+                a31 += p[i] ** 2 * p[hgrp] * bridge_kernel_quad(u, aw[i], u, aw[i])
+                # linear in its second argument: one call covers all j not in {i, h}
+                others = [j for j in range(k) if j not in (i, hgrp)]
+                if others:
+                    a32 += p[i] * p[hgrp] * bridge_kernel_quad(
+                        u, aw[i], np.concatenate([fcomp[(hgrp, j)] for j in others]),
+                        np.concatenate([p[j] * aw[j] for j in others]))
         # these depend on group i alone, so build them once, not per (j, i) pair
         c_parts = [(c.antiderivative(), (CellPoly.identity(c.m) * c).antiderivative(),
                     c.integral(), c.s_moment()) for c in cmods]
@@ -286,25 +281,15 @@ def gap_inference(sample: EmpiricalSample, partition: SubgroupPartition,
     if center not in ("gd", "gd0"):
         raise BadWeights(f"center must be 'gd' or 'gd0', got {center!r}")
     values = _split_values(sample, partition)
-    models, kept_weights, estimates = [], [], []
-    observed = partition.counts / sample.n
-    parts = 0.0
-    for i, vals in enumerate(values):
-        if vals.size == 0:
-            continue
+    for name, vals in zip(partition.names, values):
         if vals.size == 1:
-            warnings.warn(f"subgroup {partition.names[i]!r} has a single observation",
+            warnings.warn(f"subgroup {name!r} has a single observation",
                           UserWarning, stacklevel=2)
-        grp = build_sample(vals)
-        models.append(EmpiricalDistribution(grp))
-        kept_weights.append(observed[i])
-        estimates.append(named_estimate(grp, index))
-        # the recomposition of gap_estimate, in its order
-        parts += (vals.size / sample.n) * estimates[-1]
-    w = np.asarray(kept_weights, dtype=float)
+    gap, groups, estimates = _recompose(sample, values, index)
+    w = np.array([grp.n for grp in groups]) / sample.n
     w = w / w.sum()
-    dec = gap_variance(w, models, lambda m: named_representation(m, index), grid=grid)
-    gap = named_estimate(sample, index) - parts
+    dec = gap_variance(w, [EmpiricalDistribution(grp) for grp in groups],
+                       lambda m: named_representation(m, index), grid=grid)
     variance = dec.theta1_sq + (dec.theta2_sq if center == "gd" else dec.theta3_sq)
     ci = confidence_interval(gap, max(variance, 0.0), sample.n, level)
     return GapInference(gap=gap, variance=variance, ci=ci, center=center,

@@ -81,11 +81,11 @@ class NamedIndex:
         if self.kind not in _POVERTY_KINDS | _MOMENT_KINDS:
             raise OutOfRange(f"unknown index kind {self.kind!r}")
         if self.kind in _POVERTY_KINDS:
-            if self.poverty_line is None or not (self.poverty_line > 0):
-                raise BadThreshold("poverty kinds need a positive poverty line")
+            if self.poverty_line is None or not 0 < self.poverty_line < math.inf:
+                raise BadThreshold("poverty kinds need a finite positive poverty line")
         if self.kind == "fgt":
-            if self.alpha is None or not self.alpha >= 0:
-                raise BadThreshold("fgt needs alpha >= 0")
+            if self.alpha is None or not 0 <= self.alpha < math.inf:
+                raise BadThreshold("fgt needs a finite alpha >= 0")
             object.__setattr__(self, "alpha", float(self.alpha))
         if self.kind == "kakwani":
             object.__setattr__(self, "k", _whole(self.k, 1, "kakwani needs an integer k >= 1"))

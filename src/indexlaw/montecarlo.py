@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import gap_variance
+from .decomposition import _recompose, gap_variance
 from .distributions import (DistributionModel, EmpiricalDistribution, Mixture,
                             normal_cdf)
 from .empirical import EmpiricalSample, build_sample
@@ -113,11 +113,18 @@ def ks_pvalue(stat: float, n: int, terms: int = 100) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_replicates(n_replicates: int) -> None:
+    """An experiment needs a replicate, as ``draw`` needs a draw."""
+    if not n_replicates >= 1:
+        raise BadParams(f"need n_replicates >= 1, got {n_replicates}")
+
+
 def normality_experiment(family: DistributionModel, index: NamedIndex, n: int,
                          n_replicates: int, master_seed: int,
                          grid: int = DEFAULT_GRID) -> McReport:
     """KS test of sqrt(n) (I_n - I) / sqrt(Gamma) against the standard
     normal, with value and variance from the analytic model."""
+    _check_replicates(n_replicates)
     rep = named_representation(family, index)
     value = rep.value(family)
     gamma = index_variance(family, rep, grid=grid).total
@@ -142,6 +149,7 @@ def coverage_experiment(family: DistributionModel, index: NamedIndex, n: int,
                         grid: int = DEFAULT_GRID) -> McReport:
     """Fraction of plug-in normal confidence intervals covering the true
     index value."""
+    _check_replicates(n_replicates)
     rep = named_representation(family, index)
     value = rep.value(family)
     estimates = np.empty(n_replicates)
@@ -175,6 +183,9 @@ def cre2_diagnostic(family: DistributionModel, q, n_grid: Sequence[int],
     uses two-point Gauss nodes per cell, which is exact whenever l is
     piecewise linear.
     """
+    _check_replicates(n_replicates)
+    if not all(n >= 1 for n in n_grid):
+        raise BadParams(f"every sample size must be >= 1, got {list(n_grid)}")
 
     def ell(s):
         return np.asarray(q(np.asarray(family.quantile(s), dtype=float)), dtype=float)
@@ -202,11 +213,8 @@ def decomposability_experiment(families: Sequence[DistributionModel],
                                grid: int = DEFAULT_GRID) -> McReport:
     """Multinomial subgroup draws; gap statistics standardized by the
     analytic decomposition variance (theta1^2 + theta2^2)."""
+    _check_replicates(n_replicates)
     p = np.asarray(weights, dtype=float)
-    if len(families) != p.size or p.size == 0:
-        raise BadParams("weights and families must align")
-    if np.any(p <= 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
-        raise BadParams("weights must be positive and sum to 1")
     k = p.size
     dec = gap_variance(p, list(families), lambda m: named_representation(m, index),
                        grid=grid)
@@ -226,15 +234,7 @@ def decomposability_experiment(families: Sequence[DistributionModel],
             mask = labels == g
             if mask.any():
                 x[mask] = np.asarray(families[g].quantile(v[mask]), dtype=float)
-        whole = build_sample(x)
-        total = named_estimate(whole, index)
-        recomposed = 0.0
-        for g in range(k):
-            mask = labels == g
-            if mask.any():
-                recomposed += (mask.sum() / n) * named_estimate(build_sample(x[mask]),
-                                                                index)
-        gaps[r] = total - recomposed
+        gaps[r] = _recompose(build_sample(x), [x[labels == g] for g in range(k)], index)[0]
     if variance > 1e-14:
         standardized = math.sqrt(n) * (gaps - gd_true) / math.sqrt(variance)
         stat = ks_statistic(standardized)

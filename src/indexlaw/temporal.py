@@ -35,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .distributions import DistributionModel, normal_quantile
-from .errors import BadParams, NegativeVariance, OutOfRange, TooFewPairs, ZeroBaseIndex
+from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, TooFewPairs,
+                     ZeroBaseIndex)
 from .representation import (DEFAULT_GRID, IndexRepresentation, UAtoms,
                              atoms_cross_covariance, check_grid, u_atoms)
 from .ugrid import CellPoly
@@ -204,6 +205,9 @@ def empirical_copula(pairs) -> EmpiricalCopula:
     n = arr.shape[0]
     if n < 2:
         raise TooFewPairs("need at least two pairs")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise NonFiniteValue(int(np.flatnonzero(bad)[0]))
     x, y = arr[:, 0], arr[:, 1]
     rx = np.searchsorted(np.sort(x), x, side="right") / n
     ry = np.searchsorted(np.sort(y), y, side="right") / n

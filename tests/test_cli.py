@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,21 @@ class TestEstimate:
         assert code == 1
         assert out == ""
         assert "non-finite value at input position 1" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--index", "fgt", "--alpha", "inf", "--poverty-line", "1"),
+        ("--index", "sen", "--poverty-line", "inf"),
+    ], ids=["fgt-alpha-inf", "sen-line-inf"])
+    def test_infinite_parameter_is_input_error(self, tmp_path, capsys, flags):
+        path = write(tmp_path, "x.csv", "0.4\n1.2\n0.7\n2.5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "estimate", "--input", path, *flags)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare", "decompose"])

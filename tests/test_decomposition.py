@@ -10,7 +10,7 @@ from indexlaw.decomposition import (SubgroupPartition, gap_estimate, gap_inferen
                                     gap_variance)
 from indexlaw.distributions import EmpiricalDistribution, LogNormal, Mixture
 from indexlaw.empirical import build_sample
-from indexlaw.errors import BadWeights
+from indexlaw.errors import OutOfRange
 from indexlaw.indices import NamedIndex, named_representation
 
 
@@ -19,11 +19,14 @@ class TestPartition:
         p = SubgroupPartition.from_labels(["urban", "rural", "urban", "rural"])
         assert np.array_equal(p.labels, [1, 2, 1, 2])
         assert p.names == ("urban", "rural")
-        assert np.allclose(p.weights, [0.5, 0.5])
 
-    def test_supplied_weights_validated(self):
-        with pytest.raises(BadWeights):
-            SubgroupPartition.from_labels([1, 2], weights=[0.7, 0.7])
+    @pytest.mark.parametrize("n_labels", [100, 300])
+    @pytest.mark.parametrize("entry", [gap_estimate, gap_inference])
+    def test_partition_must_match_sample(self, entry, n_labels):
+        s = build_sample(np.random.default_rng(2).lognormal(size=200))
+        part = SubgroupPartition.from_labels(np.arange(n_labels) % 3)
+        with pytest.raises(OutOfRange, match=f"{n_labels} labels .* 200 values"):
+            entry(s, part, NamedIndex.sen(1.0))
 
 
 class TestGapEstimate:
@@ -186,14 +189,21 @@ class TestGapVariance:
         assert np.allclose(got, consts, rtol=1e-10, atol=1e-13)
         assert dec.theta1_sq == pytest.approx(want_theta1, rel=1e-10)
 
-    @pytest.mark.parametrize("index", [NamedIndex.shorrocks(1.0), NamedIndex.takayama(1.0)])
-    def test_a3_constants_match_dense_sum_large_groups(self, index):
+    # ids "index0"/"index1" are the K = 3 cases; K = 4 and 5 make each A32
+    # call concatenate two and three groups with their own weights
+    @pytest.mark.parametrize("index, k", [
+        pytest.param(index, k, id=f"index{i}" + (f"-k{k}" if k > 3 else ""))
+        for k in (3, 4, 5)
+        for i, index in enumerate((NamedIndex.shorrocks(1.0), NamedIndex.takayama(1.0)))])
+    def test_a3_constants_match_dense_sum_large_groups(self, index, k):
         # groups of a few hundred points: F_h o Q_i has many ties and long
         # runs, which the sorted kernel must order exactly as the dense sum
         rng = np.random.default_rng(17)
         groups = [EmpiricalDistribution(build_sample(rng.lognormal(mean=mu, sigma=0.8, size=m)))
-                  for mu, m in ((-0.3, 300), (0.0, 420), (0.4, 250))]
-        p = [0.3, 0.45, 0.25]
+                  for mu, m in ((-0.3, 300), (0.0, 420), (0.4, 250), (0.2, 280),
+                                (-0.1, 350))[:k]]
+        p = {3: [0.3, 0.45, 0.25], 4: [0.3, 0.3, 0.25, 0.15],
+             5: [0.25, 0.3, 0.2, 0.15, 0.1]}[k]
         builder = lambda m: named_representation(m, index)
         dec = gap_variance(p, groups, builder)
         q = builder(Mixture(p, groups)).q
@@ -207,9 +217,9 @@ class TestGapVariance:
             return math.fsum((np.outer(qw[i], qw[j]) * kern).ravel())
 
         a31 = sum(p[i] ** 2 * p[hg] * dense(hg, i, i)
-                  for i in range(3) for hg in range(3) if hg != i)
+                  for i in range(k) for hg in range(k) if hg != i)
         a32 = sum(p[i] * p[j] * p[hg] * dense(hg, i, j)
-                  for i in range(3) for j in range(3) for hg in range(3)
+                  for i in range(k) for j in range(k) for hg in range(k)
                   if j != i and hg not in (i, j))
         assert a31 != 0.0 and a32 != 0.0
         assert dec.A31 == pytest.approx(a31, rel=1e-12)
@@ -278,6 +288,17 @@ class TestGapInference:
         with pytest.warns(UserWarning):
             gap_inference(build_sample(vals), SubgroupPartition.from_labels(labels),
                           NamedIndex.fgt(0.0, 1.0))
+
+    def test_gap_is_gap_estimate(self):
+        rng = np.random.default_rng(12)
+        vals = rng.lognormal(size=400)
+        labels = rng.integers(0, 4, size=400)
+        s = build_sample(vals)
+        part = SubgroupPartition.from_labels(labels)
+        for index in (NamedIndex.sen(1.0), NamedIndex.shorrocks(1.2)):
+            res = gap_inference(s, part, index)
+            assert res.gap == gap_estimate(s, part, index)
+            assert res.group_estimates.size == 4
 
     def test_gd0_centering_uses_theta3(self):
         rng = np.random.default_rng(7)

@@ -371,8 +371,12 @@ class TestNamedIndexValidation:
         (lambda: NamedIndex.central_moment(2.7), OutOfRange),
         (lambda: NamedIndex.odd_normalized(2.5), OutOfRange),
         (lambda: NamedIndex.even_normalized(float("nan")), OutOfRange),
+        (lambda: NamedIndex.fgt(float("inf"), 1.0), BadThreshold),
+        (lambda: NamedIndex.sen(float("inf")), BadThreshold),
+        (lambda: NamedIndex.fgt(1.0, float("inf")), BadThreshold),
     ], ids=["fgt-none", "fgt-nan", "kakwani-none", "kakwani-2.5", "kakwani-inf",
-            "central-none", "central-2.7", "odd-2.5", "even-nan"])
+            "central-none", "central-2.7", "odd-2.5", "even-nan", "fgt-alpha-inf",
+            "sen-line-inf", "fgt-line-inf"])
     def test_missing_or_fractional_parameter(self, make, error):
         with pytest.raises(error):
             make()

@@ -1,12 +1,13 @@
 """Simulation harness: determinism, KS machinery, experiment behavior."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from indexlaw.distributions import Exponential, LogNormal, Uniform
-from indexlaw.errors import BadParams, ZeroVariance
+from indexlaw.errors import BadParams, BadWeights, ZeroVariance
 from indexlaw.indices import NamedIndex
 from indexlaw.montecarlo import (coverage_experiment, cre2_diagnostic,
                                  decomposability_experiment, draw, ks_pvalue,
@@ -106,11 +107,55 @@ class TestDecomposabilityExperiment:
                                          n_replicates=20, master_seed=3)
         assert np.max(np.abs(rep.replicate_values)) <= 1e-12
 
+    def test_empty_group_in_a_replicate(self):
+        # with n = 40 and weights 0.02 some replicates draw nobody into a
+        # group; the recomposition skips it and the gap stays finite
+        p, n, seed = [0.96, 0.02, 0.02], 40, 8
+        cut = np.cumsum(p)[:-1]
+        empty = [np.unique(np.searchsorted(cut, uniforms(stream_seed(seed, r, channel=0), n),
+                                           side="left")).size < 3 for r in range(10)]
+        assert any(empty)
+        rep = decomposability_experiment([LogNormal(0, 1), LogNormal(0.5, 1), LogNormal(-0.5, 1)],
+                                         p, NamedIndex.shorrocks(1.0), n=n,
+                                         n_replicates=10, master_seed=seed)
+        assert np.all(np.isfinite(rep.replicate_values))
+        assert np.all(np.isfinite(rep.standardized))
+
+    @pytest.mark.parametrize("families, weights", [
+        ([LogNormal(0, 1), LogNormal(0.5, 1)], [0.7, 0.7]),
+        ([LogNormal(0, 1), LogNormal(0.5, 1)], [1.0]),
+    ], ids=["sum", "align"])
+    def test_bad_weights_checked_by_gap_variance(self, families, weights):
+        with pytest.raises(BadWeights):
+            decomposability_experiment(families, weights, NamedIndex.shorrocks(1.0), n=50,
+                                       n_replicates=5, master_seed=1)
+
     def test_single_group_gaps_zero(self):
         rep = decomposability_experiment([LogNormal(0, 1)], [1.0],
                                          NamedIndex.shorrocks(1.0), n=200,
                                          n_replicates=10, master_seed=3)
         assert np.max(np.abs(rep.replicate_values)) <= 1e-15
+
+
+@pytest.mark.parametrize("run", [
+    lambda: normality_experiment(Uniform(0, 1), NamedIndex.fgt(0.0, 0.5), n=50,
+                                 n_replicates=0, master_seed=1),
+    lambda: coverage_experiment(Uniform(0, 1), NamedIndex.fgt(0.0, 0.5), n=50,
+                                n_replicates=0, level=0.95, master_seed=1),
+    lambda: cre2_diagnostic(Uniform(0, 1), ident, n_grid=[50], n_replicates=0,
+                            master_seed=1),
+    lambda: cre2_diagnostic(Uniform(0, 1), ident, n_grid=[50, 0], n_replicates=5,
+                            master_seed=1),
+    lambda: decomposability_experiment([LogNormal(0, 1), LogNormal(0.5, 1)], [0.5, 0.5],
+                                       NamedIndex.shorrocks(1.0), n=50, n_replicates=0,
+                                       master_seed=1),
+], ids=["normality", "coverage", "cre2", "cre2-n-zero", "decomposability"])
+def test_no_replicates_rejected(run):
+    # rejected before any work: a numpy warning on the way would fail the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams):
+            run()
 
 
 class TestDeterminism:

@@ -7,7 +7,8 @@ import pytest
 
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Uniform, normal_quantile)
-from indexlaw.errors import BadParams, OutOfRange, TooFewPairs, ZeroBaseIndex
+from indexlaw.errors import (BadParams, NonFiniteValue, OutOfRange, TooFewPairs,
+                             ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_representation
 from indexlaw.representation import IndexRepresentation, UAtoms, index_variance
 from indexlaw.rng import stream_seed, uniforms
@@ -68,6 +69,15 @@ class TestEmpiricalCopula:
     def test_too_few(self):
         with pytest.raises(TooFewPairs):
             empirical_copula([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_pair_rejected(self, bad):
+        pairs = [[1.0, 2.0], [3.0, 1.0], [2.0, 5.0], [4.0, 4.0]]
+        pairs[2][1] = bad
+        pairs[3][0] = bad
+        with pytest.raises(NonFiniteValue) as err:
+            empirical_copula(pairs)
+        assert err.value.index == 2
 
     def test_gaussian_pairs_converge(self):
         # sup-norm against the analytic Gaussian copula <= 2/sqrt(n) at n = 1e4
