@@ -34,14 +34,12 @@ from .distributions import EmpiricalDistribution, LogNormal, Uniform
 from .empirical import build_sample
 from .errors import (ColumnCountMismatch, EmptyInput, IndexLawError, ParseError,
                      UnknownExperiment)
-from .indices import NamedIndex, named_estimate, named_representation
+from .indices import (_MOMENT_KINDS, _POVERTY_KINDS, NamedIndex, named_estimate,
+                      named_representation)
 from .representation import confidence_interval, index_variance
 from .temporal import (BivariateFrame, empirical_copula, relative_variation_law,
                        temporal_joint_covariance)
 
-_POVERTY_CHOICES = ("fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
-                    "takayama-ratio")
-_INDEX_CHOICES = _POVERTY_CHOICES + ("central-moment", "odd-moment", "even-moment")
 _EXPERIMENTS = ("normality", "coverage", "cre2", "decomposability")
 
 
@@ -136,34 +134,17 @@ class _UsageError(Exception):
 
 
 def _build_index(args) -> NamedIndex:
-    kind = args.index
-    z = args.poverty_line
-    if z is None and kind in _POVERTY_CHOICES:
-        raise _UsageError(f"--poverty-line is required for {kind}")
-    if kind == "fgt":
-        if args.alpha is None:
-            raise _UsageError("--alpha is required for fgt")
-        return NamedIndex.fgt(args.alpha, z)
-    if kind == "sen":
-        return NamedIndex.sen(z)
-    if kind == "kakwani":
-        return NamedIndex.kakwani(1 if args.k is None else args.k, z)
-    if kind == "shorrocks":
-        return NamedIndex.shorrocks(z)
-    if kind == "thon":
-        return NamedIndex.thon(z)
-    if kind == "takayama":
-        return NamedIndex.takayama(z)
-    if kind == "takayama-ratio":
-        return NamedIndex.takayama_ratio(z)
-    order = 2 if args.k is None else args.k
-    if kind == "central-moment":
-        return NamedIndex.central_moment(order)
-    if kind == "odd-moment":
-        return NamedIndex.odd_normalized(order)
-    if kind == "even-moment":
-        return NamedIndex.even_normalized(order)
-    raise _UsageError(f"unknown index {kind!r}")
+    """The index of the flags; flags that the kind does not take are ignored."""
+    kind = args.index.replace("-", "_")
+    if kind in _MOMENT_KINDS:
+        return NamedIndex(kind, order=2 if args.k is None else args.k)
+    if args.poverty_line is None:
+        raise _UsageError(f"--poverty-line is required for {args.index}")
+    if kind == "fgt" and args.alpha is None:
+        raise _UsageError("--alpha is required for fgt")
+    return NamedIndex(kind, alpha=args.alpha if kind == "fgt" else None,
+                      k=(1 if args.k is None else args.k) if kind == "kakwani" else None,
+                      poverty_line=args.poverty_line)
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -175,12 +156,6 @@ def _emit(payload: dict, fmt: str) -> None:
         print(f"{key}: {val}")
 
 
-def _index_params(index: NamedIndex) -> dict:
-    return {k: v for k, v in (("alpha", index.alpha), ("k", index.k),
-                              ("order", index.order),
-                              ("poverty_line", index.poverty_line)) if v is not None}
-
-
 def cmd_estimate(args) -> int:
     index = _build_index(args)
     (col,) = read_csv(args.input, 1)
@@ -189,7 +164,7 @@ def cmd_estimate(args) -> int:
     plug = EmpiricalDistribution(sample)
     var = index_variance(plug, named_representation(plug, index)).total
     lo, hi = confidence_interval(est, var, sample.n, args.level)
-    _emit({"index": index.kind, "params": _index_params(index), "n": sample.n,
+    _emit({"index": index.kind, "params": index.params(), "n": sample.n,
            "estimate": est, "variance": var, "ci": [lo, hi], "level": args.level},
           args.format)
     return 0
@@ -224,7 +199,7 @@ def cmd_compare(args) -> int:
     var1 = float(joint.matrix[0, 0])
     var2 = float(joint.matrix[1, 1])
     payload = {
-        "index": index.kind, "params": _index_params(index), "n": n,
+        "index": index.kind, "params": index.params(), "n": n,
         "estimate1": i1, "estimate2": i2,
         "variance1": var1, "variance2": var2,
         "ci1": list(confidence_interval(i1, var1, n, args.level)),
@@ -249,7 +224,7 @@ def cmd_decompose(args) -> int:
     dec = inference.decomposition
     var_gd0 = dec.theta1_sq + dec.theta3_sq
     payload = {
-        "index": index.kind, "params": _index_params(index), "n": sample.n,
+        "index": index.kind, "params": index.params(), "n": sample.n,
         "groups": list(partition.names), "weights": [float(v) for v in inference.weights],
         "group_estimates": [float(v) for v in inference.group_estimates],
         "gap": inference.gap,
@@ -319,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="CSV input path")
             if name == "compare":
                 p.add_argument("--input2", help="optional second single-column CSV (period 2)")
-            p.add_argument("--index", choices=_INDEX_CHOICES, default="fgt")
+            p.add_argument("--index", default="fgt", choices=[
+                kind.replace("_", "-") for kind in _POVERTY_KINDS + _MOMENT_KINDS])
             p.add_argument("--alpha", type=float, default=None)
             p.add_argument("--k", type=int, default=None)
             p.add_argument("--poverty-line", dest="poverty_line", type=float, default=None)

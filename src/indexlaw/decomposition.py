@@ -38,7 +38,7 @@ import numpy as np
 
 from .distributions import DistributionModel, EmpiricalDistribution, Mixture
 from .empirical import EmpiricalSample, build_sample
-from .errors import BadWeights, OutOfRange
+from .errors import BadParams, BadWeights, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
 from .representation import (DEFAULT_GRID, IndexRepresentation,
                              confidence_interval, score_model)
@@ -47,7 +47,7 @@ from .ugrid import CellPoly, bridge_bilinear, bridge_cross, bridge_kernel_quad
 
 @dataclass(frozen=True)
 class SubgroupPartition:
-    """Per-observation group labels (input order) with group sizes.
+    """Per-observation group labels (input order).
 
     ``labels`` holds integer codes 1..K.  Group i is weighted by its observed
     frequency n_i*/n; groups that happen to be empty are skipped in sums (the
@@ -56,7 +56,6 @@ class SubgroupPartition:
 
     labels: np.ndarray
     n_groups: int
-    counts: np.ndarray
     names: tuple
 
     @staticmethod
@@ -68,10 +67,7 @@ class SubgroupPartition:
             if lab not in seen:
                 seen[lab] = len(seen) + 1
             codes[i] = seen[lab]
-        k = len(seen)
-        counts = np.bincount(codes, minlength=k + 1)[1:]
-        return SubgroupPartition(labels=codes, n_groups=k, counts=counts,
-                                 names=tuple(seen))
+        return SubgroupPartition(labels=codes, n_groups=len(seen), names=tuple(seen))
 
 
 @dataclass(frozen=True)
@@ -270,8 +266,8 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
 
 
 def gap_inference(sample: EmpiricalSample, partition: SubgroupPartition,
-                  index: NamedIndex, center: str = "gd", level: float = 0.95,
-                  grid: int = DEFAULT_GRID) -> GapInference:
+                  index: NamedIndex, center: str = "gd",
+                  level: float = 0.95) -> GapInference:
     """Plug-in gap inference: estimate, asymptotic variance and normal CI.
 
     ``center='gd'`` targets the population gap (variance theta1^2 + theta2^2);
@@ -279,7 +275,7 @@ def gap_inference(sample: EmpiricalSample, partition: SubgroupPartition,
     theta3^2).
     """
     if center not in ("gd", "gd0"):
-        raise BadWeights(f"center must be 'gd' or 'gd0', got {center!r}")
+        raise BadParams(f"center must be 'gd' or 'gd0', got {center!r}")
     values = _split_values(sample, partition)
     for name, vals in zip(partition.names, values):
         if vals.size == 1:
@@ -289,7 +285,7 @@ def gap_inference(sample: EmpiricalSample, partition: SubgroupPartition,
     w = np.array([grp.n for grp in groups]) / sample.n
     w = w / w.sum()
     dec = gap_variance(w, [EmpiricalDistribution(grp) for grp in groups],
-                       lambda m: named_representation(m, index), grid=grid)
+                       lambda m: named_representation(m, index))
     variance = dec.theta1_sq + (dec.theta2_sq if center == "gd" else dec.theta3_sq)
     ci = confidence_interval(gap, max(variance, 0.0), sample.n, level)
     return GapInference(gap=gap, variance=variance, ci=ci, center=center,

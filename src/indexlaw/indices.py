@@ -1,10 +1,13 @@
 """The statistic catalog: FGT, Sen, Kakwani, Shorrocks, Thon, Takayama,
 the general poverty index, central moments and normalized moments.
 
-Each catalog entry provides two things: an exact finite-n point estimator
-over a sample, and an :class:`~indexlaw.representation.IndexRepresentation`
-(the (h, q) score pair plus the value functional) built against a reference
-distribution model, from which asymptotic variances and joint laws follow.
+:class:`NamedIndex` is the one declaration of the catalog: which kinds
+exist (the CLI reads its ``--index`` choices from them), which parameters
+each kind takes and how an index prints.  Each catalog entry provides two
+things: an exact finite-n point estimator over a sample, and an
+:class:`~indexlaw.representation.IndexRepresentation` (the (h, q) score pair
+plus the value functional) built against a reference distribution model,
+from which asymptotic variances and joint laws follow.
 The poverty scores share one masked form, ``f(x, F(x))`` on the poor and 0
 above the line, and two families cover most of the catalog: Sen is Kakwani
 with k = 1, and Shorrocks, Thon and the Takayama C statistic share the
@@ -42,18 +45,16 @@ from .representation import IndexRepresentation, compose_ratio
 
 ScoreFunction = Callable[[np.ndarray], np.ndarray]
 
-_POVERTY_KINDS = {"fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
-                  "takayama_ratio"}
-_MOMENT_KINDS = {"central_moment", "odd_moment", "even_moment"}
+_POVERTY_KINDS = ("fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
+                  "takayama_ratio")
+_MOMENT_KINDS = ("central_moment", "odd_moment", "even_moment")
+# every parameter a kind may take, in display order, with its label format
+_PARAM_FORMATS = {"alpha": "alpha={:g}", "k": "k={}", "order": "order={}",
+                  "poverty_line": "Z={:g}"}
 
 
 def _identity(x):
     return np.asarray(x, dtype=float)
-
-
-def _line(poverty_line: Optional[float]) -> Optional[float]:
-    """A missing line stays None, so ``__post_init__`` rejects it as BadThreshold."""
-    return None if poverty_line is None else float(poverty_line)
 
 
 def _whole(value, least: int, message: str) -> int:
@@ -78,17 +79,24 @@ class NamedIndex:
     d: Optional[ScoreFunction] = None
 
     def __post_init__(self):
-        if self.kind not in _POVERTY_KINDS | _MOMENT_KINDS:
+        if self.kind not in _POVERTY_KINDS + _MOMENT_KINDS:
             raise OutOfRange(f"unknown index kind {self.kind!r}")
         if self.kind in _POVERTY_KINDS:
-            if self.poverty_line is None or not 0 < self.poverty_line < math.inf:
+            try:
+                line = float(self.poverty_line)
+            except (TypeError, ValueError, OverflowError):
+                line = math.nan
+            if not 0 < line < math.inf:
                 raise BadThreshold("poverty kinds need a finite positive poverty line")
+            object.__setattr__(self, "poverty_line", line)
         if self.kind == "fgt":
             if self.alpha is None or not 0 <= self.alpha < math.inf:
                 raise BadThreshold("fgt needs a finite alpha >= 0")
             object.__setattr__(self, "alpha", float(self.alpha))
         if self.kind == "kakwani":
             object.__setattr__(self, "k", _whole(self.k, 1, "kakwani needs an integer k >= 1"))
+        if self.kind in ("takayama", "takayama_ratio") and self.d is None:
+            object.__setattr__(self, "d", _identity)
         if self.kind in _MOMENT_KINDS:
             least = 1 if self.kind == "central_moment" else 2
             object.__setattr__(self, "order", _whole(
@@ -98,31 +106,31 @@ class NamedIndex:
 
     @staticmethod
     def fgt(alpha: float, poverty_line: float) -> "NamedIndex":
-        return NamedIndex("fgt", alpha=alpha, poverty_line=_line(poverty_line))
+        return NamedIndex("fgt", alpha=alpha, poverty_line=poverty_line)
 
     @staticmethod
     def sen(poverty_line: float) -> "NamedIndex":
-        return NamedIndex("sen", poverty_line=_line(poverty_line))
+        return NamedIndex("sen", poverty_line=poverty_line)
 
     @staticmethod
     def kakwani(k: int, poverty_line: float) -> "NamedIndex":
-        return NamedIndex("kakwani", k=k, poverty_line=_line(poverty_line))
+        return NamedIndex("kakwani", k=k, poverty_line=poverty_line)
 
     @staticmethod
     def shorrocks(poverty_line: float) -> "NamedIndex":
-        return NamedIndex("shorrocks", poverty_line=_line(poverty_line))
+        return NamedIndex("shorrocks", poverty_line=poverty_line)
 
     @staticmethod
     def thon(poverty_line: float) -> "NamedIndex":
-        return NamedIndex("thon", poverty_line=_line(poverty_line))
+        return NamedIndex("thon", poverty_line=poverty_line)
 
     @staticmethod
     def takayama(poverty_line: float, d: Optional[ScoreFunction] = None) -> "NamedIndex":
-        return NamedIndex("takayama", poverty_line=_line(poverty_line), d=d or _identity)
+        return NamedIndex("takayama", poverty_line=poverty_line, d=d)
 
     @staticmethod
     def takayama_ratio(poverty_line: float, d: Optional[ScoreFunction] = None) -> "NamedIndex":
-        return NamedIndex("takayama_ratio", poverty_line=_line(poverty_line), d=d or _identity)
+        return NamedIndex("takayama_ratio", poverty_line=poverty_line, d=d)
 
     @staticmethod
     def central_moment(order: int) -> "NamedIndex":
@@ -136,17 +144,15 @@ class NamedIndex:
     def even_normalized(p: int) -> "NamedIndex":
         return NamedIndex("even_moment", order=p)
 
+    def params(self) -> dict:
+        """The parameters that are set, in the order alpha, k, order, poverty_line."""
+        return {name: getattr(self, name) for name in _PARAM_FORMATS
+                if getattr(self, name) is not None}
+
     def label(self) -> str:
-        parts = [self.kind]
-        if self.alpha is not None:
-            parts.append(f"alpha={self.alpha:g}")
-        if self.k is not None:
-            parts.append(f"k={self.k}")
-        if self.order is not None:
-            parts.append(f"order={self.order}")
-        if self.poverty_line is not None:
-            parts.append(f"Z={self.poverty_line:g}")
-        return "(".join([parts[0], ", ".join(parts[1:])]) + ")" if len(parts) > 1 else parts[0]
+        shown = ", ".join(_PARAM_FORMATS[name].format(value)
+                          for name, value in self.params().items())
+        return f"{self.kind}({shown})" if shown else self.kind
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +184,14 @@ def named_estimate(sample: EmpiricalSample, index: NamedIndex) -> float:
     z = index.poverty_line
     if index.kind == "fgt":
         return fgt_estimate(sample, z, index.alpha)
-    if index.kind == "sen":
+    if index.kind in ("sen", "kakwani"):
+        k = 1 if index.kind == "sen" else index.k
         q, gaps = _poor_gaps(sample, z)
         if q == 0:
             return 0.0
         j = np.arange(1, q + 1)
-        return float(2.0 / (n * (q + 1)) * np.sum((q - j + 1) * gaps))
-    if index.kind == "kakwani":
-        q, gaps = _poor_gaps(sample, z)
-        if q == 0:
-            return 0.0
-        j = np.arange(1, q + 1)
-        phi = float(np.sum(j.astype(float) ** index.k))
-        return float(q / (n * phi) * np.sum((q - j + 1.0) ** index.k * gaps))
+        phi = float(np.sum(j.astype(float) ** k))
+        return float(q / (n * phi) * np.sum((q - j + 1.0) ** k * gaps))
     if index.kind == "shorrocks":
         q, gaps = _poor_gaps(sample, z)
         j = np.arange(1, q + 1)
@@ -296,8 +297,7 @@ def _kakwani_constants(model: DistributionModel, z: float, k: int) -> tuple[floa
     return fz, jk, kk
 
 
-def _kakwani_representation(model: DistributionModel, z: float, k: int,
-                            label: str) -> IndexRepresentation:
+def _kakwani_representation(model: DistributionModel, z: float, k: int) -> IndexRepresentation:
     fz, jk, kk = _kakwani_constants(model, z, k)
     h = _poor_score(z, lambda x, fx: (k + 1.0) * ((1.0 - fx / fz) ** k * _gap(z, x)
                                                   - (jk / fz) * (fx / fz) ** k) + kk, model)
@@ -305,11 +305,11 @@ def _kakwani_representation(model: DistributionModel, z: float, k: int,
                                       * ((1.0 - fx / fz) ** (k - 1) * _gap(z, x)
                                          + (jk / fz) * (fx / fz) ** (k - 1))), model)
     return IndexRepresentation(h=h, q=q, value=lambda m: _kakwani_constants(m, z, k)[1],
-                               breaks=(z,), label=label)
+                               breaks=(z,))
 
 
-def _rank_linear_representation(model: DistributionModel, z: float, d: ScoreFunction,
-                                label: str) -> IndexRepresentation:
+def _rank_linear_representation(model: DistributionModel, z: float,
+                                d: ScoreFunction) -> IndexRepresentation:
     """``h = (1 - F) d`` and ``q = -d`` on the poor; the value is E h under
     whatever model it is applied to."""
     _check_threshold(model, z)
@@ -319,7 +319,7 @@ def _rank_linear_representation(model: DistributionModel, z: float, d: ScoreFunc
 
     return IndexRepresentation(h=h_under(model), q=_poor_score(z, lambda x, _: -d(x)),
                                value=lambda m: m.integrate_score(h_under(m), breaks=(z,)),
-                               breaks=(z,), label=label)
+                               breaks=(z,))
 
 
 def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRepresentation:
@@ -338,29 +338,25 @@ def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRe
         h = _poor_score(z, lambda x, _: _gap(z, x) ** index.alpha)
         return IndexRepresentation(
             h=h, q=_zero, value=lambda m: m.integrate_score(h, breaks=(z,)),
-            breaks=(z,), q_zero=True, label=index.label())
+            breaks=(z,), q_zero=True)
 
     if kind in ("sen", "kakwani"):
-        return _kakwani_representation(model, z, 1 if kind == "sen" else index.k,
-                                       index.label())
+        return _kakwani_representation(model, z, 1 if kind == "sen" else index.k)
 
     if kind in ("shorrocks", "thon"):
-        return _rank_linear_representation(model, z, lambda x: 2.0 * _gap(z, x),
-                                           index.label())
+        return _rank_linear_representation(model, z, lambda x: 2.0 * _gap(z, x))
 
     if kind in ("takayama", "takayama_ratio"):
         c_rep = _rank_linear_representation(
-            model, z, lambda x: np.asarray(index.d(x), dtype=float), "takayama_c")
+            model, z, lambda x: np.asarray(index.d(x), dtype=float))
         if kind == "takayama":
             return c_rep
         mu = model.raw_moment(1)
         if mu == 0.0:
             raise ZeroMean("takayama ratio needs a nonzero mean")
         mean_rep = IndexRepresentation(h=_identity, q=_zero,
-                                       value=lambda m: m.raw_moment(1),
-                                       q_zero=True, label="mean")
-        return compose_ratio(c_rep, mean_rep, c_rep.value(model), mu,
-                             label=index.label())
+                                       value=lambda m: m.raw_moment(1), q_zero=True)
+        return compose_ratio(c_rep, mean_rep, c_rep.value(model), mu)
 
     if kind == "central_moment":
         return moment_representation(model, index.order)
@@ -411,7 +407,7 @@ def moment_representation(model: DistributionModel, order: int) -> IndexRepresen
     return IndexRepresentation(
         h=h, q=_zero,
         value=lambda m, _o=order: _central_moment_value(m, _o),
-        q_zero=True, label=f"central_moment({order})")
+        q_zero=True)
 
 
 def normalized_moment_representation(model: DistributionModel, p: int,
@@ -446,8 +442,7 @@ def normalized_moment_representation(model: DistributionModel, p: int,
             raise ZeroVariance("normalized moments need positive variance")
         return _central_moment_value(m, top) / s2 ** (top / 2.0)
 
-    return IndexRepresentation(h=h, q=_zero, value=value, q_zero=True,
-                               label=f"{kind}_moment({p})")
+    return IndexRepresentation(h=h, q=_zero, value=value, q_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -587,4 +582,4 @@ def gpi_representation(model: DistributionModel, spec: GpiSpec) -> IndexRepresen
 
     return IndexRepresentation(
         h=h, q=q, value=lambda m: gpi_constants(m, spec).J,
-        breaks=(z,), label="gpi")
+        breaks=(z,))

@@ -76,10 +76,15 @@ class McReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_count(value, name: str) -> None:
+    """Reject a count (draws, replicates, sample size) that is not an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise BadParams(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def draw(family: DistributionModel, n: int, stream_seed_value: int) -> EmpiricalSample:
     """n inverse-CDF draws from a deterministic uniform stream."""
-    if n < 1:
-        raise BadParams("need n >= 1 draws")
+    _check_count(n, "n")
     u = uniforms(stream_seed_value, n)
     return build_sample(np.asarray(family.quantile(u), dtype=float))
 
@@ -113,18 +118,13 @@ def ks_pvalue(stat: float, n: int, terms: int = 100) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_replicates(n_replicates: int) -> None:
-    """An experiment needs a replicate, as ``draw`` needs a draw."""
-    if not n_replicates >= 1:
-        raise BadParams(f"need n_replicates >= 1, got {n_replicates}")
-
-
 def normality_experiment(family: DistributionModel, index: NamedIndex, n: int,
                          n_replicates: int, master_seed: int,
                          grid: int = DEFAULT_GRID) -> McReport:
     """KS test of sqrt(n) (I_n - I) / sqrt(Gamma) against the standard
     normal, with value and variance from the analytic model."""
-    _check_replicates(n_replicates)
+    _check_count(n, "n")
+    _check_count(n_replicates, "n_replicates")
     rep = named_representation(family, index)
     value = rep.value(family)
     gamma = index_variance(family, rep, grid=grid).total
@@ -145,11 +145,11 @@ def normality_experiment(family: DistributionModel, index: NamedIndex, n: int,
 
 
 def coverage_experiment(family: DistributionModel, index: NamedIndex, n: int,
-                        n_replicates: int, level: float, master_seed: int,
-                        grid: int = DEFAULT_GRID) -> McReport:
+                        n_replicates: int, level: float, master_seed: int) -> McReport:
     """Fraction of plug-in normal confidence intervals covering the true
     index value."""
-    _check_replicates(n_replicates)
+    _check_count(n, "n")
+    _check_count(n_replicates, "n_replicates")
     rep = named_representation(family, index)
     value = rep.value(family)
     estimates = np.empty(n_replicates)
@@ -159,7 +159,7 @@ def coverage_experiment(family: DistributionModel, index: NamedIndex, n: int,
         sample = draw(family, n, stream_seed(master_seed, r))
         est = named_estimate(sample, index)
         plug = EmpiricalDistribution(sample)
-        var = index_variance(plug, named_representation(plug, index), grid=grid).total
+        var = index_variance(plug, named_representation(plug, index)).total
         lo, hi = confidence_interval(est, var, n, level)
         hits += int(lo <= value <= hi)
         estimates[r] = est
@@ -183,9 +183,9 @@ def cre2_diagnostic(family: DistributionModel, q, n_grid: Sequence[int],
     uses two-point Gauss nodes per cell, which is exact whenever l is
     piecewise linear.
     """
-    _check_replicates(n_replicates)
-    if not all(n >= 1 for n in n_grid):
-        raise BadParams(f"every sample size must be >= 1, got {list(n_grid)}")
+    _check_count(n_replicates, "n_replicates")
+    for n in n_grid:
+        _check_count(n, "every sample size")
 
     def ell(s):
         return np.asarray(q(np.asarray(family.quantile(s), dtype=float)), dtype=float)
@@ -213,7 +213,8 @@ def decomposability_experiment(families: Sequence[DistributionModel],
                                grid: int = DEFAULT_GRID) -> McReport:
     """Multinomial subgroup draws; gap statistics standardized by the
     analytic decomposition variance (theta1^2 + theta2^2)."""
-    _check_replicates(n_replicates)
+    _check_count(n, "n")
+    _check_count(n_replicates, "n_replicates")
     p = np.asarray(weights, dtype=float)
     k = p.size
     dec = gap_variance(p, list(families), lambda m: named_representation(m, index),

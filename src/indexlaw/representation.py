@@ -58,7 +58,6 @@ class IndexRepresentation:
     value: Callable[[DistributionModel], float]
     breaks: tuple = ()
     q_zero: bool = False
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -220,16 +219,15 @@ class UAtoms:
     """Grid models of a representation against one margin.
 
     ``hmodel`` and ``lmodel`` are the CellPoly models of ``h(Q(s))`` and
-    ``q(Q(s))``; ``wmodel`` is the tail integral of ``lmodel``; ``eh`` and
-    ``smom`` are the integral of ``hmodel`` and the first s-moment of
-    ``lmodel``.  Joint laws across periods are bilinear in these atoms.
+    ``q(Q(s))``; ``wmodel`` is the tail integral of ``lmodel`` and ``eh`` the
+    integral of ``hmodel``.  Joint laws across periods are bilinear in these
+    atoms.
     """
 
     hmodel: CellPoly
     lmodel: CellPoly
     wmodel: CellPoly
     eh: float
-    smom: float
 
 
 def u_atoms(model: DistributionModel, rep: IndexRepresentation,
@@ -240,8 +238,7 @@ def u_atoms(model: DistributionModel, rep: IndexRepresentation,
         lm = CellPoly.constant(hm.m, 0.0)
     else:
         lm = score_model(model, rep.q, grid)
-    return UAtoms(hmodel=hm, lmodel=lm, wmodel=lm.tail_integral_poly(),
-                  eh=hm.integral(), smom=lm.s_moment())
+    return UAtoms(hmodel=hm, lmodel=lm, wmodel=lm.tail_integral_poly(), eh=hm.integral())
 
 
 def atoms_cross_covariance(a: UAtoms, b: UAtoms) -> float:
@@ -275,8 +272,7 @@ def confidence_interval(estimate: float, variance: float, n: int,
 
 
 def compose_ratio(rep_num: IndexRepresentation, rep_den: IndexRepresentation,
-                  num_value: float, den_value: float,
-                  label: str = "") -> IndexRepresentation:
+                  num_value: float, den_value: float) -> IndexRepresentation:
     """Representation of a ratio statistic A_n / B_n.
 
     Follows the expansion algebra for products and ratios of representable
@@ -303,5 +299,4 @@ def compose_ratio(rep_num: IndexRepresentation, rep_den: IndexRepresentation,
         h=h, q=q, value=value,
         breaks=tuple(rep_num.breaks) + tuple(rep_den.breaks),
         q_zero=rep_num.q_zero and rep_den.q_zero,
-        label=label or f"({rep_num.label})/({rep_den.label})",
     )

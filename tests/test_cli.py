@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indexlaw
-from indexlaw.cli import main, read_csv
+from indexlaw.cli import _build_index, build_parser, main, read_csv
 from indexlaw.errors import ColumnCountMismatch, EmptyInput, ParseError
+from indexlaw.indices import _MOMENT_KINDS, _POVERTY_KINDS, NamedIndex
 
 POVERTY_FLAGS = {
     "fgt": ("--alpha", "1"), "sen": (), "kakwani": ("--k", "2"), "shorrocks": (),
@@ -165,6 +166,54 @@ def test_index_flags_checked_before_input_is_read(tmp_path, capsys):
                            "--index", "sen")
     assert code == 2
     assert "--poverty-line" in err
+
+
+# --index choice, its own flags, flags it does not take, the index the
+# factories build, and the "params" object that the CLI prints
+_Z = ("--poverty-line", "2")
+_NOT_LINE = ("--alpha", "2", "--k", "4")
+_CATALOG_FLAGS = [
+    ("fgt", ("--alpha", "1", *_Z), ("--k", "4"), NamedIndex.fgt(1.0, 2.0),
+     {"alpha": 1.0, "poverty_line": 2.0}),
+    ("sen", _Z, _NOT_LINE, NamedIndex.sen(2.0), {"poverty_line": 2.0}),
+    ("kakwani", _Z, ("--alpha", "2"), NamedIndex.kakwani(1, 2.0),
+     {"k": 1, "poverty_line": 2.0}),
+    ("kakwani", ("--k", "3", *_Z), ("--alpha", "2"), NamedIndex.kakwani(3, 2.0),
+     {"k": 3, "poverty_line": 2.0}),
+    ("shorrocks", _Z, _NOT_LINE, NamedIndex.shorrocks(2.0), {"poverty_line": 2.0}),
+    ("thon", _Z, _NOT_LINE, NamedIndex.thon(2.0), {"poverty_line": 2.0}),
+    ("takayama", _Z, _NOT_LINE, NamedIndex.takayama(2.0), {"poverty_line": 2.0}),
+    ("takayama-ratio", _Z, _NOT_LINE, NamedIndex.takayama_ratio(2.0), {"poverty_line": 2.0}),
+    ("central-moment", (), ("--alpha", "2", *_Z), NamedIndex.central_moment(2), {"order": 2}),
+    ("odd-moment", ("--k", "3"), ("--alpha", "2", *_Z), NamedIndex.odd_normalized(3),
+     {"order": 3}),
+    ("even-moment", (), ("--alpha", "2", *_Z), NamedIndex.even_normalized(2), {"order": 2}),
+]
+
+
+class TestIndexFlags:
+    @pytest.mark.parametrize("stray", [False, True], ids=["own-flags", "stray-flags"])
+    @pytest.mark.parametrize("choice, flags, extra, want, params", _CATALOG_FLAGS,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(_CATALOG_FLAGS)])
+    def test_build_index_matches_factory(self, choice, flags, extra, want, params, stray):
+        argv = ["estimate", "--input", "x.csv", "--index", choice, *flags]
+        index = _build_index(build_parser().parse_args(argv + list(extra) * stray))
+        assert index == want
+        assert json.dumps(index.params()) == json.dumps(params)
+
+    def test_every_choice_is_covered(self):
+        assert {c[0] for c in _CATALOG_FLAGS} == set(_index_choices())
+
+    def test_choices_are_the_catalog_kinds(self):
+        assert _index_choices() == [k.replace("_", "-") for k in _POVERTY_KINDS + _MOMENT_KINDS]
+        assert _index_choices() == ["fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
+                                    "takayama-ratio", "central-moment", "odd-moment",
+                                    "even-moment"]
+
+
+def _index_choices():
+    estimate = build_parser()._subparsers._group_actions[0].choices["estimate"]
+    return list(next(a for a in estimate._actions if a.dest == "index").choices)
 
 
 def _oracle_read(text: str, n_numeric: int, label: bool):

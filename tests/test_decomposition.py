@@ -10,7 +10,7 @@ from indexlaw.decomposition import (SubgroupPartition, gap_estimate, gap_inferen
                                     gap_variance)
 from indexlaw.distributions import EmpiricalDistribution, LogNormal, Mixture
 from indexlaw.empirical import build_sample
-from indexlaw.errors import OutOfRange
+from indexlaw.errors import BadParams, OutOfRange
 from indexlaw.indices import NamedIndex, named_representation
 
 
@@ -312,3 +312,9 @@ class TestGapInference:
             r1.decomposition.theta1_sq + r1.decomposition.theta2_sq)
         assert r2.variance == pytest.approx(
             r2.decomposition.theta1_sq + r2.decomposition.theta3_sq)
+
+    def test_unknown_center_is_bad_params(self):
+        s = build_sample([0.5, 1.5, 0.7, 2.0])
+        part = SubgroupPartition.from_labels(["a", "b", "a", "b"])
+        with pytest.raises(BadParams, match="center"):
+            gap_inference(s, part, NamedIndex.sen(1.0), center="median")

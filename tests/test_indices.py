@@ -374,9 +374,13 @@ class TestNamedIndexValidation:
         (lambda: NamedIndex.fgt(float("inf"), 1.0), BadThreshold),
         (lambda: NamedIndex.sen(float("inf")), BadThreshold),
         (lambda: NamedIndex.fgt(1.0, float("inf")), BadThreshold),
+        (lambda: NamedIndex("sen", poverty_line="abc"), BadThreshold),
+        (lambda: NamedIndex.sen("abc"), BadThreshold),
+        (lambda: NamedIndex.thon(10 ** 400), BadThreshold),
     ], ids=["fgt-none", "fgt-nan", "kakwani-none", "kakwani-2.5", "kakwani-inf",
             "central-none", "central-2.7", "odd-2.5", "even-nan", "fgt-alpha-inf",
-            "sen-line-inf", "fgt-line-inf"])
+            "sen-line-inf", "fgt-line-inf", "sen-line-abc-direct", "sen-line-abc",
+            "thon-line-overflow"])
     def test_missing_or_fractional_parameter(self, make, error):
         with pytest.raises(error):
             make()
@@ -387,6 +391,44 @@ class TestNamedIndexValidation:
         assert NamedIndex.central_moment(3.0).order == 3
         assert NamedIndex.even_normalized(np.int64(4)).order == 4
         assert NamedIndex.fgt(1, 1.0).alpha == 1.0
+
+
+class TestCatalogDeclaration:
+    """A kind built directly coerces, defaults and prints as its factory builds it."""
+
+    @pytest.mark.parametrize("kind, factory", [
+        ("takayama", NamedIndex.takayama), ("takayama_ratio", NamedIndex.takayama_ratio),
+    ])
+    def test_direct_takayama_matches_factory(self, kind, factory):
+        direct, built = NamedIndex(kind, poverty_line=1.0), factory(1.0)
+        assert direct == built
+        s = build_sample([0.3, 0.8, 1.0, 1.7, 2.4, 0.6])
+        assert named_estimate(s, direct) == named_estimate(s, built)
+        m = EmpiricalDistribution(s)
+        rd, rb = named_representation(m, direct), named_representation(m, built)
+        assert np.array_equal(rd.h(s.values), rb.h(s.values))
+        assert np.array_equal(rd.q(s.values), rb.q(s.values))
+        assert index_variance(m, rd) == index_variance(m, rb)
+
+    def test_poverty_line_is_coerced_to_float(self):
+        assert NamedIndex("sen", poverty_line="1.5") == NamedIndex.sen(1.5)
+        assert type(NamedIndex("sen", poverty_line=2).poverty_line) is float
+
+    @pytest.mark.parametrize("index, want", [
+        (NamedIndex.fgt(0, 0.5), "fgt(alpha=0, Z=0.5)"),
+        (NamedIndex.fgt(1.5, 2), "fgt(alpha=1.5, Z=2)"),
+        (NamedIndex.sen(1.0), "sen(Z=1)"),
+        (NamedIndex.kakwani(12345678, 1), "kakwani(k=12345678, Z=1)"),
+        (NamedIndex.shorrocks(0.25), "shorrocks(Z=0.25)"),
+        (NamedIndex.thon(1e-7), "thon(Z=1e-07)"),
+        (NamedIndex.takayama(3.5), "takayama(Z=3.5)"),
+        (NamedIndex.takayama_ratio(1234567.0), "takayama_ratio(Z=1.23457e+06)"),
+        (NamedIndex.central_moment(3), "central_moment(order=3)"),
+        (NamedIndex.odd_normalized(2), "odd_moment(order=2)"),
+        (NamedIndex.even_normalized(4.0), "even_moment(order=4)"),
+    ])
+    def test_label(self, index, want):
+        assert index.label() == want
 
 
 class TestCatalogConsistency:

@@ -158,6 +158,49 @@ def test_no_replicates_rejected(run):
             run()
 
 
+def _run_counts(name, n, reps):
+    fgt = NamedIndex.fgt(0.0, 0.5)
+    if name == "draw":
+        return draw(Uniform(0, 1), n, 1)
+    if name == "normality":
+        return normality_experiment(Uniform(0, 1), fgt, n=n, n_replicates=reps, master_seed=1)
+    if name == "coverage":
+        return coverage_experiment(Uniform(0, 1), fgt, n=n, n_replicates=reps, level=0.95,
+                                   master_seed=1)
+    if name == "cre2":
+        return cre2_diagnostic(Uniform(0, 1), ident, n_grid=[30, n], n_replicates=reps,
+                               master_seed=1)
+    return decomposability_experiment([LogNormal(0, 1), LogNormal(0.5, 1)], [0.5, 0.5],
+                                      NamedIndex.shorrocks(1.0), n=n, n_replicates=reps,
+                                      master_seed=1)
+
+
+_COUNTS = [("draw", "n")] + [(name, which) for name in
+                              ("normality", "coverage", "cre2", "decomposability")
+                              for which in ("n", "n_replicates")]
+
+
+@pytest.mark.parametrize("bad", [2.5, 20.0, True, "3", None, np.float64(3.0)],
+                         ids=["2.5", "20.0", "bool", "str", "none", "np-float"])
+@pytest.mark.parametrize("name, which", _COUNTS, ids=[f"{n}-{w}" for n, w in _COUNTS])
+def test_counts_must_be_integers(name, which, bad):
+    # n is a draw count or, for cre2, one n_grid entry; rejected before any work
+    n, reps = (bad, 3) if which == "n" else (30, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams):
+            _run_counts(name, n, reps)
+
+
+@pytest.mark.parametrize("name", ["draw", "normality", "coverage", "cre2", "decomposability"])
+def test_numpy_integer_counts_accepted(name):
+    out = _run_counts(name, np.int64(30), np.int32(3))
+    if name == "cre2":
+        assert out == _run_counts(name, 30, 3)
+    else:
+        assert out.n == 30
+
+
 class TestDeterminism:
     def test_reports_bit_identical(self):
         a = normality_experiment(Uniform(0, 1), NamedIndex.fgt(0.0, 0.5),

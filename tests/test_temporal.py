@@ -298,8 +298,7 @@ def _random_atoms(rng, m, step):
     make = CellPoly.from_cells if step else CellPoly.from_nodes
     hm = make(rng.normal(size=m if step else m + 1))
     lm = make(rng.normal(size=m if step else m + 1))
-    return UAtoms(hmodel=hm, lmodel=lm, wmodel=lm.tail_integral_poly(),
-                  eh=hm.integral(), smom=lm.s_moment())
+    return UAtoms(hmodel=hm, lmodel=lm, wmodel=lm.tail_integral_poly(), eh=hm.integral())
 
 
 def _random_pairs_copula():
