@@ -38,7 +38,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .distributions import DistributionModel
 from .empirical import EmpiricalSample
-from .errors import (BadThreshold, NonFiniteConstant, OutOfRange,
+from .errors import (BadParams, BadThreshold, NonFiniteConstant, OutOfRange,
                      ThresholdOutsideSupport, ZeroDenominator, ZeroHpi,
                      ZeroMean, ZeroVariance)
 from .representation import IndexRepresentation, compose_ratio
@@ -48,6 +48,9 @@ ScoreFunction = Callable[[np.ndarray], np.ndarray]
 _POVERTY_KINDS = ("fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
                   "takayama_ratio")
 _MOMENT_KINDS = ("central_moment", "odd_moment", "even_moment")
+# what a kind takes besides the poverty line (poverty kinds) or the order
+_OWN_PARAMS = {"fgt": ("alpha",), "kakwani": ("k",), "takayama": ("d",),
+               "takayama_ratio": ("d",)}
 # every parameter a kind may take, in display order, with its label format
 _PARAM_FORMATS = {"alpha": "alpha={:g}", "k": "k={}", "order": "order={}",
                   "poverty_line": "Z={:g}"}
@@ -55,6 +58,14 @@ _PARAM_FORMATS = {"alpha": "alpha={:g}", "k": "k={}", "order": "order={}",
 
 def _identity(x):
     return np.asarray(x, dtype=float)
+
+
+def _real(value) -> float:
+    """``value`` read through ``float()``, nan if it cannot be read."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 def _whole(value, least: int, message: str) -> int:
@@ -81,18 +92,22 @@ class NamedIndex:
     def __post_init__(self):
         if self.kind not in _POVERTY_KINDS + _MOMENT_KINDS:
             raise OutOfRange(f"unknown index kind {self.kind!r}")
+        takes = _OWN_PARAMS.get(self.kind, ()) + (
+            ("poverty_line",) if self.kind in _POVERTY_KINDS else ("order",))
+        stray = [name for name in (*_PARAM_FORMATS, "d")
+                 if name not in takes and getattr(self, name) is not None]
+        if stray:
+            raise BadParams(f"{self.kind} takes no {', '.join(stray)}")
         if self.kind in _POVERTY_KINDS:
-            try:
-                line = float(self.poverty_line)
-            except (TypeError, ValueError, OverflowError):
-                line = math.nan
+            line = _real(self.poverty_line)
             if not 0 < line < math.inf:
                 raise BadThreshold("poverty kinds need a finite positive poverty line")
             object.__setattr__(self, "poverty_line", line)
         if self.kind == "fgt":
-            if self.alpha is None or not 0 <= self.alpha < math.inf:
+            alpha = _real(self.alpha)
+            if not 0 <= alpha < math.inf:
                 raise BadThreshold("fgt needs a finite alpha >= 0")
-            object.__setattr__(self, "alpha", float(self.alpha))
+            object.__setattr__(self, "alpha", alpha)
         if self.kind == "kakwani":
             object.__setattr__(self, "k", _whole(self.k, 1, "kakwani needs an integer k >= 1"))
         if self.kind in ("takayama", "takayama_ratio") and self.d is None:

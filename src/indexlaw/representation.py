@@ -140,7 +140,7 @@ def score_covariance(model: DistributionModel, f: ScoreFunction, g: ScoreFunctio
             raise NonFiniteIntegral("score is non-finite on the sample")
         return float(np.mean(fv * gv) - np.mean(fv) * np.mean(gv))
     ef = model.integrate_score(f, breaks=breaks)
-    eg = model.integrate_score(g, breaks=breaks)
+    eg = ef if g is f else model.integrate_score(g, breaks=breaks)
     efg = model.integrate_score(lambda x: np.asarray(f(x), dtype=float)
                                 * np.asarray(g(x), dtype=float), breaks=breaks)
     cov = efg - ef * eg

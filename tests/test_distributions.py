@@ -1,16 +1,21 @@
-"""Distribution models: AS241, families, empirical plug-in, mixtures."""
+"""Distribution models: AS241, families, empirical plug-in, mixtures, and the
+batched quadrature of scores."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
-from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
-                                    Mixture, Normal, Pareto, Uniform, normal_cdf,
-                                    normal_quantile)
+from indexlaw.distributions import (DistributionModel, EmpiricalDistribution, Exponential,
+                                    LogNormal, Mixture, Normal, Pareto, Uniform,
+                                    _KronrodNodes, normal_cdf, normal_quantile)
 from indexlaw.empirical import build_sample
 from indexlaw.errors import BadParams, NonFiniteMoment, OutOfRange
+from indexlaw.indices import NamedIndex, named_representation
+from indexlaw.representation import index_variance
 
 
 class TestNormalQuantile:
@@ -205,3 +210,117 @@ def test_draw_generalized_inverse_identity():
         u = uniforms(stream_seed(5, 1), 300)
         x = np.asarray(model.quantile(u))
         assert np.max(np.abs(np.asarray(model.cdf(x)) - u)) < 1e-12
+
+
+def scalar_integrate_score(model, f, breaks=(), one_element=False):
+    """Per-point reference for ``integrate_score``: the same ``quad`` call on a
+    scalar callback that evaluates ``f(Q(u))`` at one level at a time, on a
+    0-d array through ``quantile`` or, with ``one_element``, on a 1-element
+    array."""
+    pts = sorted({float(model.cdf(b)) for b in breaks if 0.0 < model.cdf(b) < 1.0})
+
+    def g(u):
+        u = min(max(u, 1e-300), 1.0 - 1e-16)
+        if one_element:
+            return float(np.asarray(f(model.quantile(np.array([u]))), dtype=float)[0])
+        return float(np.asarray(f(np.asarray(model.quantile(u)))))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.quad(g, 0.0, 1.0, points=pts or None, limit=200)
+    return float(val)
+
+
+BENCH_MIXTURE = Mixture((0.5, 0.5), [LogNormal(0.0, 1.0), LogNormal(0.5, 1.0)])
+# model and a poverty line with 0 < F(Z) < 1
+BATCH_MODELS = {"lognormal": (LogNormal(0, 1), 1.0), "normal": (Normal(2, 1), 2.0),
+                "exponential": (Exponential(1.0), 0.7), "uniform": (Uniform(0, 2), 1.0),
+                "mixture": (BENCH_MIXTURE, 1.0)}
+
+
+def _poverty_catalog(z):
+    return [NamedIndex.fgt(alpha, z) for alpha in (0.0, 1.0, 2.0, 1.5)] + [
+        NamedIndex.sen(z), NamedIndex.kakwani(3, z), NamedIndex.shorrocks(z),
+        NamedIndex.thon(z), NamedIndex.takayama(z), NamedIndex.takayama_ratio(z)]
+
+
+def _moment_catalog():
+    return [NamedIndex.central_moment(2), NamedIndex.central_moment(3),
+            NamedIndex.odd_normalized(2), NamedIndex.odd_normalized(3),
+            NamedIndex.even_normalized(2)]
+
+
+def _numbers(model, index):
+    rep = named_representation(model, index)
+    v = index_variance(model, rep)
+    return np.array([rep.value(model), v.gamma1, v.gamma2, v.gamma3, v.total])
+
+
+def _reference_numbers(monkeypatch, model, indices, **reference):
+    """The catalog numbers with ``integrate_score`` replaced by the reference."""
+    with monkeypatch.context() as m:
+        m.setattr(DistributionModel, "integrate_score",
+                  lambda self, f, breaks=(): scalar_integrate_score(self, f, breaks, **reference))
+        return [_numbers(model, index) for index in indices]
+
+
+class TestBatchedQuadrature:
+    """``integrate_score`` evaluates f(Q(u)) in batches of QUADPACK nodes but
+    returns what a per-point callback gives."""
+
+    @pytest.mark.parametrize("name", BATCH_MODELS)
+    def test_poverty_catalog_matches_scalar_reference(self, name, monkeypatch):
+        model, z = BATCH_MODELS[name]
+        indices = _poverty_catalog(z)
+        want = _reference_numbers(monkeypatch, model, indices)
+        for index, ref in zip(indices, want):
+            assert np.array_equal(_numbers(model, index), ref), index.label()
+
+    def test_pareto_within_round_off(self, monkeypatch):
+        # on a 0-d input Pareto's (1 - s) ** (-1/a) is numpy scalar
+        # arithmetic, which rounds some levels differently from the array loop
+        model = Pareto(1.0, 5.0)
+        indices = _poverty_catalog(1.3)
+        want = _reference_numbers(monkeypatch, model, indices)
+        for index, ref in zip(indices, want):
+            assert _numbers(model, index) == pytest.approx(ref, rel=1e-12, abs=0), index.label()
+
+    @pytest.mark.parametrize("model", [Normal(2, 1), Exponential(1.0), Uniform(0, 2),
+                                       Pareto(1.0, 12.0)], ids=lambda m: type(m).__name__)
+    def test_moment_catalog_matches_one_element_reference(self, model, monkeypatch):
+        # the moment scores raise a 0-d input to powers in numpy scalar
+        # arithmetic; on a 1-element array they round as in the batch
+        indices = _moment_catalog()
+        want = _reference_numbers(monkeypatch, model, indices, one_element=True)
+        for index, ref in zip(indices, want):
+            assert np.array_equal(_numbers(model, index), ref), index.label()
+
+    def test_direct_evaluation_fallback(self, monkeypatch):
+        model = LogNormal(0, 1)
+        rep = named_representation(model, NamedIndex.sen(1.0))
+        batched = model.integrate_score(rep.h, breaks=rep.breaks)
+        sizes = []
+
+        def h(x):
+            sizes.append(np.size(x))
+            return rep.h(x)
+
+        # an empty table: every level quad asks for is evaluated alone
+        monkeypatch.setattr(_KronrodNodes, "_fill", lambda self, lefts, rights: None)
+        assert model.integrate_score(h, breaks=rep.breaks) == batched
+        assert set(sizes) == {1} and len(sizes) > 100
+
+    def test_few_array_calls(self):
+        model = LogNormal(0, 1)
+        rep = named_representation(model, NamedIndex.sen(1.0))
+        for f in (rep.h, lambda x: rep.h(x) ** 2):
+            sizes = []
+
+            def counted(x, f=f):
+                sizes.append(np.size(x))
+                return f(x)
+
+            model.integrate_score(counted, breaks=rep.breaks)
+            # one call for both initial intervals, one per bisection, and no
+            # level that the table failed to predict
+            assert len(sizes) <= 10 and set(sizes) == {42}, sizes

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Normal, Pareto, Uniform)
 from indexlaw.empirical import build_sample, ecdf
-from indexlaw.errors import (BadThreshold, OutOfRange, ThresholdOutsideSupport,
-                             ZeroMean, ZeroVariance)
-from indexlaw.indices import (GpiSpec, NamedIndex, central_moment_estimate,
-                              fgt_estimate, gpi_constants, gpi_estimate,
-                              gpi_representation, moment_representation,
+from indexlaw.errors import (BadParams, BadThreshold, OutOfRange,
+                             ThresholdOutsideSupport, ZeroMean, ZeroVariance)
+from indexlaw.indices import (_MOMENT_KINDS, _POVERTY_KINDS, GpiSpec, NamedIndex,
+                              central_moment_estimate, fgt_estimate, gpi_constants,
+                              gpi_estimate, gpi_representation, moment_representation,
                               named_estimate, named_representation,
                               normalized_moment_estimate)
 from indexlaw.montecarlo import draw
@@ -106,13 +106,18 @@ class TestNamedEstimates:
            st.floats(min_value=0.5, max_value=50.0),
            st.floats(min_value=0.1, max_value=10.0))
     def test_scale_invariance(self, vals, z, c):
+        m, mc = EmpiricalDistribution(vals), EmpiricalDistribution([c * v for v in vals])
         for index in (NamedIndex.fgt(1.0, z), NamedIndex.sen(z), NamedIndex.kakwani(2, z),
                       NamedIndex.shorrocks(z), NamedIndex.thon(z)):
-            base = named_estimate(build_sample(vals), index)
+            base = named_estimate(m.sample, index)
             scaled_index = NamedIndex(kind=index.kind, alpha=index.alpha, k=index.k,
                                       order=index.order, poverty_line=c * z, d=index.d)
-            scaled = named_estimate(build_sample([c * v for v in vals]), scaled_index)
+            scaled = named_estimate(mc.sample, scaled_index)
             assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12)
+            if min(vals) <= z < max(vals):  # 0 < F_n(Z) < 1, as Sen's scores need
+                assert index_variance(mc, named_representation(mc, scaled_index)).total == (
+                    pytest.approx(index_variance(m, named_representation(m, index)).total,
+                                  rel=1e-12, abs=1e-12))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=40),
@@ -377,13 +382,39 @@ class TestNamedIndexValidation:
         (lambda: NamedIndex("sen", poverty_line="abc"), BadThreshold),
         (lambda: NamedIndex.sen("abc"), BadThreshold),
         (lambda: NamedIndex.thon(10 ** 400), BadThreshold),
+        (lambda: NamedIndex.fgt("abc", 1.0), BadThreshold),
     ], ids=["fgt-none", "fgt-nan", "kakwani-none", "kakwani-2.5", "kakwani-inf",
             "central-none", "central-2.7", "odd-2.5", "even-nan", "fgt-alpha-inf",
             "sen-line-inf", "fgt-line-inf", "sen-line-abc-direct", "sen-line-abc",
-            "thon-line-overflow"])
+            "thon-line-overflow", "fgt-alpha-abc"])
     def test_missing_or_fractional_parameter(self, make, error):
         with pytest.raises(error):
             make()
+
+    # the parameters each kind takes, and a valid value of every parameter
+    TAKES = {"fgt": ("alpha", "poverty_line"), "sen": ("poverty_line",),
+             "kakwani": ("k", "poverty_line"), "shorrocks": ("poverty_line",),
+             "thon": ("poverty_line",), "takayama": ("poverty_line", "d"),
+             "takayama_ratio": ("poverty_line", "d"), "central_moment": ("order",),
+             "odd_moment": ("order",), "even_moment": ("order",)}
+    VALID = {"alpha": 1.0, "k": 2, "order": 2, "poverty_line": 1.0, "d": np.sqrt}
+
+    def test_takes_covers_every_kind(self):
+        assert set(self.TAKES) == set(_POVERTY_KINDS + _MOMENT_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(TAKES))
+    def test_stray_parameter(self, kind):
+        own = {name: self.VALID[name] for name in self.TAKES[kind]}
+        NamedIndex(kind, **own)
+        for name in self.VALID.keys() - own.keys():
+            with pytest.raises(BadParams):
+                NamedIndex(kind, **own, **{name: self.VALID[name]})
+
+    def test_stray_parameter_examples(self):
+        with pytest.raises(BadParams):
+            NamedIndex("sen", k=2.5, poverty_line=1)
+        with pytest.raises(BadParams):
+            NamedIndex("central_moment", order=2, poverty_line="x")
 
     def test_integral_floats_accepted(self):
         assert NamedIndex.kakwani(2.0, 1.0) == NamedIndex.kakwani(2, 1.0)

@@ -4,8 +4,8 @@ Gaussian oracle, cross-covariances and interval construction."""
 import numpy as np
 import pytest
 
-from indexlaw.distributions import (EmpiricalDistribution, LogNormal, Normal,
-                                    Uniform)
+from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
+                                    Normal, Uniform)
 from indexlaw.errors import BadLevel, NegativeVariance, OutOfRange
 from indexlaw.indices import NamedIndex, moment_representation, named_representation
 from indexlaw.representation import (IndexRepresentation, beta_beta_cov,
@@ -30,6 +30,13 @@ class TestScoreCovariance:
     def test_bernoulli_half(self):
         f = lambda x: (np.asarray(x) <= 0.5).astype(float)
         assert score_covariance(Uniform(0, 1), f, f, breaks=(0.5,)) == pytest.approx(0.25, abs=1e-10)
+
+    def test_parametric_moments(self):
+        # Exponential(1): E X = 1, E X^2 = 2, E X^3 = 6; the same f twice
+        # integrates E f once, two scores integrate both
+        m = Exponential(1.0)
+        assert score_covariance(m, ident, ident) == pytest.approx(1.0, rel=1e-9)
+        assert score_covariance(m, ident, lambda x: x ** 2) == pytest.approx(4.0, rel=1e-9)
 
     def test_bilinearity(self):
         m = EmpiricalDistribution(np.linspace(0.1, 3.0, 17))
