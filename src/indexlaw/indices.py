@@ -392,8 +392,10 @@ def _influence_poly(model: DistributionModel, order: int) -> np.ndarray:
 
     Built from the binomial expansion of ``(X - mean)^order`` around the raw
     moments of the model: the x^order term plus, for p < order, corrections
-    in x^p and x.
+    in x^p and x.  Asks for ``E X^(2 order)`` first, so a model on which the
+    score's variance is infinite raises ``NonFiniteMoment`` here.
     """
+    model.raw_moment(2 * order)
     m = [model.raw_moment(p) if p > 0 else 1.0 for p in range(order + 1)]
     coef = np.zeros(order + 1)
     coef[order] = 1.0

@@ -214,45 +214,19 @@ def index_cross_covariance(model: DistributionModel, rep_i: IndexRepresentation,
     return float(total)
 
 
-@dataclass(frozen=True)
-class UAtoms:
-    """Grid models of a representation against one margin.
-
-    ``hmodel`` and ``lmodel`` are the CellPoly models of ``h(Q(s))`` and
-    ``q(Q(s))``; ``wmodel`` is the tail integral of ``lmodel`` and ``eh`` the
-    integral of ``hmodel``.  Joint laws across periods are bilinear in these
-    atoms.
-    """
-
-    hmodel: CellPoly
-    lmodel: CellPoly
-    wmodel: CellPoly
-    eh: float
-
-
 def u_atoms(model: DistributionModel, rep: IndexRepresentation,
-            grid: int = DEFAULT_GRID) -> UAtoms:
-    """Build the u-grid atoms of a representation under a margin."""
+            grid: int = DEFAULT_GRID) -> CellPoly:
+    """The u-function ``phi(s) = h(Q(s)) + W(s)``, ``W(s) = int_s^1 q(Q(t)) dt``.
+
+    Since ``f_s(X) = 1{U <= s}`` for ``U = F(X)``, the beta-term is
+    ``G_n(W o F)`` and the whole expansion is ``G_n(phi o F)``: the
+    covariance of two representations is ``Cov(phi_a(U), phi_b(V))``, with
+    U = V under one margin and (U, V) drawn from the copula across periods.
+    """
     hm = score_model(model, rep.h, grid)
     if rep.q_zero:
-        lm = CellPoly.constant(hm.m, 0.0)
-    else:
-        lm = score_model(model, rep.q, grid)
-    return UAtoms(hmodel=hm, lmodel=lm, wmodel=lm.tail_integral_poly(), eh=hm.integral())
-
-
-def atoms_cross_covariance(a: UAtoms, b: UAtoms) -> float:
-    """Within-period covariance of two representations from their atoms.
-
-    Same bilinear combination as :func:`index_cross_covariance`, but with the
-    score covariance evaluated on the grid models so that cross-period and
-    within-period pieces cancel exactly in degenerate copula configurations.
-    """
-    g1 = (a.hmodel * b.hmodel).integral() - a.eh * b.eh
-    g2 = bridge_bilinear(a.lmodel, b.lmodel)
-    g3a = bridge_cross(a.hmodel, b.lmodel)
-    g3b = bridge_cross(b.hmodel, a.lmodel)
-    return g1 + g2 + g3a + g3b
+        return hm
+    return hm + score_model(model, rep.q, grid).tail_integral_poly()
 
 
 def confidence_interval(estimate: float, variance: float, n: int,

@@ -1,19 +1,17 @@
 """Two-period joint laws: copula models, variation and relative variation.
 
 Paired observations of the same population at two times are linked by a
-copula C.  With per-period representations ``(h_i, q_i)`` under margins
-``F_i``, the cross-period covariance of the scaled estimation errors is a sum
-of four brackets, each of the form ``int phi(u) psi(v) dC(u, v) - int phi *
-int psi`` with ``phi, psi`` drawn from the score transform ``h(Q(s))`` and
-the tail-integrated weight ``W(s) = int_s^1 q(Q(t)) dt``:
+copula C.  A representation ``(h, q)`` under a margin F expands the scaled
+estimation error as ``G_n(phi o F)`` for the single u-function
 
-* score x score, score x weight, weight x score and weight x weight --
-  the last one is the displayed double integral of ``(C(s,t) - s t)
-  l_1(s) l_2(t)``.
+    phi(s) = h(Q(s)) + W(s),    W(s) = int_s^1 q(Q(t)) dt,
 
-Every copula's ``cross_cov`` is bilinear under one fixed measure, so the four
-brackets are one call on ``h + W`` of each period: one bilinear call per atom
-pair.
+so every entry of a joint covariance matrix is one covariance
+``int phi(u) psi(v) dC(u, v) - int phi * int psi`` of two such atoms.
+Within a period both atoms see the same U, so the coupling is comonotone
+(an exact product integral on the shared grid); across periods (U, V) ~ C.
+The weight x weight part of a cross-period entry is the displayed double
+integral of ``(C(s,t) - s t) l_1(s) l_2(t)``.
 
 The variance of the difference is read off the assembled joint covariance
 matrix (the variance of a difference subtracts twice the cross term), and
@@ -37,8 +35,7 @@ import numpy as np
 from .distributions import DistributionModel, normal_quantile
 from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, TooFewPairs,
                      ZeroBaseIndex)
-from .representation import (DEFAULT_GRID, IndexRepresentation, UAtoms,
-                             atoms_cross_covariance, check_grid, u_atoms)
+from .representation import DEFAULT_GRID, IndexRepresentation, check_grid, u_atoms
 from .ugrid import CellPoly
 
 DEFAULT_COPULA_GRID = 512
@@ -249,15 +246,21 @@ def _clamp_variance(value: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def _cross_period_cov(copula: CopulaModel, a: UAtoms, b: UAtoms, grid: int) -> float:
-    """Covariance between period-1 atom a and period-2 atom b.
+def _joint_matrix(frame: BivariateFrame, atoms: list[tuple[int, CellPoly]],
+                  copula_grid: int) -> np.ndarray:
+    """Covariance matrix of ``(period, phi)`` atoms.
 
-    The sum of four brackets, score x score, weight x weight and the two
-    mixed ones, each the covariance of a u-function with a v-function under
-    the copula.  ``cross_cov`` is bilinear, so the sum is one call on the
-    summed score and weight of each period.
+    Atoms of one period share U, so their entry is a comonotone covariance;
+    atoms of different periods are coupled by the frame's copula, with the
+    period-1 atom as its first argument.
     """
-    return copula.cross_cov(a.hmodel + a.wmodel, b.hmodel + b.wmodel, grid)
+    m = np.empty((len(atoms), len(atoms)))
+    for i, (pa, a) in enumerate(atoms):
+        for j, (pb, b) in enumerate(atoms[i:], start=i):
+            copula = ComonotoneCopula() if pa == pb else frame.copula
+            first, second = (b, a) if pa > pb else (a, b)
+            m[i, j] = m[j, i] = copula.cross_cov(first, second, copula_grid)
+    return m
 
 
 def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,
@@ -270,14 +273,12 @@ def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,
     ``rep``) the one under margin 2 -- pass a margin-specific rebuild for
     indices whose scores depend on the underlying CDF.
     """
-    rep2 = rep2 or rep
-    a1 = u_atoms(frame.margin1, rep, grid)
-    a2 = u_atoms(frame.margin2, rep2, grid)
-    var1 = atoms_cross_covariance(a1, a1)
-    var2 = atoms_cross_covariance(a2, a2)
-    cross = _cross_period_cov(frame.copula, a1, a2, copula_grid)
-    matrix = np.array([[var1, cross], [cross, var2]])
-    delta = _clamp_variance(var1 + var2 - 2.0 * cross, "variance of the difference")
+    matrix = _joint_matrix(frame, [(1, u_atoms(frame.margin1, rep, grid)),
+                                   (2, u_atoms(frame.margin2, rep2 or rep, grid))],
+                           copula_grid)
+    cross = float(matrix[0, 1])
+    delta = _clamp_variance(float(matrix[0, 0] + matrix[1, 1] - 2.0 * cross),
+                            "variance of the difference")
     return JointCovariance(matrix=matrix, cross=cross, delta_var=delta)
 
 
@@ -287,6 +288,8 @@ def relative_variation_law(frame: BivariateFrame, rep: IndexRepresentation,
                            grid: int = DEFAULT_GRID,
                            copula_grid: int = DEFAULT_COPULA_GRID) -> JointCovariance:
     """Law of the relative variation (I2 - I1) / I1 by the delta method."""
+    if not (math.isfinite(index1) and math.isfinite(index2)):
+        raise BadParams(f"relative variation needs finite indices, got ({index1}, {index2})")
     if index1 == 0.0:
         raise ZeroBaseIndex("relative variation needs a nonzero base index")
     joint = temporal_joint_covariance(frame, rep, rep2, grid, copula_grid)
@@ -296,14 +299,6 @@ def relative_variation_law(frame: BivariateFrame, rep: IndexRepresentation,
                            delta_var=joint.delta_var, rel_var=rel,
                            gamma4=1.0 / index1,
                            gamma5=(index2 - index1) / index1 ** 2)
-
-
-def _four_atoms(frame, rep_i, rep_j, rep_i2, rep_j2, grid):
-    ai1 = u_atoms(frame.margin1, rep_i, grid)
-    ai2 = u_atoms(frame.margin2, rep_i2 or rep_i, grid)
-    aj1 = u_atoms(frame.margin1, rep_j, grid)
-    aj2 = u_atoms(frame.margin2, rep_j2 or rep_j, grid)
-    return ai1, ai2, aj1, aj2
 
 
 def mutual_variation_covariance(frame: BivariateFrame, rep_i: IndexRepresentation,
@@ -317,19 +312,11 @@ def mutual_variation_covariance(frame: BivariateFrame, rep_i: IndexRepresentatio
     Assembles the 4x4 covariance of (I*_1, I*_2, J*_1, J*_2); the covariance
     of the two differences is the contrast ``(-1, 1)`` applied to each block.
     """
-    ai1, ai2, aj1, aj2 = _four_atoms(frame, rep_i, rep_j, rep_i2, rep_j2, grid)
-    cop = frame.copula
-    m = np.empty((4, 4))
-    m[0, 0] = atoms_cross_covariance(ai1, ai1)
-    m[1, 1] = atoms_cross_covariance(ai2, ai2)
-    m[2, 2] = atoms_cross_covariance(aj1, aj1)
-    m[3, 3] = atoms_cross_covariance(aj2, aj2)
-    m[0, 2] = m[2, 0] = atoms_cross_covariance(ai1, aj1)
-    m[1, 3] = m[3, 1] = atoms_cross_covariance(ai2, aj2)
-    m[0, 1] = m[1, 0] = _cross_period_cov(cop, ai1, ai2, copula_grid)
-    m[2, 3] = m[3, 2] = _cross_period_cov(cop, aj1, aj2, copula_grid)
-    m[0, 3] = m[3, 0] = _cross_period_cov(cop, ai1, aj2, copula_grid)
-    m[2, 1] = m[1, 2] = _cross_period_cov(cop, aj1, ai2, copula_grid)
+    m = _joint_matrix(frame, [(1, u_atoms(frame.margin1, rep_i, grid)),
+                              (2, u_atoms(frame.margin2, rep_i2 or rep_i, grid)),
+                              (1, u_atoms(frame.margin1, rep_j, grid)),
+                              (2, u_atoms(frame.margin2, rep_j2 or rep_j, grid))],
+                      copula_grid)
     contrast_i = np.array([-1.0, 1.0, 0.0, 0.0])
     contrast_j = np.array([0.0, 0.0, -1.0, 1.0])
     cross = float(contrast_i @ m @ contrast_j)
@@ -345,6 +332,8 @@ def mutual_relative_covariance(frame: BivariateFrame, rep_i: IndexRepresentation
                                copula_grid: int = DEFAULT_COPULA_GRID) -> float:
     """Covariance of the two relative variations by the bilinear delta
     method on the assembled 4x4 matrix."""
+    if not all(math.isfinite(v) for v in (i1, i2, j1, j2)):
+        raise BadParams(f"relative variations need finite indices, got {(i1, i2, j1, j2)}")
     if i1 == 0.0 or j1 == 0.0:
         raise ZeroBaseIndex("relative variations need nonzero base indices")
     joint = mutual_variation_covariance(frame, rep_i, rep_j, rep_i2, rep_j2,

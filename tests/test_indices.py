@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Normal, Pareto, Uniform)
 from indexlaw.empirical import build_sample, ecdf
-from indexlaw.errors import (BadParams, BadThreshold, OutOfRange,
+from indexlaw.errors import (BadParams, BadThreshold, NonFiniteMoment, OutOfRange,
                              ThresholdOutsideSupport, ZeroMean, ZeroVariance)
 from indexlaw.indices import (_MOMENT_KINDS, _POVERTY_KINDS, GpiSpec, NamedIndex,
                               central_moment_estimate, fgt_estimate, gpi_constants,
@@ -200,6 +200,25 @@ class TestMoments:
         rep = normalized_moment_representation(Normal(0, 1), 2, "odd")
         assert rep.value(Normal(0, 1)) == pytest.approx(0.0, abs=1e-9)
         assert Normal(0, 1).integrate_score(rep.h) == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("index", [NamedIndex.central_moment(3),
+                                       NamedIndex.even_normalized(2),
+                                       NamedIndex.odd_normalized(2)],
+                             ids=lambda ix: ix.label())
+    def test_infinite_score_variance_raises(self, index):
+        # tail index 5: the variance of A(3) needs E X^6, of A(4) E X^8
+        with pytest.raises(NonFiniteMoment):
+            named_representation(Pareto(1.0, 5.0), index)
+
+    def test_finite_score_variance_on_heavy_tail(self):
+        # Var A(2) = mu_4 - sigma^4 needs E X^4, finite for tail index 5
+        model = Pareto(1.0, 5.0)
+        m = [model.raw_moment(k) for k in range(5)]
+        mu = m[1]
+        central4 = m[4] - 4 * mu * m[3] + 6 * mu**2 * m[2] - 3 * mu**4
+        var = m[2] - mu**2
+        rep = named_representation(model, NamedIndex.central_moment(2))
+        assert index_variance(model, rep).total == pytest.approx(central4 - var**2, rel=1e-6)
 
 
 class TestRepresentations:

@@ -10,10 +10,11 @@ from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNorma
 from indexlaw.errors import (BadParams, NonFiniteValue, OutOfRange, TooFewPairs,
                              ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_representation
-from indexlaw.representation import IndexRepresentation, UAtoms, index_variance
+from indexlaw.representation import (IndexRepresentation, index_variance, score_model,
+                                     u_atoms)
 from indexlaw.rng import stream_seed, uniforms
 from indexlaw.temporal import (BivariateFrame, ComonotoneCopula,
-                               GaussianCopula, IndependenceCopula, _cross_period_cov,
+                               GaussianCopula, IndependenceCopula,
                                empirical_copula, mutual_relative_covariance,
                                mutual_variation_covariance, relative_variation_law,
                                temporal_joint_covariance)
@@ -106,12 +107,15 @@ class TestJointCovariance:
     @pytest.mark.parametrize("margin", [Uniform(0, 1), LogNormal(0, 1),
                                         EmpiricalDistribution(np.geomspace(0.1, 4, 80))])
     def test_comonotone_identical_margins_degenerate(self, margin):
-        idx = NamedIndex.shorrocks(1.0) if margin.kind == "empirical" else NamedIndex.sen(
-            0.5 if isinstance(margin, Uniform) else 1.0)
-        rep = named_representation(margin, idx)
-        j = temporal_joint_covariance(BivariateFrame(margin, margin, ComonotoneCopula()), rep)
-        assert j.delta_var <= 1e-8
-        assert j.cross == pytest.approx(j.matrix[0, 0], rel=1e-9)
+        # within and across periods the same atom is coupled comonotonically,
+        # so the two entries are one computation
+        z = 0.5 if isinstance(margin, Uniform) else 1.0
+        for idx in (NamedIndex.sen(z), NamedIndex.shorrocks(z), NamedIndex.fgt(1.0, z),
+                    NamedIndex.central_moment(2)):
+            rep = named_representation(margin, idx)
+            j = temporal_joint_covariance(BivariateFrame(margin, margin, ComonotoneCopula()), rep)
+            assert j.delta_var == 0.0, idx.label()
+            assert j.cross == j.matrix[0, 0], idx.label()
 
     def test_independence_reduces_to_products(self):
         # every cross bracket is a product of one-dimensional integrals
@@ -166,6 +170,20 @@ class TestRelativeVariation:
         rep = named_representation(m, NamedIndex.fgt(0.0, 0.5))
         with pytest.raises(ZeroBaseIndex):
             relative_variation_law(BivariateFrame(m, m, IndependenceCopula()), rep, 0.0, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_index(self, bad):
+        m = LogNormal(0, 1)
+        rep = named_representation(m, NamedIndex.fgt(1.0, 1.0))
+        frame = BivariateFrame(m, m, IndependenceCopula())
+        for index1, index2 in ((bad, 0.3), (0.3, bad)):
+            with pytest.raises(BadParams):
+                relative_variation_law(frame, rep, index1, index2)
+        for at in range(4):
+            values = [0.3, 0.35, 0.2, 0.25]
+            values[at] = bad
+            with pytest.raises(BadParams):
+                mutual_relative_covariance(frame, rep, rep, *values)
 
 
 class TestMutualInfluence:
@@ -235,6 +253,26 @@ class TestMutualInfluence:
         with pytest.raises(ZeroBaseIndex):
             mutual_relative_covariance(frame, rep, rep, 0.0, 1.0, 1.0, 1.0)
 
+    def test_entries_under_an_asymmetric_copula(self):
+        # every entry is one covariance of u-functions: comonotone within a
+        # period, the frame's copula (period-1 atom first) across periods
+        rng = np.random.default_rng(8)
+        x = rng.lognormal(size=60)
+        y = x * rng.lognormal(0.0, 0.5, size=60)
+        m1, m2 = EmpiricalDistribution(np.sort(x)), EmpiricalDistribution(np.sort(y))
+        cop = empirical_copula(np.column_stack([x, y]))
+        frame = BivariateFrame(m1, m2, cop)
+        idx_i, idx_j = NamedIndex.sen(1.0), NamedIndex.fgt(2.0, 1.5)
+        reps = [named_representation(m, ix) for ix in (idx_i, idx_j) for m in (m1, m2)]
+        jm = mutual_variation_covariance(frame, reps[0], reps[2], reps[1], reps[3])
+        phi = [u_atoms(m, r) for m, r in zip((m1, m2, m1, m2), reps)]
+        same = ComonotoneCopula()
+        for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3)):
+            assert jm.matrix[a, b] == same.cross_cov(phi[a], phi[b], 512)
+        for a, b in ((0, 1), (2, 3), (0, 3), (2, 1)):
+            assert jm.matrix[a, b] == jm.matrix[b, a] == cop.cross_cov(phi[a], phi[b], 512)
+        assert cop.cross_cov(phi[1], phi[2], 512) != jm.matrix[1, 2]
+
 
 class TestMcAgreement:
     def test_comonotone_fgt_delta_variance(self):
@@ -256,7 +294,27 @@ class TestMcAgreement:
         assert n * np.var(deltas) == pytest.approx(dv, rel=0.15)
 
 
+def _catalog(z):
+    return [NamedIndex.fgt(alpha, z) for alpha in (0.0, 1.0, 2.0, 1.5)] + [
+        NamedIndex.sen(z), NamedIndex.kakwani(3, z), NamedIndex.shorrocks(z),
+        NamedIndex.thon(z), NamedIndex.takayama(z), NamedIndex.takayama_ratio(z),
+        NamedIndex.central_moment(2), NamedIndex.central_moment(3),
+        NamedIndex.odd_normalized(2), NamedIndex.even_normalized(2)]
+
+
 class TestEmpiricalCopulaJointLaws:
+    @pytest.mark.parametrize("index", _catalog(1.0), ids=lambda ix: ix.label())
+    def test_diagonal_is_index_variance(self, index):
+        # Var phi(U) = gamma1 + gamma2 + 2 gamma3 for phi = h o Q + W
+        x = np.random.default_rng(21).lognormal(size=150)
+        y = 1.1 * x * np.random.default_rng(22).lognormal(0.0, 0.3, size=150)
+        m1, m2 = EmpiricalDistribution(np.sort(x)), EmpiricalDistribution(np.sort(y))
+        frame = BivariateFrame(m1, m2, empirical_copula(np.column_stack([x, y])))
+        rep1, rep2 = named_representation(m1, index), named_representation(m2, index)
+        j = temporal_joint_covariance(frame, rep1, rep2=rep2)
+        for k, (m, rep) in enumerate(((m1, rep1), (m2, rep2))):
+            assert j.matrix[k, k] == pytest.approx(index_variance(m, rep).total, rel=1e-12)
+
     def test_proportional_columns_nonnegative_difference(self):
         # perfectly dependent paired data: the checkerboard rank measure
         # keeps the variance of the difference nonnegative
@@ -281,24 +339,24 @@ class TestEmpiricalCopulaJointLaws:
         # reproduces the within-period score variance exactly
         from indexlaw.distributions import EmpiricalDistribution
         from indexlaw.empirical import build_sample
-        from indexlaw.representation import u_atoms
 
         x = np.random.default_rng(3).lognormal(size=173)  # non-dyadic n
         m = EmpiricalDistribution(build_sample(x))
         rep = named_representation(m, NamedIndex.shorrocks(1.0))
-        a = u_atoms(m, rep)
+        hm = score_model(m, rep.h)
         cop = empirical_copula(np.column_stack([x, x]))
-        within = (a.hmodel * a.hmodel).integral() - a.eh**2
-        assert cop.cross_cov(a.hmodel, a.hmodel, 512) == pytest.approx(within, abs=1e-14)
+        within = (hm * hm).integral() - hm.integral() ** 2
+        assert cop.cross_cov(hm, hm, 512) == pytest.approx(within, abs=1e-14)
 
 
-def _random_atoms(rng, m, step):
-    """Atoms of random scores on m cells: step functions when ``step`` (the
-    empirical case), piecewise-linear interpolants otherwise."""
+def _random_score_weight(rng, m, step):
+    """A random score h and the tail integral W of a random weight on m
+    cells: step functions when ``step`` (the empirical case), piecewise-linear
+    interpolants otherwise."""
     make = CellPoly.from_cells if step else CellPoly.from_nodes
     hm = make(rng.normal(size=m if step else m + 1))
     lm = make(rng.normal(size=m if step else m + 1))
-    return UAtoms(hmodel=hm, lmodel=lm, wmodel=lm.tail_integral_poly(), eh=hm.integral())
+    return hm, lm.tail_integral_poly()
 
 
 def _random_pairs_copula():
@@ -313,21 +371,22 @@ class TestOneBilinearCall:
     ], ids=["independence", "comonotone", "gauss-0.9", "gauss0", "gauss0.6", "empirical"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_summed_call_equals_four_brackets(self, cop, seed):
+        # the call on the u-functions h + W equals the four score/weight
+        # brackets, so one atom per period carries the whole covariance
         rng = np.random.default_rng(seed)
         step = rng.uniform() < 0.5
         m1, m2 = (int(m) for m in rng.integers(20, 90, size=2))
         for b_cells in (m1, m2):  # equal and (usually) unequal grids across periods
-            a, b = _random_atoms(rng, m1, step), _random_atoms(rng, b_cells, step)
-            brackets = [cop.cross_cov(p, q, 96) for p in (a.hmodel, a.wmodel)
-                        for q in (b.hmodel, b.wmodel)]
-            got = _cross_period_cov(cop, a, b, 96)
+            a, b = _random_score_weight(rng, m1, step), _random_score_weight(rng, b_cells, step)
+            brackets = [cop.cross_cov(p, q, 96) for p in a for q in b]
+            got = cop.cross_cov(a[0] + a[1], b[0] + b[1], 96)
             scale = sum(abs(x) for x in brackets)
             if getattr(cop, "rho", None) == 0.0:
                 # every bracket is 0 up to cancellation; measure against the
                 # size of the terms that cancel instead
                 mid = (np.arange(96) + 0.5) / 96
                 scale = sum(np.mean(np.abs(p.eval(mid))) * np.mean(np.abs(q.eval(mid)))
-                            for p in (a.hmodel, a.wmodel) for q in (b.hmodel, b.wmodel))
+                            for p in a for q in b)
             assert abs(got - sum(brackets)) <= 1e-12 * scale
 
 
