@@ -7,29 +7,30 @@ underlying CDF and are rebuilt per group), the decomposability gap
 
     gd_n = I_n - sum_i (n_i*/n) I^(i)_{n_i*}
 
-is asymptotically normal after sqrt(n)-scaling.  The variance splits into a
-within-group part theta1^2 assembled from seven constants (three quadratic
-pieces A1, A2, A3 = A31 + A32 and three cross pieces B1, B2, B3 of the
-limiting Gaussian components) plus a multinomial label-noise part: theta2^2
-(centering at the population gap gd) or theta3^2 (centering at the
+is asymptotically normal after sqrt(n)-scaling.  Like a single statistic,
+whose expansion is ``G_n(phi o F)`` with ``phi = h o Q + W``, the gap's
+within-group part is one u-function per group: an observation of group g at
+level s = F_g(x) contributes
+
+    psi_g(s) = [h - h_g + sum_{a != g} p_a Tail_a](Q_g(s)) + T[(p_g q - q_g) o Q_g](s),
+
+with ``Tail_a(x) = int_{y >= x} q dF_a`` and T the tail integral over
+(s, 1), so that ``theta1^2 = sum_g p_g Var(psi_g(U))``.  Expanding the
+variance gives the seven constants A1, A2, A31 + A32, B1, B2, B3 of the
+derivation, but the centred form is a sum of squares, not a difference of
+much larger constants.  The variance adds a multinomial label-noise part:
+theta2^2 (centering at the population gap gd) or theta3^2 (centering at the
 plug-in-weighted gd_{0,n}), both weighted variances over groups.
 
-All constants are integrals over transformed unit intervals; with empirical
-group models every one of them is an exact step sum.  Every A3x and B-type
-constant costs O(n log n) per group pair: A31/A32 through the sorted prefix
-sums of ``bridge_kernel_quad``, B2/B3 through cell lookups in antiderivatives
-built once per group, so no n-by-n kernel matrix is formed.  A3 takes
-2K(K-1) kernel calls, with no K^3 term: per group i and excluded group h, one
-for A31 and one for A32 on the concatenated cells of all groups j not in {i, h}.
-
-The printed forms of the A32 and B3 constants in their source derivation
-carry typographical slips; this module implements the forms obtained
-directly from the covariances of the limiting independent Gaussian
-components, which reduce to the printed A31/B1 structure.
+With empirical group models psi_g is exact on the group's cells: each Tail_a
+is a suffix sum over the sorted values of group a, looked up by one
+``searchsorted`` per group pair, so theta1^2 costs O(n log n) and no n-by-n
+kernel is formed.  Parametric models use the grid models of ``score_model``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -38,11 +39,10 @@ import numpy as np
 
 from .distributions import DistributionModel, EmpiricalDistribution, Mixture
 from .empirical import EmpiricalSample, build_sample
-from .errors import BadParams, BadWeights, OutOfRange
+from .errors import BadParams, BadWeights, NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
 from .representation import (DEFAULT_GRID, IndexRepresentation,
                              confidence_interval, score_model)
-from .ugrid import CellPoly, bridge_bilinear, bridge_cross, bridge_kernel_quad
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,16 @@ class SubgroupPartition:
 
     @staticmethod
     def from_labels(labels: Sequence) -> "SubgroupPartition":
-        """Map arbitrary labels to 1..K in first-seen order."""
+        """Map arbitrary labels to 1..K in first-seen order.
+
+        A float NaN label raises ``NonFiniteValue``: NaN equals nothing, not
+        even another NaN, so each would silently form a group of its own.
+        """
         seen: dict = {}
         codes = np.empty(len(labels), dtype=np.int64)
         for i, lab in enumerate(labels):
+            if isinstance(lab, (float, np.floating)) and math.isnan(lab):
+                raise NonFiniteValue(i)
             if lab not in seen:
                 seen[lab] = len(seen) + 1
             codes[i] = seen[lab]
@@ -72,15 +78,8 @@ class SubgroupPartition:
 
 @dataclass(frozen=True)
 class DecompositionVariance:
-    """The seven constants and the three variance totals."""
+    """The three variance parts and the per-group label-noise terms L, M."""
 
-    A1: float
-    A2: float
-    A31: float
-    A32: float
-    B1: float
-    B2: float
-    B3: float
     L: np.ndarray
     M: np.ndarray
     theta1_sq: float
@@ -127,29 +126,31 @@ def gap_estimate(sample: EmpiricalSample, partition: SubgroupPartition,
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic variance constants
+# Asymptotic variance
 # ---------------------------------------------------------------------------
 
 
-def _cell_values(model: DistributionModel, func, grid: int) -> tuple[np.ndarray, float]:
-    """Cell-wise values of func(Q_i(s)) and the cell width.
+def _tail(model: DistributionModel, q, grid: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``x -> int_{y >= x} q dF``: the q-mass of the model at or above x.
 
-    Exact at the sample values for empirical models; cell midpoints for
-    parametric ones.
+    Empirical models sum ``q(x_t)/n`` over the sorted sample from the first
+    value >= x, so a value tied with x counts as above it; parametric ones
+    evaluate the tail integral of the q grid model at F(x).
     """
     if model.kind == "empirical":
         x = model.sample.values
-        return np.asarray(func(x), dtype=float), 1.0 / x.size
-    mid = (np.arange(grid) + 0.5) / grid
-    x = np.asarray(model.quantile(mid), dtype=float)
-    return np.asarray(func(x), dtype=float), 1.0 / grid
+        suffix = np.append(np.cumsum((np.asarray(q(x), dtype=float) / x.size)[::-1])[::-1], 0.0)
+        return lambda y: suffix[np.searchsorted(x, y, side="left")]
+    tail = score_model(model, q, grid).tail_integral_poly()
+    return lambda y: tail.eval(model.cdf(y))
 
 
 def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionModel],
                  rep_builder: Callable[[DistributionModel], IndexRepresentation],
                  global_rep: Optional[IndexRepresentation] = None,
                  grid: int = DEFAULT_GRID) -> DecompositionVariance:
-    """All decomposition-variance constants for the given group laws.
+    """The within-group variance theta1^2 and the label-noise parts
+    theta2^2, theta3^2 for the given group laws.
 
     ``rep_builder`` maps a distribution model to the index representation
     under that model; it is applied to each subgroup law and (unless
@@ -169,74 +170,26 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
 
     h_global, q_global = rep.h, rep.q
     q_skip = rep.q_zero and all(r.q_zero for r in reps)
+    tails = [] if q_skip else [_tail(m, q_global, grid) for m in group_models]
 
-    # per-group grid models
-    hstar = []      # (h - h_i) o Q_i
-    cmods = []      # (p_i q - q_i) o Q_i
-    for i in range(k):
-        hi, qi = reps[i].h, reps[i].q
-        hstar.append(score_model(group_models[i],
-                                 lambda x, _hi=hi: np.asarray(h_global(x), dtype=float)
-                                 - np.asarray(_hi(x), dtype=float), grid))
-        if q_skip:
-            cmods.append(CellPoly.constant(hstar[i].m, 0.0))
-        else:
-            cmods.append(score_model(group_models[i],
-                                     lambda x, _qi=qi, _pi=p[i]:
-                                     _pi * np.asarray(q_global(x), dtype=float)
-                                     - np.asarray(_qi(x), dtype=float), grid))
+    theta1 = 0.0
+    for g, (model, rep_g) in enumerate(zip(group_models, reps)):
+        def point_part(x, _g=g, _hg=rep_g.h):
+            # (h - h_g)(x) plus the other groups' q-mass at or above x
+            out = np.asarray(h_global(x), dtype=float) - np.asarray(_hg(x), dtype=float)
+            for a, tail in enumerate(tails):
+                if a != _g:
+                    out = out + p[a] * tail(x)
+            return out
 
-    a1 = sum(p[i] * ((hstar[i] * hstar[i]).integral() - hstar[i].integral() ** 2)
-             for i in range(k))
-    a2 = 0.0 if q_skip else sum(p[i] * bridge_bilinear(cmods[i], cmods[i])
-                                for i in range(k))
-    b1 = 0.0 if q_skip else sum(p[i] * bridge_cross(hstar[i], cmods[i])
-                                for i in range(k))
-
-    a31 = a32 = b2 = b3 = 0.0
-    if not q_skip:
-        # q o Q_i and F_h o Q_i at the cells of every group
-        qcells, widths, fcomp = [], [], {}
-        for i in range(k):
-            qv, w = _cell_values(group_models[i], q_global, grid)
-            qcells.append(qv)
-            widths.append(w)
-            for hgrp in range(k):
-                if hgrp != i:
-                    fcomp[(hgrp, i)], _ = _cell_values(
-                        group_models[i], group_models[hgrp].cdf, grid)
-        aw = [qcells[i] * widths[i] for i in range(k)]
-        for i in range(k):
-            for hgrp in range(k):
-                if hgrp == i:
-                    continue
-                u = fcomp[(hgrp, i)]
-                a31 += p[i] ** 2 * p[hgrp] * bridge_kernel_quad(u, aw[i], u, aw[i])
-                # linear in its second argument: one call covers all j not in {i, h}
-                others = [j for j in range(k) if j not in (i, hgrp)]
-                if others:
-                    a32 += p[i] * p[hgrp] * bridge_kernel_quad(
-                        u, aw[i], np.concatenate([fcomp[(hgrp, j)] for j in others]),
-                        np.concatenate([p[j] * aw[j] for j in others]))
-        # these depend on group i alone, so build them once, not per (j, i) pair
-        c_parts = [(c.antiderivative(), (CellPoly.identity(c.m) * c).antiderivative(),
-                    c.integral(), c.s_moment()) for c in cmods]
-        h_parts = [(hs.antiderivative(), hs.integral()) for hs in hstar]
-        for j in range(k):
-            for i in range(k):
-                if i == j:
-                    continue
-                v = fcomp[(i, j)]
-                # inner(v) = int (s ^ v - s v) c_i(s) ds, exact in the cell models
-                cum, s_cum, total, smom = c_parts[i]
-                inner = s_cum.eval(v, side="left") + v * (total - cum.eval(v, side="left")) \
-                    - v * smom
-                b2 += p[j] * p[i] * float(np.sum(inner * qcells[j]) * widths[j])
-                hc, ht = h_parts[i]
-                kernel = hc.eval(v, side="left") - v * ht
-                b3 += p[j] * p[i] * float(np.sum(kernel * qcells[j]) * widths[j])
-
-    theta1 = a1 + a2 + a31 + a32 + 2.0 * (b1 + b2 + b3)
+        psi = score_model(model, point_part, grid)
+        if not q_skip:
+            own = score_model(model, lambda x, _qg=rep_g.q, _pg=p[g]:
+                              _pg * np.asarray(q_global(x), dtype=float)
+                              - np.asarray(_qg(x), dtype=float), grid)
+            psi = psi + own.tail_integral_poly()
+        dev = psi.plus_constant(-psi.integral())
+        theta1 += p[g] * (dev * dev).integral()
 
     # label-noise components
     ell = np.empty(k)
@@ -260,9 +213,8 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
     theta2 = float(p @ (ell - lbar) ** 2)
     theta3 = float(p @ (mm - mbar) ** 2)
 
-    return DecompositionVariance(A1=a1, A2=a2, A31=a31, A32=a32, B1=b1, B2=b2,
-                                 B3=b3, L=ell, M=mm, theta1_sq=theta1,
-                                 theta2_sq=theta2, theta3_sq=theta3)
+    return DecompositionVariance(L=ell, M=mm, theta1_sq=theta1, theta2_sq=theta2,
+                                 theta3_sq=theta3)
 
 
 def gap_inference(sample: EmpiricalSample, partition: SubgroupPartition,

@@ -25,6 +25,7 @@ The inverse standard normal CDF is Wichura's AS241 rational approximation
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -106,6 +107,25 @@ def normal_cdf(x):
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------
+
+
+def _closed_form(moment: Callable[["DistributionModel", int], float]):
+    """Mark a closed-form ``raw_moment``: one beyond the float range raises
+    ``NonFiniteMoment``, where Python's float powers, ``math.exp`` and
+    big-integer division raise ``OverflowError`` and a sum can reach inf."""
+
+    @functools.wraps(moment)
+    def raw_moment(self, k: int) -> float:
+        try:
+            value = float(moment(self, k))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise NonFiniteMoment(f"{type(self).__name__} moment of order {k} "
+                                  f"is beyond the float range")
+        return value
+
+    return raw_moment
 
 
 class DistributionModel:
@@ -262,6 +282,7 @@ class Uniform(DistributionModel):
     def quantile_extended(self, s):
         return self.a + (self.b - self.a) * np.asarray(s, dtype=float)
 
+    @_closed_form
     def raw_moment(self, k: int) -> float:
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
 
@@ -281,6 +302,7 @@ class Exponential(DistributionModel):
         with np.errstate(divide="ignore"):
             return -np.log1p(-s) / self.rate
 
+    @_closed_form
     def raw_moment(self, k: int) -> float:
         return math.factorial(k) / self.rate ** k
 
@@ -304,6 +326,7 @@ class LogNormal(DistributionModel):
         with np.errstate(over="ignore"):
             return np.exp(self.mu + self.sigma * np.asarray(z, dtype=float))
 
+    @_closed_form
     def raw_moment(self, k: int) -> float:
         return math.exp(k * self.mu + 0.5 * (k * self.sigma) ** 2)
 
@@ -326,6 +349,7 @@ class Pareto(DistributionModel):
         with np.errstate(divide="ignore"):
             return self.xm * (1.0 - s) ** (-1.0 / self.a)
 
+    @_closed_form
     def raw_moment(self, k: int) -> float:
         if k >= self.a:
             raise NonFiniteMoment(f"pareto moment of order {k} is infinite for tail index {self.a}")
@@ -345,6 +369,7 @@ class Normal(DistributionModel):
         z = normal_quantile(s)
         return self.mu + self.sigma * np.asarray(z, dtype=float)
 
+    @_closed_form
     def raw_moment(self, k: int) -> float:
         # E (mu + sigma W)^k with E W^(2j) = (2j-1)!!
         total = 0.0

@@ -183,29 +183,3 @@ def bridge_cross(hy: CellPoly, l: CellPoly) -> float:
     integrand = (cum - CellPoly.identity(hy.m).scaled(total)) * l
     return integrand.integral()
 
-
-def bridge_kernel_quad(u: np.ndarray, aw: np.ndarray, v: np.ndarray, bw: np.ndarray) -> float:
-    """Weighted double sum of the bridge kernel under transformed arguments.
-
-    Computes ``sum_jk aw_j bw_k (min(u_j, v_k) - u_j v_k)`` where ``aw, bw``
-    already include integration weights.  Exact when the transformed CDF
-    compositions are cell-wise constant (empirical models).
-
-    Uses ``min(u, v) - u v = min(u, v) (1 - max(u, v))``, so the inner sum
-    at each ``u_j`` is ``(1 - u_j) sum_{v_k <= u_j} bw_k v_k + u_j
-    sum_{v_k > u_j} bw_k (1 - v_k)``: a prefix and a suffix cumulative sum
-    over the sorted ``v``.  Cost O((n + m) log m) time and O(n + m) memory
-    for n = len(u), m = len(v).  Exact sum, deterministic order; no term
-    subtracts a product of totals.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    aw = np.asarray(aw, dtype=float)
-    bw = np.asarray(bw, dtype=float)
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    bs = bw[order]
-    below = np.concatenate(([0.0], np.cumsum(bs * vs)))
-    above = np.concatenate((np.cumsum((bs * (1.0 - vs))[::-1])[::-1], [0.0]))
-    cut = np.searchsorted(vs, u, side="right")
-    return float(aw @ ((1.0 - u) * below[cut] + u * above[cut]))

@@ -75,6 +75,19 @@ class TestFamilies:
         with pytest.raises(NonFiniteMoment):
             Pareto(1.0, 3.0).raw_moment(3)
 
+    @pytest.mark.parametrize("model,k", [(LogNormal(0, 1), 200), (Uniform(0, 10), 400),
+                                         (Exponential(1), 200), (Normal(0, 1), 400),
+                                         (Pareto(1e200, 3.0), 2)],
+                             ids=lambda v: type(v).__name__ if not isinstance(v, int) else str(v))
+    def test_raw_moment_beyond_float_range(self, model, k):
+        with pytest.raises(NonFiniteMoment, match=f"order {k} is beyond the float range"):
+            model.raw_moment(k)
+
+    def test_moment_score_beyond_float_range(self):
+        # central_moment(19) asks for E X^38, about e^722 under LogNormal(0, 1)
+        with pytest.raises(NonFiniteMoment):
+            named_representation(LogNormal(0, 1), NamedIndex.central_moment(19))
+
     @pytest.mark.parametrize("ctor", [lambda: Uniform(1, 1), lambda: Exponential(0),
                                       lambda: LogNormal(0, 0), lambda: Pareto(1, 2),
                                       lambda: Normal(0, -1)])

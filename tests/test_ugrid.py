@@ -1,14 +1,9 @@
 """Piecewise-polynomial machinery: closed-form integrals vs brute force."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from indexlaw.ugrid import (CellPoly, bridge_bilinear, bridge_cross,
-                            bridge_kernel_quad)
+from indexlaw.ugrid import CellPoly, bridge_bilinear, bridge_cross
 
 
 def brute_bilinear(l1, l2, m=4000):
@@ -26,17 +21,6 @@ def brute_cross(h, l, m=4000):
     cum = np.cumsum(hv) / m - hv / (2 * m)
     total = np.sum(hv) / m
     return float(np.sum((cum - s * total) * l.eval(s)) / m)
-
-
-def dense_kernel_quad(u, aw, v, bw):
-    """Dense oracle: every kernel term, summed with math.fsum."""
-    return math.fsum(a * b * (min(x, y) - x * y) for x, a in zip(u, aw) for y, b in zip(v, bw))
-
-
-# coarse points, so ties, 0 and 1 are frequent, mixed with arbitrary ones
-kernel_points = st.one_of(st.sampled_from([k / 8 for k in range(9)]),
-                          st.floats(min_value=0.0, max_value=1.0))
-kernel_weights = st.integers(-10**6, 10**6).map(lambda i: i / 1e5)
 
 
 class TestCellPoly:
@@ -102,41 +86,3 @@ class TestBridgeForms:
         h = CellPoly.from_nodes(np.linspace(0, 1, m + 1))
         one = CellPoly.from_cells(np.ones(m))
         assert bridge_cross(h, one) == pytest.approx(-1 / 12, abs=1e-15)
-
-    def test_kernel_quad_matches_bilinear(self):
-        # with u = identity cells the kernel form reduces to the bridge form
-        rng = np.random.default_rng(5)
-        m = 128
-        a = rng.normal(size=m)
-        b = rng.normal(size=m)
-        mid = (np.arange(m) + 0.5) / m
-        got = bridge_kernel_quad(mid, a / m, mid, b / m)
-        want = bridge_bilinear(CellPoly.from_cells(a), CellPoly.from_cells(b))
-        assert got == pytest.approx(want, abs=5e-5)
-
-    def test_kernel_quad_brute(self):
-        rng = np.random.default_rng(6)
-        u = np.sort(rng.uniform(size=9))
-        v = np.sort(rng.uniform(size=7))
-        aw = rng.normal(size=9)
-        bw = rng.normal(size=7)
-        direct = sum(aw[i] * bw[j] * (min(u[i], v[j]) - u[i] * v[j])
-                     for i in range(9) for j in range(7))
-        assert bridge_kernel_quad(u, aw, v, bw) == pytest.approx(direct, abs=1e-14)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.lists(kernel_points, max_size=60), st.lists(kernel_points, max_size=60))
-    def test_kernel_quad_matches_dense_sum(self, data, u, v):
-        aw = data.draw(st.lists(kernel_weights, min_size=len(u), max_size=len(u)))
-        bw = data.draw(st.lists(kernel_weights, min_size=len(v), max_size=len(v)))
-        got = bridge_kernel_quad(np.array(u), np.array(aw), np.array(v), np.array(bw))
-        scale = math.fsum(abs(a * b) for a in aw for b in bw)
-        assert abs(got - dense_kernel_quad(u, aw, v, bw)) <= 1e-12 * scale
-
-    def test_kernel_quad_empty(self):
-        pts = np.array([0.25, 0.5])
-        w = np.array([1.0, -2.0])
-        empty = np.array([])
-        assert bridge_kernel_quad(empty, empty, pts, w) == 0.0
-        assert bridge_kernel_quad(pts, w, empty, empty) == 0.0
-        assert bridge_kernel_quad(empty, empty, empty, empty) == 0.0
