@@ -43,6 +43,7 @@ from .errors import BadParams, BadWeights, NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
 from .representation import (DEFAULT_GRID, IndexRepresentation,
                              confidence_interval, score_model)
+from .ugrid import covariance
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,7 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
                               _pg * np.asarray(q_global(x), dtype=float)
                               - np.asarray(_qg(x), dtype=float), grid)
             psi = psi + own.tail_integral_poly()
-        dev = psi.plus_constant(-psi.integral())
-        theta1 += p[g] * (dev * dev).integral()
+        theta1 += p[g] * covariance(psi, psi)
 
     # label-noise components
     ell = np.empty(k)

@@ -112,7 +112,8 @@ def normal_cdf(x):
 def _closed_form(moment: Callable[["DistributionModel", int], float]):
     """Mark a closed-form ``raw_moment``: one beyond the float range raises
     ``NonFiniteMoment``, where Python's float powers, ``math.exp`` and
-    big-integer division raise ``OverflowError`` and a sum can reach inf."""
+    big-integer division raise ``OverflowError`` and a sum can reach inf
+    (or, on a sample, nan from opposite infinite powers)."""
 
     @functools.wraps(moment)
     def raw_moment(self, k: int) -> float:
@@ -266,8 +267,10 @@ class EmpiricalDistribution(DistributionModel):
             raise NonFiniteIntegral("score is non-finite on the sample")
         return float(np.mean(vals))
 
+    @_closed_form
     def raw_moment(self, k: int) -> float:
-        return float(np.mean(self.sample.values ** k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.mean(self.sample.values ** k))
 
 
 class Uniform(DistributionModel):

@@ -6,16 +6,17 @@ An index whose centered, scaled estimation error expands as
 
 with G_n the functional empirical process, f_s the indicator of
 ``(-inf, Q(s)]`` and ``l = q o Q`` for a weight precursor q, is fully
-described by the pair ``(h, q)`` together with its value functional.  The
-limiting variance splits into three pieces:
+described by the pair ``(h, q)`` together with its value functional.  Since
+``f_s(X) = 1{U <= s}`` for ``U = F(X)``, the weight term is ``G_n(W o F)``
+with ``W(s) = int_s^1 l(t) dt``, and the limiting variance splits into three
+covariances of functions of one uniform U:
 
     gamma1 = Var h(X),
-    gamma2 = int int (min(s,t) - s t) l(s) l(t) ds dt,
-    gamma3 = int (int_0^s h(Q(u)) du - s E h) l(s) ds,
+    gamma2 = Var W(U)            = int int (min(s,t) - s t) l(s) l(t) ds dt,
+    gamma3 = Cov(h(Q(U)), W(U))  = int (int_0^s h(Q(u)) du - s E h) l(s) ds,
 
-and the total is ``gamma1 + gamma2 + 2 gamma3``.  The beta-terms carry the
-``l`` weights; cross-covariances between two indices combine the same three
-kinds of brackets bilinearly.
+and the total is ``gamma1 + gamma2 + 2 gamma3``.  Cross-covariances between
+two indices combine the same covariances bilinearly.
 
 Empirical models evaluate every integral as an exact step sum over the n
 sample cells.  Parametric models use piecewise-linear interpolants of the
@@ -35,7 +36,7 @@ import numpy as np
 
 from .distributions import DistributionModel, normal_quantile
 from .errors import BadLevel, NegativeVariance, NonFiniteIntegral, OutOfRange
-from .ugrid import CellPoly, bridge_bilinear, bridge_cross
+from .ugrid import CellPoly, covariance
 
 DEFAULT_GRID = 2048
 
@@ -95,6 +96,12 @@ def quantile_grid(model: DistributionModel, grid: int) -> np.ndarray:
     return x
 
 
+def _evaluate(func: ScoreFunction, x: np.ndarray) -> np.ndarray:
+    """``func(x)`` as a float array of x's shape; a scalar score broadcasts."""
+    vals = np.asarray(func(x), dtype=float)
+    return vals if vals.shape == x.shape else np.full(x.shape, vals)
+
+
 def score_model(model: DistributionModel, func: ScoreFunction,
                 grid: int = DEFAULT_GRID) -> CellPoly:
     """CellPoly model of ``s -> func(Q(s))`` on (0, 1).
@@ -103,12 +110,12 @@ def score_model(model: DistributionModel, func: ScoreFunction,
     ``grid`` cells for parametric ones.
     """
     if model.kind == "empirical":
-        vals = np.asarray(func(model.sample.values), dtype=float)
+        vals = _evaluate(func, model.sample.values)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteIntegral("score is non-finite on the sample")
         return CellPoly.from_cells(vals)
     x = quantile_grid(model, grid)
-    vals = np.asarray(func(x), dtype=float)
+    vals = _evaluate(func, x)
     if not np.all(np.isfinite(vals)):
         # retry the offending endpoints at clipped quantiles
         clip = 0.5 / grid
@@ -159,19 +166,17 @@ def indicator_cov_closed_form(s: float, t: float) -> float:
 def beta_beta_cov(model: DistributionModel, q1: ScoreFunction, q2: ScoreFunction,
                   grid: int = DEFAULT_GRID) -> float:
     """Covariance of two beta-terms:
-    ``int int (min(s,t) - s t) q1(Q(s)) q2(Q(t)) ds dt``."""
-    l1 = score_model(model, q1, grid)
-    l2 = score_model(model, q2, grid)
-    return bridge_bilinear(l1, l2)
+    ``int int (min(s,t) - s t) q1(Q(s)) q2(Q(t)) ds dt = Cov(W1(U), W2(U))``."""
+    return covariance(score_model(model, q1, grid).tail_integral_poly(),
+                      score_model(model, q2, grid).tail_integral_poly())
 
 
 def beta_cross_cov(model: DistributionModel, h: ScoreFunction, q: ScoreFunction,
                    grid: int = DEFAULT_GRID) -> float:
     """Covariance of the score term with a beta-term:
-    ``int (int_0^s h(Q(u)) du - s E h) q(Q(s)) ds``."""
-    hy = score_model(model, h, grid)
-    l = score_model(model, q, grid)
-    return bridge_cross(hy, l)
+    ``int (int_0^s h(Q(u)) du - s E h) q(Q(s)) ds = Cov(h(Q(U)), W(U))``."""
+    return covariance(score_model(model, h, grid),
+                      score_model(model, q, grid).tail_integral_poly())
 
 
 def index_variance(model: DistributionModel, rep: IndexRepresentation,
@@ -182,10 +187,10 @@ def index_variance(model: DistributionModel, rep: IndexRepresentation,
         g2 = 0.0
         g3 = 0.0
     else:
-        hy = score_model(model, rep.h, grid)
-        l = score_model(model, rep.q, grid)
-        g2 = bridge_bilinear(l, l)
-        g3 = bridge_cross(hy, l)
+        hm = score_model(model, rep.h, grid)
+        w = score_model(model, rep.q, grid).tail_integral_poly()
+        g2 = covariance(w, w)
+        g3 = covariance(hm, w)
     total = g1 + g2 + 2.0 * g3
     if total < -1e-9:
         raise NegativeVariance(f"total variance {total} < -1e-9; inconsistent inputs")
@@ -206,11 +211,9 @@ def index_cross_covariance(model: DistributionModel, rep_i: IndexRepresentation,
     if not (rep_i.q_zero and rep_j.q_zero):
         hi = score_model(model, rep_i.h, grid)
         hj = score_model(model, rep_j.h, grid)
-        li = score_model(model, rep_i.q, grid)
-        lj = score_model(model, rep_j.q, grid)
-        total += bridge_bilinear(li, lj)
-        total += bridge_cross(hi, lj)
-        total += bridge_cross(hj, li)
+        wi = score_model(model, rep_i.q, grid).tail_integral_poly()
+        wj = score_model(model, rep_j.q, grid).tail_integral_poly()
+        total += covariance(wi, wj) + covariance(hi, wj) + covariance(wi, hj)
     return float(total)
 
 

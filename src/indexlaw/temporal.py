@@ -36,7 +36,7 @@ from .distributions import DistributionModel, normal_quantile
 from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, TooFewPairs,
                      ZeroBaseIndex)
 from .representation import DEFAULT_GRID, IndexRepresentation, check_grid, u_atoms
-from .ugrid import CellPoly
+from .ugrid import CellPoly, covariance
 
 DEFAULT_COPULA_GRID = 512
 
@@ -86,7 +86,7 @@ class ComonotoneCopula(CopulaModel):
 
     def cross_cov(self, phi, psi, grid):
         if phi.m == psi.m:
-            return (phi * psi).integral() - phi.integral() * psi.integral()
+            return covariance(phi, psi)
         m = 4 * max(phi.m, psi.m)
         mid = (np.arange(m) + 0.5) / m
         pv, qv = phi.eval(mid), psi.eval(mid)

@@ -9,6 +9,10 @@ per-cell polynomials lets every downstream integral be evaluated in closed
 form, so refining the grid never changes empirical results and polynomial
 test cases are exact to round-off.
 
+Every variance piece is one ``covariance(a, b) = Cov(a(U), b(U))`` of two
+such cell functions, U uniform on (0, 1): the score ``h o Q`` and the tail
+integral ``W = int_s^1 q(Q(t)) dt`` of a weight.
+
 Local convention: cell k covers ``[k/m, (k+1)/m]`` and stores coefficients of
 ``tau = s - k/m``.
 """
@@ -47,18 +51,6 @@ class CellPoly:
         coef[:, 1] = (v[1:] - v[:-1]) * m
         return cls(coef)
 
-    @classmethod
-    def identity(cls, m: int) -> "CellPoly":
-        """The function f(s) = s."""
-        coef = np.empty((m, 2))
-        coef[:, 0] = np.arange(m) / m
-        coef[:, 1] = 1.0
-        return cls(coef)
-
-    @classmethod
-    def constant(cls, m: int, c: float) -> "CellPoly":
-        return cls(np.full((m, 1), float(c)))
-
     # -- algebra ------------------------------------------------------------
 
     def _aligned(self, other: "CellPoly") -> None:
@@ -81,9 +73,6 @@ class CellPoly:
         out[:, : self.coef.shape[1]] += self.coef
         out[:, : other.coef.shape[1]] += other.coef
         return CellPoly(out)
-
-    def __sub__(self, other: "CellPoly") -> "CellPoly":
-        return self + other.scaled(-1.0)
 
     def scaled(self, a: float) -> "CellPoly":
         return CellPoly(self.coef * a)
@@ -110,10 +99,6 @@ class CellPoly:
         cells = self.cell_integrals()
         out[1:, 0] = np.cumsum(cells)[:-1]
         return CellPoly(out)
-
-    def s_moment(self) -> float:
-        """Integral of s * f(s) over (0, 1)."""
-        return (self * CellPoly.identity(self.m)).integral()
 
     def tail_integral_poly(self) -> "CellPoly":
         """R(u) = integral of f over (u, 1), as a CellPoly."""
@@ -159,27 +144,6 @@ class CellPoly:
         return self.cell_integrals()[k] * self.m
 
 
-# ---------------------------------------------------------------------------
-# Bilinear forms of the covariance calculus
-# ---------------------------------------------------------------------------
-
-
-def bridge_bilinear(l1: CellPoly, l2: CellPoly) -> float:
-    """Brownian-bridge form ``int int (min(s,t) - s t) l1(s) l2(t) ds dt``.
-
-    Uses ``min(s,t) = int 1_{u<=s} 1_{u<=t} du`` to reduce to the exact
-    one-dimensional integral ``int R1 R2 du - S1 S2`` with ``R_i`` the tail
-    integrals and ``S_i`` the first s-moments.
-    """
-    r1 = l1.tail_integral_poly()
-    r2 = l2.tail_integral_poly()
-    return (r1 * r2).integral() - l1.s_moment() * l2.s_moment()
-
-
-def bridge_cross(hy: CellPoly, l: CellPoly) -> float:
-    """Score-bridge form ``int (int_0^s hy(u) du - s * int hy) l(s) ds``."""
-    cum = hy.antiderivative()
-    total = hy.integral()
-    integrand = (cum - CellPoly.identity(hy.m).scaled(total)) * l
-    return integrand.integral()
-
+def covariance(a: CellPoly, b: CellPoly) -> float:
+    """Cov(a(U), b(U)) for U uniform on (0, 1), in centred form."""
+    return (a.plus_constant(-a.integral()) * b.plus_constant(-b.integral())).integral()

@@ -75,9 +75,14 @@ class TestFamilies:
         with pytest.raises(NonFiniteMoment):
             Pareto(1.0, 3.0).raw_moment(3)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("model,k", [(LogNormal(0, 1), 200), (Uniform(0, 10), 400),
                                          (Exponential(1), 200), (Normal(0, 1), 400),
-                                         (Pareto(1e200, 3.0), 2)],
+                                         (Pareto(1e200, 3.0), 2),
+                                         # the sample power overflows to inf, or
+                                         # to nan from -inf + inf
+                                         (EmpiricalDistribution([1e200, 2.0]), 2),
+                                         (EmpiricalDistribution([-1e200, 1e200]), 3)],
                              ids=lambda v: type(v).__name__ if not isinstance(v, int) else str(v))
     def test_raw_moment_beyond_float_range(self, model, k):
         with pytest.raises(NonFiniteMoment, match=f"order {k} is beyond the float range"):
@@ -87,6 +92,12 @@ class TestFamilies:
         # central_moment(19) asks for E X^38, about e^722 under LogNormal(0, 1)
         with pytest.raises(NonFiniteMoment):
             named_representation(LogNormal(0, 1), NamedIndex.central_moment(19))
+
+    @pytest.mark.filterwarnings("error")
+    def test_sample_moment_score_beyond_float_range(self):
+        # central_moment(2) asks for the fourth sample moment, about 5e639
+        with pytest.raises(NonFiniteMoment):
+            named_representation(EmpiricalDistribution([1e160, 2.0]), NamedIndex.central_moment(2))
 
     @pytest.mark.parametrize("ctor", [lambda: Uniform(1, 1), lambda: Exponential(0),
                                       lambda: LogNormal(0, 0), lambda: Pareto(1, 2),

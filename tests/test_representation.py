@@ -94,6 +94,12 @@ class TestClosedForms:
         assert lhs2 == pytest.approx(rhs2, rel=1e-10)
 
 
+@pytest.fixture(scope="module")
+def large_lognormal():
+    x = np.sort(np.random.default_rng(1).lognormal(size=200_000))
+    return x, EmpiricalDistribution(x)
+
+
 class TestIndexVariance:
     def test_headcount(self):
         rep = named_representation(Uniform(0, 1), NamedIndex.fgt(0.0, 0.5))
@@ -114,6 +120,14 @@ class TestIndexVariance:
         rep = named_representation(m, NamedIndex.shorrocks(2.0))
         cv = index_variance(m, rep)
         assert cv.total == cv.gamma1 + cv.gamma2 + 2 * cv.gamma3
+
+    @pytest.mark.parametrize("model", [EmpiricalDistribution([0.5, 1.0, 2.0]), LogNormal(0, 1)],
+                             ids=["empirical", "lognormal"])
+    def test_scalar_weight_broadcasts(self, model):
+        # a constant q written as a scalar is the same weight as its array form
+        scalar = IndexRepresentation(h=ident, q=lambda x: 1.0, value=lambda m: 0.0)
+        array = IndexRepresentation(h=ident, q=one, value=lambda m: 0.0)
+        assert index_variance(model, scalar) == index_variance(model, array)
 
     @pytest.mark.parametrize("grid", [0, -3, 2.5])
     def test_bad_grid(self, grid):
@@ -149,6 +163,29 @@ class TestIndexVariance:
         gamma3 = float(np.sum(gh_fs * lv)) / k
         oracle = gamma1 + gamma2 + 2 * gamma3
         assert cv.total == pytest.approx(oracle, rel=0.02)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                        reason="long double is no wider than float64 here")
+    @pytest.mark.parametrize("index", [NamedIndex.sen(1.0), NamedIndex.kakwani(2, 1.0),
+                                       NamedIndex.kakwani(3, 1.0), NamedIndex.shorrocks(1.0),
+                                       NamedIndex.takayama(1.0)], ids=lambda ix: ix.label())
+    def test_weight_pieces_vs_long_double(self, index, large_lognormal):
+        # gamma2 + 2 gamma3 against a long-double evaluation of the same
+        # cells: h is a step and W = int_s^1 q(Q) is linear on each cell
+        x, m = large_lognormal
+        rep = named_representation(m, index)
+        cv = index_variance(m, rep)
+        ld = np.longdouble
+        n = x.size
+        hv = np.asarray(rep.h(x), dtype=float).astype(ld)
+        lv = np.asarray(rep.q(x), dtype=float).astype(ld)
+        w = np.append(np.cumsum(lv[::-1])[::-1], ld(0)) / n   # W at the nodes j/n
+        w -= np.sum(w[:-1] + w[1:]) / (2 * n)
+        hc = hv - np.sum(hv) / n
+        g2 = np.sum(w[:-1] ** 2 + w[:-1] * w[1:] + w[1:] ** 2) / (3 * n)
+        g3 = np.sum(hc * (w[:-1] + w[1:])) / (2 * n)
+        err = abs(ld(cv.gamma2) + 2 * ld(cv.gamma3) - (g2 + 2 * g3))
+        assert float(err) <= 2e-13 * cv.total
 
     def test_negative_variance_guard(self):
         # a variance assembled from one (F, h, q) is nonnegative by

@@ -1,5 +1,6 @@
 """Two-period frame: copula models, joint laws, variations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,15 +11,15 @@ from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNorma
 from indexlaw.errors import (BadParams, NonFiniteValue, OutOfRange, TooFewPairs,
                              ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_representation
-from indexlaw.representation import (IndexRepresentation, index_variance, score_model,
-                                     u_atoms)
+from indexlaw.representation import (IndexRepresentation, index_cross_covariance,
+                                     index_variance, score_model, u_atoms)
 from indexlaw.rng import stream_seed, uniforms
 from indexlaw.temporal import (BivariateFrame, ComonotoneCopula,
                                GaussianCopula, IndependenceCopula,
                                empirical_copula, mutual_relative_covariance,
                                mutual_variation_covariance, relative_variation_law,
                                temporal_joint_covariance)
-from indexlaw.ugrid import CellPoly
+from indexlaw.ugrid import CellPoly, covariance
 
 one = lambda x: np.ones_like(np.asarray(x, dtype=float))
 zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -314,6 +315,15 @@ class TestEmpiricalCopulaJointLaws:
         j = temporal_joint_covariance(frame, rep1, rep2=rep2)
         for k, (m, rep) in enumerate(((m1, rep1), (m2, rep2))):
             assert j.matrix[k, k] == pytest.approx(index_variance(m, rep).total, rel=1e-12)
+
+    def test_pair_is_one_covariance(self):
+        # on one margin, the covariance of two indices is Cov(phi_i(U), phi_j(U))
+        m = EmpiricalDistribution(np.sort(np.random.default_rng(23).lognormal(size=300)))
+        reps = [named_representation(m, ix) for ix in _catalog(1.0)]
+        atoms = [u_atoms(m, rep) for rep in reps]
+        for i, j in itertools.combinations(range(len(reps)), 2):
+            assert index_cross_covariance(m, reps[i], reps[j]) == pytest.approx(
+                covariance(atoms[i], atoms[j]), rel=1e-12), (i, j)
 
     def test_proportional_columns_nonnegative_difference(self):
         # perfectly dependent paired data: the checkerboard rank measure

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from indexlaw.ugrid import CellPoly, bridge_bilinear, bridge_cross
+from indexlaw.ugrid import CellPoly, covariance
 
 
 def brute_bilinear(l1, l2, m=4000):
@@ -31,7 +31,7 @@ class TestCellPoly:
     def test_linear_integral_exact(self):
         f = CellPoly.from_nodes(np.linspace(0, 1, 9) ** 1)  # f(s) = s
         assert f.integral() == pytest.approx(0.5, abs=1e-15)
-        assert f.s_moment() == pytest.approx(1 / 3, abs=1e-15)
+        assert covariance(f, f) == pytest.approx(1 / 12, abs=1e-15)
 
     def test_antiderivative_continuous(self):
         f = CellPoly.from_cells([2.0, -1.0, 0.5])
@@ -64,25 +64,29 @@ class TestCellPoly:
 
 
 class TestBridgeForms:
+    """The bridge forms as covariances of cell functions of one uniform U:
+    gamma2 = Cov(W1, W2) and gamma3 = Cov(h, W) with W the tail integral."""
+
     def test_constant_weights_exact(self):
-        one = CellPoly.from_cells(np.ones(64))
-        assert bridge_bilinear(one, one) == pytest.approx(1 / 12, abs=1e-15)
+        w = CellPoly.from_cells(np.ones(64)).tail_integral_poly()
+        assert covariance(w, w) == pytest.approx(1 / 12, abs=1e-15)
 
     def test_bilinear_vs_brute(self):
         rng = np.random.default_rng(3)
         l1 = CellPoly.from_cells(rng.normal(size=16))
         l2 = CellPoly.from_cells(rng.normal(size=16))
-        assert bridge_bilinear(l1, l2) == pytest.approx(brute_bilinear(l1, l2), abs=2e-4)
+        got = covariance(l1.tail_integral_poly(), l2.tail_integral_poly())
+        assert got == pytest.approx(brute_bilinear(l1, l2), abs=2e-4)
 
     def test_cross_vs_brute(self):
         rng = np.random.default_rng(4)
         h = CellPoly.from_cells(rng.normal(size=16))
         l = CellPoly.from_cells(rng.normal(size=16))
-        assert bridge_cross(h, l) == pytest.approx(brute_cross(h, l), abs=2e-4)
+        assert covariance(h, l.tail_integral_poly()) == pytest.approx(brute_cross(h, l), abs=2e-4)
 
     def test_linear_h_identity_weight(self):
         # int (s^2/2 - s/2) ds = -1/12, exact for the piecewise-linear model
         m = 32
         h = CellPoly.from_nodes(np.linspace(0, 1, m + 1))
         one = CellPoly.from_cells(np.ones(m))
-        assert bridge_cross(h, one) == pytest.approx(-1 / 12, abs=1e-15)
+        assert covariance(h, one.tail_integral_poly()) == pytest.approx(-1 / 12, abs=1e-15)
