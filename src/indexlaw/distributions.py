@@ -270,7 +270,12 @@ class EmpiricalDistribution(DistributionModel):
     @_closed_form
     def raw_moment(self, k: int) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.mean(self.sample.values ** k))
+            powers = self.sample.values ** k
+            mean = np.mean(powers)
+            if not np.isfinite(mean) and np.isfinite(powers).all():
+                # the sum overflowed although every power is finite
+                mean = np.sum(powers / self.sample.n)
+        return float(mean)
 
 
 class Uniform(DistributionModel):

@@ -1,8 +1,8 @@
 """Order statistics, empirical CDF/quantile functions, ranks and the
 functional empirical process.
 
-The sample model is a sorted copy of the observations plus the permutation
-back to input order.  The empirical CDF is the right-continuous step function
+The sample model is a sorted copy of the observations plus a read-only copy
+in input order.  The empirical CDF is the right-continuous step function
 ``F_n(x) = #{j : X_j <= x} / n`` and the empirical quantile function is its
 generalized inverse, the left-continuous step function taking the value
 ``X_{(j)}`` on ``((j-1)/n, j/n]``.
@@ -11,7 +11,8 @@ Ties follow the max-rank convention: the rank of an observation is
 ``n * F_n(X_j)``, so the identity ``R_j / n = F_n(X_j)`` holds exactly even
 with repeated values.  (The asymptotic theory assumes a continuous underlying
 distribution, where ties have probability zero; the convention only matters
-for discrete data.)
+for discrete data.)  Tied values share a max-rank, so one unstable sort per
+column gives every rank.
 """
 
 from __future__ import annotations
@@ -35,23 +36,21 @@ class EmpiricalSample:
     Attributes
     ----------
     values : ndarray
-        Observations sorted nondecreasing.
+        Observations sorted nondecreasing (read-only).
     n : int
         Sample size.
-    original_order : ndarray
-        Permutation with ``original_order[k]`` = input position of
-        ``values[k]``; scattering ``values`` through it restores the input.
+
+    The observations in input order are kept as a read-only copy, which
+    ``input_values()`` returns.
     """
 
     values: np.ndarray
     n: int
-    original_order: np.ndarray
+    _inputs: np.ndarray
 
     def input_values(self) -> np.ndarray:
-        """The observations in their original input order."""
-        out = np.empty(self.n, dtype=float)
-        out[self.original_order] = self.values
-        return out
+        """The observations in their original input order (read-only)."""
+        return self._inputs
 
 
 def build_sample(values) -> EmpiricalSample:
@@ -64,17 +63,16 @@ def build_sample(values) -> EmpiricalSample:
     NonFiniteValue
         If any observation is NaN or infinite (reports the first offender).
     """
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = np.array(values, dtype=float).ravel()
     if arr.size == 0:
         raise EmptySample("need at least one observation")
     bad = ~np.isfinite(arr)
     if bad.any():
         raise NonFiniteValue(int(np.flatnonzero(bad)[0]))
-    order = np.argsort(arr, kind="stable")
-    sorted_vals = arr[order]
+    sorted_vals = np.sort(arr)
     sorted_vals.flags.writeable = False
-    order.flags.writeable = False
-    return EmpiricalSample(values=sorted_vals, n=int(arr.size), original_order=order)
+    arr.flags.writeable = False
+    return EmpiricalSample(values=sorted_vals, n=int(arr.size), _inputs=arr)
 
 
 def ecdf(sample: EmpiricalSample, x) -> float | np.ndarray:
@@ -100,8 +98,21 @@ def ranks(sample: EmpiricalSample) -> np.ndarray:
 
     Satisfies ``ranks[j] == n * ecdf(sample, X_j)`` exactly, ties included.
     """
-    inp = sample.input_values()
-    return np.searchsorted(sample.values, inp, side="right").astype(np.int64)
+    return _max_ranks(sample.input_values())
+
+
+def _max_ranks(x: np.ndarray) -> np.ndarray:
+    """Max-ranks ``#{k : x_k <= x_j}`` of a finite 1-d array, in its order.
+
+    One argsort gives them: searching the sorted values for themselves is a
+    monotone scan, and tied values share a max-rank, so the sort need not
+    be stable.
+    """
+    order = np.argsort(x)
+    v = x[order]
+    out = np.empty(v.size, dtype=np.int64)
+    out[order] = np.searchsorted(v, v, side="right")
+    return out
 
 
 def _scores(sample: EmpiricalSample, f: ScoreFunction) -> np.ndarray:

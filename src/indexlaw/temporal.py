@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import DistributionModel, normal_quantile
+from .empirical import _max_ranks
 from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, TooFewPairs,
                      ZeroBaseIndex)
 from .representation import DEFAULT_GRID, IndexRepresentation, check_grid, u_atoms
@@ -205,10 +206,7 @@ def empirical_copula(pairs) -> EmpiricalCopula:
     bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
         raise NonFiniteValue(int(np.flatnonzero(bad)[0]))
-    x, y = arr[:, 0], arr[:, 1]
-    rx = np.searchsorted(np.sort(x), x, side="right") / n
-    ry = np.searchsorted(np.sort(y), y, side="right") / n
-    return EmpiricalCopula(rx, ry)
+    return EmpiricalCopula(_max_ranks(arr[:, 0]) / n, _max_ranks(arr[:, 1]) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,15 @@ class TestFamilies:
         with pytest.raises(NonFiniteMoment, match=f"order {k} is beyond the float range"):
             model.raw_moment(k)
 
+    @pytest.mark.filterwarnings("error")
+    def test_raw_moment_sum_beyond_float_range(self):
+        # every power is finite but their sum is not: the mean still is
+        assert EmpiricalDistribution([1e308, 1e308]).raw_moment(1) == 1e308
+        assert EmpiricalDistribution([1.5e308, 1.5e308, -1e308]).raw_moment(1) == pytest.approx(
+            1.5e308 / 3 * 2 - 1e308 / 3, rel=1e-15)
+        assert EmpiricalDistribution([1e154, 1e154]).raw_moment(2) == pytest.approx(1e308,
+                                                                                     rel=1e-15)
+
     def test_moment_score_beyond_float_range(self):
         # central_moment(19) asks for E X^38, about e^722 under LogNormal(0, 1)
         with pytest.raises(NonFiniteMoment):

@@ -11,6 +11,7 @@ from indexlaw import (build_sample, ecdf, empirical_measure, equantile, fep,
                       ranks, residual_stat)
 from indexlaw.distributions import EmpiricalDistribution, Uniform
 from indexlaw.errors import EmptySample, NonFiniteValue, OutOfRange
+from indexlaw.temporal import empirical_copula
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -43,6 +44,17 @@ class TestBuildSample:
         raw = [3.0, 1.0, 2.0, 1.0]
         s = build_sample(raw)
         assert np.array_equal(s.input_values(), raw)
+
+    def test_caller_array_not_shared(self):
+        raw = np.array([3.0, 1.0, 2.0, 1.0])
+        s = build_sample(raw)
+        raw[:] = 9.0
+        assert np.array_equal(s.values, [1.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(s.input_values(), [3.0, 1.0, 2.0, 1.0])
+        for arr in (s.values, s.input_values()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestEcdfQuantile:
@@ -102,6 +114,19 @@ class TestRanks:
         r = ranks(s)
         inp = s.input_values()
         assert np.array_equal(r, [round(s.n * ecdf(s, x)) for x in inp])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=-4, max_value=4),
+                              st.integers(min_value=-4, max_value=4)), min_size=2, max_size=40))
+    def test_ranks_match_searchsorted(self, pairs):
+        # the max-rank formula searching every value in the sorted column
+        arr = np.array(pairs, dtype=float)
+        n = len(pairs)
+        cop = empirical_copula(arr)
+        for col, got in ((arr[:, 0], cop.u_ranks), (arr[:, 1], cop.v_ranks)):
+            want = np.searchsorted(np.sort(col), col, side="right")
+            assert np.array_equal(ranks(build_sample(col)), want)
+            assert np.array_equal(got, want / n)
 
 
 class TestFep:

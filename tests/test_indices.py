@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Normal, Pareto, Uniform)
-from indexlaw.empirical import build_sample, ecdf
+from indexlaw.empirical import build_sample, ecdf, ranks
 from indexlaw.errors import (BadParams, BadThreshold, NonFiniteMoment, OutOfRange,
                              ThresholdOutsideSupport, ZeroMean, ZeroVariance)
 from indexlaw.indices import (_MOMENT_KINDS, _POVERTY_KINDS, GpiSpec, NamedIndex,
@@ -21,6 +21,7 @@ from indexlaw.indices import (_MOMENT_KINDS, _POVERTY_KINDS, GpiSpec, NamedIndex
 from indexlaw.montecarlo import draw
 from indexlaw.representation import index_variance
 from indexlaw.rng import stream_seed
+from indexlaw.temporal import empirical_copula
 
 asarray = lambda x: np.asarray(x, dtype=float)
 
@@ -143,13 +144,40 @@ class TestNamedEstimates:
         assume(min(vals) <= z < max(vals))
         perm = data.draw(st.permutations(vals))
         s, sp = build_sample(vals), build_sample(perm)
+        assert np.array_equal(s.values, sp.values)
         m, mp = EmpiricalDistribution(s), EmpiricalDistribution(sp)
         for make in self.CATALOG:
             index = make(z)
-            assert named_estimate(sp, index) == pytest.approx(
-                named_estimate(s, index), rel=1e-12, abs=1e-12)
-            assert index_variance(mp, named_representation(mp, index)).total == pytest.approx(
-                index_variance(m, named_representation(m, index)).total, rel=1e-12, abs=1e-12)
+            assert named_estimate(sp, index) == named_estimate(s, index)
+            assert (index_variance(mp, named_representation(mp, index)).total
+                    == index_variance(m, named_representation(m, index)).total)
+
+    def test_signed_zeros(self):
+        # np.sort is not stable and -0.0 == +0.0, so the signs of the sorted
+        # zeros may come in any order; no estimate, variance or rank may move
+        x = np.random.default_rng(3).choice([-0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0], size=60)
+        y = np.random.default_rng(4).choice([-0.0, 0.0, 1.0, 2.0], size=60)
+        assert np.signbit(x).any() and np.signbit(y).any()
+        x0, y0 = x + 0.0, y + 0.0
+        assert not np.signbit(x0).any()
+        s, s0 = build_sample(x), build_sample(x0)
+        m, m0 = EmpiricalDistribution(s), EmpiricalDistribution(s0)
+        catalog = [NamedIndex.fgt(a, 1.0) for a in (0.0, 1.0, 2.0, 1.5)] + [
+            NamedIndex.sen(1.0), NamedIndex.kakwani(2, 1.0), NamedIndex.kakwani(3, 1.0),
+            NamedIndex.shorrocks(1.0), NamedIndex.thon(1.0), NamedIndex.takayama(1.0),
+            NamedIndex.takayama_ratio(1.0), NamedIndex.central_moment(2),
+            NamedIndex.central_moment(3), NamedIndex.odd_normalized(2),
+            NamedIndex.odd_normalized(3), NamedIndex.even_normalized(2)]
+        assert {ix.kind for ix in catalog} == set(_POVERTY_KINDS + _MOMENT_KINDS)
+        for index in catalog:
+            assert named_estimate(s, index) == named_estimate(s0, index)
+            assert (index_variance(m, named_representation(m, index)).total
+                    == index_variance(m0, named_representation(m0, index)).total)
+        assert np.array_equal(ranks(s), ranks(s0))
+        cop, cop0 = empirical_copula(np.column_stack([x, y])), empirical_copula(
+            np.column_stack([x0, y0]))
+        assert np.array_equal(cop.u_ranks, cop0.u_ranks)
+        assert np.array_equal(cop.v_ranks, cop0.v_ranks)
 
 
 class TestMoments:
