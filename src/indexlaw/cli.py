@@ -12,7 +12,15 @@ decimal point, blank lines ignored, an optional single header row
 (auto-detected when the first row is non-numeric).  ``estimate`` expects one
 numeric column, ``compare`` two numeric columns of equal length (paired
 periods), ``decompose`` a numeric value column followed by a group label
-column (labels map to 1..K in first-seen order).
+column (labels map to 1..K in first-seen order).  Numbers follow Python's
+``float`` exactly.  A plain numeric file (ASCII, no control character but
+tab and newline, no whitespace-only line, well formed) is parsed in one
+``np.loadtxt`` pass; non-ASCII text, control characters, whitespace-only
+lines, label files and malformed input are read by the string reader, which
+gives the same numbers and reports the first bad line.
+
+``--level`` must lie in (0, 1) for every subcommand; any other value is an
+input error, raised before the input is read.
 
 Exit codes: 0 success, 1 input error, 2 usage error, 3 validation band
 failed.  All numbers are printed with 12 significant digits; json and text
@@ -22,6 +30,7 @@ outputs carry identical values.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from typing import NoReturn, Optional
@@ -32,7 +41,7 @@ from . import montecarlo
 from .decomposition import SubgroupPartition, gap_inference
 from .distributions import EmpiricalDistribution, LogNormal, Uniform
 from .empirical import build_sample
-from .errors import (ColumnCountMismatch, EmptyInput, IndexLawError, ParseError,
+from .errors import (BadLevel, ColumnCountMismatch, EmptyInput, IndexLawError, ParseError,
                      UnknownExperiment)
 from .indices import (_MOMENT_KINDS, _POVERTY_KINDS, NamedIndex, named_estimate,
                       named_representation)
@@ -71,17 +80,70 @@ def read_csv(path: str, n_columns: int, last_is_label: bool = False):
 
     Returns a list of column arrays (floats, except the trailing label
     column when requested).  A UTF-8 byte-order mark is skipped.  Every
-    numeric cell is parsed by Python's ``float`` rules.  The file is parsed
-    in bulk: blank lines are dropped, the comma count of every line is
-    checked, the kept lines are split into one flat list of cells and that
-    list becomes one float array.  Only when a check or the conversion fails
-    are the lines read again one at a time, to raise the error of the first
-    bad line.  Lines are 1-based including any header and blank lines.
+    numeric cell is read by Python's ``float`` rules, and lines are 1-based
+    including any header and blank lines.
+
+    The text is read once.  A file without a label column is first tried in
+    one ``np.loadtxt`` pass, which parses each cell with the C routine that
+    ``float`` uses; see ``_bulk_table`` for the files it accepts.  Every
+    other file goes to the string reader, which defines the rules and is the
+    only source of errors: blank lines are dropped, the comma count of every
+    line is checked, the kept lines are split into one flat list of cells and
+    that list becomes one float array.  Only when a check or the conversion
+    fails are the lines read again one at a time, to raise the error of the
+    first bad line.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    table = None if last_is_label else _bulk_table(text, n_columns)
+    if table is None:
+        return _read_rows(path, text, n_columns, last_is_label)
+    return list(np.ascontiguousarray(table.T))
+
+
+# The C0 controls other than tab and newline.  ``str.splitlines`` breaks
+# lines at \r, \x0b, \x0c and \x1c-\x1e and ``float`` rejects \x1f, where
+# ``np.loadtxt`` takes each of them for whitespace, so only the string reader
+# reads a file that holds a control character.
+_CONTROLS = tuple(chr(c) for c in range(32) if chr(c) not in "\t\n")
+
+
+def _bulk_table(text: str, n_columns: int):
+    """The ``(rows, n_columns)`` float table of a plain numeric file, or None.
+
+    On ASCII text without control characters, ``np.loadtxt`` strips each
+    field and calls ``PyOS_string_to_double``, as ``float`` does, so where
+    both accept a cell they give the same double.  The header is the first
+    non-blank line when it does not read as numbers, and its comma count is
+    checked here since ``np.loadtxt`` never sees it.  None -- for non-ASCII
+    text, a control character, a bad header, no data row, or anything
+    ``np.loadtxt`` rejects (whitespace-only lines, ``1_000``, malformed
+    rows) -- sends the file to the string reader.
+    """
+    if not text.isascii() or any(c in text for c in _CONTROLS):
+        return None
+    text = text.lstrip()
+    end = text.find("\n")
+    first = text if end < 0 else text[:end]
+    if first.count(",") != n_columns - 1:
+        return None
+    if not _is_numeric(first.split(",")):
+        text = "" if end < 0 else text[end + 1:]
+    if not text or text.isspace():
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(text), delimiter=",", dtype=float, comments=None,
+                           quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[1] == n_columns and len(table) else None
+
+
+def _read_rows(path: str, text: str, n_columns: int, last_is_label: bool):
+    """The string reader: the CSV rules, one list of cells, one conversion."""
+    lines = text.splitlines()
     n_numeric = n_columns - int(last_is_label)
-    rows = [text for text in map(str.strip, lines) if text]
+    rows = [row for row in map(str.strip, lines) if row]
     if any(row.count(",") != n_columns - 1 for row in rows):
         _raise_first_error(path, lines, n_columns, n_numeric)
     if rows and not _is_numeric(rows[0].split(",")[:n_numeric]):
@@ -312,6 +374,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if not 0.0 < args.level < 1.0:
+            raise BadLevel(f"confidence level must lie in (0, 1), got {args.level}")
         return args.func(args)
     except (UnknownExperiment, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indexlaw
+from indexlaw import cli
 from indexlaw.cli import _build_index, build_parser, main, read_csv
-from indexlaw.errors import ColumnCountMismatch, EmptyInput, ParseError
+from indexlaw.errors import ColumnCountMismatch, EmptyInput, IndexLawError, ParseError
 from indexlaw.indices import _MOMENT_KINDS, _POVERTY_KINDS, NamedIndex
 
 POVERTY_FLAGS = {
@@ -168,6 +169,21 @@ def test_index_flags_checked_before_input_is_read(tmp_path, capsys):
     assert "--poverty-line" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--index", "sen", "--poverty-line", "1", "--level", "2"),
+    ("estimate", "--index", "sen", "--poverty-line", "1", "--level", "nan"),
+    ("validate", "--experiment", "cre2", "--seed", "1", "--level", "2"),
+    ("validate", "--experiment", "normality", "--seed", "1", "--level", "0"),
+], ids=["estimate-2", "estimate-nan", "validate-cre2-2", "validate-normality-0"])
+def test_level_checked_before_any_work(tmp_path, capsys, argv):
+    if argv[0] == "estimate":
+        argv = (*argv, "--input", str(tmp_path / "absent.csv"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "confidence level must lie in (0, 1)" in err
+
+
 # --index choice, its own flags, flags it does not take, the index the
 # factories build, and the "params" object that the CLI prints
 _Z = ("--poverty-line", "2")
@@ -216,23 +232,34 @@ def _index_choices():
     return list(next(a for a in estimate._actions if a.dest == "index").choices)
 
 
-def _oracle_read(text: str, n_numeric: int, label: bool):
-    """The CSV rules one line at a time, with Python's ``float``."""
+def _oracle_read(text: str, n_columns: int, label: bool, path: str):
+    """The CSV rules one line at a time, with Python's ``float``.
+
+    Returns the numeric columns and the labels, or raises the error that the
+    rules give: its class, its 1-based line and its message.
+    """
+    n_numeric = n_columns - label
     rows = []
     first = True
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")
+        if len(cells) != n_columns:
+            raise ColumnCountMismatch(
+                f"line {lineno}: expected {n_columns} columns, found {len(cells)}")
         try:
             values = [float(c) for c in cells[:n_numeric]]
         except ValueError:
-            assert first, "only the first row may be a header"
+            if not first:
+                raise ParseError(lineno, line) from None
             first = False
             continue
         first = False
-        rows.append((values, cells[-1] if label else None))
+        rows.append((values, cells[-1].strip() if label else None))
+    if not rows:
+        raise EmptyInput(f"no data rows in {path}")
     columns = [np.array([v[j] for v, _ in rows], dtype=float) for j in range(n_numeric)]
     return columns, [lab for _, lab in rows]
 
@@ -241,43 +268,124 @@ _pad = st.text(alphabet=" \t", max_size=2)
 _cell = st.builds(lambda a, x, b: a + repr(x) + b, _pad, st.floats(), _pad)
 _label = st.builds(lambda a, x, b: a + x + b, _pad,
                    st.text(alphabet="abcxyz019_-", min_size=1, max_size=4), _pad)
+# Cells that Python's float and np.loadtxt read differently, or that neither
+# reads, and the line breaks of str.splitlines that np.loadtxt does not break at.
+_ODD_CELLS = ("1_000", "\u0661\u0662", "\uff11", "\xa01.5", "1.5\u2003", "1.5\x1f",
+              "\x1c1.5", "1#2", "nan", "-Infinity", "1e999", "", '"1"')
+_ODD_BREAKS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 
 
 @st.composite
 def _tables(draw):
-    n_numeric = draw(st.integers(1, 2))
-    label = draw(st.booleans())
+    """A CSV text, the column count to read it with, and whether the last
+    column is a label.
+
+    A third of the tables are plain files.  Each of the others has one odd
+    feature: cells of one odd token, odd line breaks inside rows,
+    whitespace-only lines, CRLF line ends, a header with the wrong comma
+    count, or more columns than asked for.
+    """
+    label = draw(st.integers(0, 3)) == 0
+    n_columns = draw(st.integers(1, 2)) + label
+    odd = draw(st.sampled_from([None] * 3 + ["cell", "break", "blank", "crlf", "header",
+                                             "wide"]))
+    token = draw(st.sampled_from(_ODD_CELLS))
+
+    def now(feature: str) -> bool:
+        return odd == feature and draw(st.booleans())
+
+    width = n_columns + (odd == "wide")
     lines = []
-    if draw(st.booleans()):
-        lines.append(",".join(["income", "period2"][:n_numeric] + ["group"] * label))
+    if odd == "header" or draw(st.booleans()):
+        shift = draw(st.sampled_from([-1, 1])) if odd == "header" else 0
+        lines.append(",".join(["income", "period2", "group", "other"][:n_columns + shift]))
     for _ in range(draw(st.integers(1, 25))):
-        cells = [draw(_cell) for _ in range(n_numeric)] + [draw(_label)] * label
-        lines.append(",".join(cells))
+        cells = [token if now("cell") else draw(_cell) for _ in range(width - label)]
+        if now("break"):  # at a cell's edge, where np.loadtxt reads it as whitespace
+            i = draw(st.integers(0, len(cells) - 1))
+            cells[i] = draw(st.sampled_from([f"{b}{cells[i]}" for b in _ODD_BREAKS]
+                                            + [f"{cells[i]}{b}" for b in _ODD_BREAKS]))
+        lines.append(",".join(cells + [draw(_label)] * label))
         if draw(st.integers(0, 4)) == 0:
-            lines.append(draw(_pad))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
-                         max_size=len(lines)))
-    blank_start = draw(st.sampled_from(["", "\n", " \t\r\n"]))
-    return blank_start + "".join(l + e for l, e in zip(lines, ends)), n_numeric, label
+            lines.append(draw(_pad) if odd == "blank" else "")
+    text = "".join(line + ("\r\n" if now("crlf") else "\n") for line in lines)
+    return draw(st.sampled_from(["", "\n", " \t\n"])) + text, n_columns, label
 
 
 class TestReadCsv:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(_tables())
     def test_matches_line_by_line_float(self, table):
-        text, n_numeric, label = table
+        text, n_columns, label = table
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.csv"
-            path.write_bytes(text.encode("utf-8"))
-            got = read_csv(str(path), n_numeric + label, last_is_label=label)
-        columns, labels = _oracle_read(text, n_numeric, label)
-        assert len(got) == n_numeric + label
+            path = str(Path(tmp) / "t.csv")
+            Path(path).write_bytes(text.encode("utf-8"))
+            try:
+                columns, labels = _oracle_read(text, n_columns, label, path)
+            except IndexLawError as want:
+                with pytest.raises(IndexLawError) as got:
+                    read_csv(path, n_columns, last_is_label=label)
+                assert type(got.value) is type(want)
+                assert str(got.value) == str(want)
+                return
+            got = read_csv(path, n_columns, last_is_label=label)
+        assert len(got) == n_columns
         for have, want in zip(got, columns):
             assert have.dtype == want.dtype
             assert np.array_equal(have, want, equal_nan=True)
             assert have.tobytes() == want.tobytes()
         if label:
             assert got[-1] == labels
+
+    @pytest.mark.parametrize("text, n_columns, error, message", [
+        ("x,y,z\n1,2\n3,4\n", 2, ColumnCountMismatch, "line 1: expected 2 columns, found 3"),
+        ("income,,\n1\n2\n", 1, ColumnCountMismatch, "line 1: expected 1 columns, found 3"),
+        ("1\x0c,2\n", 2, ColumnCountMismatch, "line 1: expected 2 columns, found 1"),
+        ("1,\x1c2\n", 2, ColumnCountMismatch, "line 2: expected 2 columns, found 1"),
+        ("1\u2028,2\n", 2, ColumnCountMismatch, "line 1: expected 2 columns, found 1"),
+        ("a,b\n1,2,3\n4,5,6\n", 2, ColumnCountMismatch, "line 2: expected 2 columns, found 3"),
+        ("1,2\n1.5\x1f,2\n", 2, ParseError, "parse error on line 2: 1.5\x1f,2"),
+        ("1\n1#2\n", 1, ParseError, "parse error on line 2: 1#2"),
+    ], ids=["header-too-wide", "header-commas", "form-feed-break", "file-separator-break",
+            "line-separator-break", "rows-wider-than-header", "unit-separator-in-cell", "hash-is-no-comment"])
+    def test_bulk_parse_traps(self, tmp_path, text, n_columns, error, message):
+        """Files that np.loadtxt would read but the CSV rules reject."""
+        path = write(tmp_path, "x.csv", text)
+        with pytest.raises(error) as exc:
+            read_csv(path, n_columns)
+        assert str(exc.value) == message
+
+    def test_unit_separator_ending_a_line_is_stripped(self, tmp_path):
+        # str.strip takes \x1f as whitespace, float does not
+        path = write(tmp_path, "x.csv", "1.5\x1f\n2\n")
+        (col,) = read_csv(path, 1)
+        assert col.tolist() == [1.5, 2.0]
+
+    @pytest.mark.parametrize("text", ["", "\n \t\n\n", "income\n", "income\n\n\n",
+                                      "\nincome\n \n", "1#2\n"],
+                             ids=["empty", "blank-only", "header-only", "header-empty-lines",
+                                  "header-blank-lines", "hash-header"])
+    def test_no_data_row_is_empty_input_without_warning(self, tmp_path, text):
+        path = write(tmp_path, "x.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyInput):
+                read_csv(path, 1)
+
+    @pytest.mark.parametrize("n_columns", [1, 2])
+    def test_plain_files_take_the_bulk_path(self, tmp_path, monkeypatch, n_columns):
+        # written as bench/workloads.py writes its inputs, plus a header row
+        values = np.exp(np.random.default_rng(3).standard_normal((500, n_columns)))
+        rows = [[f"{v:.9g}" for v in row] for row in values]
+        header = ",".join(["income", "period2"][:n_columns])
+        path = write(tmp_path, "x.csv", "\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        monkeypatch.setattr(cli, "_read_rows",
+                            lambda *args: pytest.fail("the string reader was called"))
+        got = read_csv(path, n_columns)
+        want = np.array([[float(c) for c in row] for row in rows]).T
+        assert len(got) == n_columns
+        for have, col in zip(got, want):
+            assert have.tobytes() == col.tobytes()
 
     def test_parse_error_line_after_blank_lines(self, tmp_path):
         path = write(tmp_path, "x.csv", "\n\n1\n\n2\nabc\n3\n")
