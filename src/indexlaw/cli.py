@@ -20,7 +20,9 @@ lines, label files and malformed input are read by the string reader, which
 gives the same numbers and reports the first bad line.
 
 ``--level`` must lie in (0, 1) for every subcommand; any other value is an
-input error, raised before the input is read.
+input error, raised before the input is read.  Of the ``validate``
+experiments only ``coverage`` reads it (default 0.95); given to another one
+it is a usage error.
 
 Exit codes: 0 success, 1 input error, 2 usage error, 3 validation band
 failed.  All numbers are printed with 12 significant digits; json and text
@@ -186,7 +188,9 @@ def _raise_first_error(path: str, lines: list, n_columns: int, n_numeric: int) -
             raise ColumnCountMismatch(
                 f"line {lineno}: expected {n_columns} columns, found {len(cells)}")
         if not _is_numeric(cells[:n_numeric]) and not first:
-            raise ParseError(lineno, text) from None
+            # escape what a terminal would not show, such as \x1f in "1.5\x1f"
+            shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+            raise ParseError(lineno, shown) from None
         first = False
     raise EmptyInput(f"no data rows in {path}")
 
@@ -305,12 +309,17 @@ def cmd_decompose(args) -> int:
 def cmd_validate(args) -> int:
     seed = args.seed
     name = args.experiment
+    if name not in _EXPERIMENTS:
+        raise UnknownExperiment(f"unknown experiment {name!r}")
+    if name != "coverage" and args.level is not None:
+        raise _UsageError(f"--level is read only by --experiment coverage, not {name}")
     if name == "coverage":
+        level = 0.95 if args.level is None else args.level
         report = montecarlo.coverage_experiment(
             Uniform(0.0, 1.0), NamedIndex.fgt(0.0, 0.5), n=1000, n_replicates=2000,
-            level=args.level, master_seed=seed)
-        ok = abs(report.coverage - args.level) <= 0.015
-        band = f"|coverage - {args.level}| <= 0.015"
+            level=level, master_seed=seed)
+        ok = abs(report.coverage - level) <= 0.015
+        band = f"|coverage - {level}| <= 0.015"
     elif name == "normality":
         report = montecarlo.normality_experiment(
             LogNormal(0.0, 1.0), NamedIndex.fgt(1.0, 1.0), n=2000, n_replicates=2000,
@@ -327,14 +336,12 @@ def cmd_validate(args) -> int:
                    "band": "strictly decreasing", "band_ok": ok}
         _emit(payload, args.format)
         return 0 if ok else 3
-    elif name == "decomposability":
+    else:  # decomposability
         report = montecarlo.decomposability_experiment(
             [LogNormal(0.0, 1.0), LogNormal(0.5, 1.0)], [0.5, 0.5],
             NamedIndex.shorrocks(1.0), n=4000, n_replicates=500, master_seed=seed)
         ok = report.ks_pvalue > 0.01
         band = "ks_pvalue > 0.01"
-    else:
-        raise UnknownExperiment(f"unknown experiment {name!r}")
     payload = report.to_dict()
     payload["band"] = band
     payload["band_ok"] = bool(ok)
@@ -361,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alpha", type=float, default=None)
             p.add_argument("--k", type=int, default=None)
             p.add_argument("--poverty-line", dest="poverty_line", type=float, default=None)
-        p.add_argument("--level", type=float, default=0.95)
+        # validate tells an explicit --level from none: only coverage reads it
+        p.add_argument("--level", type=float, default=None if name == "validate" else 0.95)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=fn)
     return parser
@@ -374,7 +382,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if not 0.0 < args.level < 1.0:
+        if args.level is not None and not 0.0 < args.level < 1.0:
             raise BadLevel(f"confidence level must lie in (0, 1), got {args.level}")
         return args.func(args)
     except (UnknownExperiment, _UsageError) as exc:

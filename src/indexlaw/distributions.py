@@ -9,14 +9,15 @@ A distribution model is anything exposing
 
 Empirical models integrate scores exactly as sample means; parametric models
 integrate through the quantile substitution ``E f(X) = int_0^1 f(Q(u)) du``
-with scipy's adaptive QUADPACK rule.  The nodes it asks for are evaluated in
-batches, one vectorized ``f(Q(u))`` call per bisected subinterval pair, so
-the result is that of evaluating each node on a 1-element array; it differs
-from a 0-d evaluation only where numpy scalar arithmetic rounds a power
-differently from the array loop.  Models additionally expose
-``quantile_extended``, a total function on [0, 1] returning the (possibly
-infinite) endpoint limits; grid-based routines use it to decide where the
-quantile needs clipping.
+with the adaptive QUADPACK rule of :mod:`indexlaw.quadpack`, which gives
+the results of SciPy's ``quad`` without importing SciPy.  Its nodes are
+evaluated in batches, one vectorized ``f(Q(u))`` call per bisected
+subinterval pair, so the result is that of evaluating each node on a
+1-element array; it differs from a 0-d evaluation only where numpy scalar
+arithmetic rounds a power differently from the array loop.  Models
+additionally expose ``quantile_extended``, a total function on [0, 1]
+returning the (possibly infinite) endpoint limits; grid-based routines use
+it to decide where the quantile needs clipping.
 
 The inverse standard normal CDF is Wichura's AS241 rational approximation
 (PPND16), accurate to ~1e-15 in double precision.
@@ -24,7 +25,6 @@ The inverse standard normal CDF is Wichura's AS241 rational approximation
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from typing import Callable, Sequence
@@ -33,6 +33,7 @@ import numpy as np
 
 from .empirical import EmpiricalSample, build_sample, ecdf, equantile
 from .errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
+from .quadpack import quad
 
 # ---------------------------------------------------------------------------
 # AS241 inverse standard normal (Wichura 1988, PPND16)
@@ -152,9 +153,11 @@ class DistributionModel:
         """E f(X) by adaptive quadrature of f(Q(u)) on (0, 1).
 
         ``breaks`` lists x-values where f jumps (e.g. a poverty line); they
-        are forwarded to the integrator as subdivision points.  ``quad``
-        asks for one level at a time; :class:`_KronrodNodes` answers from
-        batched evaluations of ``f`` at the nodes it will ask for.
+        are forwarded to the integrator as subdivision points.  The
+        integrator is the in-package QUADPACK (:func:`~indexlaw.quadpack.quad`,
+        at most 200 subintervals), which evaluates ``f(Q(u))`` on one array per rule
+        pass: the first pass's intervals together, then both halves of each
+        bisection.
         """
         cuts = {float(self.cdf(b)) for b in breaks}
         pts = sorted(c for c in cuts if 0.0 < c < 1.0)
@@ -165,14 +168,7 @@ class DistributionModel:
             x = self.quantile_extended(np.minimum(np.maximum(u, 1e-300), 1.0 - 1e-16))
             return np.broadcast_to(np.asarray(f(np.asarray(x)), dtype=float), u.shape)
 
-        import warnings
-
-        from scipy import integrate
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(_KronrodNodes(integrand, [0.0, *pts, 1.0]), 0.0, 1.0,
-                                    points=pts or None, limit=200)
+        val, _, _ = quad(integrand, points=pts or None)
         if not np.isfinite(val):
             raise NonFiniteIntegral("score integral did not converge")
         return float(val)
@@ -183,50 +179,6 @@ class DistributionModel:
 
     def mean(self) -> float:
         return self.raw_moment(1)
-
-
-# QUADPACK's 21-point Kronrod abscissae (dqk21) other than the centre
-_XGK21 = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-                   0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-                   0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-                   0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-                   0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
-
-
-class _KronrodNodes:
-    """A scalar integrand for ``quad`` that evaluates ``integrand`` in batches.
-
-    QUADPACK integrates each subinterval [a, b] with the 21-point rule at
-    ``c`` and ``c -+ h*xgk`` (``c = (a+b)/2``, ``h = (b-a)/2``) and refines
-    by bisecting one subinterval, always evaluating both halves.  The table
-    mirrors its subintervals: it starts with the nodes of the intervals
-    between ``edges``, and a level it does not hold bisects the subinterval
-    holding it and evaluates both halves' 42 nodes in one call.  A level
-    still missing is evaluated alone, so no value depends on predicting the
-    nodes.
-    """
-
-    def __init__(self, integrand: Callable, edges: Sequence[float]):
-        self.integrand = integrand
-        self.edges = list(edges)
-        self.values: dict = {}
-        self._fill(self.edges[:-1], self.edges[1:])
-
-    def _fill(self, a, b) -> None:
-        a, b = np.asarray(a), np.asarray(b)
-        c, off = 0.5 * (a + b), np.multiply.outer(0.5 * (b - a), _XGK21)
-        u = np.concatenate([c, (c[:, None] - off).ravel(), (c[:, None] + off).ravel()])
-        self.values.update(zip(u.tolist(), self.integrand(u).tolist()))
-
-    def __call__(self, u: float) -> float:
-        if u not in self.values:
-            i = bisect.bisect_left(self.edges, u, 1)
-            a, b = self.edges[i - 1], self.edges[i]
-            mid = 0.5 * (a + b)
-            self.edges.insert(i, mid)
-            self._fill([a, mid], [mid, b])
-        value = self.values.get(u)
-        return float(self.integrand(np.array([u]))[0]) if value is None else value
 
 
 class EmpiricalDistribution(DistributionModel):

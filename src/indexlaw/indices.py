@@ -41,6 +41,7 @@ from .empirical import EmpiricalSample
 from .errors import (BadParams, BadThreshold, NonFiniteConstant, OutOfRange,
                      ThresholdOutsideSupport, ZeroDenominator, ZeroHpi,
                      ZeroMean, ZeroVariance)
+from .quadpack import quad
 from .representation import IndexRepresentation, compose_ratio
 
 ScoreFunction = Callable[[np.ndarray], np.ndarray]
@@ -545,8 +546,6 @@ def _gpi_gaps(spec: GpiSpec, x: np.ndarray) -> np.ndarray:
 
 def gpi_constants(model: DistributionModel, spec: GpiSpec) -> GpiConstants:
     """The constants H_c, H_pi, J, K_c, K_pi, K of the GPI representation."""
-    from scipy import integrate
-
     z = spec.Z
     fz = _check_threshold(model, z)
     dc_dx = spec.dc_dx or _num_partial(spec.c, 0)
@@ -571,8 +570,12 @@ def gpi_constants(model: DistributionModel, spec: GpiSpec) -> GpiConstants:
             return 0.0
         return dpi_dx(fz, s)
 
-    k_c, _ = integrate.quad(kc_integrand, 0.0, 1.0, points=[fz], limit=200)
-    k_pi, _ = integrate.quad(kpi_integrand, 0.0, 1.0, points=[fz], limit=200)
+    def pointwise(integrand):
+        # the user's spec functions are scalar: evaluate one level at a time
+        return lambda s: [integrand(v) for v in s.tolist()]
+
+    k_c, _, _ = quad(pointwise(kc_integrand), points=[fz])
+    k_pi, _, _ = quad(pointwise(kpi_integrand), points=[fz])
     j = h_c / h_pi
     k = k_c / h_pi - h_c * k_pi / h_pi ** 2
     consts = GpiConstants(H_c=h_c, H_pi=h_pi, J=j, K_c=k_c, K_pi=k_pi, K=k)

@@ -28,6 +28,7 @@ cases are exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -232,6 +233,13 @@ def u_atoms(model: DistributionModel, rep: IndexRepresentation,
     return hm + score_model(model, rep.q, grid).tail_integral_poly()
 
 
+@functools.lru_cache(maxsize=64)
+def _two_sided_z(level: float) -> float:
+    """The normal quantile of ``(1 + level) / 2``; the coverage experiment
+    asks for the same level in every replicate."""
+    return normal_quantile(0.5 * (1.0 + level))
+
+
 def confidence_interval(estimate: float, variance: float, n: int,
                         level: float = 0.95) -> tuple[float, float]:
     """Normal confidence interval ``estimate -+ z * sqrt(variance / n)``."""
@@ -243,8 +251,7 @@ def confidence_interval(estimate: float, variance: float, n: int,
         variance = 0.0
     if n < 1:
         raise OutOfRange("n must be a positive count")
-    z = normal_quantile(0.5 * (1.0 + level))
-    half = z * math.sqrt(variance / n)
+    half = _two_sided_z(level) * math.sqrt(variance / n)
     return (estimate - half, estimate + half)
 
 

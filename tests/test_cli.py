@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import indexlaw
 from indexlaw import cli
 from indexlaw.cli import _build_index, build_parser, main, read_csv
-from indexlaw.errors import ColumnCountMismatch, EmptyInput, IndexLawError, ParseError
+from indexlaw.errors import (ColumnCountMismatch, EmptyInput, IndexLawError, ParseError,
+                             UnknownExperiment)
 from indexlaw.indices import _MOMENT_KINDS, _POVERTY_KINDS, NamedIndex
 
 POVERTY_FLAGS = {
@@ -253,7 +254,9 @@ def _oracle_read(text: str, n_columns: int, label: bool, path: str):
             values = [float(c) for c in cells[:n_numeric]]
         except ValueError:
             if not first:
-                raise ParseError(lineno, line) from None
+                shown = "".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                                for c in line)
+                raise ParseError(lineno, shown) from None
             first = False
             continue
         first = False
@@ -344,7 +347,7 @@ class TestReadCsv:
         ("1,\x1c2\n", 2, ColumnCountMismatch, "line 2: expected 2 columns, found 1"),
         ("1\u2028,2\n", 2, ColumnCountMismatch, "line 1: expected 2 columns, found 1"),
         ("a,b\n1,2,3\n4,5,6\n", 2, ColumnCountMismatch, "line 2: expected 2 columns, found 3"),
-        ("1,2\n1.5\x1f,2\n", 2, ParseError, "parse error on line 2: 1.5\x1f,2"),
+        ("1,2\n1.5\x1f,2\n", 2, ParseError, "parse error on line 2: 1.5\\x1f,2"),
         ("1\n1#2\n", 1, ParseError, "parse error on line 2: 1#2"),
     ], ids=["header-too-wide", "header-commas", "form-feed-break", "file-separator-break",
             "line-separator-break", "rows-wider-than-header", "unit-separator-in-cell", "hash-is-no-comment"])
@@ -434,7 +437,8 @@ _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 class TestImportCost:
-    """Empirical paths are exact sums: importing or running them loads no scipy."""
+    """Empirical paths are exact sums: importing or running them loads no
+    scipy, and parametric paths load none of its heavy subpackages."""
 
     def test_import_loads_no_scipy(self):
         proc = _run_python(f"import sys, indexlaw; print({_SCIPY_MODULES})")
@@ -453,6 +457,21 @@ class TestImportCost:
                            "--format", "json")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "scipy []"
+
+    @pytest.mark.parametrize("code", [
+        "from indexlaw.cli import main; main(['validate', '--experiment', 'coverage', "
+        "'--seed', '3', '--format', 'json'])",
+        "from indexlaw import LogNormal, NamedIndex, index_variance, named_representation; "
+        "m = LogNormal(0.0, 1.0); rep = named_representation(m, NamedIndex.sen(1.0)); "
+        "rep.value(m); index_variance(m, rep)",
+    ], ids=["validate-coverage", "parametric-sen"])
+    def test_parametric_paths_load_no_heavy_scipy(self, code):
+        # quadrature is in-package: scipy is loaded for special functions only
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+        proc = _run_python(f"import sys; {code}; print('heavy', [m for m in {heavy!r} "
+                           "if m in sys.modules])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "heavy []"
 
 
 class TestCompare:
@@ -526,9 +545,28 @@ class TestValidate:
         code, _, _ = run_cli(capsys, "validate", "--experiment", "bogus", "--seed", "1")
         assert code == 2
 
+    def test_unknown_experiment_named_before_level(self, capsys):
+        code, _, err = run_cli(capsys, "validate", "--experiment", "bogus", "--seed", "1",
+                               "--level", "0.9")
+        assert code == 2
+        assert "invalid choice: 'bogus'" in err and "--level" not in err.splitlines()[-1]
+        args = build_parser().parse_args(["validate", "--experiment", "cre2", "--seed", "1",
+                                          "--level", "0.9"])
+        args.experiment = "bogus"
+        with pytest.raises(UnknownExperiment):
+            cli.cmd_validate(args)
+
     def test_seed_required(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--experiment", "cre2")
         assert code == 2
+
+    @pytest.mark.parametrize("experiment", ["normality", "cre2", "decomposability"])
+    def test_level_only_for_coverage(self, capsys, experiment):
+        code, out, err = run_cli(capsys, "validate", "--experiment", experiment,
+                                 "--seed", "1", "--level", "0.95")
+        assert code == 2
+        assert out == ""
+        assert "--level is read only by --experiment coverage" in err
 
     def test_cre2_runs_and_is_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "validate", "--experiment", "cre2",
@@ -568,3 +606,11 @@ class TestValidateAcceptanceBand:
                                "--seed", "42", "--format", "json")
         assert code == 0
         assert json.loads(out)["band_ok"] is True
+
+    def test_coverage_reads_level(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--experiment", "coverage",
+                               "--seed", "42", "--level", "0.9", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["band"] == "|coverage - 0.9| <= 0.015"
+        assert abs(payload["coverage"] - 0.9) <= 0.015

@@ -1,5 +1,5 @@
-"""Distribution models: AS241, families, empirical plug-in, mixtures, and the
-batched quadrature of scores."""
+"""Distribution models: AS241, families, empirical plug-in, mixtures, the
+in-package QUADPACK and the batched quadrature of scores."""
 
 import warnings
 
@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from indexlaw import distributions, indices, quadpack
 from indexlaw.distributions import (DistributionModel, EmpiricalDistribution, Exponential,
-                                    LogNormal, Mixture, Normal, Pareto, Uniform,
-                                    _KronrodNodes, normal_cdf, normal_quantile)
+                                    LogNormal, Mixture, Normal, Pareto, Uniform, normal_cdf,
+                                    normal_quantile)
 from indexlaw.empirical import build_sample
-from indexlaw.errors import BadParams, NonFiniteMoment, OutOfRange
-from indexlaw.indices import NamedIndex, named_representation
+from indexlaw.errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
+from indexlaw.indices import GpiSpec, NamedIndex, gpi_constants, named_representation
 from indexlaw.representation import index_variance
 
 
@@ -328,7 +329,7 @@ class TestBatchedQuadrature:
         for index, ref in zip(indices, want):
             assert np.array_equal(_numbers(model, index), ref), index.label()
 
-    def test_direct_evaluation_fallback(self, monkeypatch):
+    def test_levels_evaluated_alone(self, monkeypatch):
         model = LogNormal(0, 1)
         rep = named_representation(model, NamedIndex.sen(1.0))
         batched = model.integrate_score(rep.h, breaks=rep.breaks)
@@ -338,8 +339,12 @@ class TestBatchedQuadrature:
             sizes.append(np.size(x))
             return rep.h(x)
 
-        # an empty table: every level quad asks for is evaluated alone
-        monkeypatch.setattr(_KronrodNodes, "_fill", lambda self, lefts, rights: None)
+        def alone(f, **kwargs):
+            return quadpack.quad(
+                lambda u: np.concatenate([f(u[i:i + 1]) for i in range(u.size)]), **kwargs)
+
+        # every node of each rule pass evaluated on its own 1-element array
+        monkeypatch.setattr(distributions, "quad", alone)
         assert model.integrate_score(h, breaks=rep.breaks) == batched
         assert set(sizes) == {1} and len(sizes) > 100
 
@@ -354,6 +359,93 @@ class TestBatchedQuadrature:
                 return f(x)
 
             model.integrate_score(counted, breaks=rep.breaks)
-            # one call for both initial intervals, one per bisection, and no
-            # level that the table failed to predict
+            # one call for both initial intervals and one per bisection
             assert len(sizes) <= 10 and set(sizes) == {42}, sizes
+
+
+def scipy_quad(f, points=None):
+    """``scipy.integrate.quad`` on (0, 1) at ``limit=200`` with a per-point
+    callback that evaluates the vectorized ``f`` on a 1-element array:
+    (result, abserr, converged)."""
+    def g(u):
+        return float(np.asarray(f(np.array([u])), dtype=float)[0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        out = integrate.quad(g, 0.0, 1.0, points=points, limit=200, full_output=1)
+    # a fourth item, the message, comes only with a nonzero ier
+    return out[0], out[1], len(out) == 3
+
+
+def _jump(u):
+    return np.where(u < 0.3, 1.0, 2.5) * np.exp(u)
+
+
+# integrand, points; log u, u^-0.9 and 1/sqrt(u) need the epsilon-algorithm
+# extrapolation, sin(1/u) near u = 0 exhausts the 200 subintervals
+_QUAD_CASES = {
+    "log": (np.log, None),
+    "power-0.9": (lambda u: u ** -0.9, None),
+    "inverse-sqrt": (lambda u: 1.0 / np.sqrt(u), None),
+    "jump-no-break": (_jump, None),
+    "jump-break": (_jump, [0.3]),
+    "jump-break-repeated-and-outside": (_jump, [1.5, 0.3, 0.3, 0.0]),
+    "two-breaks": (lambda u: np.where(u < 0.3, 1.0, 2.5) + np.where(u < 0.7, 0.0, u ** 2),
+                   [0.7, 0.3]),
+    "power-at-break": (lambda u: np.abs(u - 0.4) ** -0.8, [0.4]),
+    "log-at-break": (lambda u: np.log(np.abs(u - 0.45)), [0.45]),
+    "hits-limit": (lambda u: np.sin(1.0 / (u + 1e-4)), None),
+    "hits-limit-with-break": (lambda u: np.sin(1.0 / (u + 1e-4)), [0.5]),
+}
+
+
+class TestQuadpack:
+    """``quadpack.quad`` returns SciPy's numbers bit for bit."""
+
+    @pytest.mark.parametrize("name", _QUAD_CASES)
+    def test_matches_scipy(self, name):
+        f, points = _QUAD_CASES[name]
+        result, abserr, ier = quadpack.quad(f, points=points)
+        assert (result, abserr, ier == 0) == scipy_quad(f, points)
+        if name.startswith("hits-limit"):
+            assert ier == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(0.01, 0.99), p=st.floats(0.05, 0.95), jump=st.floats(-2.0, 2.0),
+           at_s=st.booleans(), extra=st.lists(st.floats(0.0, 1.0), max_size=2))
+    def test_singularity_and_break_points(self, s, p, jump, at_s, extra):
+        def f(u):
+            with np.errstate(divide="ignore"):
+                return np.abs(u - s) ** -p + jump * (u > s)
+
+        points = [s, *extra] if at_s else extra or None
+        result, abserr, ier = quadpack.quad(f, points=points)
+        want = scipy_quad(f, points)
+        assert np.array_equal([result, abserr, ier == 0], want, equal_nan=True)
+
+    def test_most_break_points(self):
+        points = np.linspace(0.0, 1.0, 200)[1:-1].tolist()
+        assert quadpack.quad(np.exp, points=points)[:2] == scipy_quad(np.exp, points)[:2]
+        with pytest.raises(ValueError, match="at most 198 break points, got 199"):
+            quadpack.quad(np.exp, points=[*points, 0.5 / 199])
+
+    def test_gpi_constants_match_scipy(self, monkeypatch):
+        # Kakwani(2) in GPI form, with the x-partials left to central differences
+        spec = GpiSpec(A=lambda Q, n, Z: Q, w=lambda t: t ** 2, d=np.asarray, mu=(0, 1, 1, 1),
+                       c=lambda x, y: 3 * (1 - y / x) ** 2,
+                       pi=lambda x, y: 3 * y ** 2 / x ** 3, Z=1.0)
+        model = LogNormal(0, 1)
+        ours = gpi_constants(model, spec)
+        with monkeypatch.context() as m:
+            m.setattr(indices, "quad", lambda f, points: (*scipy_quad(f, points)[:2], 0))
+            want = gpi_constants(model, spec)
+        assert ours == want and ours.K_c != 0.0 and ours.K_pi != 0.0
+
+    @pytest.mark.parametrize("score, breaks", [
+        (lambda x: np.full_like(x, np.nan), ()),
+        (lambda x: np.where(x > 2.0, np.nan, x), (2.0,)),
+        (lambda x: np.where(x > 30.0, np.nan, x), ()),
+    ], ids=["everywhere", "above-break", "far-tail"])
+    def test_nan_score_raises(self, score, breaks):
+        with pytest.raises(NonFiniteIntegral):
+            LogNormal(0, 1).integrate_score(score, breaks=breaks)

@@ -1,11 +1,14 @@
 """Covariance calculus: analytic oracles, bilinearity, the discretized
 Gaussian oracle, cross-covariances and interval construction."""
 
+import math
+
 import numpy as np
 import pytest
 
+from indexlaw import representation
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
-                                    Normal, Uniform)
+                                    Normal, Uniform, normal_quantile)
 from indexlaw.errors import BadLevel, NegativeVariance, OutOfRange
 from indexlaw.indices import NamedIndex, moment_representation, named_representation
 from indexlaw.representation import (IndexRepresentation, beta_beta_cov,
@@ -262,3 +265,17 @@ class TestConfidenceInterval:
     def test_bad_level(self):
         with pytest.raises(BadLevel):
             confidence_interval(0.0, 1.0, 10, 1.0)
+
+    def test_quantile_once_per_level(self, monkeypatch):
+        levels = []
+
+        def counted(p):
+            levels.append(p)
+            return normal_quantile(p)
+
+        monkeypatch.setattr(representation, "normal_quantile", counted)
+        representation._two_sided_z.cache_clear()
+        for level in (0.95, 0.9, 0.95, np.float64(0.9), 0.95):
+            half = normal_quantile(0.5 * (1.0 + level)) * math.sqrt(2.0 / 50)
+            assert confidence_interval(1.0, 2.0, 50, level) == (1.0 - half, 1.0 + half)
+        assert levels == [0.975, 0.95]
