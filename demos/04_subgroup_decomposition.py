@@ -38,10 +38,10 @@ print(f"decomposability gap: {gap:+.5f}")
 fgt_gap = gap_estimate(sample, partition, NamedIndex.fgt(1.0, Z))
 print(f"FGT(1) gap (exactly zero): {fgt_gap:.2e}")
 
-result = gap_inference(sample, partition, index, center="gd", level=0.95)
+result = gap_inference(sample, partition, index, level=0.95)
 dec = result.decomposition
 print("\nvariance pieces:")
 print(f"  within-group   theta1^2 = {dec.theta1_sq:.5f}")
 print(f"  label noise    theta2^2 = {dec.theta2_sq:.5f} (population centering)")
 print(f"                 theta3^2 = {dec.theta3_sq:.5f} (plug-in centering)")
-print(f"95% CI for the gap: [{result.ci[0]:+.5f}, {result.ci[1]:+.5f}]")
+print(f"95% CI for the gap: [{result.ci_gd[0]:+.5f}, {result.ci_gd[1]:+.5f}]")

@@ -288,7 +288,6 @@ def cmd_decompose(args) -> int:
     partition = SubgroupPartition.from_labels(labels)
     inference = gap_inference(sample, partition, index, level=args.level)
     dec = inference.decomposition
-    var_gd0 = dec.theta1_sq + dec.theta3_sq
     payload = {
         "index": index.kind, "params": index.params(), "n": sample.n,
         "groups": list(partition.names), "weights": [float(v) for v in inference.weights],
@@ -296,10 +295,8 @@ def cmd_decompose(args) -> int:
         "gap": inference.gap,
         "theta1_sq": dec.theta1_sq, "theta2_sq": dec.theta2_sq,
         "theta3_sq": dec.theta3_sq,
-        "variance_gd": inference.variance, "variance_gd0": var_gd0,
-        "ci_gd": list(inference.ci),
-        "ci_gd0": list(confidence_interval(inference.gap, max(var_gd0, 0.0), sample.n,
-                                           args.level)),
+        "variance_gd": inference.variance_gd, "variance_gd0": inference.variance_gd0,
+        "ci_gd": list(inference.ci_gd), "ci_gd0": list(inference.ci_gd0),
         "level": args.level,
     }
     _emit(payload, args.format)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .distributions import DistributionModel, EmpiricalDistribution, Mixture
 from .empirical import EmpiricalSample, build_sample
-from .errors import BadParams, BadWeights, NonFiniteValue, OutOfRange
+from .errors import BadWeights, NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
 from .representation import (DEFAULT_GRID, IndexRepresentation,
                              confidence_interval, score_model)
@@ -90,12 +90,15 @@ class DecompositionVariance:
 
 @dataclass(frozen=True)
 class GapInference:
-    """Result of plug-in gap inference."""
+    """Result of plug-in gap inference under both centerings: ``_gd`` targets
+    the population gap (variance theta1^2 + theta2^2), ``_gd0`` the
+    plug-in-weighted centering (theta1^2 + theta3^2)."""
 
     gap: float
-    variance: float
-    ci: tuple[float, float]
-    center: str
+    variance_gd: float
+    variance_gd0: float
+    ci_gd: tuple[float, float]
+    ci_gd0: tuple[float, float]
     decomposition: DecompositionVariance
     group_estimates: np.ndarray
     weights: np.ndarray
@@ -218,16 +221,8 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
 
 
 def gap_inference(sample: EmpiricalSample, partition: SubgroupPartition,
-                  index: NamedIndex, center: str = "gd",
-                  level: float = 0.95) -> GapInference:
-    """Plug-in gap inference: estimate, asymptotic variance and normal CI.
-
-    ``center='gd'`` targets the population gap (variance theta1^2 + theta2^2);
-    ``center='gd0'`` targets the plug-in-weighted centering (theta1^2 +
-    theta3^2).
-    """
-    if center not in ("gd", "gd0"):
-        raise BadParams(f"center must be 'gd' or 'gd0', got {center!r}")
+                  index: NamedIndex, level: float = 0.95) -> GapInference:
+    """Plug-in gap inference: estimate, asymptotic variances and normal CIs."""
     values = _split_values(sample, partition)
     for name, vals in zip(partition.names, values):
         if vals.size == 1:
@@ -238,8 +233,9 @@ def gap_inference(sample: EmpiricalSample, partition: SubgroupPartition,
     w = w / w.sum()
     dec = gap_variance(w, [EmpiricalDistribution(grp) for grp in groups],
                        lambda m: named_representation(m, index))
-    variance = dec.theta1_sq + (dec.theta2_sq if center == "gd" else dec.theta3_sq)
-    ci = confidence_interval(gap, max(variance, 0.0), sample.n, level)
-    return GapInference(gap=gap, variance=variance, ci=ci, center=center,
+    var_gd, var_gd0 = dec.theta1_sq + dec.theta2_sq, dec.theta1_sq + dec.theta3_sq
+    return GapInference(gap=gap, variance_gd=var_gd, variance_gd0=var_gd0,
+                        ci_gd=confidence_interval(gap, max(var_gd, 0.0), sample.n, level),
+                        ci_gd0=confidence_interval(gap, max(var_gd0, 0.0), sample.n, level),
                         decomposition=dec, group_estimates=np.asarray(estimates),
                         weights=w)

@@ -177,9 +177,6 @@ class DistributionModel:
         """E X^k; overridden with closed forms where available."""
         return self.integrate_score(lambda x: np.asarray(x, dtype=float) ** k)
 
-    def mean(self) -> float:
-        return self.raw_moment(1)
-
 
 class EmpiricalDistribution(DistributionModel):
     """Plug-in model built from a sample; all integrals are exact sums."""

@@ -37,14 +37,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .distributions import DistributionModel
-from .empirical import EmpiricalSample
+from .empirical import EmpiricalSample, ScoreFunction
 from .errors import (BadParams, BadThreshold, NonFiniteConstant, OutOfRange,
                      ThresholdOutsideSupport, ZeroDenominator, ZeroHpi,
                      ZeroMean, ZeroVariance)
 from .quadpack import quad
 from .representation import IndexRepresentation, compose_ratio
-
-ScoreFunction = Callable[[np.ndarray], np.ndarray]
 
 _POVERTY_KINDS = ("fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
                   "takayama_ratio")

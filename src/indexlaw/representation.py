@@ -36,12 +36,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import DistributionModel, normal_quantile
+from .empirical import ScoreFunction
 from .errors import BadLevel, NegativeVariance, NonFiniteIntegral, OutOfRange
 from .ugrid import CellPoly, covariance
 
 DEFAULT_GRID = 2048
-
-ScoreFunction = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)

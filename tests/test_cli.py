@@ -1,5 +1,6 @@
 """Command-line interface: parsing, schemas, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -472,6 +473,26 @@ class TestImportCost:
                            "if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "heavy []"
+
+    def test_one_scipy_import_in_source(self):
+        # the normal CDF is the package's one use of scipy
+        found = []
+        for path in sorted(Path(indexlaw.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            funcs = [f for f in ast.walk(tree)
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [(a.name, None) for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [(node.module or "", a.name) for a in node.names]
+                else:
+                    continue
+                owner = [f.name for f in funcs if node in ast.walk(f)]
+                found += [(path.name, owner[-1] if owner else None, mod, name)
+                          for mod, name in modules
+                          if mod == "scipy" or mod.startswith("scipy.")]
+        assert found == [("distributions.py", "normal_cdf", "scipy.special", "erfc")]
 
 
 class TestCompare:

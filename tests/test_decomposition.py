@@ -10,8 +10,9 @@ from indexlaw.decomposition import (SubgroupPartition, gap_estimate, gap_inferen
                                     gap_variance)
 from indexlaw.distributions import EmpiricalDistribution, LogNormal, Mixture
 from indexlaw.empirical import build_sample
-from indexlaw.errors import BadParams, NonFiniteValue, OutOfRange
+from indexlaw.errors import NonFiniteValue, OutOfRange
 from indexlaw.indices import NamedIndex, named_representation
+from indexlaw.representation import confidence_interval
 
 
 class TestPartition:
@@ -308,8 +309,8 @@ class TestGapInference:
         res = gap_inference(build_sample(vals), SubgroupPartition.from_labels(labels),
                             NamedIndex.fgt(1.0, 1.0))
         assert res.gap == pytest.approx(0.0, abs=1e-12)
-        assert res.variance == pytest.approx(0.0, abs=1e-12)
-        assert res.ci[0] == pytest.approx(res.ci[1], abs=1e-9)
+        assert res.variance_gd == pytest.approx(0.0, abs=1e-12)
+        assert res.ci_gd[0] == pytest.approx(res.ci_gd[1], abs=1e-9)
 
     def test_single_observation_group_warns(self):
         vals = [0.5, 1.5, 2.5, 0.7]
@@ -334,16 +335,10 @@ class TestGapInference:
         vals = rng.lognormal(size=60)
         labels = rng.integers(1, 3, size=60)
         s = build_sample(vals)
-        part = SubgroupPartition.from_labels(labels)
-        r1 = gap_inference(s, part, NamedIndex.shorrocks(1.0), center="gd")
-        r2 = gap_inference(s, part, NamedIndex.shorrocks(1.0), center="gd0")
-        assert r1.variance == pytest.approx(
-            r1.decomposition.theta1_sq + r1.decomposition.theta2_sq)
-        assert r2.variance == pytest.approx(
-            r2.decomposition.theta1_sq + r2.decomposition.theta3_sq)
-
-    def test_unknown_center_is_bad_params(self):
-        s = build_sample([0.5, 1.5, 0.7, 2.0])
-        part = SubgroupPartition.from_labels(["a", "b", "a", "b"])
-        with pytest.raises(BadParams, match="center"):
-            gap_inference(s, part, NamedIndex.sen(1.0), center="median")
+        res = gap_inference(s, SubgroupPartition.from_labels(labels),
+                            NamedIndex.shorrocks(1.0), level=0.9)
+        dec = res.decomposition
+        assert res.variance_gd == dec.theta1_sq + dec.theta2_sq
+        assert res.variance_gd0 == dec.theta1_sq + dec.theta3_sq
+        for var, ci in ((res.variance_gd, res.ci_gd), (res.variance_gd0, res.ci_gd0)):
+            assert ci == confidence_interval(res.gap, max(var, 0.0), s.n, 0.9)

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Uniform, normal_quantile)
-from indexlaw.errors import (BadParams, NonFiniteValue, OutOfRange, TooFewPairs,
-                             ZeroBaseIndex)
+from indexlaw.errors import (BadParams, IndexLawError, NonFiniteValue, OutOfRange,
+                             TooFewPairs, ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_representation
 from indexlaw.representation import (IndexRepresentation, index_cross_covariance,
                                      index_variance, score_model, u_atoms)
@@ -26,47 +28,60 @@ zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 beta_only = IndexRepresentation(h=zero, q=one, value=lambda m: 0.0)
 
 
+def _step(cells, cut):
+    """The indicator of ``s <= cut`` as a step function on ``cells`` cells."""
+    return CellPoly.from_cells(np.where((np.arange(cells) + 0.5) / cells <= cut, 1.0, 0.0))
+
+
 class TestCopulaModels:
-    @pytest.mark.parametrize("cop", [IndependenceCopula(), ComonotoneCopula(),
-                                     GaussianCopula(0.6), GaussianCopula(-0.4)])
-    def test_grounded_and_margins(self, cop):
-        u = np.linspace(0.05, 0.95, 10)
-        assert np.allclose(cop.eval(np.zeros_like(u), u), 0.0, atol=1e-9)
-        assert np.allclose(cop.eval(u, np.ones_like(u)), u, atol=1e-9)
-        assert np.allclose(cop.eval(np.ones_like(u), u), u, atol=1e-9)
-
-    @pytest.mark.parametrize("cop", [IndependenceCopula(), ComonotoneCopula(),
-                                     GaussianCopula(0.5)])
-    def test_two_increasing(self, cop):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            u1, u2 = np.sort(rng.uniform(0.01, 0.99, 2))
-            v1, v2 = np.sort(rng.uniform(0.01, 0.99, 2))
-            vol = (cop.eval(u2, v2) - cop.eval(u1, v2)
-                   - cop.eval(u2, v1) + cop.eval(u1, v1))
-            assert vol >= -1e-9
-
     def test_gaussian_rho_range(self):
         with pytest.raises(BadParams):
             GaussianCopula(1.0)
 
+    @pytest.mark.parametrize("cop", [IndependenceCopula(), ComonotoneCopula(),
+                                     GaussianCopula(-0.9), GaussianCopula(0.6),
+                                     "empirical"])
+    def test_constant_factor_and_cauchy_schwarz(self, cop):
+        rng = np.random.default_rng(31)
+        if cop == "empirical":
+            xy = rng.normal(size=(200, 2))
+            cop = empirical_copula(xy @ np.array([[1.0, 0.7], [0.0, 1.0]]))
+        const = CellPoly.from_cells(np.full(50, 3.7))
+        for cells in (50, 73):
+            for make in (CellPoly.from_cells, CellPoly.from_nodes):
+                phi = make(rng.normal(size=cells + (make is CellPoly.from_nodes)))
+                assert abs(cop.cross_cov(phi, const, 128)) <= 1e-15
+                assert abs(cop.cross_cov(const, phi, 128)) <= 1e-15
+                for psi in (phi, _step(cells, 0.4), CellPoly.from_nodes(np.linspace(0, 1, 9))):
+                    bound = math.sqrt(covariance(phi, phi) * covariance(psi, psi))
+                    assert abs(cop.cross_cov(phi, psi, 128)) <= bound * (1 + 1e-12)
+
 
 class TestEmpiricalCopula:
+    # the rank construction seen through the measure it defines: cross_cov
+    # against the exact covariance of cell functions
+
     def test_comonotone_pairs(self):
         x = np.linspace(0, 1, 50)
         cop = empirical_copula(np.column_stack([x, x]))
-        for u, v in [(0.3, 0.8), (0.5, 0.5), (0.9, 0.2)]:
-            assert cop.eval(u, v) == pytest.approx(min(u, v), abs=1 / 50)
+        rng = np.random.default_rng(4)
+        a, b = (CellPoly.from_cells(rng.normal(size=50)) for _ in range(2))
+        assert cop.cross_cov(a, b, 512) == pytest.approx(covariance(a, b), abs=1e-15)
 
     def test_countermonotone_pairs(self):
         x = np.linspace(0, 1, 50)
         cop = empirical_copula(np.column_stack([x, -x]))
-        for u, v in [(0.3, 0.8), (0.5, 0.5), (0.9, 0.2)]:
-            assert cop.eval(u, v) == pytest.approx(max(u + v - 1, 0.0), abs=1 / 50)
+        rng = np.random.default_rng(5)
+        a_cells, b_cells = rng.normal(size=50), rng.normal(size=50)
+        a, b = CellPoly.from_cells(a_cells), CellPoly.from_cells(b_cells)
+        reversed_b = CellPoly.from_cells(b_cells[::-1])
+        assert cop.cross_cov(a, b, 512) == pytest.approx(covariance(a, reversed_b), abs=1e-15)
 
-    def test_corner(self):
-        cop = empirical_copula([[1, 2], [3, 1], [2, 5]])
-        assert cop.eval(1.0, 1.0) == 1.0
+    def test_ties_share_a_max_rank(self):
+        # tied values fall in the cell of their max-rank
+        cop = empirical_copula([[1, 2], [3, 1], [1, 5], [2, 2]])
+        assert np.array_equal(cop.u_ranks, [0.5, 1.0, 0.5, 0.75])
+        assert np.array_equal(cop.v_ranks, [0.75, 0.25, 1.0, 0.75])
 
     def test_too_few(self):
         with pytest.raises(TooFewPairs):
@@ -82,16 +97,18 @@ class TestEmpiricalCopula:
         assert err.value.index == 2
 
     def test_gaussian_pairs_converge(self):
-        # sup-norm against the analytic Gaussian copula <= 2/sqrt(n) at n = 1e4
+        # each cross covariance is within two standard errors of the
+        # Gaussian copula's at n = 1e4
         rho, n = 0.5, 10000
         z1 = np.asarray(normal_quantile(uniforms(stream_seed(77, 0), n)))
         z2 = np.asarray(normal_quantile(uniforms(stream_seed(77, 1), n)))
         y = rho * z1 + math.sqrt(1 - rho * rho) * z2
         emp = empirical_copula(np.column_stack([z1, y]))
         ana = GaussianCopula(rho)
-        grid = np.linspace(0.05, 0.95, 19)
-        uu, vv = np.meshgrid(grid, grid)
-        assert np.max(np.abs(emp.eval(uu, vv) - ana.eval(uu, vv))) <= 2 / math.sqrt(n)
+        step, line = _step(100, 0.3), CellPoly.from_nodes(np.linspace(0, 1, 65))
+        for phi, psi in ((step, line), (step, step), (line, line)):
+            bound = 2 * math.sqrt(covariance(phi, phi) * covariance(psi, psi) / n)
+            assert abs(emp.cross_cov(phi, psi, 512) - ana.cross_cov(phi, psi, 512)) <= bound
 
 
 class TestJointCovariance:
@@ -439,3 +456,100 @@ class TestGaussianDensityOnce:
             mutual_variation_covariance(frame, r[0], r[1], grid=64, copula_grid=copula_grid)
         with pytest.raises(OutOfRange):
             frame.copula.density_grid(copula_grid)
+
+
+
+# values outside the documented domain of a numeric argument, and some inside
+_NUMBERS = [None, math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1, -3, -0.25, 0.5, 2.5,
+            1e-300, 1e300, 5e-324, True, np.float64(0.3), np.int64(16), "0.5", "abc", "",
+            b"1", [], np.array([]), np.array([0.3, 0.4]), np.zeros((2, 2)),
+            np.zeros((0, 2)), [[0.1, 0.2, 0.3]], [[1.0, None], [2.0, 3.0]]]
+_ANY = st.one_of(st.sampled_from(_NUMBERS), st.floats(), st.integers(-40, 40),
+                 st.lists(st.lists(st.one_of(st.floats(), st.just("x")), max_size=3),
+                          max_size=4))
+
+
+def _numbers(j):
+    """Every number a joint law computed."""
+    return [j.matrix] + [v for v in (j.cross, j.delta_var, j.rel_var, j.gamma4, j.gamma5)
+                         if v is not None]
+
+
+def _contract_table():
+    """``{argument: call}``, one call per numeric argument of the temporal
+    API; each call puts its value in that argument and valid values in the
+    others, and returns every number it computed."""
+    m1, m2 = Uniform(0, 1), Uniform(0, 1.25)
+    r1, r2 = (named_representation(m, NamedIndex.fgt(1.0, 0.5)) for m in (m1, m2))
+    frame = BivariateFrame(m1, m2, GaussianCopula(0.3))
+    a, b = CellPoly.from_cells(np.linspace(-1.0, 2.0, 8)), _step(8, 0.4)
+    table = {
+        "GaussianCopula.rho": lambda v: _numbers(temporal_joint_covariance(
+            BivariateFrame(m1, m2, GaussianCopula(v)), r1, r2, 32, 16)),
+        "empirical_copula.pairs": lambda v: [empirical_copula(v).cross_cov(a, b, 8)],
+    }
+    functions = [
+        ("temporal_joint_covariance", dict(grid=32, copula_grid=16),
+         lambda **kw: _numbers(temporal_joint_covariance(frame, r1, r2, **kw))),
+        ("relative_variation_law", dict(index1=0.2, index2=0.3, grid=32, copula_grid=16),
+         lambda **kw: _numbers(relative_variation_law(frame, r1, rep2=r2, **kw))),
+        ("mutual_variation_covariance", dict(grid=32, copula_grid=16),
+         lambda **kw: _numbers(mutual_variation_covariance(frame, r1, r1, r2, r2, **kw))),
+        ("mutual_relative_covariance",
+         dict(i1=0.2, i2=0.3, j1=0.25, j2=0.2, grid=32, copula_grid=16),
+         lambda **kw: [mutual_relative_covariance(frame, r1, r1, rep_i2=r2, rep_j2=r2,
+                                                  **kw)]),
+    ]
+    for name, valid, fn in functions:
+        for arg in valid:
+            table[f"{name}.{arg}"] = (
+                lambda v, fn=fn, valid=valid, arg=arg: fn(**dict(valid, **{arg: v})))
+    return table
+
+
+_CONTRACT = _contract_table()
+
+
+class TestContract:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(_CONTRACT)), _ANY)
+    def test_typed_error_or_finite_values(self, argument, value):
+        try:
+            numbers = _CONTRACT[argument](value)
+        except IndexLawError:
+            return
+        assert all(np.all(np.isfinite(x)) for x in numbers), (argument, value, numbers)
+
+    @pytest.mark.parametrize("rho", [None, "abc", np.array([0.1, 0.2]), np.array([])])
+    def test_gaussian_rho_needs_one_number(self, rho):
+        with pytest.raises(BadParams):
+            GaussianCopula(rho)
+
+    def test_numbers_read_as_named_index_reads_them(self):
+        # one rule for the package: what float() reads is a number
+        assert GaussianCopula("0.5").rho == 0.5
+        assert type(GaussianCopula(np.float64(0.25)).rho) is float
+
+    def test_index_values_need_numbers(self):
+        m = LogNormal(0, 1)
+        rep = named_representation(m, NamedIndex.fgt(1.0, 1.0))
+        frame = BivariateFrame(m, m, IndependenceCopula())
+        with pytest.raises(BadParams):
+            relative_variation_law(frame, rep, None, 1.0)
+        with pytest.raises(BadParams):
+            relative_variation_law(frame, rep, 0.3, "abc")
+        with pytest.raises(BadParams):
+            mutual_relative_covariance(frame, rep, rep, 0.3, None, 0.2, 0.25)
+
+    @pytest.mark.parametrize("base", [1e-100, 1e-200, 5e-324, -1e-170])
+    def test_base_index_near_zero(self, base):
+        # the delta-method variance (1e-100) or the gradient itself (the
+        # others) leaves the float range: a typed error, not an inf variance
+        m = LogNormal(0, 1)
+        rep = named_representation(m, NamedIndex.fgt(1.0, 1.0))
+        frame = BivariateFrame(m, m, IndependenceCopula())
+        with pytest.raises(BadParams):
+            relative_variation_law(frame, rep, base, 0.3)
+        if base != 1e-100:  # there the mixed form is about 1e200, still finite
+            with pytest.raises(BadParams):
+                mutual_relative_covariance(frame, rep, rep, 0.3, 0.3, base, 0.3)
