@@ -152,15 +152,16 @@ class DistributionModel:
     def integrate_score(self, f: Callable, breaks: Sequence[float] = ()) -> float:
         """E f(X) by adaptive quadrature of f(Q(u)) on (0, 1).
 
-        ``breaks`` lists x-values where f jumps (e.g. a poverty line); they
-        are forwarded to the integrator as subdivision points.  The
-        integrator is the in-package QUADPACK (:func:`~indexlaw.quadpack.quad`,
-        at most 200 subintervals), which evaluates ``f(Q(u))`` on one array per rule
-        pass: the first pass's intervals together, then both halves of each
-        bisection.
+        ``breaks`` lists x-values where f jumps (e.g. a poverty line); their
+        levels F(b) are the integrator's break points, and there may be
+        none.  The integrator is the in-package QUADPACK
+        (:func:`~indexlaw.quadpack.quad`), which integrates as SciPy's
+        ``quad(f, 0, 1, points=levels, limit=200)`` on the distinct levels
+        strictly inside (0, 1).  It evaluates ``f(Q(u))`` on one array per
+        rule pass: the first pass's intervals together, then both halves of
+        each bisection.
         """
-        cuts = {float(self.cdf(b)) for b in breaks}
-        pts = sorted(c for c in cuts if 0.0 < c < 1.0)
+        cuts = [float(self.cdf(b)) for b in breaks]
 
         def integrand(u):
             # deep subdivision next to a singular endpoint can round u onto
@@ -168,7 +169,7 @@ class DistributionModel:
             x = self.quantile_extended(np.minimum(np.maximum(u, 1e-300), 1.0 - 1e-16))
             return np.broadcast_to(np.asarray(f(np.asarray(x)), dtype=float), u.shape)
 
-        val, _, _ = quad(integrand, points=pts or None)
+        val, _, _ = quad(integrand, points=cuts)
         if not np.isfinite(val):
             raise NonFiniteIntegral("score integral did not converge")
         return float(val)

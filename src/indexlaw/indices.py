@@ -180,13 +180,13 @@ def fgt_estimate(sample: EmpiricalSample, poverty_line: float, alpha: float) -> 
         raise BadThreshold("poverty line must be positive")
     if alpha < 0:
         raise BadThreshold("alpha must be nonnegative")
-    x = sample.values
-    poor = x <= poverty_line
-    gaps = (poverty_line - x[poor]) / poverty_line
+    _, gaps = _poor_gaps(sample, poverty_line)
     return float(np.sum(gaps ** alpha) / sample.n)
 
 
 def _poor_gaps(sample: EmpiricalSample, z: float) -> tuple[int, np.ndarray]:
+    """The number q of poor (``X <= z``, a prefix of the sorted values) and
+    their normalized gaps ``(z - X) / z``."""
     q = int(np.searchsorted(sample.values, z, side="right"))
     gaps = (z - sample.values[:q]) / z
     return q, gaps
@@ -231,17 +231,20 @@ def named_estimate(sample: EmpiricalSample, index: NamedIndex) -> float:
 
 
 def _takayama_rank_form(sample: EmpiricalSample, z: float, d: ScoreFunction) -> float:
-    x = sample.values
-    fn = np.searchsorted(x, x, side="right") / sample.n
-    poor = x <= z
-    dv = np.asarray(d(x[poor]), dtype=float)
-    return float(np.sum((1.0 - fn[poor] + 1.0 / sample.n) * dv) / sample.n)
+    q, _ = _poor_gaps(sample, z)
+    poor = sample.values[:q]
+    fn = np.searchsorted(sample.values, poor, side="right") / sample.n
+    dv = np.asarray(d(poor), dtype=float)
+    return float(np.sum((1.0 - fn + 1.0 / sample.n) * dv) / sample.n)
 
 
 def central_moment_estimate(sample: EmpiricalSample, order: int) -> float:
-    """Plug-in central moment ``(1/n) sum (X_i - mean)^order``."""
+    """Plug-in central moment ``(1/n) sum (X_i - mean)^order``; exactly 0
+    at order 1, where the sum vanishes identically."""
     if order < 1:
         raise OutOfRange("moment order must be >= 1")
+    if order == 1:
+        return 0.0
     x = sample.values
     return float(np.mean((x - np.mean(x)) ** order))
 

@@ -1,27 +1,29 @@
-"""Adaptive Gauss-Kronrod quadrature on (0, 1): QUADPACK's ``dqagse`` and ``dqagpe``.
+"""Adaptive Gauss-Kronrod quadrature on (0, 1): QUADPACK's ``dqagpe``.
 
 A line-by-line translation of the QUADPACK routines (Piessens,
-de Doncker-Kapenga, Ueberhuber & Kahaner, 1983) ``dqagse`` (adaptive
-bisection with epsilon-algorithm extrapolation), ``dqagpe`` (the same with
-user break points), the 21-point Gauss-Kronrod rule ``dqk21``, the error
-list ordering ``dqpsrt`` and the epsilon algorithm ``dqelg``.  Lists are
-1-based, as in the Fortran, so every index reads as in the original.
+de Doncker-Kapenga, Ueberhuber & Kahaner, 1983) ``dqagpe`` (adaptive
+bisection with epsilon-algorithm extrapolation, started from the intervals
+between the user's break points, of which there may be none), the 21-point
+Gauss-Kronrod rule ``dqk21``, the error list ordering ``dqpsrt`` and the
+epsilon algorithm ``dqelg``.  Lists are 1-based, as in the Fortran, so
+every index reads as in the original.
 
 The integrand is vectorized: each ``dqk21`` pass takes its nodes from one
 call of ``f`` on a float array (all intervals of the first pass together,
 both halves of each bisection together), and the rule's sums are formed in
 Python floats in QUADPACK's scalar order.  With the same node values the
-results are those of SciPy's ``quad``, which runs the same routines
-on a per-point callback.  Where C arithmetic gives inf or nan and Python
-raises (a float power that overflows, a division by zero) the C outcome is
-taken.
+results are those of SciPy's ``quad(f, 0, 1, points=list(points),
+limit=200)``, which runs the same routines on a per-point callback; an
+empty ``points`` list, too, takes SciPy's ``dqagpe`` path.  Where C
+arithmetic gives inf or nan and Python raises (a float power that
+overflows, a division by zero) the C outcome is taken.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,17 +52,14 @@ _WG = (None, 0.066671344308688137593568809893332, 0.1494513491505805931457763396
 
 
 def quad(f: Callable[[np.ndarray], np.ndarray],
-         points: Optional[Sequence[float]] = None) -> tuple[float, float, int]:
-    """``int_0^1 f`` as SciPy's ``quad(f, 0, 1, points=points, limit=200)``
-    computes it: ``epsabs = epsrel = 1.49e-8``; without ``points`` the
-    integral is ``dqagse``'s, with them ``dqagpe``'s on the distinct points
-    strictly inside (0, 1), of which there may be at most 198.  ``f`` maps a
-    1-d float array of nodes to an array of its values.  Returns the result,
-    QUADPACK's error estimate and its ``ier`` code (0 when the requested
-    accuracy was reached).
+         points: Sequence[float] = ()) -> tuple[float, float, int]:
+    """``int_0^1 f`` as SciPy's ``quad(f, 0, 1, points=list(points),
+    limit=200)`` computes it: ``dqagpe`` at ``epsabs = epsrel = 1.49e-8``
+    on the distinct points strictly inside (0, 1), of which there may be
+    none, or at most 198.  ``f`` maps a 1-d float array of nodes to an
+    array of its values.  Returns the result, QUADPACK's error estimate and
+    its ``ier`` code (0 when the requested accuracy was reached).
     """
-    if points is None:
-        return _dqagse(f)
     inner = sorted({float(p) for p in points if 0.0 < p < 1.0})
     if len(inner) > _LIMIT - 2:
         raise ValueError(f"at most {_LIMIT - 2} break points, got {len(inner)}")
@@ -239,8 +238,8 @@ def _dqelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, f
 
 
 class _Subintervals:
-    """The subinterval lists of ``dqagse`` and ``dqagpe`` (1-based, as in
-    the Fortran) and the bookkeeping that both do on each bisection."""
+    """The subinterval lists of ``dqagpe`` (1-based, as in the Fortran) and
+    the bookkeeping it does on each bisection."""
 
     def __init__(self, f):
         size = _LIMIT + 1
@@ -254,12 +253,12 @@ class _Subintervals:
         self.ier = self.ierro = 0
         self.extrap = False
 
-    def bisect(self, last: int) -> tuple[float, float, float]:
+    def bisect(self, last: int) -> tuple[float, float]:
         """Bisect interval ``maxerr`` into intervals ``maxerr`` and ``last``;
         update the error sum, the area, the roundoff counters and the
         ``ier``/``ierro`` flags; find the next interval to bisect.  Returns
-        ``(erlast, erro12, b1 - a1)``: the bisected interval's old error
-        estimate, its halves' summed estimate and the width of a half."""
+        ``(erlast, erro12)``: the bisected interval's old error estimate
+        and its halves' summed estimate."""
         alist, blist, rlist, elist = self.alist, self.blist, self.rlist, self.elist
         maxerr = self.maxerr
         a1 = alist[maxerr]
@@ -307,13 +306,12 @@ class _Subintervals:
             elist[maxerr] = error1
             elist[last] = error2
         self.maxerr, self.errmax, self.nrmax = _dqpsrt(last, maxerr, elist, self.iord, self.nrmax)
-        return erlast, erro12, b1 - a1
+        return erlast, erro12
 
     def finish(self, result: float, abserr: float, correc: float, ksgn: int,
                defabs: float, last: int, sum_up: bool) -> tuple[float, float, int]:
-        """The common ending of ``dqagse`` (labels 100-130) and ``dqagpe``
-        (170-210): keep the extrapolated result or sum the interval results,
-        then test for divergence."""
+        """The ending of ``dqagpe`` (labels 170-210): keep the extrapolated
+        result or sum the interval results, then test for divergence."""
         ier, area, errsum = self.ier, self.area, self.errsum
         if not sum_up and abserr != _OFLOW and ier + self.ierro != 0:
             if self.ierro == 3:
@@ -347,102 +345,6 @@ def _c_divide(x: float, y: float) -> float:
     if x == 0.0 or math.isnan(x):
         return math.nan
     return math.copysign(math.inf, x) * math.copysign(1.0, y)
-
-
-def _dqagse(f) -> tuple[float, float, int]:
-    s = _Subintervals(f)
-    s.alist[1], s.blist[1] = 0.0, 1.0
-    ((result, abserr, defabs, resabs),) = _dqk21(f, [0.0], [1.0])
-    dres = abs(result)
-    errbnd = max(_EPSABS, _EPSREL * dres)
-    s.rlist[1], s.elist[1], s.iord[1] = result, abserr, 1
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        return result, abserr, 2
-    if (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, 0
-
-    rlist2, res3la = [0.0] * 53, [0.0] * 4
-    rlist2[1] = result
-    s.errmax = abserr
-    s.area = result
-    s.errsum = abserr
-    abserr = _OFLOW
-    nres = 0
-    numrl2 = 2
-    ktmin = 0
-    noext = False
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
-    correc = 0.0
-    sum_up = False
-    for last in range(2, _LIMIT + 1):
-        # bisect the subinterval with the nrmax-th largest error estimate
-        erlast, erro12, width = s.bisect(last)
-        errbnd = max(_EPSABS, _EPSREL * abs(s.area))
-        if s.errsum <= errbnd:
-            sum_up = True
-            break
-        if s.ier != 0:
-            break
-        if last == 2:
-            small = 0.375  # abs(b - a) * 0.375
-            erlarg = s.errsum
-            ertest = errbnd
-            rlist2[2] = s.area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(width) > small:
-            erlarg = erlarg + erro12
-        if not s.extrap:
-            # is the interval to be bisected next the smallest one?
-            if abs(s.blist[s.maxerr] - s.alist[s.maxerr]) > small:
-                continue
-            s.extrap = True
-            s.nrmax = 2
-        if not (s.ierro == 3 or erlarg <= ertest):
-            # the smallest interval has the largest error: bisect the larger
-            # intervals first, while their error exceeds the test
-            jupbnd = last
-            if last > 2 + _LIMIT // 2:
-                jupbnd = _LIMIT + 3 - last
-            larger = False
-            for _ in range(s.nrmax, jupbnd + 1):
-                s.maxerr = s.iord[s.nrmax]
-                s.errmax = s.elist[s.maxerr]
-                if abs(s.blist[s.maxerr] - s.alist[s.maxerr]) > small:
-                    larger = True
-                    break
-                s.nrmax += 1
-            if larger:
-                continue
-        # perform extrapolation
-        numrl2 += 1
-        rlist2[numrl2] = s.area
-        numrl2, reseps, abseps, nres = _dqelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1.0e-3 * s.errsum:
-            s.ier = 5
-        if abseps < abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(_EPSABS, _EPSREL * abs(reseps))
-            if abserr <= ertest:
-                break
-        # prepare bisection of the smallest interval
-        if numrl2 == 1:
-            noext = True
-        if s.ier == 5:
-            break
-        s.maxerr = s.iord[1]
-        s.errmax = s.elist[s.maxerr]
-        s.nrmax = 1
-        s.extrap = False
-        small = small * 0.5
-        erlarg = s.errsum
-    return s.finish(result, abserr, correc, ksgn, defabs, last, sum_up)
 
 
 def _dqagpe(f, points: list) -> tuple[float, float, int]:
@@ -513,7 +415,7 @@ def _dqagpe(f, points: list) -> tuple[float, float, int]:
         # bisect the subinterval with the nrmax-th largest error estimate
         levcur = level[s.maxerr] + 1
         level[s.maxerr] = level[last] = levcur
-        erlast, erro12, _ = s.bisect(last)
+        erlast, erro12 = s.bisect(last)
         errbnd = max(_EPSABS, _EPSREL * abs(s.area))
         if s.errsum <= errbnd:
             sum_up = True

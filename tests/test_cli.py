@@ -520,6 +520,19 @@ class TestCompare:
         h2 = np.mean(1.1 * vals <= 1.0)
         assert payload["delta"] == pytest.approx(h2 - h1, abs=1e-12)
 
+    def test_first_central_moment_has_no_relative_variation(self, tmp_path, capsys):
+        # the first central moment is exactly 0, never a round-off residue
+        # that the relative variation would divide by
+        rng = np.random.default_rng(3)
+        x = rng.lognormal(size=(2000, 2))
+        path = write(tmp_path, "p.csv", "\n".join(f"{a},{b}" for a, b in x) + "\n")
+        code, out, _ = run_cli(capsys, "compare", "--input", path, "--index",
+                               "central-moment", "--k", "1", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["estimate1"] == payload["estimate2"] == payload["delta"] == 0.0
+        assert payload["relative"] is None and payload["relative_ci"] is None
+
     def test_column_mismatch(self, tmp_path, capsys):
         path = write(tmp_path, "p.csv", "1,2\n3\n")
         code, _, err = run_cli(capsys, "compare", "--input", path, "--index", "fgt",
