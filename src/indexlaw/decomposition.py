@@ -41,8 +41,8 @@ from .distributions import DistributionModel, EmpiricalDistribution, Mixture
 from .empirical import EmpiricalSample, build_sample
 from .errors import BadWeights, NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
-from .representation import (DEFAULT_GRID, IndexRepresentation,
-                             confidence_interval, score_model)
+from .representation import (DEFAULT_GRID, IndexRepresentation, _scorer,
+                             confidence_interval)
 from .ugrid import covariance
 
 
@@ -134,18 +134,18 @@ def gap_estimate(sample: EmpiricalSample, partition: SubgroupPartition,
 # ---------------------------------------------------------------------------
 
 
-def _tail(model: DistributionModel, q, grid: int) -> Callable[[np.ndarray], np.ndarray]:
+def _tail(model: DistributionModel, q, score: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """``x -> int_{y >= x} q dF``: the q-mass of the model at or above x.
 
     Empirical models sum ``q(x_t)/n`` over the sorted sample from the first
     value >= x, so a value tied with x counts as above it; parametric ones
-    evaluate the tail integral of the q grid model at F(x).
+    evaluate the tail integral of the q grid model ``score(q)`` at F(x).
     """
     if model.kind == "empirical":
         x = model.sample.values
         suffix = np.append(np.cumsum((np.asarray(q(x), dtype=float) / x.size)[::-1])[::-1], 0.0)
         return lambda y: suffix[np.searchsorted(x, y, side="left")]
-    tail = score_model(model, q, grid).tail_integral_poly()
+    tail = score(q).tail_integral_poly()
     return lambda y: tail.eval(model.cdf(y))
 
 
@@ -174,10 +174,11 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
 
     h_global, q_global = rep.h, rep.q
     q_skip = rep.q_zero and all(r.q_zero for r in reps)
-    tails = [] if q_skip else [_tail(m, q_global, grid) for m in group_models]
+    scores = [_scorer(m, grid) for m in group_models]
+    tails = [] if q_skip else [_tail(m, q_global, sc) for m, sc in zip(group_models, scores)]
 
     theta1 = 0.0
-    for g, (model, rep_g) in enumerate(zip(group_models, reps)):
+    for g, (score, rep_g) in enumerate(zip(scores, reps)):
         def point_part(x, _g=g, _hg=rep_g.h):
             # (h - h_g)(x) plus the other groups' q-mass at or above x
             out = np.asarray(h_global(x), dtype=float) - np.asarray(_hg(x), dtype=float)
@@ -186,11 +187,11 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
                     out = out + p[a] * tail(x)
             return out
 
-        psi = score_model(model, point_part, grid)
+        psi = score(point_part)
         if not q_skip:
-            own = score_model(model, lambda x, _qg=rep_g.q, _pg=p[g]:
-                              _pg * np.asarray(q_global(x), dtype=float)
-                              - np.asarray(_qg(x), dtype=float), grid)
+            own = score(lambda x, _qg=rep_g.q, _pg=p[g]:
+                        _pg * np.asarray(q_global(x), dtype=float)
+                        - np.asarray(_qg(x), dtype=float))
             psi = psi + own.tail_integral_poly()
         theta1 += p[g] * covariance(psi, psi)
 

@@ -415,9 +415,15 @@ def _central_moment_value(model: DistributionModel, order: int) -> float:
 
 
 def moment_representation(model: DistributionModel, order: int) -> IndexRepresentation:
-    """Representation of the central moment of the given order (q = 0)."""
+    """Representation of the central moment of the given order (q = 0).
+
+    The first central moment is identically 0, so its pair is ``h = 0``
+    with the value 0.
+    """
     if order < 1:
         raise OutOfRange("moment order must be >= 1")
+    if order == 1:
+        return IndexRepresentation(h=_zero, q=_zero, value=lambda m: 0.0, q_zero=True)
     coef = _influence_poly(model, order)
 
     def h(x, _c=coef):

@@ -102,6 +102,43 @@ def _evaluate(func: ScoreFunction, x: np.ndarray) -> np.ndarray:
     return vals if vals.shape == x.shape else np.full(x.shape, vals)
 
 
+def _scorer(model: DistributionModel, grid: int) -> Callable[[ScoreFunction], CellPoly]:
+    """``func -> score_model(model, func, grid)`` with the nodes built once:
+    the sorted sample of an empirical model, else ``quantile_grid``."""
+    if model.kind == "empirical":
+        x = model.sample.values
+
+        def cells(func):
+            vals = _evaluate(func, x)
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteIntegral("score is non-finite on the sample")
+            return CellPoly.from_cells(vals)
+
+        return cells
+    x = quantile_grid(model, grid)
+
+    def nodes(func):
+        vals = _evaluate(func, x)
+        if not np.all(np.isfinite(vals)):
+            # retry the offending endpoints at clipped quantiles
+            clip = 0.5 / grid
+            for idx, sc in ((0, clip), (-1, 1.0 - clip)):
+                if not np.isfinite(vals[idx]):
+                    vals[idx] = float(np.asarray(func(np.asarray(
+                        model.quantile_extended(sc), dtype=float))))
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteIntegral("score composed with quantile is not finite on (0, 1)")
+        return CellPoly.from_nodes(vals)
+
+    return nodes
+
+
+def _score_models(model: DistributionModel, funcs: Sequence[ScoreFunction],
+                  grid: int = DEFAULT_GRID) -> list[CellPoly]:
+    """``[score_model(model, f, grid) for f in funcs]`` on one set of nodes."""
+    return list(map(_scorer(model, grid), funcs))
+
+
 def score_model(model: DistributionModel, func: ScoreFunction,
                 grid: int = DEFAULT_GRID) -> CellPoly:
     """CellPoly model of ``s -> func(Q(s))`` on (0, 1).
@@ -109,23 +146,7 @@ def score_model(model: DistributionModel, func: ScoreFunction,
     Exact step function for empirical models; piecewise-linear interpolant on
     ``grid`` cells for parametric ones.
     """
-    if model.kind == "empirical":
-        vals = _evaluate(func, model.sample.values)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteIntegral("score is non-finite on the sample")
-        return CellPoly.from_cells(vals)
-    x = quantile_grid(model, grid)
-    vals = _evaluate(func, x)
-    if not np.all(np.isfinite(vals)):
-        # retry the offending endpoints at clipped quantiles
-        clip = 0.5 / grid
-        for idx, sc in ((0, clip), (-1, 1.0 - clip)):
-            if not np.isfinite(vals[idx]):
-                vals[idx] = float(np.asarray(func(np.asarray(
-                    model.quantile_extended(sc), dtype=float))))
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteIntegral("score composed with quantile is not finite on (0, 1)")
-    return CellPoly.from_nodes(vals)
+    return _score_models(model, [func], grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +159,15 @@ def score_covariance(model: DistributionModel, f: ScoreFunction, g: ScoreFunctio
     """Covariance of f(X) and g(X) under the model.
 
     For an empirical model this is the exact sample covariance with divisor
-    n; otherwise expectations are integrated adaptively.
+    n, taken centred so that a constant score has covariance 0; otherwise
+    expectations are integrated adaptively.
     """
     if model.kind == "empirical":
         fv = np.asarray(f(model.sample.values), dtype=float)
         gv = np.asarray(g(model.sample.values), dtype=float)
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
             raise NonFiniteIntegral("score is non-finite on the sample")
-        return float(np.mean(fv * gv) - np.mean(fv) * np.mean(gv))
+        return float(np.mean((fv - np.mean(fv)) * (gv - np.mean(gv))))
     ef = model.integrate_score(f, breaks=breaks)
     eg = ef if g is f else model.integrate_score(g, breaks=breaks)
     efg = model.integrate_score(lambda x: np.asarray(f(x), dtype=float)
@@ -167,16 +189,16 @@ def beta_beta_cov(model: DistributionModel, q1: ScoreFunction, q2: ScoreFunction
                   grid: int = DEFAULT_GRID) -> float:
     """Covariance of two beta-terms:
     ``int int (min(s,t) - s t) q1(Q(s)) q2(Q(t)) ds dt = Cov(W1(U), W2(U))``."""
-    return covariance(score_model(model, q1, grid).tail_integral_poly(),
-                      score_model(model, q2, grid).tail_integral_poly())
+    m1, m2 = _score_models(model, [q1, q2], grid)
+    return covariance(m1.tail_integral_poly(), m2.tail_integral_poly())
 
 
 def beta_cross_cov(model: DistributionModel, h: ScoreFunction, q: ScoreFunction,
                    grid: int = DEFAULT_GRID) -> float:
     """Covariance of the score term with a beta-term:
     ``int (int_0^s h(Q(u)) du - s E h) q(Q(s)) ds = Cov(h(Q(U)), W(U))``."""
-    return covariance(score_model(model, h, grid),
-                      score_model(model, q, grid).tail_integral_poly())
+    hm, qm = _score_models(model, [h, q], grid)
+    return covariance(hm, qm.tail_integral_poly())
 
 
 def index_variance(model: DistributionModel, rep: IndexRepresentation,
@@ -187,8 +209,8 @@ def index_variance(model: DistributionModel, rep: IndexRepresentation,
         g2 = 0.0
         g3 = 0.0
     else:
-        hm = score_model(model, rep.h, grid)
-        w = score_model(model, rep.q, grid).tail_integral_poly()
+        hm, qm = _score_models(model, [rep.h, rep.q], grid)
+        w = qm.tail_integral_poly()
         g2 = covariance(w, w)
         g3 = covariance(hm, w)
     total = g1 + g2 + 2.0 * g3
@@ -209,10 +231,8 @@ def index_cross_covariance(model: DistributionModel, rep_i: IndexRepresentation,
     breaks = tuple(rep_i.breaks) + tuple(rep_j.breaks)
     total = score_covariance(model, rep_i.h, rep_j.h, breaks=breaks)
     if not (rep_i.q_zero and rep_j.q_zero):
-        hi = score_model(model, rep_i.h, grid)
-        hj = score_model(model, rep_j.h, grid)
-        wi = score_model(model, rep_i.q, grid).tail_integral_poly()
-        wj = score_model(model, rep_j.q, grid).tail_integral_poly()
+        hi, hj, qi, qj = _score_models(model, [rep_i.h, rep_j.h, rep_i.q, rep_j.q], grid)
+        wi, wj = qi.tail_integral_poly(), qj.tail_integral_poly()
         total += covariance(wi, wj) + covariance(hi, wj) + covariance(wi, hj)
     return float(total)
 
@@ -226,10 +246,18 @@ def u_atoms(model: DistributionModel, rep: IndexRepresentation,
     covariance of two representations is ``Cov(phi_a(U), phi_b(V))``, with
     U = V under one margin and (U, V) drawn from the copula across periods.
     """
-    hm = score_model(model, rep.h, grid)
-    if rep.q_zero:
-        return hm
-    return hm + score_model(model, rep.q, grid).tail_integral_poly()
+    return _u_functions(model, [rep], grid)[0]
+
+
+def _u_functions(model: DistributionModel, reps: Sequence[IndexRepresentation],
+                 grid: int = DEFAULT_GRID) -> list[CellPoly]:
+    """``[u_atoms(model, rep, grid) for rep in reps]`` on one set of nodes."""
+    score = _scorer(model, grid)
+    phis = []
+    for rep in reps:
+        hm = score(rep.h)
+        phis.append(hm if rep.q_zero else hm + score(rep.q).tail_integral_poly())
+    return phis
 
 
 @functools.lru_cache(maxsize=64)

@@ -14,11 +14,14 @@ method, the laws of relative variations are read off the assembled matrix.
 
 Copula integrals: independence and comonotone copulas are closed forms; the
 Gaussian copula integrates on a tensor midpoint grid of its density (default
-512 per axis, kept on the copula); empirical copulas are exact rank sums.
+512 per axis, kept on the copula), whose midpoint normal quantiles are
+computed once per grid size; empirical copulas are exact rank sums.  Each
+margin's atoms are built on one quantile grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +33,8 @@ from .empirical import _max_ranks
 from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, TooFewPairs,
                      ZeroBaseIndex)
 from .indices import _real
-from .representation import DEFAULT_GRID, IndexRepresentation, check_grid, u_atoms
+from .representation import (DEFAULT_GRID, IndexRepresentation, _u_functions, check_grid,
+                             u_atoms)
 from .ugrid import CellPoly, covariance
 
 DEFAULT_COPULA_GRID = 512
@@ -67,6 +71,16 @@ class ComonotoneCopula(CopulaModel):
         return float(np.mean(pv * qv) - np.mean(pv) * np.mean(qv))
 
 
+@functools.lru_cache(maxsize=8)
+def _normal_midpoints(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell midpoints ``(k + 1/2) / grid`` and their standard normal
+    quantiles, read-only; they depend on the grid size alone."""
+    mid = (np.arange(grid) + 0.5) / grid
+    z = np.asarray(normal_quantile(mid), dtype=float)
+    mid.flags.writeable = z.flags.writeable = False
+    return mid, z
+
+
 class GaussianCopula(CopulaModel):
     def __init__(self, rho: float):
         self.rho = _real(rho)
@@ -75,16 +89,26 @@ class GaussianCopula(CopulaModel):
         self._tensors: dict = {}
 
     def density_grid(self, grid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoints and copula density values on a grid x grid tensor."""
+        """Midpoints and copula density values on a grid x grid tensor.
+
+        The midpoints and their normal quantiles are shared by every copula
+        on the same grid (read-only arrays); the exponent is formed in place
+        in the density's own buffer.
+        """
         check_grid(grid)
-        mid = (np.arange(grid) + 0.5) / grid
-        z = np.asarray(normal_quantile(mid), dtype=float)
+        mid, z = _normal_midpoints(grid)
         rho = self.rho
         denom = 1.0 - rho * rho
-        zz = z[:, None] * z[None, :]
         z2 = z * z
-        expo = -(rho * rho * (z2[:, None] + z2[None, :]) - 2.0 * rho * zz) / (2.0 * denom)
-        dens = np.exp(expo) / math.sqrt(denom)
+        dens = np.add.outer(z2, z2)
+        dens *= rho * rho
+        zz = np.multiply.outer(z, z)
+        zz *= 2.0 * rho
+        dens -= zz
+        np.negative(dens, out=dens)
+        dens /= 2.0 * denom
+        np.exp(dens, out=dens)
+        dens /= math.sqrt(denom)
         return mid, dens
 
     def _tensor(self, grid: int) -> tuple:
@@ -265,11 +289,9 @@ def mutual_variation_covariance(frame: BivariateFrame, rep_i: IndexRepresentatio
     Assembles the 4x4 covariance of (I*_1, I*_2, J*_1, J*_2); the covariance
     of the two differences is the contrast ``(-1, 1)`` applied to each block.
     """
-    m = _joint_matrix(frame, [(1, u_atoms(frame.margin1, rep_i, grid)),
-                              (2, u_atoms(frame.margin2, rep_i2 or rep_i, grid)),
-                              (1, u_atoms(frame.margin1, rep_j, grid)),
-                              (2, u_atoms(frame.margin2, rep_j2 or rep_j, grid))],
-                      copula_grid)
+    i1, j1 = _u_functions(frame.margin1, [rep_i, rep_j], grid)
+    i2, j2 = _u_functions(frame.margin2, [rep_i2 or rep_i, rep_j2 or rep_j], grid)
+    m = _joint_matrix(frame, [(1, i1), (2, i2), (1, j1), (2, j2)], copula_grid)
     cross = float(np.array([-1.0, 1.0, 0.0, 0.0]) @ m @ np.array([0.0, 0.0, -1.0, 1.0]))
     return JointCovariance(matrix=m, cross=cross)
 

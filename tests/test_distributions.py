@@ -231,6 +231,33 @@ class TestNanLevels:
             model.quantile(s)
 
 
+class TestNormalCdf:
+    @pytest.mark.parametrize("lo, hi, rel", [(-8.0, 8.3, 1e-14), (-37.5, -8.0, 1e-13)])
+    def test_matches_scipy_erfc(self, lo, hi, rel):
+        from scipy.special import erfc
+
+        z = np.random.default_rng(19).uniform(lo, hi, 3000)
+        ref = 0.5 * erfc(-z / np.sqrt(2.0))
+        assert np.max(np.abs(normal_cdf(z) / ref - 1.0)) < rel
+
+    def test_shapes_and_special_values(self):
+        assert type(normal_cdf(0.0)) is float and normal_cdf(0.0) == 0.5
+        assert type(normal_cdf(np.array(1.0))) is float
+        assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+        assert normal_cdf([]).shape == (0,)
+        out = normal_cdf([np.nan, np.inf, -np.inf])
+        assert np.isnan(out[0]) and out[1] == 1.0 and out[2] == 0.0
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-311, 1e-315, 1e-318, 1e-320, 5e-324])
+    def test_lognormal_far_lower_tail(self, s):
+        # the cdf reaches the subnormal levels its quantile is asked for
+        m = LogNormal(0.0, 1.0)
+        back = float(m.cdf(m.quantile(s)))
+        assert back > 0.0
+        if s >= 1e-318:
+            assert back == pytest.approx(s, rel=1e-4)
+
+
 def test_normal_cdf_quantile_consistency():
     p = np.linspace(0.001, 0.999, 201)
     assert np.max(np.abs(normal_cdf(normal_quantile(p)) - p)) < 1e-13

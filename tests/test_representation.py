@@ -8,7 +8,7 @@ import pytest
 
 from indexlaw import representation
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
-                                    Normal, Uniform, normal_quantile)
+                                    Mixture, Normal, Uniform, normal_quantile)
 from indexlaw.errors import BadLevel, NegativeVariance, OutOfRange
 from indexlaw.indices import NamedIndex, moment_representation, named_representation
 from indexlaw.representation import (IndexRepresentation, beta_beta_cov,
@@ -29,6 +29,12 @@ class TestScoreCovariance:
     def test_constant_score(self):
         m = EmpiricalDistribution([1.0, 2.0, 7.0])
         assert score_covariance(m, one, lambda x: x ** 2) == pytest.approx(0.0, abs=1e-12)
+
+    def test_constant_score_is_exactly_zero(self):
+        # centred: a constant that is not a power of 2 leaves no round-off
+        m = EmpiricalDistribution(np.random.default_rng(8).lognormal(size=400))
+        c = lambda x: np.full(np.shape(x), -1.6687)
+        assert score_covariance(m, c, c) == 0.0
 
     def test_bernoulli_half(self):
         f = lambda x: (np.asarray(x) <= 0.5).astype(float)
@@ -95,6 +101,55 @@ class TestClosedForms:
         lhs2 = beta_cross_cov(m, ident, combo)
         rhs2 = a * beta_cross_cov(m, ident, q1) + b * beta_cross_cov(m, ident, q2)
         assert lhs2 == pytest.approx(rhs2, rel=1e-10)
+
+
+def _counting(cls):
+    """A subclass of ``cls`` that counts its 2,049-node quantile calls."""
+
+    class Counting(cls):
+        grids = 0
+
+        def quantile_extended(self, s):
+            Counting.grids += np.size(s) == representation.DEFAULT_GRID + 1
+            return super().quantile_extended(s)
+
+    return Counting
+
+
+def _bench_mixture(cls=Mixture):
+    return cls((0.5, 0.5), [LogNormal(0.0, 1.0), LogNormal(0.5, 1.0)])
+
+
+class TestOneQuantileGrid:
+    """The score models of one call share one quantile grid per model."""
+
+    def test_index_variance_builds_one_grid(self):
+        for model in (_counting(LogNormal)(0.0, 1.0), _bench_mixture(_counting(Mixture))):
+            rep = named_representation(model, NamedIndex.sen(1.0))
+            type(model).grids = 0
+            index_variance(model, rep)
+            assert type(model).grids == 1
+
+    def test_mutual_variation_builds_one_grid_per_margin(self):
+        from indexlaw.temporal import (BivariateFrame, GaussianCopula,
+                                       mutual_variation_covariance)
+
+        cls = _counting(LogNormal)
+        m1, m2 = cls(0.0, 1.0), cls(0.1, 0.9)
+        sen, fgt = NamedIndex.sen(1.0), NamedIndex.fgt(1.0, 1.0)
+        reps = [named_representation(m, ix) for m in (m1, m2) for ix in (sen, fgt)]
+        cls.grids = 0
+        mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(0.4)), *reps)
+        assert cls.grids == 2
+
+    @pytest.mark.parametrize("model", [
+        EmpiricalDistribution(np.random.default_rng(4).lognormal(size=300)),
+        LogNormal(0.0, 1.0), _bench_mixture()], ids=["empirical", "lognormal", "mixture"])
+    def test_score_models_match_score_model(self, model):
+        rep = named_representation(model, NamedIndex.sen(1.0))
+        both = representation._score_models(model, [rep.h, rep.q], 512)
+        for got, f in zip(both, (rep.h, rep.q)):
+            assert np.array_equal(got.coef, representation.score_model(model, f, 512).coef)
 
 
 @pytest.fixture(scope="module")
