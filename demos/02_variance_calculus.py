@@ -15,7 +15,7 @@ import numpy as np
 from indexlaw import (LogNormal, NamedIndex, beta_beta_cov, beta_cross_cov,
                       compose_ratio, index_cross_covariance, index_variance,
                       indicator_cov_closed_form, named_representation)
-from indexlaw.representation import IndexRepresentation
+from indexlaw.representation import IndexRepresentation, Polynomial
 
 model = LogNormal(0.0, 1.0)
 Z = 1.0
@@ -46,10 +46,13 @@ v2 = index_variance(model, rep_fgt).total
 corr = cross / np.sqrt(v1 * v2)
 print(f"\nShorrocks / poverty-gap asymptotic correlation: {corr:.4f}")
 
-# ratio composition: the Takayama welfare ratio C / mean
+# ratio composition: the Takayama welfare ratio C / mean; the mean's score
+# x is all polynomial, so it declares that part and its moments come in
+# closed form instead of from the quadrature mesh
 rep_c = named_representation(model, NamedIndex.takayama(Z))
 rep_mu = IndexRepresentation(h=ident, q=lambda x: np.zeros_like(ident(x)),
-                             value=lambda m: m.raw_moment(1), q_zero=True)
+                             value=lambda m: m.raw_moment(1), q_zero=True,
+                             poly=Polynomial(0.0, (0.0, 1.0)))
 ratio = compose_ratio(rep_c, rep_mu, rep_c.value(model), model.raw_moment(1))
 print(f"Takayama ratio variance via composition: "
       f"{index_variance(model, ratio).total:.6f}")

@@ -25,7 +25,9 @@ plug-in-weighted gd_{0,n}), both weighted variances over groups.
 With empirical group models psi_g is exact on the group's cells: each Tail_a
 is a suffix sum over the sorted values of group a, looked up by one
 ``searchsorted`` per group pair, so theta1^2 costs O(n log n) and no n-by-n
-kernel is formed.  Parametric models use the grid models of ``score_model``.
+kernel is formed.  Parametric models hold psi_g, and integrate the
+label-noise expectations, on the group's mesh with every break of the call
+as a cell edge; polynomial parts of scores take closed-form moments.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from .distributions import DistributionModel, EmpiricalDistribution, Mixture
 from .empirical import EmpiricalSample, build_sample
 from .errors import BadWeights, NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
-from .representation import (DEFAULT_GRID, IndexRepresentation, _scorer,
-                             confidence_interval)
-from .ugrid import covariance
+from .representation import (DEFAULT_GRID, IndexRepresentation, _combine, _cov, _mean,
+                             _scorer, _split, confidence_interval)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def _tail(model: DistributionModel, q, score: Callable) -> Callable[[np.ndarray]
 
     Empirical models sum ``q(x_t)/n`` over the sorted sample from the first
     value >= x, so a value tied with x counts as above it; parametric ones
-    evaluate the tail integral of the q grid model ``score(q)`` at F(x).
+    evaluate the tail integral of the q cell model ``score(q)`` at F(x).
     """
     if model.kind == "empirical":
         x = model.sample.values
@@ -170,15 +171,15 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
     mixture = group_models[0] if k == 1 else Mixture(p, group_models)
     rep = global_rep or rep_builder(mixture)
     reps = [rep_builder(m) for m in group_models]
-    breaks = rep.breaks
+    breaks = tuple(rep.breaks) + tuple(b for r in reps for b in r.breaks)
 
     h_global, q_global = rep.h, rep.q
     q_skip = rep.q_zero and all(r.q_zero for r in reps)
-    scores = [_scorer(m, grid) for m in group_models]
+    scores = [_scorer(m, grid, breaks) for m in group_models]
     tails = [] if q_skip else [_tail(m, q_global, sc) for m, sc in zip(group_models, scores)]
 
     theta1 = 0.0
-    for g, (score, rep_g) in enumerate(zip(scores, reps)):
+    for g, (model_g, score, rep_g) in enumerate(zip(group_models, scores, reps)):
         def point_part(x, _g=g, _hg=rep_g.h):
             # (h - h_g)(x) plus the other groups' q-mass at or above x
             out = np.asarray(h_global(x), dtype=float) - np.asarray(_hg(x), dtype=float)
@@ -187,28 +188,28 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
                     out = out + p[a] * tail(x)
             return out
 
-        psi = score(point_part)
+        psi, poly = _split(model_g, score, point_part, _combine(1.0, rep.poly, -1.0, rep_g.poly))
         if not q_skip:
             own = score(lambda x, _qg=rep_g.q, _pg=p[g]:
                         _pg * np.asarray(q_global(x), dtype=float)
-                        - np.asarray(_qg(x), dtype=float))
-            psi = psi + own.tail_integral_poly()
-        theta1 += p[g] * covariance(psi, psi)
+                        - np.asarray(_qg(x), dtype=float)).tail_integral_poly()
+            psi = own if psi is None else psi + own
+        theta1 += p[g] * _cov(model_g, score, (psi, poly), (psi, poly))
 
     # label-noise components
     ell = np.empty(k)
     mm = np.empty(k)
     for i in range(k):
-        eh = group_models[i].integrate_score(h_global, breaks=breaks)
+        eh = _mean(group_models[i], scores[i], h_global, rep.poly)
         value_i = reps[i].value(group_models[i])
         if q_skip:
             h_i = 0.0
         else:
             cdf_i = group_models[i].cdf
-            h_i = sum(p[a] * group_models[a].integrate_score(
-                lambda x, _c=cdf_i: np.asarray(_c(x), dtype=float)
-                * np.asarray(q_global(x), dtype=float), breaks=breaks)
-                for a in range(k))
+            h_i = sum(p[a] * _mean(group_models[a], scores[a],
+                                   lambda x, _c=cdf_i: np.asarray(_c(x), dtype=float)
+                                   * np.asarray(q_global(x), dtype=float))
+                      for a in range(k))
         ell[i] = eh - value_i + h_i
         mm[i] = eh + h_i
 

@@ -5,19 +5,16 @@ A distribution model is anything exposing
 * ``cdf(x)``            -- nondecreasing, right-continuous,
 * ``quantile(s)``       -- the generalized inverse on (0, 1),
 * ``integrate_score(f)``-- the expectation of a score under the model,
+* ``raw_moment(k)`` and ``central_moment(k)`` -- closed-form moments,
 * ``kind``              -- ``"empirical"`` or ``"parametric"``.
 
 Empirical models integrate scores exactly as sample means; parametric models
-integrate through the quantile substitution ``E f(X) = int_0^1 f(Q(u)) du``
-with the adaptive QUADPACK rule of :mod:`indexlaw.quadpack`, which gives
-the results of SciPy's ``quad`` without importing SciPy.  Its nodes are
-evaluated in batches, one vectorized ``f(Q(u))`` call per bisected
-subinterval pair, so the result is that of evaluating each node on a
-1-element array; it differs from a 0-d evaluation only where numpy scalar
-arithmetic rounds a power differently from the array loop.  Models
-additionally expose ``quantile_extended``, a total function on [0, 1]
-returning the (possibly infinite) endpoint limits; grid-based routines use
-it to decide where the quantile needs clipping.
+integrate ``E f(X) = int_0^1 f(Q(u)) du`` by the Gauss-Legendre rule on
+their ``mesh`` (:mod:`indexlaw.ugrid`), whose cell edges include the levels
+F(b) of the points b where f jumps; a mixture sums its components'.
+Polynomial parts of scores take closed-form central moments instead, formed
+where each family's closed form does not cancel.  ``quantile_extended`` is
+the quantile on [0, 1], with the (possibly infinite) endpoint limits.
 
 The inverse standard normal CDF is Wichura's AS241 rational approximation
 (PPND16), accurate to ~1e-15 in double precision.  The standard normal CDF
@@ -36,7 +33,7 @@ import numpy as np
 
 from .empirical import EmpiricalSample, build_sample, ecdf, equantile
 from .errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
-from .quadpack import quad
+from .ugrid import DEFAULT_GRID, gauss_nodes, gauss_sum, mesh_edges
 
 # ---------------------------------------------------------------------------
 # AS241 inverse standard normal (Wichura 1988, PPND16)
@@ -120,13 +117,13 @@ def normal_cdf(x):
 
 
 def _closed_form(moment: Callable[["DistributionModel", int], float]):
-    """Mark a closed-form ``raw_moment``: one beyond the float range raises
-    ``NonFiniteMoment``, where Python's float powers, ``math.exp`` and
-    big-integer division raise ``OverflowError`` and a sum can reach inf
-    (or, on a sample, nan from opposite infinite powers)."""
+    """Mark a closed-form ``raw_moment`` or ``central_moment``: one beyond
+    the float range raises ``NonFiniteMoment``, where Python's float powers,
+    ``math.exp`` and big-integer division raise ``OverflowError`` and a sum
+    can reach inf (or, on a sample, nan from opposite infinite powers)."""
 
     @functools.wraps(moment)
-    def raw_moment(self, k: int) -> float:
+    def checked(self, k: int) -> float:
         try:
             value = float(moment(self, k))
         except OverflowError:
@@ -136,7 +133,12 @@ def _closed_form(moment: Callable[["DistributionModel", int], float]):
                                   f"is beyond the float range")
         return value
 
-    return raw_moment
+    return checked
+
+
+def _shifted(moments: Sequence[float], d: float, k: int) -> float:
+    """``E (Y + d)^k`` from the moments ``E Y^j``, j = 0..k."""
+    return math.fsum(math.comb(k, j) * moments[j] * d ** (k - j) for j in range(k + 1))
 
 
 class DistributionModel:
@@ -158,34 +160,23 @@ class DistributionModel:
         """Quantile as a total function on [0, 1]; may return +-inf at the ends."""
         raise NotImplementedError
 
+    def mesh(self, breaks: Sequence[float] = (), grid: int = DEFAULT_GRID):
+        """The cell edges of the mesh for scores that jump at ``breaks``, and
+        the quantile at the cells' Gauss nodes, flattened cell by cell."""
+        edges = mesh_edges(grid, [float(np.asarray(self.cdf(b))) for b in breaks])
+        return edges, np.asarray(self.quantile_extended(gauss_nodes(edges).ravel()), dtype=float)
+
     def integrate_score(self, f: Callable, breaks: Sequence[float] = ()) -> float:
-        """E f(X) by adaptive quadrature of f(Q(u)) on (0, 1).
+        """E f(X) by the Gauss-Legendre rule on ``mesh(breaks)``.
 
         ``breaks`` lists x-values where f jumps (e.g. a poverty line); their
-        levels F(b) are the integrator's break points, and there may be
-        none.  The integrator is the in-package QUADPACK
-        (:func:`~indexlaw.quadpack.quad`), which integrates as SciPy's
-        ``quad(f, 0, 1, points=levels, limit=200)`` on the distinct levels
-        strictly inside (0, 1).  It evaluates ``f(Q(u))`` on one array per
-        rule pass: the first pass's intervals together, then both halves of
-        each bisection.
+        levels F(b) are cell edges, so the rule never straddles a jump.
         """
-        cuts = [float(self.cdf(b)) for b in breaks]
-
-        def integrand(u):
-            # deep subdivision next to a singular endpoint can round u onto
-            # it; nudge back inside the open interval
-            x = self.quantile_extended(np.minimum(np.maximum(u, 1e-300), 1.0 - 1e-16))
-            return np.broadcast_to(np.asarray(f(np.asarray(x)), dtype=float), u.shape)
-
-        val, _, _ = quad(integrand, points=cuts)
-        if not np.isfinite(val):
-            raise NonFiniteIntegral("score integral did not converge")
-        return float(val)
-
-    def raw_moment(self, k: int) -> float:
-        """E X^k; overridden with closed forms where available."""
-        return self.integrate_score(lambda x: np.asarray(x, dtype=float) ** k)
+        edges, x = self.mesh(breaks)
+        vals = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteIntegral("score composed with quantile is not finite on (0, 1)")
+        return gauss_sum(edges, vals.reshape(edges.size - 1, -1))
 
 
 class EmpiricalDistribution(DistributionModel):
@@ -220,6 +211,10 @@ class EmpiricalDistribution(DistributionModel):
         out = self.sample.values[j - 1]
         return float(out[0]) if np.asarray(s).ndim == 0 else out
 
+    def mesh(self, breaks=(), grid=None):
+        """The mesh on the n sample cells ``((j-1)/n, j/n]``, whatever ``grid`` says."""
+        return super().mesh(breaks, self.sample.n)
+
     def integrate_score(self, f, breaks=()) -> float:
         vals = np.asarray(f(self.sample.values), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -235,6 +230,12 @@ class EmpiricalDistribution(DistributionModel):
                 # the sum overflowed although every power is finite
                 mean = np.sum(powers / self.sample.n)
         return float(mean)
+
+    @_closed_form
+    def central_moment(self, k: int) -> float:
+        x = self.sample.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.mean((x - np.mean(x)) ** k))
 
 
 class Uniform(DistributionModel):
@@ -252,6 +253,10 @@ class Uniform(DistributionModel):
     @_closed_form
     def raw_moment(self, k: int) -> float:
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
+
+    @_closed_form
+    def central_moment(self, k: int) -> float:
+        return 0.0 if k % 2 else (0.5 * (self.b - self.a)) ** k / (k + 1)
 
 
 class Exponential(DistributionModel):
@@ -272,6 +277,11 @@ class Exponential(DistributionModel):
     @_closed_form
     def raw_moment(self, k: int) -> float:
         return math.factorial(k) / self.rate ** k
+
+    @_closed_form
+    def central_moment(self, k: int) -> float:
+        # k! sum_j (-1)^j / j! is the subfactorial, an integer
+        return functools.reduce(lambda d, j: j * d + (-1) ** j, range(1, k + 1), 1) / self.rate ** k
 
 
 class LogNormal(DistributionModel):
@@ -296,6 +306,15 @@ class LogNormal(DistributionModel):
     @_closed_form
     def raw_moment(self, k: int) -> float:
         return math.exp(k * self.mu + 0.5 * (k * self.sigma) ** 2)
+
+    @_closed_form
+    def central_moment(self, k: int) -> float:
+        # E X^j / mean^j = exp(j (j - 1) sigma^2 / 2); the binomial sum of
+        # the 1s vanishes, so summing expm1 keeps the small differences
+        mean = math.exp(self.mu + 0.5 * self.sigma ** 2)
+        return mean ** k * math.fsum(
+            math.comb(k, j) * (-1) ** (k - j) * math.expm1(0.5 * j * (j - 1) * self.sigma ** 2)
+            for j in range(k + 1))
 
 
 class Pareto(DistributionModel):
@@ -322,6 +341,13 @@ class Pareto(DistributionModel):
             raise NonFiniteMoment(f"pareto moment of order {k} is infinite for tail index {self.a}")
         return self.a * self.xm ** k / (self.a - k)
 
+    @_closed_form
+    def central_moment(self, k: int) -> float:
+        # about the lower end: X / xm - 1 is Lomax, E (X/xm - 1)^j = j! / prod_{i<=j} (a - i)
+        self.raw_moment(k)  # NonFiniteMoment for k >= a
+        lomax = np.cumprod([1.0] + [j / (self.a - j) for j in range(1, k + 1)])
+        return self.xm ** k * _shifted(lomax, -1.0 / (self.a - 1.0), k)
+
 
 class Normal(DistributionModel):
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
@@ -344,6 +370,10 @@ class Normal(DistributionModel):
             total += (math.comb(k, 2 * j) * self.mu ** (k - 2 * j)
                       * self.sigma ** (2 * j) * _double_factorial(2 * j - 1))
         return total
+
+    @_closed_form
+    def central_moment(self, k: int) -> float:
+        return 0.0 if k % 2 else self.sigma ** k * _double_factorial(k - 1)
 
 
 def _double_factorial(m: int) -> float:
@@ -371,11 +401,11 @@ class Mixture(DistributionModel):
         return float(out) if np.asarray(out).ndim == 0 else out
 
     def quantile_extended(self, s):
-        """Generalized inverse ``inf {x : F(x) >= s}`` by vectorized bisection.
+        """Generalized inverse ``inf {x : F(x) >= s}`` by vectorized root finding.
 
         Each interior level is bracketed by the smallest and the largest
-        component quantile, and all brackets are bisected together with one
-        vectorized ``cdf`` call per step until each is two adjacent floats.
+        component quantile; all brackets are narrowed together, with one
+        vectorized ``cdf`` call per step, until each is two adjacent floats.
         The upper end, the smallest float found with ``F(x) >= s``, is
         returned, so in a flat region of F the result is its left end.
         Levels <= 0 and >= 1 give the smallest and the largest component
@@ -399,6 +429,19 @@ class Mixture(DistributionModel):
         while (miss := np.asarray(self.cdf(lo)) >= level).any():
             lo[miss], hi[miss] = lo[miss] - step[miss], lo[miss]
             step[miss] *= 2.0
+        # false position with the Illinois halving narrows most brackets in
+        # 8 passes; bisection then closes each on the float it would reach
+        g_lo, g_hi = np.asarray(self.cdf(lo)) - level, np.asarray(self.cdf(hi)) - level
+        side = np.zeros(level.size)
+        for _ in range(8):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = lo - g_lo * ((hi - lo) / (g_hi - g_lo))
+            x = np.where((x > lo) & (x < hi), x, lo + 0.5 * (hi - lo))
+            g = np.asarray(self.cdf(x)) - level
+            new = np.where(g >= 0.0, 1.0, -1.0)
+            g_lo = np.where(new < 0, g, np.where(side > 0, 0.5, 1.0) * g_lo)
+            g_hi = np.where(new > 0, g, np.where(side < 0, 0.5, 1.0) * g_hi)
+            lo, hi, side = np.where(new < 0, x, lo), np.where(new > 0, x, hi), new
         open_ = (lo < hi) & (np.nextafter(lo, hi) < hi)
         while open_.any():
             mid = lo[open_] + 0.5 * (hi[open_] - lo[open_])
@@ -416,3 +459,11 @@ class Mixture(DistributionModel):
 
     def raw_moment(self, k: int) -> float:
         return float(sum(p * c.raw_moment(k) for p, c in zip(self.weights, self.components)))
+
+    @_closed_form
+    def central_moment(self, k: int) -> float:
+        # each component's central moments shifted from its mean to the mixture's
+        mean = self.raw_moment(1)
+        return math.fsum(p * _shifted([1.0, 0.0] + [c.central_moment(j) for j in range(2, k + 1)],
+                                      c.raw_moment(1) - mean, k)
+                         for p, c in zip(self.weights, self.components))

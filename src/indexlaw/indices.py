@@ -20,7 +20,8 @@ Conventions adopted for finite data:
 * FGT uses ``0**0 = 1`` so that alpha = 0 is the headcount ratio;
 * weighted indices whose displayed denominators involve the number of poor
   (Sen, Kakwani) are defined as 0 when nobody is poor, the limit of the
-  formulas;
+  formulas; under a model with F(Z) = 0 every rank-weighted kind has the
+  zero score pair and the value 0;
 * the Takayama statistic is handled through its rank form
   ``C_n = (1/n) sum (1 - F_n(X_j) + 1/n) d(X_j) 1_{X_j <= Z}`` and the
   ratio variant ``T_n = C_n / mean_n`` whose representation composes the
@@ -34,15 +35,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .distributions import DistributionModel
 from .empirical import EmpiricalSample, ScoreFunction
 from .errors import (BadParams, BadThreshold, NonFiniteConstant, OutOfRange,
                      ThresholdOutsideSupport, ZeroDenominator, ZeroHpi,
                      ZeroMean, ZeroVariance)
-from .quadpack import quad
-from .representation import IndexRepresentation, compose_ratio
+from .representation import IndexRepresentation, Polynomial, compose_ratio
+from .ugrid import NODES, gauss_nodes, gauss_sum
 
 _POVERTY_KINDS = ("fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
                   "takayama_ratio")
@@ -57,6 +57,9 @@ _PARAM_FORMATS = {"alpha": "alpha={:g}", "k": "k={}", "order": "order={}",
 
 def _identity(x):
     return np.asarray(x, dtype=float)
+
+
+_MEAN = Polynomial(0.0, (0.0, 1.0))   # the mean's score x, all polynomial
 
 
 def _real(value) -> float:
@@ -269,9 +272,10 @@ def normalized_moment_estimate(sample: EmpiricalSample, p: int, kind: str) -> fl
 
 
 def _check_threshold(model: DistributionModel, z: float) -> float:
+    """F(Z), which must be < 1: nobody poor (F(Z) = 0) is allowed."""
     fz = float(np.asarray(model.cdf(z)))
-    if not (0.0 < fz < 1.0):
-        raise ThresholdOutsideSupport(f"need 0 < F(Z) < 1, got F({z}) = {fz}")
+    if not (0.0 <= fz < 1.0):
+        raise ThresholdOutsideSupport(f"need 0 <= F(Z) < 1, got F({z}) = {fz}")
     return fz
 
 
@@ -304,6 +308,8 @@ def _poor_score(z: float, f: Callable[[np.ndarray, Optional[np.ndarray]], np.nda
 
 def _kakwani_constants(model: DistributionModel, z: float, k: int) -> tuple[float, float, float]:
     fz = _check_threshold(model, z)
+    if fz == 0.0:
+        return fz, 0.0, 0.0
     jk = model.integrate_score(_poor_score(
         z, lambda x, fx: (k + 1.0) * (1.0 - fx / fz) ** k * _gap(z, x), model), breaks=(z,))
     core = model.integrate_score(_poor_score(
@@ -316,27 +322,32 @@ def _kakwani_constants(model: DistributionModel, z: float, k: int) -> tuple[floa
 
 def _kakwani_representation(model: DistributionModel, z: float, k: int) -> IndexRepresentation:
     fz, jk, kk = _kakwani_constants(model, z, k)
+    value = lambda m: _kakwani_constants(m, z, k)[1]
+    if fz == 0.0:  # nobody poor: the zero score pair
+        return IndexRepresentation(h=_zero, q=_zero, value=value, breaks=(z,), q_zero=True)
     h = _poor_score(z, lambda x, fx: (k + 1.0) * ((1.0 - fx / fz) ** k * _gap(z, x)
                                                   - (jk / fz) * (fx / fz) ** k) + kk, model)
     q = _poor_score(z, lambda x, fx: (-k * (k + 1.0) / fz
                                       * ((1.0 - fx / fz) ** (k - 1) * _gap(z, x)
                                          + (jk / fz) * (fx / fz) ** (k - 1))), model)
-    return IndexRepresentation(h=h, q=q, value=lambda m: _kakwani_constants(m, z, k)[1],
-                               breaks=(z,))
+    return IndexRepresentation(h=h, q=q, value=value, breaks=(z,))
 
 
 def _rank_linear_representation(model: DistributionModel, z: float,
                                 d: ScoreFunction) -> IndexRepresentation:
     """``h = (1 - F) d`` and ``q = -d`` on the poor; the value is E h under
     whatever model it is applied to."""
-    _check_threshold(model, z)
 
     def h_under(m):
         return _poor_score(z, lambda x, fx: (1.0 - fx) * d(x), m)
 
+    def value(m):
+        return m.integrate_score(h_under(m), breaks=(z,))
+
+    if _check_threshold(model, z) == 0.0:  # nobody poor: the zero score pair
+        return IndexRepresentation(h=_zero, q=_zero, value=value, breaks=(z,), q_zero=True)
     return IndexRepresentation(h=h_under(model), q=_poor_score(z, lambda x, _: -d(x)),
-                               value=lambda m: m.integrate_score(h_under(m), breaks=(z,)),
-                               breaks=(z,))
+                               value=value, breaks=(z,))
 
 
 def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRepresentation:
@@ -371,8 +382,8 @@ def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRe
         mu = model.raw_moment(1)
         if mu == 0.0:
             raise ZeroMean("takayama ratio needs a nonzero mean")
-        mean_rep = IndexRepresentation(h=_identity, q=_zero,
-                                       value=lambda m: m.raw_moment(1), q_zero=True)
+        mean_rep = IndexRepresentation(h=_MEAN, q=_zero, value=lambda m: m.raw_moment(1),
+                                       q_zero=True, poly=_MEAN)
         return compose_ratio(c_rep, mean_rep, c_rep.value(model), mu)
 
     if kind == "central_moment":
@@ -389,50 +400,37 @@ def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRe
 # ---------------------------------------------------------------------------
 
 
-def _influence_poly(model: DistributionModel, order: int) -> np.ndarray:
-    """Polynomial coefficients of the central-moment score A(order).
+def _influence(model: DistributionModel, order: int) -> np.ndarray:
+    """Coefficients about the mean mu of the central-moment score
+    ``A(order) = (x - mu)^order - order mu_{order-1} (x - mu)``.
 
-    Built from the binomial expansion of ``(X - mean)^order`` around the raw
-    moments of the model: the x^order term plus, for p < order, corrections
-    in x^p and x.  Asks for ``E X^(2 order)`` first, so a model on which the
-    score's variance is infinite raises ``NonFiniteMoment`` here.
+    Its additive constant is left out (the functional empirical process
+    kills it), so A(2) is the centred square.  Asks for ``mu_{2 order}``
+    first, so a model on which the score's variance is infinite raises
+    ``NonFiniteMoment`` here.
     """
-    model.raw_moment(2 * order)
-    m = [model.raw_moment(p) if p > 0 else 1.0 for p in range(order + 1)]
+    model.central_moment(2 * order)
     coef = np.zeros(order + 1)
     coef[order] = 1.0
-    for p in range(order):
-        sign = (-1.0) ** (order - p)
-        binom = math.comb(order, p)
-        coef[p] += sign * binom * m[1] ** (order - p)
-        coef[1] += sign * binom * (order - p) * m[1] ** (order - p - 1) * m[p]
+    if order > 2:
+        coef[1] = -order * model.central_moment(order - 1)
     return coef
-
-
-def _central_moment_value(model: DistributionModel, order: int) -> float:
-    mean = model.raw_moment(1)
-    return model.integrate_score(lambda x: (np.asarray(x, dtype=float) - mean) ** order)
 
 
 def moment_representation(model: DistributionModel, order: int) -> IndexRepresentation:
     """Representation of the central moment of the given order (q = 0).
 
-    The first central moment is identically 0, so its pair is ``h = 0``
-    with the value 0.
+    The score is all polynomial, so its moments are closed-form under any
+    model.  The first central moment is identically 0, so its pair is
+    ``h = 0`` with the value 0.
     """
     if order < 1:
         raise OutOfRange("moment order must be >= 1")
     if order == 1:
         return IndexRepresentation(h=_zero, q=_zero, value=lambda m: 0.0, q_zero=True)
-    coef = _influence_poly(model, order)
-
-    def h(x, _c=coef):
-        return npoly.polyval(np.asarray(x, dtype=float), _c)
-
-    return IndexRepresentation(
-        h=h, q=_zero,
-        value=lambda m, _o=order: _central_moment_value(m, _o),
-        q_zero=True)
+    poly = Polynomial(model.raw_moment(1), tuple(_influence(model, order)))
+    return IndexRepresentation(h=poly, q=_zero, value=lambda m: m.central_moment(order),
+                               q_zero=True, poly=poly)
 
 
 def normalized_moment_representation(model: DistributionModel, p: int,
@@ -447,27 +445,23 @@ def normalized_moment_representation(model: DistributionModel, p: int,
     if kind not in ("odd", "even"):
         raise OutOfRange(f"kind must be 'odd' or 'even', got {kind!r}")
     top = 2 * p - 1 if kind == "odd" else 2 * p
-    sigma2 = _central_moment_value(model, 2)
+    sigma2 = model.central_moment(2)
     if sigma2 <= 0.0:
         raise ZeroVariance("normalized moments need positive variance")
-    a2 = _influence_poly(model, 2)
-    mu_top = _central_moment_value(model, top)
-    atop = _influence_poly(model, top)
-    coef = np.zeros(max(atop.size, a2.size))
-    coef[: atop.size] += atop
+    a2 = _influence(model, 2)
+    mu_top = model.central_moment(top)
+    coef = _influence(model, top)
     coef[: a2.size] -= 0.5 * top / sigma2 * mu_top * a2
     coef *= sigma2 ** (-top / 2.0)
-
-    def h(x, _c=coef):
-        return npoly.polyval(np.asarray(x, dtype=float), _c)
+    poly = Polynomial(model.raw_moment(1), tuple(coef))
 
     def value(m):
-        s2 = _central_moment_value(m, 2)
+        s2 = m.central_moment(2)
         if s2 <= 0.0:
             raise ZeroVariance("normalized moments need positive variance")
-        return _central_moment_value(m, top) / s2 ** (top / 2.0)
+        return m.central_moment(top) / s2 ** (top / 2.0)
 
-    return IndexRepresentation(h=h, q=_zero, value=value, q_zero=True)
+    return IndexRepresentation(h=poly, q=_zero, value=value, q_zero=True, poly=poly)
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +559,20 @@ def gpi_constants(model: DistributionModel, spec: GpiSpec) -> GpiConstants:
     if h_pi == 0.0 or not np.isfinite(h_pi):
         raise ZeroHpi(f"H_pi = {h_pi}")
 
-    def kc_integrand(s):
-        x = float(np.asarray(model.quantile(s)))
-        if x > z:
-            return 0.0
-        return dc_dx(fz, s) * float(np.asarray(spec.d((z - x) / z)))
+    # K_c and K_pi integrate over the level s on the model's mesh; a plug-in
+    # model's mesh has the sample cells, on which the step quantile is constant
+    edges, x = model.mesh((z,))
+    s = gauss_nodes(edges).ravel()
+    poor = np.flatnonzero(x <= z)
 
-    def kpi_integrand(s):
-        x = float(np.asarray(model.quantile(s)))
-        if x > z:
-            return 0.0
-        return dpi_dx(fz, s)
-
-    def pointwise(integrand):
+    def level_integral(integrand):
         # the user's spec functions are scalar: evaluate one level at a time
-        return lambda s: [integrand(v) for v in s.tolist()]
+        vals = np.zeros(x.size)
+        vals[poor] = [integrand(s[i], x[i]) for i in poor.tolist()]
+        return gauss_sum(edges, vals.reshape(-1, NODES))
 
-    k_c, _, _ = quad(pointwise(kc_integrand), points=[fz])
-    k_pi, _, _ = quad(pointwise(kpi_integrand), points=[fz])
+    k_c = level_integral(lambda s, x: dc_dx(fz, s) * float(np.asarray(spec.d((z - x) / z))))
+    k_pi = level_integral(lambda s, x: dpi_dx(fz, s))
     j = h_c / h_pi
     k = k_c / h_pi - h_c * k_pi / h_pi ** 2
     consts = GpiConstants(H_c=h_c, H_pi=h_pi, J=j, K_c=k_c, K_pi=k_pi, K=k)

@@ -19,11 +19,13 @@ and the total is ``gamma1 + gamma2 + 2 gamma3``.  Cross-covariances between
 two indices combine the same covariances bilinearly.
 
 Empirical models evaluate every integral as an exact step sum over the n
-sample cells.  Parametric models use piecewise-linear interpolants of the
-integrands on a uniform grid (default 2048 cells) whose endpoint nodes fall
-back to clipped quantiles ``[h/2, 1 - h/2]`` only where the quantile is
-unbounded; integration of the interpolants is closed-form, so polynomial
-cases are exact.
+sample cells.  Parametric models hold ``h o Q`` and ``W`` on one mesh per
+model and call (:mod:`indexlaw.ugrid`), whose edges include the levels of
+every break of the call.  A finite mesh cannot hold a polynomial of an
+unbounded quantile, so the polynomial part of a score
+(``IndexRepresentation.poly``: the moment kinds, the mean inside a ratio)
+takes its moments from the model's closed-form central moments, and the
+mesh sees only the bounded remainder.
 """
 
 from __future__ import annotations
@@ -31,16 +33,42 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .distributions import DistributionModel, normal_quantile
 from .empirical import ScoreFunction
 from .errors import BadLevel, NegativeVariance, NonFiniteIntegral, OutOfRange
-from .ugrid import CellPoly, covariance
+from .ugrid import DEFAULT_GRID, NODES, CellPoly, check_grid, covariance, inner
 
-DEFAULT_GRID = 2048
+
+@dataclass(frozen=True)
+class Polynomial:
+    """``sum_j coef[j] (x - center)^j``, the polynomial part of a score."""
+
+    center: float
+    coef: tuple
+
+    def __call__(self, x):
+        return npoly.polyval(np.asarray(x, dtype=float) - self.center, self.coef)
+
+    def about(self, center: float) -> np.ndarray:
+        """The coefficients in powers of ``x - center``."""
+        shifted = npoly.Polynomial(self.coef)(npoly.Polynomial([center - self.center, 1.0]))
+        return np.pad(shifted.coef, (0, len(self.coef) - shifted.coef.size))
+
+
+def _combine(ca: float, pa: Optional[Polynomial], cb: float,
+             pb: Optional[Polynomial]) -> Optional[Polynomial]:
+    """``ca pa + cb pb`` about the first center, a missing part counting as 0."""
+    parts = [(c, p) for c, p in ((ca, pa), (cb, pb)) if p is not None]
+    if not parts:
+        return None
+    center = parts[0][1].center
+    return Polynomial(center, tuple(functools.reduce(
+        npoly.polyadd, [c * p.about(center) for c, p in parts])))
 
 
 @dataclass(frozen=True)
@@ -49,9 +77,11 @@ class IndexRepresentation:
 
     ``value`` maps any distribution model to the theoretical index; ``h`` and
     ``q`` are the score and weight-precursor functions built against a
-    reference model.  ``breaks`` lists x-values where the scores jump (used
-    as quadrature subdivision hints) and ``q_zero`` marks pure-mean
-    statistics whose beta-term vanishes identically.
+    reference model.  ``breaks`` lists x-values where the scores jump (cell
+    edges of the parametric mesh) and ``q_zero`` marks pure-mean statistics
+    whose beta-term vanishes identically.  ``poly`` is the polynomial part
+    of h (``h is poly`` when h is all polynomial): ``h - poly`` is bounded
+    and vanishes above the largest break.
     """
 
     h: ScoreFunction
@@ -59,6 +89,7 @@ class IndexRepresentation:
     value: Callable[[DistributionModel], float]
     breaks: tuple = ()
     q_zero: bool = False
+    poly: Optional[Polynomial] = None
 
 
 @dataclass(frozen=True)
@@ -72,28 +103,8 @@ class CovarianceEstimate:
 
 
 # ---------------------------------------------------------------------------
-# u-grid models of w(Q(s))
+# Cell models of w(Q(s))
 # ---------------------------------------------------------------------------
-
-
-def check_grid(grid: int) -> None:
-    """Reject a grid size that is not an integer >= 1."""
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
-        raise OutOfRange(f"grid size must be an integer >= 1, got {grid!r}")
-
-
-def quantile_grid(model: DistributionModel, grid: int) -> np.ndarray:
-    """Quantile values at the nodes k/grid, with unbounded endpoints clipped
-    to [h/2, 1 - h/2]."""
-    check_grid(grid)
-    s = np.linspace(0.0, 1.0, grid + 1)
-    x = np.asarray(model.quantile_extended(s), dtype=float)
-    clip = 0.5 / grid
-    if not np.isfinite(x[0]):
-        x[0] = float(np.asarray(model.quantile_extended(clip)))
-    if not np.isfinite(x[-1]):
-        x[-1] = float(np.asarray(model.quantile_extended(1.0 - clip)))
-    return x
 
 
 def _evaluate(func: ScoreFunction, x: np.ndarray) -> np.ndarray:
@@ -102,9 +113,11 @@ def _evaluate(func: ScoreFunction, x: np.ndarray) -> np.ndarray:
     return vals if vals.shape == x.shape else np.full(x.shape, vals)
 
 
-def _scorer(model: DistributionModel, grid: int) -> Callable[[ScoreFunction], CellPoly]:
+def _scorer(model: DistributionModel, grid: int,
+            breaks: Sequence[float] = ()) -> Callable[[ScoreFunction], CellPoly]:
     """``func -> score_model(model, func, grid)`` with the nodes built once:
-    the sorted sample of an empirical model, else ``quantile_grid``."""
+    the sorted sample of an empirical model, else the model's mesh for
+    ``breaks``, built on first use."""
     if model.kind == "empirical":
         x = model.sample.values
 
@@ -115,20 +128,15 @@ def _scorer(model: DistributionModel, grid: int) -> Callable[[ScoreFunction], Ce
             return CellPoly.from_cells(vals)
 
         return cells
-    x = quantile_grid(model, grid)
+    check_grid(grid)
+    mesh = functools.cache(lambda: model.mesh(breaks, grid))
 
     def nodes(func):
+        edges, x = mesh()
         vals = _evaluate(func, x)
         if not np.all(np.isfinite(vals)):
-            # retry the offending endpoints at clipped quantiles
-            clip = 0.5 / grid
-            for idx, sc in ((0, clip), (-1, 1.0 - clip)):
-                if not np.isfinite(vals[idx]):
-                    vals[idx] = float(np.asarray(func(np.asarray(
-                        model.quantile_extended(sc), dtype=float))))
-            if not np.all(np.isfinite(vals)):
-                raise NonFiniteIntegral("score composed with quantile is not finite on (0, 1)")
-        return CellPoly.from_nodes(vals)
+            raise NonFiniteIntegral("score composed with quantile is not finite on (0, 1)")
+        return CellPoly.fit(vals.reshape(-1, NODES), edges)
 
     return nodes
 
@@ -141,12 +149,66 @@ def _score_models(model: DistributionModel, funcs: Sequence[ScoreFunction],
 
 def score_model(model: DistributionModel, func: ScoreFunction,
                 grid: int = DEFAULT_GRID) -> CellPoly:
-    """CellPoly model of ``s -> func(Q(s))`` on (0, 1).
-
-    Exact step function for empirical models; piecewise-linear interpolant on
-    ``grid`` cells for parametric ones.
-    """
+    """CellPoly model of ``s -> func(Q(s))`` on (0, 1): the exact step
+    function of a sample, or per-cell interpolants on a parametric mesh."""
     return _score_models(model, [func], grid)[0]
+
+
+# ---------------------------------------------------------------------------
+# Scores with a polynomial part
+# ---------------------------------------------------------------------------
+
+
+def _central_moments(model: DistributionModel, k: int) -> np.ndarray:
+    """``E (X - mean)^j`` for j = 0..k."""
+    return np.array([1.0, 0.0][: k + 1] + [model.central_moment(j) for j in range(2, k + 1)])
+
+
+def _split(model: DistributionModel, score, h: ScoreFunction,
+           poly: Optional[Polynomial]) -> tuple:
+    """``h(Q(U))`` as (cells of its bounded part, coefficients of its polynomial
+    part about the model's mean), either None; a sample keeps h in cells."""
+    if poly is None or model.kind == "empirical":
+        return score(h), None
+    coef = poly.about(model.raw_moment(1))
+    if h is poly:
+        return None, coef
+    return score(lambda x: _evaluate(h, x) - poly(x)), coef
+
+
+def _mean(model: DistributionModel, score, h: ScoreFunction,
+          poly: Optional[Polynomial] = None) -> float:
+    """E h(X): the sample mean on a plug-in model, else the mesh integral
+    of the bounded part plus the closed-form mean of the polynomial part."""
+    if model.kind == "empirical":
+        return model.integrate_score(h)
+    cells, coef = _split(model, score, h, poly)
+    total = 0.0 if cells is None else cells.integral()
+    if coef is not None:
+        total += math.fsum(coef * _central_moments(model, coef.size - 1))
+    return total
+
+
+def _cov(model: DistributionModel, score, a: tuple, b: tuple) -> float:
+    """Cov of two split scores ``(cells, polynomial coefficients)`` of U.
+
+    The cells' covariance is exact on the mesh.  A polynomial part P meets
+    the other side's bounded cells B through ``int (P - E P) B``, whose
+    integrand vanishes where B does, and meets the other polynomial part
+    through the central moments: ``sum a_i b_j (mu_{i+j} - mu_i mu_j)``.
+    """
+    (ca, pa), (cb, pb) = a, b
+    total = covariance(ca, cb) if ca is not None and cb is not None else 0.0
+    for p, c in ((pa, cb), (pb, ca)):
+        if p is not None and c is not None:
+            centred = p.copy()
+            centred[0] -= math.fsum(p * _central_moments(model, p.size - 1))
+            total += inner(score(Polynomial(model.raw_moment(1), tuple(centred))), c)
+    if pa is not None and pb is not None:
+        mu = _central_moments(model, pa.size + pb.size - 2)
+        total += math.fsum(pa[i] * pb[j] * (mu[i + j] - mu[i] * mu[j])
+                           for i in range(1, pa.size) for j in range(1, pb.size))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +222,7 @@ def score_covariance(model: DistributionModel, f: ScoreFunction, g: ScoreFunctio
 
     For an empirical model this is the exact sample covariance with divisor
     n, taken centred so that a constant score has covariance 0; otherwise
-    expectations are integrated adaptively.
+    the covariance of the two cell models on the mesh for ``breaks``.
     """
     if model.kind == "empirical":
         fv = np.asarray(f(model.sample.values), dtype=float)
@@ -168,14 +230,9 @@ def score_covariance(model: DistributionModel, f: ScoreFunction, g: ScoreFunctio
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
             raise NonFiniteIntegral("score is non-finite on the sample")
         return float(np.mean((fv - np.mean(fv)) * (gv - np.mean(gv))))
-    ef = model.integrate_score(f, breaks=breaks)
-    eg = ef if g is f else model.integrate_score(g, breaks=breaks)
-    efg = model.integrate_score(lambda x: np.asarray(f(x), dtype=float)
-                                * np.asarray(g(x), dtype=float), breaks=breaks)
-    cov = efg - ef * eg
-    if not np.isfinite(cov):
-        raise NonFiniteIntegral("covariance integral is not finite")
-    return float(cov)
+    score = _scorer(model, DEFAULT_GRID, breaks)
+    fm = score(f)
+    return covariance(fm, fm if g is f else score(g))
 
 
 def indicator_cov_closed_form(s: float, t: float) -> float:
@@ -204,15 +261,17 @@ def beta_cross_cov(model: DistributionModel, h: ScoreFunction, q: ScoreFunction,
 def index_variance(model: DistributionModel, rep: IndexRepresentation,
                    grid: int = DEFAULT_GRID) -> CovarianceEstimate:
     """Asymptotic variance of sqrt(n) (I_n - I) for the given representation."""
-    g1 = score_covariance(model, rep.h, rep.h, breaks=rep.breaks)
+    score = _scorer(model, grid, rep.breaks)
+    exact = model.kind == "empirical"
+    h = None if exact and rep.q_zero else _split(model, score, rep.h, rep.poly)
+    g1 = score_covariance(model, rep.h, rep.h) if exact else _cov(model, score, h, h)
     if rep.q_zero:
         g2 = 0.0
         g3 = 0.0
     else:
-        hm, qm = _score_models(model, [rep.h, rep.q], grid)
-        w = qm.tail_integral_poly()
-        g2 = covariance(w, w)
-        g3 = covariance(hm, w)
+        w = (score(rep.q).tail_integral_poly(), None)
+        g2 = _cov(model, score, w, w)
+        g3 = _cov(model, score, h, w)
     total = g1 + g2 + 2.0 * g3
     if total < -1e-9:
         raise NegativeVariance(f"total variance {total} < -1e-9; inconsistent inputs")
@@ -228,12 +287,18 @@ def index_variance(model: DistributionModel, rep: IndexRepresentation,
 def index_cross_covariance(model: DistributionModel, rep_i: IndexRepresentation,
                            rep_j: IndexRepresentation, grid: int = DEFAULT_GRID) -> float:
     """Asymptotic covariance of two indices measured on the same sample."""
-    breaks = tuple(rep_i.breaks) + tuple(rep_j.breaks)
-    total = score_covariance(model, rep_i.h, rep_j.h, breaks=breaks)
-    if not (rep_i.q_zero and rep_j.q_zero):
-        hi, hj, qi, qj = _score_models(model, [rep_i.h, rep_j.h, rep_i.q, rep_j.q], grid)
-        wi, wj = qi.tail_integral_poly(), qj.tail_integral_poly()
-        total += covariance(wi, wj) + covariance(hi, wj) + covariance(wi, hj)
+    score = _scorer(model, grid, tuple(rep_i.breaks) + tuple(rep_j.breaks))
+    exact = model.kind == "empirical"
+    q_zero = rep_i.q_zero and rep_j.q_zero
+    if not (exact and q_zero):
+        hi = _split(model, score, rep_i.h, rep_i.poly)
+        hj = _split(model, score, rep_j.h, rep_j.poly)
+    total = score_covariance(model, rep_i.h, rep_j.h) if exact else _cov(model, score, hi, hj)
+    if not q_zero:
+        wi = (score(rep_i.q).tail_integral_poly(), None)
+        wj = (score(rep_j.q).tail_integral_poly(), None)
+        total += (_cov(model, score, wi, wj) + _cov(model, score, hi, wj)
+                  + _cov(model, score, wi, hj))
     return float(total)
 
 
@@ -252,7 +317,7 @@ def u_atoms(model: DistributionModel, rep: IndexRepresentation,
 def _u_functions(model: DistributionModel, reps: Sequence[IndexRepresentation],
                  grid: int = DEFAULT_GRID) -> list[CellPoly]:
     """``[u_atoms(model, rep, grid) for rep in reps]`` on one set of nodes."""
-    score = _scorer(model, grid)
+    score = _scorer(model, grid, [b for rep in reps for b in rep.breaks])
     phis = []
     for rep in reps:
         hm = score(rep.h)
@@ -288,7 +353,7 @@ def compose_ratio(rep_num: IndexRepresentation, rep_den: IndexRepresentation,
 
     Follows the expansion algebra for products and ratios of representable
     sequences: the composed score is ``(1/B) h_A - (A/B^2) h_B`` and the
-    weight precursor combines the same way.
+    weight precursor and the polynomial parts combine the same way.
     """
     from .errors import ZeroDenominator
 
@@ -310,4 +375,5 @@ def compose_ratio(rep_num: IndexRepresentation, rep_den: IndexRepresentation,
         h=h, q=q, value=value,
         breaks=tuple(rep_num.breaks) + tuple(rep_den.breaks),
         q_zero=rep_num.q_zero and rep_den.q_zero,
+        poly=_combine(ca, rep_num.poly, cb, rep_den.poly),
     )

@@ -8,7 +8,7 @@ estimation error as ``G_n(phi o F)`` for the single u-function
 
 so every entry of a joint covariance matrix is one covariance
 ``int phi(u) psi(v) dC(u, v) - int phi * int psi`` of two such atoms: within
-a period both see the same U (an exact covariance on their shared grid),
+a period both see the same U (an exact covariance on their shared cells),
 across periods (U, V) ~ C.  The variance of a difference and, by the delta
 method, the laws of relative variations are read off the assembled matrix.
 
@@ -16,7 +16,8 @@ Copula integrals: independence and comonotone copulas are closed forms; the
 Gaussian copula integrates on a tensor midpoint grid of its density (default
 512 per axis, kept on the copula), whose midpoint normal quantiles are
 computed once per grid size; empirical copulas are exact rank sums.  Each
-margin's atoms are built on one quantile grid.
+margin's atoms are built on one mesh, whose cell edges include the levels of
+every break of the representations in the call.
 """
 
 from __future__ import annotations
@@ -63,12 +64,8 @@ class IndependenceCopula(CopulaModel):
 
 class ComonotoneCopula(CopulaModel):
     def cross_cov(self, phi, psi, grid):
-        if phi.m == psi.m:
-            return covariance(phi, psi)
-        m = 4 * max(phi.m, psi.m)
-        mid = (np.arange(m) + 0.5) / m
-        pv, qv = phi.eval(mid), psi.eval(mid)
-        return float(np.mean(pv * qv) - np.mean(pv) * np.mean(qv))
+        # U = V: exact also when the two periods' cells differ
+        return covariance(phi, psi)
 
 
 @functools.lru_cache(maxsize=8)
@@ -228,8 +225,8 @@ def _joint_matrix(frame: BivariateFrame, atoms: list[tuple[int, CellPoly]],
                   copula_grid: int) -> np.ndarray:
     """Covariance matrix of ``(period, phi)`` atoms.
 
-    Atoms of one period share U and its grid, so their entry is the
-    covariance on that grid; atoms of different periods are coupled by the
+    Atoms of one period share U and its mesh, so their entry is the
+    covariance on that mesh; atoms of different periods are coupled by the
     frame's copula, with the period-1 atom as its first argument.
     """
     m = np.empty((len(atoms), len(atoms)))

@@ -40,6 +40,15 @@ def write(tmp_path, name, text):
 
 
 class TestEstimate:
+    def test_nobody_poor(self, tmp_path, capsys):
+        values = 0.5 + np.random.default_rng(16).lognormal(size=700)
+        path = write(tmp_path, "x.csv", "\n".join(map(repr, values.tolist())) + "\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", path, "--index", "sen",
+                                 "--poverty-line", "0.5", "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["estimate"] == 0.0 and payload["variance"] == 0.0
+
     def test_headcount(self, tmp_path, capsys):
         path = write(tmp_path, "x.csv", "1\n2\n3\n4\n")
         code, out, _ = run_cli(capsys, "estimate", "--input", path, "--index", "fgt",
@@ -592,6 +601,21 @@ class TestDecompose:
         payload = json.loads(out)
         assert payload["groups"] == ["urban", "rural"]
         assert payload["weights"] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("index", ["sen", "shorrocks", "takayama", "takayama-ratio"])
+    def test_group_with_nobody_poor(self, tmp_path, capsys, index):
+        # group c has no value <= Z: its score pair is (0, 0) and its index 0
+        rng = np.random.default_rng(16)
+        groups = np.array(["a", "b", "c"])[rng.integers(0, 3, size=2000)]
+        values = rng.lognormal(size=2000) + np.where(groups == "c", 0.5, 0.0)
+        rows = "\n".join(f"{v!r},{g}" for v, g in zip(values.tolist(), groups))
+        path = write(tmp_path, "g.csv", rows + "\n")
+        code, out, err = run_cli(capsys, "decompose", "--input", path, "--index", index,
+                                 "--poverty-line", "0.5", "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["group_estimates"][payload["groups"].index("c")] == 0.0
+        assert all(np.isfinite(payload[key]) for key in ("gap", "theta1_sq", "theta2_sq"))
 
     def test_single_group(self, tmp_path, capsys):
         rows = "0.5,a\n1.5,a\n0.8,a\n"

@@ -1,7 +1,11 @@
 """Distribution models: AS241, families, empirical plug-in, mixtures, the
-in-package QUADPACK and the batched quadrature of scores."""
+Gauss-Legendre mesh rule for scores and a reference table of the catalog's
+parametric numbers."""
 
+import copy
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from indexlaw import distributions, indices, quadpack
 from indexlaw.distributions import (DistributionModel, EmpiricalDistribution, Exponential,
                                     LogNormal, Mixture, Normal, Pareto, Uniform, normal_cdf,
                                     normal_quantile)
@@ -17,6 +20,7 @@ from indexlaw.empirical import build_sample
 from indexlaw.errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
 from indexlaw.indices import GpiSpec, NamedIndex, gpi_constants, named_representation
 from indexlaw.representation import index_variance
+from indexlaw.ugrid import DEFAULT_GRID, NODES, gauss_sum
 
 
 class TestNormalQuantile:
@@ -273,23 +277,13 @@ def test_draw_generalized_inverse_identity():
         assert np.max(np.abs(np.asarray(model.cdf(x)) - u)) < 1e-12
 
 
-def scalar_integrate_score(model, f, breaks=(), one_element=False):
-    """Per-point reference for ``integrate_score``: the same ``quad`` call on a
-    scalar callback that evaluates ``f(Q(u))`` at one level at a time, on a
-    0-d array through ``quantile`` or, with ``one_element``, on a 1-element
+def scalar_integrate_score(model, f, breaks=()):
+    """Per-point reference for ``integrate_score``: the same Gauss rule on the
+    same mesh, with f evaluated at one quantile node at a time on a 0-d
     array."""
-    pts = sorted({float(model.cdf(b)) for b in breaks if 0.0 < model.cdf(b) < 1.0})
-
-    def g(u):
-        u = min(max(u, 1e-300), 1.0 - 1e-16)
-        if one_element:
-            return float(np.asarray(f(model.quantile(np.array([u]))), dtype=float)[0])
-        return float(np.asarray(f(np.asarray(model.quantile(u)))))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(g, 0.0, 1.0, points=pts, limit=200)
-    return float(val)
+    edges, x = model.mesh(breaks)
+    vals = [float(np.asarray(f(np.asarray(v)), dtype=float)) for v in x.tolist()]
+    return gauss_sum(edges, np.reshape(vals, (-1, NODES)))
 
 
 BENCH_MIXTURE = Mixture((0.5, 0.5), [LogNormal(0.0, 1.0), LogNormal(0.5, 1.0)])
@@ -317,17 +311,17 @@ def _numbers(model, index):
     return np.array([rep.value(model), v.gamma1, v.gamma2, v.gamma3, v.total])
 
 
-def _reference_numbers(monkeypatch, model, indices, **reference):
+def _reference_numbers(monkeypatch, model, indices):
     """The catalog numbers with ``integrate_score`` replaced by the reference."""
     with monkeypatch.context() as m:
         m.setattr(DistributionModel, "integrate_score",
-                  lambda self, f, breaks=(): scalar_integrate_score(self, f, breaks, **reference))
+                  lambda self, f, breaks=(): scalar_integrate_score(self, f, breaks))
         return [_numbers(model, index) for index in indices]
 
 
 class TestBatchedQuadrature:
-    """``integrate_score`` evaluates f(Q(u)) in batches of QUADPACK nodes but
-    returns what a per-point callback gives."""
+    """``integrate_score`` evaluates f(Q(u)) at every node of the mesh in one
+    array call but returns what a per-point callback gives."""
 
     @pytest.mark.parametrize("name", BATCH_MODELS)
     def test_poverty_catalog_matches_scalar_reference(self, name, monkeypatch):
@@ -338,46 +332,31 @@ class TestBatchedQuadrature:
             assert np.array_equal(_numbers(model, index), ref), index.label()
 
     def test_pareto_within_round_off(self, monkeypatch):
-        # on a 0-d input Pareto's (1 - s) ** (-1/a) is numpy scalar
-        # arithmetic, which rounds some levels differently from the array loop
+        # on a 0-d input the poverty scores' powers are numpy scalar
+        # arithmetic, which rounds some values differently from the array loop
         model = Pareto(1.0, 5.0)
         indices = _poverty_catalog(1.3)
         want = _reference_numbers(monkeypatch, model, indices)
         for index, ref in zip(indices, want):
             assert _numbers(model, index) == pytest.approx(ref, rel=1e-12, abs=0), index.label()
 
-    @pytest.mark.parametrize("model", [Normal(2, 1), Exponential(1.0), Uniform(0, 2),
-                                       Pareto(1.0, 12.0)], ids=lambda m: type(m).__name__)
-    def test_moment_catalog_matches_one_element_reference(self, model, monkeypatch):
-        # the moment scores raise a 0-d input to powers in numpy scalar
-        # arithmetic; on a 1-element array they round as in the batch
-        indices = _moment_catalog()
-        want = _reference_numbers(monkeypatch, model, indices, one_element=True)
-        for index, ref in zip(indices, want):
-            assert np.array_equal(_numbers(model, index), ref), index.label()
-
-    def test_levels_evaluated_alone(self, monkeypatch):
+    def test_levels_evaluated_alone(self):
         model = LogNormal(0, 1)
         rep = named_representation(model, NamedIndex.sen(1.0))
         batched = model.integrate_score(rep.h, breaks=rep.breaks)
         sizes = []
 
-        def h(x):
-            sizes.append(np.size(x))
-            return rep.h(x)
+        def alone(x):
+            sizes.append(x.size)
+            return np.concatenate([rep.h(x[i:i + 1]) for i in range(x.size)])
 
-        def alone(f, **kwargs):
-            return quadpack.quad(
-                lambda u: np.concatenate([f(u[i:i + 1]) for i in range(u.size)]), **kwargs)
-
-        # every node of each rule pass evaluated on its own 1-element array
-        monkeypatch.setattr(distributions, "quad", alone)
-        assert model.integrate_score(h, breaks=rep.breaks) == batched
-        assert set(sizes) == {1} and len(sizes) > 100
+        # every node evaluated on its own 1-element array
+        assert model.integrate_score(alone, breaks=rep.breaks) == batched
 
     def test_few_array_calls(self):
         model = LogNormal(0, 1)
         rep = named_representation(model, NamedIndex.sen(1.0))
+        cells = model.mesh(rep.breaks)[0].size - 1
         for f in (rep.h, lambda x: rep.h(x) ** 2):
             sizes = []
 
@@ -386,93 +365,11 @@ class TestBatchedQuadrature:
                 return f(x)
 
             model.integrate_score(counted, breaks=rep.breaks)
-            # one call for both initial intervals and one per bisection
-            assert len(sizes) <= 10 and set(sizes) == {42}, sizes
+            # one call on the quantiles at all nodes of the mesh
+            assert sizes == [cells * NODES]
 
 
-def scipy_quad(f, points=()):
-    """``scipy.integrate.quad`` on (0, 1) at ``limit=200`` with a per-point
-    callback that evaluates the vectorized ``f`` on a 1-element array:
-    (result, abserr, converged).  A list of points, empty too, runs SciPy's
-    ``dqagpe``; ``points=None`` runs its ``dqagse``."""
-    def g(u):
-        return float(np.asarray(f(np.array([u])), dtype=float)[0])
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(g, 0.0, 1.0, points=None if points is None else list(points),
-                             limit=200, full_output=1)
-    # a fourth item, the message, comes only with a nonzero ier
-    return out[0], out[1], len(out) == 3
-
-
-def _jump(u):
-    return np.where(u < 0.3, 1.0, 2.5) * np.exp(u)
-
-
-# integrand, points; log u, u^-0.9 and 1/sqrt(u) need the epsilon-algorithm
-# extrapolation, sin(1/u) near u = 0 exhausts the 200 subintervals
-_QUAD_CASES = {
-    "log": (np.log, ()),
-    "power-0.9": (lambda u: u ** -0.9, ()),
-    "inverse-sqrt": (lambda u: 1.0 / np.sqrt(u), ()),
-    "jump-no-break": (_jump, ()),
-    "jump-break": (_jump, [0.3]),
-    "jump-break-repeated-and-outside": (_jump, [1.5, 0.3, 0.3, 0.0]),
-    "two-breaks": (lambda u: np.where(u < 0.3, 1.0, 2.5) + np.where(u < 0.7, 0.0, u ** 2),
-                   [0.7, 0.3]),
-    "power-at-break": (lambda u: np.abs(u - 0.4) ** -0.8, [0.4]),
-    "log-at-break": (lambda u: np.log(np.abs(u - 0.45)), [0.45]),
-    "hits-limit": (lambda u: np.sin(1.0 / (u + 1e-4)), ()),
-    "hits-limit-with-break": (lambda u: np.sin(1.0 / (u + 1e-4)), [0.5]),
-}
-
-
-class TestQuadpack:
-    """``quadpack.quad`` returns SciPy's numbers bit for bit."""
-
-    @pytest.mark.parametrize("name", _QUAD_CASES)
-    def test_matches_scipy(self, name):
-        f, points = _QUAD_CASES[name]
-        result, abserr, ier = quadpack.quad(f, points=points)
-        assert (result, abserr, ier == 0) == scipy_quad(f, points)
-        if not points:
-            # SciPy's dqagse, which runs without points, agrees on these
-            assert (result, abserr, ier == 0) == scipy_quad(f, None)
-        if name.startswith("hits-limit"):
-            assert ier == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(s=st.floats(0.01, 0.99), p=st.floats(0.05, 0.95), jump=st.floats(-2.0, 2.0),
-           at_s=st.booleans(), extra=st.lists(st.floats(0.0, 1.0), max_size=2))
-    def test_singularity_and_break_points(self, s, p, jump, at_s, extra):
-        def f(u):
-            with np.errstate(divide="ignore"):
-                return np.abs(u - s) ** -p + jump * (u > s)
-
-        points = [s, *extra] if at_s else extra
-        result, abserr, ier = quadpack.quad(f, points=points)
-        want = scipy_quad(f, points)
-        assert np.array_equal([result, abserr, ier == 0], want, equal_nan=True)
-
-    def test_most_break_points(self):
-        points = np.linspace(0.0, 1.0, 200)[1:-1].tolist()
-        assert quadpack.quad(np.exp, points=points)[:2] == scipy_quad(np.exp, points)[:2]
-        with pytest.raises(ValueError, match="at most 198 break points, got 199"):
-            quadpack.quad(np.exp, points=[*points, 0.5 / 199])
-
-    def test_gpi_constants_match_scipy(self, monkeypatch):
-        # Kakwani(2) in GPI form, with the x-partials left to central differences
-        spec = GpiSpec(A=lambda Q, n, Z: Q, w=lambda t: t ** 2, d=np.asarray, mu=(0, 1, 1, 1),
-                       c=lambda x, y: 3 * (1 - y / x) ** 2,
-                       pi=lambda x, y: 3 * y ** 2 / x ** 3, Z=1.0)
-        model = LogNormal(0, 1)
-        ours = gpi_constants(model, spec)
-        with monkeypatch.context() as m:
-            m.setattr(indices, "quad", lambda f, points: (*scipy_quad(f, points)[:2], 0))
-            want = gpi_constants(model, spec)
-        assert ours == want and ours.K_c != 0.0 and ours.K_pi != 0.0
-
+class TestMeshQuadrature:
     @pytest.mark.parametrize("score, breaks", [
         (lambda x: np.full_like(x, np.nan), ()),
         (lambda x: np.where(x > 2.0, np.nan, x), (2.0,)),
@@ -481,3 +378,248 @@ class TestQuadpack:
     def test_nan_score_raises(self, score, breaks):
         with pytest.raises(NonFiniteIntegral):
             LogNormal(0, 1).integrate_score(score, breaks=breaks)
+
+    def test_break_levels_are_cell_edges(self):
+        model = LogNormal(0, 1)
+        edges, _ = model.mesh((1.0, 2.5))
+        levels = model.cdf(np.array([1.0, 2.5]))
+        assert np.isin(levels, edges).all()
+        assert edges[0] == 0.0 and edges[-1] == 1.0 and np.all(np.diff(edges) > 0)
+        # a jump at a cell edge is integrated exactly: F(Z) itself
+        assert model.integrate_score(lambda x: (x <= 2.5) * 1.0, breaks=(2.5,)) == \
+            pytest.approx(levels[1], rel=1e-15)
+
+    def test_constant_on_dyadic_cells_is_exact(self):
+        # the headcount of U(0, 1) at Z = 1/2 is exactly 1/2
+        rep = named_representation(Uniform(0, 1), NamedIndex.fgt(0.0, 0.5))
+        assert rep.value(Uniform(0, 1)) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Reference table: the parametric numbers of the catalog against oracles
+# ---------------------------------------------------------------------------
+
+REFERENCE_MODELS = {**BATCH_MODELS, "pareto": (Pareto(1.0, 3.0), 1.3)}
+# exact raw moments E X^j of the moment-kind models
+EXACT_RAW = {
+    "normal": (Normal(2, 1), lambda j: Fraction(sum(
+        math.comb(j, i) * 2 ** (j - i) * math.prod(range(i - 1, 0, -2)) for i in range(0, j + 1, 2)))),
+    "exponential": (Exponential(1.0), lambda j: Fraction(math.factorial(j))),
+    "uniform": (Uniform(0, 2), lambda j: Fraction(2 ** j, j + 1)),
+    "pareto": (Pareto(1.0, 12.0), lambda j: Fraction(12, 12 - j)),
+    "normal-1000": (Normal(1000, 1), lambda j: Fraction(sum(
+        math.comb(j, i) * 1000 ** (j - i) * math.prod(range(i - 1, 0, -2))
+        for i in range(0, j + 1, 2)))),
+}
+
+
+def _density(model):
+    """pdf and support of a family or mixture, from scipy.stats."""
+    if isinstance(model, Mixture):
+        parts = [(p, *_density(c)) for p, c in zip(model.weights, model.components)]
+        return (lambda x: sum(p * pdf(x) for p, pdf, _ in parts),
+                (min(s[0] for *_, s in parts), max(s[1] for *_, s in parts)))
+    frozen = {LogNormal: lambda m: stats.lognorm(m.sigma, scale=math.exp(m.mu)),
+              Normal: lambda m: stats.norm(m.mu, m.sigma),
+              Exponential: lambda m: stats.expon(scale=1.0 / m.rate),
+              Uniform: lambda m: stats.uniform(m.a, m.b - m.a),
+              Pareto: lambda m: stats.pareto(m.a, scale=m.xm)}[type(model)](model)
+    return frozen.pdf, frozen.support()
+
+
+def x_expectation(model, f, z):
+    """E f(X) by scipy's ``quad`` in x at epsrel 2e-14, split at the line z."""
+    pdf, (lo, hi) = _density(model)
+    cuts = [lo, *([z] if lo < z < hi else []), hi]
+
+    def g(x):
+        return float(np.asarray(f(np.array([x])), dtype=float)[0]) * pdf(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return math.fsum(integrate.quad(g, a, b, epsrel=2e-14, epsabs=0.0, limit=500)[0]
+                         for a, b in zip(cuts, cuts[1:]))
+
+
+def _value_integrand(model, index):
+    """The score whose expectation is the index value."""
+    z = index.poverty_line
+    fz = float(model.cdf(z))
+    gap = lambda x: (z - x) / z
+    poor = lambda f: (lambda x: np.where(x <= z, f(np.minimum(x, z)), 0.0))
+    if index.kind == "fgt":
+        return poor(lambda x: gap(x) ** index.alpha)
+    if index.kind in ("sen", "kakwani"):
+        k = index.k or 1
+        return poor(lambda x: (k + 1) * (1 - model.cdf(x) / fz) ** k * gap(x))
+    if index.kind in ("shorrocks", "thon"):
+        return poor(lambda x: 2 * (1 - model.cdf(x)) * gap(x))
+    mean = model.raw_moment(1) if index.kind == "takayama_ratio" else 1.0
+    return poor(lambda x: (1 - model.cdf(x)) * x / mean)
+
+
+def _close(got, want, what):
+    assert abs(got - want) <= max(1e-9 * abs(want), 1e-12), f"{what}: {got!r} vs {want!r}"
+
+
+def _cached_mesh(model):
+    """``model`` with its mesh kept per (breaks, grid), so one fine mesh
+    serves a whole catalog."""
+    meshes = {}
+    build = model.mesh
+
+    def mesh(breaks=(), grid=DEFAULT_GRID):
+        key = (tuple(breaks), grid)
+        if key not in meshes:
+            meshes[key] = build(breaks, grid)
+        return meshes[key]
+
+    model.mesh = mesh
+    return model
+
+
+def _exact_moment_numbers(raw, index):
+    """Value and gamma1 of a moment kind from exact raw moments: the score
+    ``sigma^-t (A(t) - t/2 sigma^-2 mu_t A(2))`` (A(t) for the central
+    moment), ``A(t) = (x - mu)^t - t mu_{t-1} (x - mu)``, in exact arithmetic."""
+    mean = raw(1)
+    top_order = {"central_moment": index.order, "odd_moment": 2 * index.order - 1,
+                 "even_moment": 2 * index.order}[index.kind]
+    need = 2 * top_order
+    mu = [sum(math.comb(j, i) * raw(i) * (-mean) ** (j - i) for i in range(j + 1))
+          for j in range(need + 1)]
+
+    def influence(t):
+        c = [Fraction(0)] * (t + 1)
+        c[t] = Fraction(1)
+        if t > 2:
+            c[1] = -t * mu[t - 1]
+        return c
+
+    c = influence(top_order)
+    if index.kind == "central_moment":
+        value, scale = float(mu[top_order]), 1
+    else:
+        sigma2 = mu[2]
+        for i, a in enumerate(influence(2)):
+            c[i] -= Fraction(top_order, 2) / sigma2 * mu[top_order] * a
+        value, scale = float(mu[top_order]) / float(sigma2) ** (top_order / 2), sigma2 ** top_order
+    var = sum(c[i] * c[j] * (mu[i + j] - mu[i] * mu[j])
+              for i in range(1, len(c)) for j in range(1, len(c)))
+    return value, float(var / scale)
+
+
+class TestReferenceTable:
+    """Every parametric value, gamma1 and total of the catalog within 1e-9
+    relative (1e-12 absolute near 0) of an oracle: scipy's ``quad`` in x for
+    the poverty values and gamma1, exact moments for the moment kinds, and
+    the same mesh at 2**14 base cells for totals with a weight term."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_poverty_catalog(self, name):
+        model, z = REFERENCE_MODELS[name]
+        model = _cached_mesh(copy.copy(model))
+        for index in _poverty_catalog(z):
+            rep = named_representation(model, index)
+            got = index_variance(model, rep)
+            label = f"{name} {index.label()}"
+            _close(rep.value(model), x_expectation(model, _value_integrand(model, index), z),
+                   f"{label} value")
+            eh = x_expectation(model, rep.h, z)
+            eh2 = x_expectation(model, lambda x: np.asarray(rep.h(x)) ** 2, z)
+            _close(got.gamma1, eh2 - eh * eh, f"{label} gamma1")
+            if rep.q_zero:
+                _close(got.total, eh2 - eh * eh, f"{label} total")
+            else:
+                want = index_variance(model, rep, grid=2 ** 14)
+                _close(got.total, want.total, f"{label} total")
+
+    @pytest.mark.parametrize("name", sorted(EXACT_RAW))
+    def test_moment_catalog(self, name):
+        model, raw = EXACT_RAW[name]
+        for index in _moment_catalog():
+            rep = named_representation(model, index)
+            got = index_variance(model, rep)
+            value, gamma1 = _exact_moment_numbers(raw, index)
+            _close(rep.value(model), value, f"{name} {index.label()} value")
+            _close(got.gamma1, gamma1, f"{name} {index.label()} gamma1")
+            assert got.total == got.gamma1 and got.gamma2 == got.gamma3 == 0.0
+
+    @pytest.mark.parametrize("index, gamma1", [
+        (NamedIndex.central_moment(3), 6.0), (NamedIndex.even_normalized(2), 24.0),
+        (NamedIndex.odd_normalized(2), 6.0), (NamedIndex.central_moment(2), 2.0)],
+        ids=lambda v: v.label() if isinstance(v, NamedIndex) else str(v))
+    def test_normal_far_from_zero(self, index, gamma1):
+        # the central form does not cancel when |mean| >> sd
+        model = Normal(1000, 1)
+        assert index_variance(model, named_representation(model, index)).gamma1 == \
+            pytest.approx(gamma1, rel=1e-12)
+
+    @pytest.mark.parametrize("index, value, gamma1", [
+        # 60-digit evaluations of the exact lognormal moments
+        (NamedIndex.central_moment(2), 4.670774270471605, 2463.8352715880564),
+        (NamedIndex.central_moment(3), 62.433027559087523, 63047044.714285252),
+        (NamedIndex.odd_normalized(2), 6.1848771386325548, 532124.39299136231),
+        (NamedIndex.even_normalized(2), 113.93639217631153, 164431681427.97851),
+    ], ids=lambda v: v.label() if isinstance(v, NamedIndex) else "")
+    def test_lognormal_closed_forms(self, index, value, gamma1):
+        model = LogNormal(0, 1)
+        rep = named_representation(model, index)
+        assert rep.value(model) == pytest.approx(value, rel=1e-13)
+        assert index_variance(model, rep).gamma1 == pytest.approx(gamma1, rel=1e-13)
+
+    def test_moment_kinds_build_no_mesh(self, monkeypatch):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a moment kind reached the mesh")
+
+        monkeypatch.setattr(DistributionModel, "mesh", no_mesh)
+        for model in (LogNormal(0, 1), BENCH_MIXTURE, Pareto(1.0, 12.0)):
+            for index in _moment_catalog():
+                rep = named_representation(model, index)
+                rep.value(model)
+                index_variance(model, rep)
+
+
+def _kakwani2_gpi_spec(partials):
+    # Kakwani(2) in GPI form; without partials they are central differences
+    k = 2
+    exact = dict(dc_dx=lambda x, y: (k + 1) * k * (1 - y / x) ** (k - 1) * y / x ** 2,
+                 dpi_dx=lambda x, y: -(k + 1) ** 2 * y ** k / x ** (k + 2))
+    return GpiSpec(A=lambda Q, n, Z: Q, w=lambda t: t ** 2, d=np.asarray, mu=(0, 1, 1, 1),
+                   c=lambda x, y: 3 * (1 - y / x) ** 2, pi=lambda x, y: 3 * y ** 2 / x ** 3,
+                   Z=1.0, **(exact if partials else {}))
+
+
+class TestGpiOnMesh:
+    def test_parametric_constants_match_scipy(self):
+        model = LogNormal(0, 1)
+        spec = _kakwani2_gpi_spec(partials=False)
+        ours = gpi_constants(model, spec)
+        fz = float(model.cdf(spec.Z))
+        dc_dx, dpi_dx = (lambda x, y: (spec.c(x + 1e-5, y) - spec.c(x - 1e-5, y)) / 2e-5,
+                         lambda x, y: (spec.pi(x + 1e-5, y) - spec.pi(x - 1e-5, y)) / 2e-5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            k_c = integrate.quad(lambda s: dc_dx(fz, s) * (spec.Z - model.quantile(s)) / spec.Z,
+                                 0.0, fz, epsrel=2e-14, epsabs=0.0, limit=500)[0]
+            k_pi = integrate.quad(lambda s: dpi_dx(fz, s), 0.0, fz, epsrel=2e-14,
+                                  epsabs=0.0, limit=500)[0]
+        _close(ours.K_c, k_c, "K_c")
+        _close(ours.K_pi, k_pi, "K_pi")
+
+    def test_plug_in_constants_are_exact_per_cell(self):
+        # the step quantile is constant on each sample cell, and the partials
+        # are polynomials in the level: the mesh integrates them exactly
+        x = np.sort(np.random.default_rng(21).lognormal(size=50))
+        model = EmpiricalDistribution(x)
+        spec = _kakwani2_gpi_spec(partials=True)
+        ours = gpi_constants(model, spec)
+        n, fz = x.size, float(model.cdf(spec.Z))
+        cells = [(j / n, (j + 1) / n, (spec.Z - v) / spec.Z)
+                 for j, v in enumerate(x) if v <= spec.Z]
+        k_c = math.fsum(gap * integrate.quad(lambda s: spec.dc_dx(fz, s), a, b)[0]
+                        for a, b, gap in cells)
+        k_pi = math.fsum(integrate.quad(lambda s: spec.dpi_dx(fz, s), a, b)[0]
+                         for a, b, _ in cells)
+        assert ours.K_c == pytest.approx(k_c, rel=1e-13)
+        assert ours.K_pi == pytest.approx(k_pi, rel=1e-13)

@@ -265,6 +265,17 @@ class TestRepresentations:
         with pytest.raises(ThresholdOutsideSupport):
             named_representation(Uniform(0, 1), NamedIndex.sen(2.0))
 
+    @pytest.mark.parametrize("index", [
+        NamedIndex.sen(0.5), NamedIndex.kakwani(3, 0.5), NamedIndex.shorrocks(0.5),
+        NamedIndex.thon(0.5), NamedIndex.takayama(0.5), NamedIndex.takayama_ratio(0.5)],
+        ids=lambda ix: ix.kind)
+    def test_nobody_poor_is_zero(self, index):
+        # F(Z) = 0: the zero score pair with the value 0
+        model = Uniform(1, 2)
+        rep = named_representation(model, index)
+        assert rep.value(model) == 0.0
+        assert index_variance(model, rep).total == 0.0
+
     def test_sen_value_by_simulation(self):
         # named_estimate converges to value(F) within 3 SE
         model = Exponential(1.0)

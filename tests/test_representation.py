@@ -104,13 +104,18 @@ class TestClosedForms:
 
 
 def _counting(cls):
-    """A subclass of ``cls`` that counts its 2,049-node quantile calls."""
+    """A subclass of ``cls`` that counts its mesh builds and quantile calls."""
 
     class Counting(cls):
         grids = 0
+        quantiles = 0
+
+        def mesh(self, breaks=(), grid=representation.DEFAULT_GRID):
+            Counting.grids += 1
+            return super().mesh(breaks, grid)
 
         def quantile_extended(self, s):
-            Counting.grids += np.size(s) == representation.DEFAULT_GRID + 1
+            Counting.quantiles += 1
             return super().quantile_extended(s)
 
     return Counting
@@ -121,7 +126,8 @@ def _bench_mixture(cls=Mixture):
 
 
 class TestOneQuantileGrid:
-    """The score models of one call share one quantile grid per model."""
+    """The score models of one call share one mesh, and one evaluation of
+    the quantile on it, per model."""
 
     def test_index_variance_builds_one_grid(self):
         for model in (_counting(LogNormal)(0.0, 1.0), _bench_mixture(_counting(Mixture))):
@@ -141,6 +147,14 @@ class TestOneQuantileGrid:
         cls.grids = 0
         mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(0.4)), *reps)
         assert cls.grids == 2
+
+    def test_mixture_quantile_once_per_variance(self):
+        # the bisection quantile of the mixture runs once, on the whole mesh
+        mix = _bench_mixture(_counting(Mixture))
+        rep = named_representation(mix, NamedIndex.sen(1.0))
+        type(mix).quantiles = 0
+        index_variance(mix, rep)
+        assert type(mix).quantiles == 1
 
     @pytest.mark.parametrize("model", [
         EmpiricalDistribution(np.random.default_rng(4).lognormal(size=300)),

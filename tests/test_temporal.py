@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
-                                    Uniform, normal_quantile)
+                                    Mixture, Normal, Pareto, Uniform, normal_quantile)
 from indexlaw.errors import (BadParams, IndexLawError, NonFiniteValue, OutOfRange,
                              TooFewPairs, ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_representation
@@ -21,7 +21,7 @@ from indexlaw.temporal import (BivariateFrame, ComonotoneCopula,
                                empirical_copula, mutual_relative_covariance,
                                mutual_variation_covariance, relative_variation_law,
                                temporal_joint_covariance)
-from indexlaw.ugrid import CellPoly, covariance
+from indexlaw.ugrid import NODES, CellPoly, covariance, gauss_nodes, mesh_edges
 
 one = lambda x: np.ones_like(np.asarray(x, dtype=float))
 zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -31,6 +31,18 @@ beta_only = IndexRepresentation(h=zero, q=one, value=lambda m: 0.0)
 def _step(cells, cut):
     """The indicator of ``s <= cut`` as a step function on ``cells`` cells."""
     return CellPoly.from_cells(np.where((np.arange(cells) + 0.5) / cells <= cut, 1.0, 0.0))
+
+
+def _mesh_random(rng, cells):
+    """A random function on the parametric mesh of ``cells`` base cells."""
+    edges = mesh_edges(cells)
+    return CellPoly.fit(rng.normal(size=(edges.size - 1, NODES)), edges)
+
+
+def _line(cells):
+    """``s`` on ``cells`` uniform mesh cells."""
+    edges = np.linspace(0.0, 1.0, cells + 1)
+    return CellPoly.fit(gauss_nodes(edges), edges)
 
 
 class TestCopulaModels:
@@ -48,11 +60,10 @@ class TestCopulaModels:
             cop = empirical_copula(xy @ np.array([[1.0, 0.7], [0.0, 1.0]]))
         const = CellPoly.from_cells(np.full(50, 3.7))
         for cells in (50, 73):
-            for make in (CellPoly.from_cells, CellPoly.from_nodes):
-                phi = make(rng.normal(size=cells + (make is CellPoly.from_nodes)))
+            for phi in (CellPoly.from_cells(rng.normal(size=cells)), _mesh_random(rng, cells)):
                 assert abs(cop.cross_cov(phi, const, 128)) <= 1e-15
                 assert abs(cop.cross_cov(const, phi, 128)) <= 1e-15
-                for psi in (phi, _step(cells, 0.4), CellPoly.from_nodes(np.linspace(0, 1, 9))):
+                for psi in (phi, _step(cells, 0.4), _line(8)):
                     bound = math.sqrt(covariance(phi, phi) * covariance(psi, psi))
                     assert abs(cop.cross_cov(phi, psi, 128)) <= bound * (1 + 1e-12)
 
@@ -105,13 +116,29 @@ class TestEmpiricalCopula:
         y = rho * z1 + math.sqrt(1 - rho * rho) * z2
         emp = empirical_copula(np.column_stack([z1, y]))
         ana = GaussianCopula(rho)
-        step, line = _step(100, 0.3), CellPoly.from_nodes(np.linspace(0, 1, 65))
+        step, line = _step(100, 0.3), _line(64)
         for phi, psi in ((step, line), (step, step), (line, line)):
             bound = 2 * math.sqrt(covariance(phi, phi) * covariance(psi, psi) / n)
             assert abs(emp.cross_cov(phi, psi, 512) - ana.cross_cov(phi, psi, 512)) <= bound
 
 
 class TestJointCovariance:
+    @pytest.mark.parametrize("margin, z", [
+        (LogNormal(0, 1), 1.0), (Normal(2, 1), 2.0), (Exponential(1.0), 0.7),
+        (Uniform(0, 2), 1.0), (Pareto(1.0, 3.0), 1.3),
+        (Mixture((0.5, 0.5), [LogNormal(0, 1), LogNormal(0.5, 1)]), 1.0),
+    ], ids=["lognormal", "normal", "exponential", "uniform", "pareto", "mixture"])
+    def test_diagonal_is_index_variance(self, margin, z):
+        # one mesh and one covariance calculus: a period's own entry of the
+        # joint law is the index variance of a score without polynomial part
+        frame = BivariateFrame(margin, margin, GaussianCopula(0.3))
+        for index in (NamedIndex.fgt(0.0, z), NamedIndex.fgt(1.5, z), NamedIndex.sen(z),
+                      NamedIndex.kakwani(3, z), NamedIndex.shorrocks(z),
+                      NamedIndex.takayama(z)):
+            rep = named_representation(margin, index)
+            diagonal = temporal_joint_covariance(frame, rep).matrix[0, 0]
+            assert diagonal == pytest.approx(index_variance(margin, rep).total, rel=1e-13)
+
     def test_independence_beta_cross_is_zero(self):
         frame = BivariateFrame(Uniform(0, 1), Uniform(0, 1), IndependenceCopula())
         j = temporal_joint_covariance(frame, beta_only)
@@ -378,11 +405,12 @@ class TestEmpiricalCopulaJointLaws:
 
 def _random_score_weight(rng, m, step):
     """A random score h and the tail integral W of a random weight on m
-    cells: step functions when ``step`` (the empirical case), piecewise-linear
-    interpolants otherwise."""
-    make = CellPoly.from_cells if step else CellPoly.from_nodes
-    hm = make(rng.normal(size=m if step else m + 1))
-    lm = make(rng.normal(size=m if step else m + 1))
+    cells: step functions when ``step`` (the empirical case), functions on
+    the parametric mesh otherwise."""
+    def make():
+        return CellPoly.from_cells(rng.normal(size=m)) if step else _mesh_random(rng, m)
+
+    hm, lm = make(), make()
     return hm, lm.tail_integral_poly()
 
 

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from indexlaw.ugrid import CellPoly, covariance
+from indexlaw.ugrid import NODES, CellPoly, covariance, gauss_nodes
+
+
+def line(cells):
+    """``s`` on ``cells`` uniform mesh cells."""
+    edges = np.linspace(0.0, 1.0, cells + 1)
+    return CellPoly.fit(gauss_nodes(edges), edges)
 
 
 def brute_bilinear(l1, l2, m=4000):
@@ -29,7 +35,7 @@ class TestCellPoly:
         assert f.integral() == pytest.approx((1 + 3 + 2 + 0) / 4)
 
     def test_linear_integral_exact(self):
-        f = CellPoly.from_nodes(np.linspace(0, 1, 9) ** 1)  # f(s) = s
+        f = line(8)
         assert f.integral() == pytest.approx(0.5, abs=1e-15)
         assert covariance(f, f) == pytest.approx(1 / 12, abs=1e-15)
 
@@ -43,8 +49,8 @@ class TestCellPoly:
         assert np.allclose(cum.eval(s), want, atol=1e-14)
 
     def test_product(self):
-        f = CellPoly.from_nodes([0.0, 0.5, 1.0])   # f(s) = s on 2 cells
-        g = CellPoly.from_nodes([1.0, 1.0, 1.0])
+        f = line(2)
+        g = CellPoly.fit(np.ones((2, NODES)), f.edges)   # 1
         assert (f * g).integral() == pytest.approx(0.5, abs=1e-15)
         assert (f * f).integral() == pytest.approx(1 / 3, abs=1e-15)
 
@@ -85,8 +91,7 @@ class TestBridgeForms:
         assert covariance(h, l.tail_integral_poly()) == pytest.approx(brute_cross(h, l), abs=2e-4)
 
     def test_linear_h_identity_weight(self):
-        # int (s^2/2 - s/2) ds = -1/12, exact for the piecewise-linear model
-        m = 32
-        h = CellPoly.from_nodes(np.linspace(0, 1, m + 1))
-        one = CellPoly.from_cells(np.ones(m))
+        # int (s^2/2 - s/2) ds = -1/12, exact for the cell polynomials
+        h = line(32)
+        one = CellPoly.from_cells(np.ones(32))
         assert covariance(h, one.tail_integral_poly()) == pytest.approx(-1 / 12, abs=1e-15)
