@@ -43,8 +43,8 @@ from .distributions import DistributionModel, EmpiricalDistribution, Mixture
 from .empirical import EmpiricalSample, build_sample
 from .errors import BadWeights, NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
-from .representation import (DEFAULT_GRID, IndexRepresentation, _combine, _cov, _mean,
-                             _scorer, _split, confidence_interval)
+from .representation import (IndexRepresentation, _combine, _cov, _mean, _scorer, _split,
+                             confidence_interval)
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,7 @@ def _tail(model: DistributionModel, q, score: Callable) -> Callable[[np.ndarray]
 
 def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionModel],
                  rep_builder: Callable[[DistributionModel], IndexRepresentation],
-                 global_rep: Optional[IndexRepresentation] = None,
-                 grid: int = DEFAULT_GRID) -> DecompositionVariance:
+                 global_rep: Optional[IndexRepresentation] = None) -> DecompositionVariance:
     """The within-group variance theta1^2 and the label-noise parts
     theta2^2, theta3^2 for the given group laws.
 
@@ -175,7 +174,7 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
 
     h_global, q_global = rep.h, rep.q
     q_skip = rep.q_zero and all(r.q_zero for r in reps)
-    scores = [_scorer(m, grid, breaks) for m in group_models]
+    scores = [_scorer(m, breaks) for m in group_models]
     tails = [] if q_skip else [_tail(m, q_global, sc) for m, sc in zip(group_models, scores)]
 
     theta1 = 0.0

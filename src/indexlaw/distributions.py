@@ -33,7 +33,8 @@ import numpy as np
 
 from .empirical import EmpiricalSample, build_sample, ecdf, equantile
 from .errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
-from .ugrid import DEFAULT_GRID, gauss_nodes, gauss_sum, mesh_edges
+from . import ugrid
+from .ugrid import gauss_nodes, gauss_sum, mesh_edges
 
 # ---------------------------------------------------------------------------
 # AS241 inverse standard normal (Wichura 1988, PPND16)
@@ -160,11 +161,15 @@ class DistributionModel:
         """Quantile as a total function on [0, 1]; may return +-inf at the ends."""
         raise NotImplementedError
 
-    def mesh(self, breaks: Sequence[float] = (), grid: int = DEFAULT_GRID):
+    def mesh(self, breaks: Sequence[float] = ()):
         """The cell edges of the mesh for scores that jump at ``breaks``, and
         the quantile at the cells' Gauss nodes, flattened cell by cell."""
-        edges = mesh_edges(grid, [float(np.asarray(self.cdf(b))) for b in breaks])
+        edges = mesh_edges(self._base_cells(), [float(np.asarray(self.cdf(b))) for b in breaks])
         return edges, np.asarray(self.quantile_extended(gauss_nodes(edges).ravel()), dtype=float)
+
+    def _base_cells(self) -> int:
+        """The uniform cells of the mesh: the package's ``ugrid.DEFAULT_GRID``."""
+        return ugrid.DEFAULT_GRID
 
     def integrate_score(self, f: Callable, breaks: Sequence[float] = ()) -> float:
         """E f(X) by the Gauss-Legendre rule on ``mesh(breaks)``.
@@ -211,9 +216,9 @@ class EmpiricalDistribution(DistributionModel):
         out = self.sample.values[j - 1]
         return float(out[0]) if np.asarray(s).ndim == 0 else out
 
-    def mesh(self, breaks=(), grid=None):
-        """The mesh on the n sample cells ``((j-1)/n, j/n]``, whatever ``grid`` says."""
-        return super().mesh(breaks, self.sample.n)
+    def _base_cells(self) -> int:
+        """The n sample cells ``((j-1)/n, j/n]``."""
+        return self.sample.n
 
     def integrate_score(self, f, breaks=()) -> float:
         vals = np.asarray(f(self.sample.values), dtype=float)

@@ -34,7 +34,7 @@ from .distributions import (DistributionModel, EmpiricalDistribution, Mixture,
 from .empirical import EmpiricalSample, build_sample
 from .errors import BadParams, ZeroVariance
 from .indices import NamedIndex, named_estimate, named_representation
-from .representation import (DEFAULT_GRID, confidence_interval, index_variance)
+from .representation import confidence_interval, index_variance
 from .rng import stream_seed, uniforms
 
 _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -119,15 +119,14 @@ def ks_pvalue(stat: float, n: int, terms: int = 100) -> float:
 
 
 def normality_experiment(family: DistributionModel, index: NamedIndex, n: int,
-                         n_replicates: int, master_seed: int,
-                         grid: int = DEFAULT_GRID) -> McReport:
+                         n_replicates: int, master_seed: int) -> McReport:
     """KS test of sqrt(n) (I_n - I) / sqrt(Gamma) against the standard
     normal, with value and variance from the analytic model."""
     _check_count(n, "n")
     _check_count(n_replicates, "n_replicates")
     rep = named_representation(family, index)
     value = rep.value(family)
-    gamma = index_variance(family, rep, grid=grid).total
+    gamma = index_variance(family, rep).total
     if gamma <= 1e-14:
         raise ZeroVariance("the index has zero asymptotic variance under this model")
     scale = math.sqrt(gamma)
@@ -209,16 +208,14 @@ def cre2_diagnostic(family: DistributionModel, q, n_grid: Sequence[int],
 
 def decomposability_experiment(families: Sequence[DistributionModel],
                                weights: Sequence[float], index: NamedIndex,
-                               n: int, n_replicates: int, master_seed: int,
-                               grid: int = DEFAULT_GRID) -> McReport:
+                               n: int, n_replicates: int, master_seed: int) -> McReport:
     """Multinomial subgroup draws; gap statistics standardized by the
     analytic decomposition variance (theta1^2 + theta2^2)."""
     _check_count(n, "n")
     _check_count(n_replicates, "n_replicates")
     p = np.asarray(weights, dtype=float)
     k = p.size
-    dec = gap_variance(p, list(families), lambda m: named_representation(m, index),
-                       grid=grid)
+    dec = gap_variance(p, list(families), lambda m: named_representation(m, index))
     variance = dec.theta1_sq + dec.theta2_sq
     mixture = families[0] if k == 1 else Mixture(p, families)
     rep = named_representation(mixture, index)

@@ -20,12 +20,12 @@ two indices combine the same covariances bilinearly.
 
 Empirical models evaluate every integral as an exact step sum over the n
 sample cells.  Parametric models hold ``h o Q`` and ``W`` on one mesh per
-model and call (:mod:`indexlaw.ugrid`), whose edges include the levels of
-every break of the call.  A finite mesh cannot hold a polynomial of an
-unbounded quantile, so the polynomial part of a score
-(``IndexRepresentation.poly``: the moment kinds, the mean inside a ratio)
-takes its moments from the model's closed-form central moments, and the
-mesh sees only the bounded remainder.
+model and call (:mod:`indexlaw.ugrid`) of the package's ``DEFAULT_GRID``
+base cells, whose edges include the levels of every break of the call.  A
+finite mesh cannot hold a polynomial of an unbounded quantile, so the
+polynomial part of a score (``IndexRepresentation.poly``: the moment kinds,
+the mean inside a ratio) takes its moments from the model's closed-form
+central moments, and the mesh sees only the bounded remainder.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from numpy.polynomial import polynomial as npoly
 from .distributions import DistributionModel, normal_quantile
 from .empirical import ScoreFunction
 from .errors import BadLevel, NegativeVariance, NonFiniteIntegral, OutOfRange
-from .ugrid import DEFAULT_GRID, NODES, CellPoly, check_grid, covariance, inner
+from .ugrid import NODES, CellPoly, covariance, inner
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,9 @@ def _evaluate(func: ScoreFunction, x: np.ndarray) -> np.ndarray:
     return vals if vals.shape == x.shape else np.full(x.shape, vals)
 
 
-def _scorer(model: DistributionModel, grid: int,
+def _scorer(model: DistributionModel,
             breaks: Sequence[float] = ()) -> Callable[[ScoreFunction], CellPoly]:
-    """``func -> score_model(model, func, grid)`` with the nodes built once:
+    """``func -> score_model(model, func)`` with the nodes built once:
     the sorted sample of an empirical model, else the model's mesh for
     ``breaks``, built on first use."""
     if model.kind == "empirical":
@@ -128,8 +128,7 @@ def _scorer(model: DistributionModel, grid: int,
             return CellPoly.from_cells(vals)
 
         return cells
-    check_grid(grid)
-    mesh = functools.cache(lambda: model.mesh(breaks, grid))
+    mesh = functools.cache(lambda: model.mesh(breaks))
 
     def nodes(func):
         edges, x = mesh()
@@ -141,17 +140,15 @@ def _scorer(model: DistributionModel, grid: int,
     return nodes
 
 
-def _score_models(model: DistributionModel, funcs: Sequence[ScoreFunction],
-                  grid: int = DEFAULT_GRID) -> list[CellPoly]:
-    """``[score_model(model, f, grid) for f in funcs]`` on one set of nodes."""
-    return list(map(_scorer(model, grid), funcs))
+def _score_models(model: DistributionModel, funcs: Sequence[ScoreFunction]) -> list[CellPoly]:
+    """``[score_model(model, f) for f in funcs]`` on one set of nodes."""
+    return list(map(_scorer(model), funcs))
 
 
-def score_model(model: DistributionModel, func: ScoreFunction,
-                grid: int = DEFAULT_GRID) -> CellPoly:
+def score_model(model: DistributionModel, func: ScoreFunction) -> CellPoly:
     """CellPoly model of ``s -> func(Q(s))`` on (0, 1): the exact step
     function of a sample, or per-cell interpolants on a parametric mesh."""
-    return _score_models(model, [func], grid)[0]
+    return _score_models(model, [func])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +227,7 @@ def score_covariance(model: DistributionModel, f: ScoreFunction, g: ScoreFunctio
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
             raise NonFiniteIntegral("score is non-finite on the sample")
         return float(np.mean((fv - np.mean(fv)) * (gv - np.mean(gv))))
-    score = _scorer(model, DEFAULT_GRID, breaks)
+    score = _scorer(model, breaks)
     fm = score(f)
     return covariance(fm, fm if g is f else score(g))
 
@@ -242,36 +239,45 @@ def indicator_cov_closed_form(s: float, t: float) -> float:
     return min(s, t) - s * t
 
 
-def beta_beta_cov(model: DistributionModel, q1: ScoreFunction, q2: ScoreFunction,
-                  grid: int = DEFAULT_GRID) -> float:
+def beta_beta_cov(model: DistributionModel, q1: ScoreFunction, q2: ScoreFunction) -> float:
     """Covariance of two beta-terms:
     ``int int (min(s,t) - s t) q1(Q(s)) q2(Q(t)) ds dt = Cov(W1(U), W2(U))``."""
-    m1, m2 = _score_models(model, [q1, q2], grid)
+    m1, m2 = _score_models(model, [q1, q2])
     return covariance(m1.tail_integral_poly(), m2.tail_integral_poly())
 
 
-def beta_cross_cov(model: DistributionModel, h: ScoreFunction, q: ScoreFunction,
-                   grid: int = DEFAULT_GRID) -> float:
+def beta_cross_cov(model: DistributionModel, h: ScoreFunction, q: ScoreFunction) -> float:
     """Covariance of the score term with a beta-term:
     ``int (int_0^s h(Q(u)) du - s E h) q(Q(s)) ds = Cov(h(Q(U)), W(U))``."""
-    hm, qm = _score_models(model, [h, q], grid)
+    hm, qm = _score_models(model, [h, q])
     return covariance(hm, qm.tail_integral_poly())
 
 
-def index_variance(model: DistributionModel, rep: IndexRepresentation,
-                   grid: int = DEFAULT_GRID) -> CovarianceEstimate:
-    """Asymptotic variance of sqrt(n) (I_n - I) for the given representation."""
-    score = _scorer(model, grid, rep.breaks)
+def _pieces(model: DistributionModel, rep_i: IndexRepresentation,
+            rep_j: IndexRepresentation) -> tuple[float, float, float, float]:
+    """``(Cov(h_i, h_j), Cov(W_i, W_j), Cov(h_i, W_j), Cov(W_i, h_j))`` of
+    two representations on one sample or mesh; the W terms are 0 when both
+    weights vanish, and one representation shares its h and W."""
+    same = rep_i is rep_j
+    score = _scorer(model, rep_i.breaks if same else tuple(rep_i.breaks) + tuple(rep_j.breaks))
     exact = model.kind == "empirical"
-    h = None if exact and rep.q_zero else _split(model, score, rep.h, rep.poly)
-    g1 = score_covariance(model, rep.h, rep.h) if exact else _cov(model, score, h, h)
-    if rep.q_zero:
-        g2 = 0.0
-        g3 = 0.0
-    else:
-        w = (score(rep.q).tail_integral_poly(), None)
-        g2 = _cov(model, score, w, w)
-        g3 = _cov(model, score, h, w)
+    q_zero = rep_i.q_zero and rep_j.q_zero
+    if not (exact and q_zero):
+        hi = _split(model, score, rep_i.h, rep_i.poly)
+        hj = hi if same else _split(model, score, rep_j.h, rep_j.poly)
+    g1 = score_covariance(model, rep_i.h, rep_j.h) if exact else _cov(model, score, hi, hj)
+    if q_zero:
+        return g1, 0.0, 0.0, 0.0
+    wi = (score(rep_i.q).tail_integral_poly(), None)
+    wj = wi if same else (score(rep_j.q).tail_integral_poly(), None)
+    g3 = _cov(model, score, hi, wj)
+    return (g1, _cov(model, score, wi, wj), g3,
+            g3 if same else _cov(model, score, wi, hj))
+
+
+def index_variance(model: DistributionModel, rep: IndexRepresentation) -> CovarianceEstimate:
+    """Asymptotic variance of sqrt(n) (I_n - I) for the given representation."""
+    g1, g2, g3, _ = _pieces(model, rep, rep)
     total = g1 + g2 + 2.0 * g3
     if total < -1e-9:
         raise NegativeVariance(f"total variance {total} < -1e-9; inconsistent inputs")
@@ -285,25 +291,15 @@ def index_variance(model: DistributionModel, rep: IndexRepresentation,
 
 
 def index_cross_covariance(model: DistributionModel, rep_i: IndexRepresentation,
-                           rep_j: IndexRepresentation, grid: int = DEFAULT_GRID) -> float:
+                           rep_j: IndexRepresentation) -> float:
     """Asymptotic covariance of two indices measured on the same sample."""
-    score = _scorer(model, grid, tuple(rep_i.breaks) + tuple(rep_j.breaks))
-    exact = model.kind == "empirical"
-    q_zero = rep_i.q_zero and rep_j.q_zero
-    if not (exact and q_zero):
-        hi = _split(model, score, rep_i.h, rep_i.poly)
-        hj = _split(model, score, rep_j.h, rep_j.poly)
-    total = score_covariance(model, rep_i.h, rep_j.h) if exact else _cov(model, score, hi, hj)
-    if not q_zero:
-        wi = (score(rep_i.q).tail_integral_poly(), None)
-        wj = (score(rep_j.q).tail_integral_poly(), None)
-        total += (_cov(model, score, wi, wj) + _cov(model, score, hi, wj)
-                  + _cov(model, score, wi, hj))
-    return float(total)
+    g1, g2, g3_ij, g3_ji = _pieces(model, rep_i, rep_j)
+    if rep_i.q_zero and rep_j.q_zero:
+        return float(g1)
+    return float(g1 + (g2 + g3_ij + g3_ji))
 
 
-def u_atoms(model: DistributionModel, rep: IndexRepresentation,
-            grid: int = DEFAULT_GRID) -> CellPoly:
+def u_atoms(model: DistributionModel, rep: IndexRepresentation) -> CellPoly:
     """The u-function ``phi(s) = h(Q(s)) + W(s)``, ``W(s) = int_s^1 q(Q(t)) dt``.
 
     Since ``f_s(X) = 1{U <= s}`` for ``U = F(X)``, the beta-term is
@@ -311,13 +307,13 @@ def u_atoms(model: DistributionModel, rep: IndexRepresentation,
     covariance of two representations is ``Cov(phi_a(U), phi_b(V))``, with
     U = V under one margin and (U, V) drawn from the copula across periods.
     """
-    return _u_functions(model, [rep], grid)[0]
+    return _u_functions(model, [rep])[0]
 
 
-def _u_functions(model: DistributionModel, reps: Sequence[IndexRepresentation],
-                 grid: int = DEFAULT_GRID) -> list[CellPoly]:
-    """``[u_atoms(model, rep, grid) for rep in reps]`` on one set of nodes."""
-    score = _scorer(model, grid, [b for rep in reps for b in rep.breaks])
+def _u_functions(model: DistributionModel,
+                 reps: Sequence[IndexRepresentation]) -> list[CellPoly]:
+    """``[u_atoms(model, rep) for rep in reps]`` on one set of nodes."""
+    score = _scorer(model, [b for rep in reps for b in rep.breaks])
     phis = []
     for rep in reps:
         hm = score(rep.h)

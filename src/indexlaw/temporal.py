@@ -13,11 +13,18 @@ across periods (U, V) ~ C.  The variance of a difference and, by the delta
 method, the laws of relative variations are read off the assembled matrix.
 
 Copula integrals: independence and comonotone copulas are closed forms; the
-Gaussian copula integrates on a tensor midpoint grid of its density (default
-512 per axis, kept on the copula), whose midpoint normal quantiles are
-computed once per grid size; empirical copulas are exact rank sums.  Each
+Gaussian copula integrates on a tensor of ``DEFAULT_COPULA_GRID`` (512)
+midpoints per axis of its density, kept on the copula per rho, whose normal
+quantiles are computed once; empirical copulas are exact rank sums.  Each
 margin's atoms are built on one mesh, whose cell edges include the levels of
 every break of the representations in the call.
+
+A period's own entry is ``index_variance(...).total`` to round-off on an
+empirical or bounded margin, or for a score without polynomial part.  Not
+so for a polynomial part on an unbounded margin: ``phi`` holds ``h o Q``
+whole on the mesh, where ``index_variance`` takes that part from closed-form
+moments; on LogNormal(0, 1) the diagonal is 4.1% low for ``central_moment(3)``
+and 61% low for ``even_moment(2)``.
 """
 
 from __future__ import annotations
@@ -34,11 +41,10 @@ from .empirical import _max_ranks
 from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, TooFewPairs,
                      ZeroBaseIndex)
 from .indices import _real
-from .representation import (DEFAULT_GRID, IndexRepresentation, _u_functions, check_grid,
-                             u_atoms)
+from .representation import IndexRepresentation, _u_functions, u_atoms
 from .ugrid import CellPoly, covariance
 
-DEFAULT_COPULA_GRID = 512
+DEFAULT_COPULA_GRID = 512    # midpoints per axis of the Gaussian copula's tensor
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +56,7 @@ class CopulaModel:
     """The coupling of two uniforms (U, V) with uniform margins, used as the
     integration measure of cross-period covariances."""
 
-    def cross_cov(self, phi: CellPoly, psi: CellPoly, grid: int) -> float:
+    def cross_cov(self, phi: CellPoly, psi: CellPoly) -> float:
         """``Cov(phi(U), psi(V))`` for (U, V) ~ C, with means taken under the
         same (possibly discretized) measure as the joint term, so a constant
         factor gives exactly 0 and assembled matrices stay consistent."""
@@ -58,21 +64,21 @@ class CopulaModel:
 
 
 class IndependenceCopula(CopulaModel):
-    def cross_cov(self, phi, psi, grid):
+    def cross_cov(self, phi, psi):
         return 0.0
 
 
 class ComonotoneCopula(CopulaModel):
-    def cross_cov(self, phi, psi, grid):
+    def cross_cov(self, phi, psi):
         # U = V: exact also when the two periods' cells differ
         return covariance(phi, psi)
 
 
 @functools.lru_cache(maxsize=8)
-def _normal_midpoints(grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell midpoints ``(k + 1/2) / grid`` and their standard normal
-    quantiles, read-only; they depend on the grid size alone."""
-    mid = (np.arange(grid) + 0.5) / grid
+def _normal_midpoints(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell midpoints ``(k + 1/2) / size`` and their standard normal
+    quantiles, read-only; they depend on the size alone."""
+    mid = (np.arange(size) + 0.5) / size
     z = np.asarray(normal_quantile(mid), dtype=float)
     mid.flags.writeable = z.flags.writeable = False
     return mid, z
@@ -83,17 +89,17 @@ class GaussianCopula(CopulaModel):
         self.rho = _real(rho)
         if not -1.0 < self.rho < 1.0:
             raise BadParams(f"gaussian copula needs rho in (-1, 1), got {rho!r}")
-        self._tensors: dict = {}
+        self._memo: tuple = (None, None)
 
-    def density_grid(self, grid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoints and copula density values on a grid x grid tensor.
+    def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoints and copula density values on the tensor of the
+        package's ``DEFAULT_COPULA_GRID`` midpoints per axis.
 
         The midpoints and their normal quantiles are shared by every copula
-        on the same grid (read-only arrays); the exponent is formed in place
-        in the density's own buffer.
+        (read-only arrays); the exponent is formed in place in the density's
+        own buffer.
         """
-        check_grid(grid)
-        mid, z = _normal_midpoints(grid)
+        mid, z = _normal_midpoints(DEFAULT_COPULA_GRID)
         rho = self.rho
         denom = 1.0 - rho * rho
         z2 = z * z
@@ -108,19 +114,17 @@ class GaussianCopula(CopulaModel):
         dens /= math.sqrt(denom)
         return mid, dens
 
-    def _tensor(self, grid: int) -> tuple:
+    def _tensor(self) -> tuple:
         """``(mid, dens, total, row sums, column sums)``, built on first use
-        and kept per ``(rho, grid)``."""
-        check_grid(grid)
-        key = (self.rho, grid)
-        if key not in self._tensors:
-            mid, dens = self.density_grid(grid)
-            self._tensors[key] = (mid, dens, float(dens.sum()),
-                                  dens.sum(axis=1), dens.sum(axis=0))
-        return self._tensors[key]
+        and kept for the latest ``rho`` and tensor size only."""
+        key = (self.rho, DEFAULT_COPULA_GRID)
+        if self._memo[0] != key:
+            mid, dens = self.density_grid()
+            self._memo = (key, (mid, dens, float(dens.sum()), dens.sum(axis=1), dens.sum(axis=0)))
+        return self._memo[1]
 
-    def cross_cov(self, phi, psi, grid):
-        mid, dens, total, rows, cols = self._tensor(grid)
+    def cross_cov(self, phi, psi):
+        mid, dens, total, rows, cols = self._tensor()
         pv = phi.eval(mid)
         qv = psi.eval(mid)
         joint = float(pv @ dens @ qv) / total
@@ -143,7 +147,7 @@ class EmpiricalCopula(CopulaModel):
         self.u_ranks = np.asarray(u_ranks, dtype=float)
         self.v_ranks = np.asarray(v_ranks, dtype=float)
 
-    def cross_cov(self, phi, psi, grid):
+    def cross_cov(self, phi, psi):
         pv = phi.cell_average_at(self.u_ranks, side="left")
         qv = psi.cell_average_at(self.v_ranks, side="left")
         return float(np.mean(pv * qv) - np.mean(pv) * np.mean(qv))
@@ -221,8 +225,7 @@ def _delta_form(grad_a: np.ndarray, matrix: np.ndarray, grad_b: np.ndarray) -> f
     return value
 
 
-def _joint_matrix(frame: BivariateFrame, atoms: list[tuple[int, CellPoly]],
-                  copula_grid: int) -> np.ndarray:
+def _joint_matrix(frame: BivariateFrame, atoms: list[tuple[int, CellPoly]]) -> np.ndarray:
     """Covariance matrix of ``(period, phi)`` atoms.
 
     Atoms of one period share U and its mesh, so their entry is the
@@ -236,23 +239,20 @@ def _joint_matrix(frame: BivariateFrame, atoms: list[tuple[int, CellPoly]],
                 m[i, j] = m[j, i] = covariance(a, b)
             else:
                 first, second = (b, a) if pa > pb else (a, b)
-                m[i, j] = m[j, i] = frame.copula.cross_cov(first, second, copula_grid)
+                m[i, j] = m[j, i] = frame.copula.cross_cov(first, second)
     return m
 
 
 def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,
-                              rep2: Optional[IndexRepresentation] = None,
-                              grid: int = DEFAULT_GRID,
-                              copula_grid: int = DEFAULT_COPULA_GRID) -> JointCovariance:
+                              rep2: Optional[IndexRepresentation] = None) -> JointCovariance:
     """Joint law of one index at two periods.
 
     ``rep`` is the representation under margin 1; ``rep2`` (defaulting to
     ``rep``) the one under margin 2 -- pass a margin-specific rebuild for
     indices whose scores depend on the underlying CDF.
     """
-    matrix = _joint_matrix(frame, [(1, u_atoms(frame.margin1, rep, grid)),
-                                   (2, u_atoms(frame.margin2, rep2 or rep, grid))],
-                           copula_grid)
+    matrix = _joint_matrix(frame, [(1, u_atoms(frame.margin1, rep)),
+                                   (2, u_atoms(frame.margin2, rep2 or rep))])
     cross = float(matrix[0, 1])
     delta = _clamp_variance(float(matrix[0, 0] + matrix[1, 1] - 2.0 * cross),
                             "variance of the difference")
@@ -261,12 +261,10 @@ def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,
 
 def relative_variation_law(frame: BivariateFrame, rep: IndexRepresentation,
                            index1: float, index2: float,
-                           rep2: Optional[IndexRepresentation] = None,
-                           grid: int = DEFAULT_GRID,
-                           copula_grid: int = DEFAULT_COPULA_GRID) -> JointCovariance:
+                           rep2: Optional[IndexRepresentation] = None) -> JointCovariance:
     """Law of the relative variation (I2 - I1) / I1 by the delta method."""
     grad = _relative_gradient(index1, index2)
-    joint = temporal_joint_covariance(frame, rep, rep2, grid, copula_grid)
+    joint = temporal_joint_covariance(frame, rep, rep2)
     rel = _clamp_variance(_delta_form(grad, joint.matrix, grad), "relative-variation variance")
     with np.errstate(all="ignore"):
         gamma5 = (np.float64(index2) - np.float64(index1)) / np.float64(index1) ** 2
@@ -278,17 +276,15 @@ def relative_variation_law(frame: BivariateFrame, rep: IndexRepresentation,
 def mutual_variation_covariance(frame: BivariateFrame, rep_i: IndexRepresentation,
                                 rep_j: IndexRepresentation,
                                 rep_i2: Optional[IndexRepresentation] = None,
-                                rep_j2: Optional[IndexRepresentation] = None,
-                                grid: int = DEFAULT_GRID,
-                                copula_grid: int = DEFAULT_COPULA_GRID) -> JointCovariance:
+                                rep_j2: Optional[IndexRepresentation] = None) -> JointCovariance:
     """Joint law of the variations of two indices.
 
     Assembles the 4x4 covariance of (I*_1, I*_2, J*_1, J*_2); the covariance
     of the two differences is the contrast ``(-1, 1)`` applied to each block.
     """
-    i1, j1 = _u_functions(frame.margin1, [rep_i, rep_j], grid)
-    i2, j2 = _u_functions(frame.margin2, [rep_i2 or rep_i, rep_j2 or rep_j], grid)
-    m = _joint_matrix(frame, [(1, i1), (2, i2), (1, j1), (2, j2)], copula_grid)
+    i1, j1 = _u_functions(frame.margin1, [rep_i, rep_j])
+    i2, j2 = _u_functions(frame.margin2, [rep_i2 or rep_i, rep_j2 or rep_j])
+    m = _joint_matrix(frame, [(1, i1), (2, i2), (1, j1), (2, j2)])
     cross = float(np.array([-1.0, 1.0, 0.0, 0.0]) @ m @ np.array([0.0, 0.0, -1.0, 1.0]))
     return JointCovariance(matrix=m, cross=cross)
 
@@ -297,13 +293,10 @@ def mutual_relative_covariance(frame: BivariateFrame, rep_i: IndexRepresentation
                                rep_j: IndexRepresentation,
                                i1: float, i2: float, j1: float, j2: float,
                                rep_i2: Optional[IndexRepresentation] = None,
-                               rep_j2: Optional[IndexRepresentation] = None,
-                               grid: int = DEFAULT_GRID,
-                               copula_grid: int = DEFAULT_COPULA_GRID) -> float:
+                               rep_j2: Optional[IndexRepresentation] = None) -> float:
     """Covariance of the two relative variations by the bilinear delta
     method on the assembled 4x4 matrix."""
     grad_i = np.concatenate([_relative_gradient(i1, i2), [0.0, 0.0]])
     grad_j = np.concatenate([[0.0, 0.0], _relative_gradient(j1, j2)])
-    joint = mutual_variation_covariance(frame, rep_i, rep_j, rep_i2, rep_j2,
-                                        grid, copula_grid)
+    joint = mutual_variation_covariance(frame, rep_i, rep_j, rep_i2, rep_j2)
     return _delta_form(grad_i, joint.matrix, grad_j)

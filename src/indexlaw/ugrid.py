@@ -4,9 +4,9 @@ The covariance calculus reduces every one-dimensional integral to products,
 cumulatives and moments of functions ``w(Q(s))`` with Q a quantile function.
 On an empirical model these are step functions on the n cells
 ``((j-1)/n, j/n]``.  On a parametric model they live on the mesh of
-:func:`mesh_edges`: ``grid`` uniform cells plus the levels F(b) of the breaks
-where the scores jump, with the cells next to 0, 1 and each level halved
-``GRADING`` times.  A mesh cell carries the polynomial through the values at
+:func:`mesh_edges`: the package's ``DEFAULT_GRID`` uniform cells plus the
+levels F(b) of the breaks where the scores jump, with the cells next to 0, 1
+and each level halved ``GRADING`` times.  A mesh cell carries the polynomial through the values at
 its ``NODES`` interior Gauss-Legendre nodes, so a jump at a cell edge needs
 no one-sided value.  Every integral of these per-cell polynomials is exact:
 refining never changes empirical results.  Every variance piece is one
@@ -25,11 +25,10 @@ import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
-from .errors import OutOfRange
 
 NODES = 7             # Gauss-Legendre nodes per mesh cell
 GRADING = 32          # geometric halvings towards each end and each break
-DEFAULT_GRID = 256    # uniform base cells of a parametric mesh
+DEFAULT_GRID = 256    # uniform base cells of every parametric mesh
 # the narrowest graded cell: next to 1 it still spans 2**9 floats, so its
 # Gauss nodes stay distinct and inside it
 _FINEST = 2.0 ** -44
@@ -48,23 +47,16 @@ _FIT = np.array([npoly.polyfromroots(np.delete(_X, i)) / np.prod(_X[i] - np.dele
                  for i in range(NODES)])
 
 
-def check_grid(grid: int) -> None:
-    """Reject a grid size that is not an integer >= 1."""
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
-        raise OutOfRange(f"grid size must be an integer >= 1, got {grid!r}")
-
-
-def mesh_edges(grid: int, levels=()) -> np.ndarray:
-    """Cell edges of the mesh: ``grid`` uniform cells and every level
+def mesh_edges(cells: int, levels=()) -> np.ndarray:
+    """Cell edges of the mesh: ``cells`` uniform cells and every level
     strictly inside (0, 1), with the cells next to 0, 1 and each level
     halved ``GRADING`` times towards it."""
-    check_grid(grid)
-    steps = 0.5 ** np.arange(1, GRADING + 1) / grid
+    steps = 0.5 ** np.arange(1, GRADING + 1) / cells
     steps = steps[steps >= _FINEST]
     levels = np.asarray(levels, dtype=float).ravel()
     levels = levels[(levels > 0.0) & (levels < 1.0)]
     graded = np.concatenate([[0.0], levels, [1.0]])[:, None] + np.concatenate([-steps, steps])
-    edges = np.concatenate([np.arange(grid + 1) / grid, levels, graded.ravel()])
+    edges = np.concatenate([np.arange(cells + 1) / cells, levels, graded.ravel()])
     return _distinct(edges[(edges >= 0.0) & (edges <= 1.0)])
 
 

@@ -180,7 +180,7 @@ def test_criterion_8_cre2_diagnostic_decreases():
               + ", ".join(f"{v:.5f}" for v in vals))
 
 
-def test_criterion_9_randomized_joint_laws_psd():
+def test_criterion_9_randomized_joint_laws_psd(mesh):
     rng = np.random.default_rng(900)
     margins = [Uniform(0, 1), Uniform(0.1, 2.0), Exponential(1.0), LogNormal(0, 0.5)]
 
@@ -193,16 +193,16 @@ def test_criterion_9_randomized_joint_laws_psd():
             value=lambda m: 0.0)
 
     worst = np.inf
-    for trial in range(1000):
-        m1, m2 = rng.choice(margins, 2, replace=True)
-        cop = [IndependenceCopula(), ComonotoneCopula(),
-               GaussianCopula(rng.uniform(-0.9, 0.9))][int(rng.integers(0, 3))]
-        scale = 10.0 ** rng.uniform(-2, 1)
-        jm = mutual_variation_covariance(BivariateFrame(m1, m2, cop),
-                                         random_rep(scale), random_rep(scale),
-                                         grid=512, copula_grid=256)
-        assert np.array_equal(jm.matrix, jm.matrix.T)
-        worst = min(worst, float(np.linalg.eigvalsh(jm.matrix).min()))
+    with mesh(grid=512, copula_grid=256):
+        for trial in range(1000):
+            m1, m2 = rng.choice(margins, 2, replace=True)
+            cop = [IndependenceCopula(), ComonotoneCopula(),
+                   GaussianCopula(rng.uniform(-0.9, 0.9))][int(rng.integers(0, 3))]
+            scale = 10.0 ** rng.uniform(-2, 1)
+            jm = mutual_variation_covariance(BivariateFrame(m1, m2, cop),
+                                             random_rep(scale), random_rep(scale))
+            assert np.array_equal(jm.matrix, jm.matrix.T)
+            worst = min(worst, float(np.linalg.eigvalsh(jm.matrix).min()))
     assert worst >= -1e-9
     report(9, f"1000 randomized joint matrices symmetric PSD "
               f"(worst eigenvalue {worst:.2e})")

@@ -278,18 +278,22 @@ class TestGapVariance:
         p = np.full(4, 0.25)
         assert dec.theta2_sq == pytest.approx(float(p @ dec.L**2 - (p @ dec.L) ** 2), abs=1e-12)
 
-    def test_parametric_grid_convergence(self):
+    def test_parametric_grid_convergence(self, mesh):
         groups = [LogNormal(0, 1), LogNormal(0.5, 1)]
         builder = lambda m: named_representation(m, NamedIndex.shorrocks(1.0))
-        d1 = gap_variance([0.5, 0.5], groups, builder, grid=512)
-        d2 = gap_variance([0.5, 0.5], groups, builder, grid=1024)
+        with mesh(grid=512):
+            d1 = gap_variance([0.5, 0.5], groups, builder)
+        with mesh(grid=1024):
+            d2 = gap_variance([0.5, 0.5], groups, builder)
         assert d2.theta1_sq == pytest.approx(d1.theta1_sq, rel=0.005)
         # the rank-weighted kinds: 2,048 base cells are within 1e-2 of a four
         # times finer mesh
         for index in (NamedIndex.sen(1.0), NamedIndex.takayama(1.0)):
             builder = lambda m, _index=index: named_representation(m, _index)
-            coarse = gap_variance([0.5, 0.5], groups, builder, grid=2048)
-            fine = gap_variance([0.5, 0.5], groups, builder, grid=8192)
+            with mesh(grid=2048):
+                coarse = gap_variance([0.5, 0.5], groups, builder)
+            with mesh(grid=8192):
+                fine = gap_variance([0.5, 0.5], groups, builder)
             assert coarse.theta1_sq == pytest.approx(fine.theta1_sq, rel=1e-2)
 
     def test_identical_groups_decomposable_score(self):

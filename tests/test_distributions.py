@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from indexlaw import ugrid
 from indexlaw.distributions import (DistributionModel, EmpiricalDistribution, Exponential,
                                     LogNormal, Mixture, Normal, Pareto, Uniform, normal_cdf,
                                     normal_quantile)
@@ -20,7 +21,7 @@ from indexlaw.empirical import build_sample
 from indexlaw.errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
 from indexlaw.indices import GpiSpec, NamedIndex, gpi_constants, named_representation
 from indexlaw.representation import index_variance
-from indexlaw.ugrid import DEFAULT_GRID, NODES, gauss_sum
+from indexlaw.ugrid import NODES, gauss_sum
 
 
 class TestNormalQuantile:
@@ -463,15 +464,15 @@ def _close(got, want, what):
 
 
 def _cached_mesh(model):
-    """``model`` with its mesh kept per (breaks, grid), so one fine mesh
-    serves a whole catalog."""
+    """``model`` with its mesh kept per breaks and mesh size, so one fine
+    mesh serves a whole catalog."""
     meshes = {}
     build = model.mesh
 
-    def mesh(breaks=(), grid=DEFAULT_GRID):
-        key = (tuple(breaks), grid)
+    def mesh(breaks=()):
+        key = (tuple(breaks), ugrid.DEFAULT_GRID)
         if key not in meshes:
-            meshes[key] = build(breaks, grid)
+            meshes[key] = build(breaks)
         return meshes[key]
 
     model.mesh = mesh
@@ -516,7 +517,7 @@ class TestReferenceTable:
     the same mesh at 2**14 base cells for totals with a weight term."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
-    def test_poverty_catalog(self, name):
+    def test_poverty_catalog(self, name, mesh):
         model, z = REFERENCE_MODELS[name]
         model = _cached_mesh(copy.copy(model))
         for index in _poverty_catalog(z):
@@ -531,7 +532,8 @@ class TestReferenceTable:
             if rep.q_zero:
                 _close(got.total, eh2 - eh * eh, f"{label} total")
             else:
-                want = index_variance(model, rep, grid=2 ** 14)
+                with mesh(grid=2 ** 14):
+                    want = index_variance(model, rep)
                 _close(got.total, want.total, f"{label} total")
 
     @pytest.mark.parametrize("name", sorted(EXACT_RAW))

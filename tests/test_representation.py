@@ -110,9 +110,9 @@ def _counting(cls):
         grids = 0
         quantiles = 0
 
-        def mesh(self, breaks=(), grid=representation.DEFAULT_GRID):
+        def mesh(self, breaks=()):
             Counting.grids += 1
-            return super().mesh(breaks, grid)
+            return super().mesh(breaks)
 
         def quantile_extended(self, s):
             Counting.quantiles += 1
@@ -159,11 +159,12 @@ class TestOneQuantileGrid:
     @pytest.mark.parametrize("model", [
         EmpiricalDistribution(np.random.default_rng(4).lognormal(size=300)),
         LogNormal(0.0, 1.0), _bench_mixture()], ids=["empirical", "lognormal", "mixture"])
-    def test_score_models_match_score_model(self, model):
+    def test_score_models_match_score_model(self, model, mesh):
         rep = named_representation(model, NamedIndex.sen(1.0))
-        both = representation._score_models(model, [rep.h, rep.q], 512)
-        for got, f in zip(both, (rep.h, rep.q)):
-            assert np.array_equal(got.coef, representation.score_model(model, f, 512).coef)
+        with mesh(grid=512):
+            both = representation._score_models(model, [rep.h, rep.q])
+            for got, f in zip(both, (rep.h, rep.q)):
+                assert np.array_equal(got.coef, representation.score_model(model, f).coef)
 
 
 @pytest.fixture(scope="module")
@@ -201,17 +202,13 @@ class TestIndexVariance:
         array = IndexRepresentation(h=ident, q=one, value=lambda m: 0.0)
         assert index_variance(model, scalar) == index_variance(model, array)
 
-    @pytest.mark.parametrize("grid", [0, -3, 2.5])
-    def test_bad_grid(self, grid):
-        rep = named_representation(LogNormal(0, 1), NamedIndex.sen(1.0))
-        with pytest.raises(OutOfRange):
-            index_variance(LogNormal(0, 1), rep, grid=grid)
-
-    def test_empirical_grid_invariance(self):
+    def test_empirical_grid_invariance(self, mesh):
         m = EmpiricalDistribution(np.geomspace(0.2, 5.0, 31))
         rep = named_representation(m, NamedIndex.sen(1.0))
-        a = index_variance(m, rep, grid=64).total
-        b = index_variance(m, rep, grid=4096).total
+        with mesh(grid=64):
+            a = index_variance(m, rep).total
+        with mesh(grid=4096):
+            b = index_variance(m, rep).total
         assert a == b
 
     def test_discretized_gaussian_oracle(self):

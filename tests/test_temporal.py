@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Mixture, Normal, Pareto, Uniform, normal_quantile)
-from indexlaw.errors import (BadParams, IndexLawError, NonFiniteValue, OutOfRange,
-                             TooFewPairs, ZeroBaseIndex)
+from indexlaw.errors import (BadParams, IndexLawError, NonFiniteValue, TooFewPairs,
+                             ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_representation
 from indexlaw.representation import (IndexRepresentation, index_cross_covariance,
                                      index_variance, score_model, u_atoms)
@@ -53,19 +53,21 @@ class TestCopulaModels:
     @pytest.mark.parametrize("cop", [IndependenceCopula(), ComonotoneCopula(),
                                      GaussianCopula(-0.9), GaussianCopula(0.6),
                                      "empirical"])
-    def test_constant_factor_and_cauchy_schwarz(self, cop):
+    def test_constant_factor_and_cauchy_schwarz(self, cop, mesh):
         rng = np.random.default_rng(31)
         if cop == "empirical":
             xy = rng.normal(size=(200, 2))
             cop = empirical_copula(xy @ np.array([[1.0, 0.7], [0.0, 1.0]]))
         const = CellPoly.from_cells(np.full(50, 3.7))
-        for cells in (50, 73):
-            for phi in (CellPoly.from_cells(rng.normal(size=cells)), _mesh_random(rng, cells)):
-                assert abs(cop.cross_cov(phi, const, 128)) <= 1e-15
-                assert abs(cop.cross_cov(const, phi, 128)) <= 1e-15
-                for psi in (phi, _step(cells, 0.4), _line(8)):
-                    bound = math.sqrt(covariance(phi, phi) * covariance(psi, psi))
-                    assert abs(cop.cross_cov(phi, psi, 128)) <= bound * (1 + 1e-12)
+        with mesh(copula_grid=128):
+            for cells in (50, 73):
+                for phi in (CellPoly.from_cells(rng.normal(size=cells)),
+                            _mesh_random(rng, cells)):
+                    assert abs(cop.cross_cov(phi, const)) <= 1e-15
+                    assert abs(cop.cross_cov(const, phi)) <= 1e-15
+                    for psi in (phi, _step(cells, 0.4), _line(8)):
+                        bound = math.sqrt(covariance(phi, phi) * covariance(psi, psi))
+                        assert abs(cop.cross_cov(phi, psi)) <= bound * (1 + 1e-12)
 
 
 class TestEmpiricalCopula:
@@ -77,7 +79,7 @@ class TestEmpiricalCopula:
         cop = empirical_copula(np.column_stack([x, x]))
         rng = np.random.default_rng(4)
         a, b = (CellPoly.from_cells(rng.normal(size=50)) for _ in range(2))
-        assert cop.cross_cov(a, b, 512) == pytest.approx(covariance(a, b), abs=1e-15)
+        assert cop.cross_cov(a, b) == pytest.approx(covariance(a, b), abs=1e-15)
 
     def test_countermonotone_pairs(self):
         x = np.linspace(0, 1, 50)
@@ -86,7 +88,7 @@ class TestEmpiricalCopula:
         a_cells, b_cells = rng.normal(size=50), rng.normal(size=50)
         a, b = CellPoly.from_cells(a_cells), CellPoly.from_cells(b_cells)
         reversed_b = CellPoly.from_cells(b_cells[::-1])
-        assert cop.cross_cov(a, b, 512) == pytest.approx(covariance(a, reversed_b), abs=1e-15)
+        assert cop.cross_cov(a, b) == pytest.approx(covariance(a, reversed_b), abs=1e-15)
 
     def test_ties_share_a_max_rank(self):
         # tied values fall in the cell of their max-rank
@@ -119,22 +121,28 @@ class TestEmpiricalCopula:
         step, line = _step(100, 0.3), _line(64)
         for phi, psi in ((step, line), (step, step), (line, line)):
             bound = 2 * math.sqrt(covariance(phi, phi) * covariance(psi, psi) / n)
-            assert abs(emp.cross_cov(phi, psi, 512) - ana.cross_cov(phi, psi, 512)) <= bound
+            assert abs(emp.cross_cov(phi, psi) - ana.cross_cov(phi, psi)) <= bound
 
 
 class TestJointCovariance:
     @pytest.mark.parametrize("margin, z", [
         (LogNormal(0, 1), 1.0), (Normal(2, 1), 2.0), (Exponential(1.0), 0.7),
         (Uniform(0, 2), 1.0), (Pareto(1.0, 3.0), 1.3),
-        (Mixture((0.5, 0.5), [LogNormal(0, 1), LogNormal(0.5, 1)]), 1.0),
-    ], ids=["lognormal", "normal", "exponential", "uniform", "pareto", "mixture"])
+        (Mixture((0.5, 0.5), [LogNormal(0, 1), LogNormal(0.5, 1)]), 1.0), (Uniform(0, 1), None),
+    ], ids=["lognormal", "normal", "exponential", "uniform", "pareto", "mixture", "moments"])
     def test_diagonal_is_index_variance(self, margin, z):
         # one mesh and one covariance calculus: a period's own entry of the
-        # joint law is the index variance of a score without polynomial part
+        # joint law is the index variance of a score without polynomial
+        # part, and (z None) of the moment kinds on a bounded margin, whose
+        # whole polynomial the mesh holds
         frame = BivariateFrame(margin, margin, GaussianCopula(0.3))
-        for index in (NamedIndex.fgt(0.0, z), NamedIndex.fgt(1.5, z), NamedIndex.sen(z),
-                      NamedIndex.kakwani(3, z), NamedIndex.shorrocks(z),
-                      NamedIndex.takayama(z)):
+        if z is None:
+            indices = (NamedIndex.central_moment(2), NamedIndex.central_moment(3),
+                       NamedIndex.even_normalized(2), NamedIndex.odd_normalized(2))
+        else:
+            indices = (NamedIndex.fgt(0.0, z), NamedIndex.fgt(1.5, z), NamedIndex.sen(z),
+                       NamedIndex.kakwani(3, z), NamedIndex.shorrocks(z), NamedIndex.takayama(z))
+        for index in indices:
             rep = named_representation(margin, index)
             diagonal = temporal_joint_covariance(frame, rep).matrix[0, 0]
             assert diagonal == pytest.approx(index_variance(margin, rep).total, rel=1e-13)
@@ -251,7 +259,7 @@ class TestMutualInfluence:
         assert np.allclose(jm.matrix[2:, :], 0.0, atol=1e-12)
         assert np.allclose(jm.matrix[:, 2:], 0.0, atol=1e-12)
 
-    def test_psd_randomized(self):
+    def test_psd_randomized(self, mesh):
         rng = np.random.default_rng(12)
         frame = self._frame()
         for _ in range(5):
@@ -263,8 +271,8 @@ class TestMutualInfluence:
                 value=lambda m: 0.0)
             rep_j = named_representation(frame.margin1, NamedIndex.fgt(1.0, 1.0))
             rep_j2 = named_representation(frame.margin2, NamedIndex.fgt(1.0, 1.0))
-            jm = mutual_variation_covariance(frame, rep_i, rep_j, rep_j2=rep_j2,
-                                             grid=512, copula_grid=256)
+            with mesh(grid=512, copula_grid=256):
+                jm = mutual_variation_covariance(frame, rep_i, rep_j, rep_j2=rep_j2)
             assert np.linalg.eigvalsh(jm.matrix).min() >= -1e-9
 
     def test_relative_coincides(self):
@@ -313,10 +321,10 @@ class TestMutualInfluence:
         phi = [u_atoms(m, r) for m, r in zip((m1, m2, m1, m2), reps)]
         same = ComonotoneCopula()
         for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3)):
-            assert jm.matrix[a, b] == same.cross_cov(phi[a], phi[b], 512)
+            assert jm.matrix[a, b] == same.cross_cov(phi[a], phi[b])
         for a, b in ((0, 1), (2, 3), (0, 3), (2, 1)):
-            assert jm.matrix[a, b] == jm.matrix[b, a] == cop.cross_cov(phi[a], phi[b], 512)
-        assert cop.cross_cov(phi[1], phi[2], 512) != jm.matrix[1, 2]
+            assert jm.matrix[a, b] == jm.matrix[b, a] == cop.cross_cov(phi[a], phi[b])
+        assert cop.cross_cov(phi[1], phi[2]) != jm.matrix[1, 2]
 
 
 class TestMcAgreement:
@@ -400,7 +408,7 @@ class TestEmpiricalCopulaJointLaws:
         hm = score_model(m, rep.h)
         cop = empirical_copula(np.column_stack([x, x]))
         within = (hm * hm).integral() - hm.integral() ** 2
-        assert cop.cross_cov(hm, hm, 512) == pytest.approx(within, abs=1e-14)
+        assert cop.cross_cov(hm, hm) == pytest.approx(within, abs=1e-14)
 
 
 def _random_score_weight(rng, m, step):
@@ -425,7 +433,7 @@ class TestOneBilinearCall:
         GaussianCopula(0.6), _random_pairs_copula(),
     ], ids=["independence", "comonotone", "gauss-0.9", "gauss0", "gauss0.6", "empirical"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_summed_call_equals_four_brackets(self, cop, seed):
+    def test_summed_call_equals_four_brackets(self, cop, seed, mesh):
         # the call on the u-functions h + W equals the four score/weight
         # brackets, so one atom per period carries the whole covariance
         rng = np.random.default_rng(seed)
@@ -433,8 +441,9 @@ class TestOneBilinearCall:
         m1, m2 = (int(m) for m in rng.integers(20, 90, size=2))
         for b_cells in (m1, m2):  # equal and (usually) unequal grids across periods
             a, b = _random_score_weight(rng, m1, step), _random_score_weight(rng, b_cells, step)
-            brackets = [cop.cross_cov(p, q, 96) for p in a for q in b]
-            got = cop.cross_cov(a[0] + a[1], b[0] + b[1], 96)
+            with mesh(copula_grid=96):
+                brackets = [cop.cross_cov(p, q) for p in a for q in b]
+                got = cop.cross_cov(a[0] + a[1], b[0] + b[1])
             scale = sum(abs(x) for x in brackets)
             if getattr(cop, "rho", None) == 0.0:
                 # every bracket is 0 up to cancellation; measure against the
@@ -451,7 +460,7 @@ class TestGaussianDensityOnce:
         return ([named_representation(frame.margin1, ix) for ix in idx]
                 + [named_representation(frame.margin2, ix) for ix in idx])
 
-    def test_one_density_per_joint_law(self, monkeypatch):
+    def test_one_density_per_joint_law(self, monkeypatch, mesh):
         calls = {"density_grid": 0, "cross_cov": 0}
         for name in calls:
             original = getattr(GaussianCopula, name)
@@ -463,27 +472,20 @@ class TestGaussianDensityOnce:
             monkeypatch.setattr(GaussianCopula, name, counted)
         frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
         r = self._reps(frame)
-        mutual_variation_covariance(frame, r[0], r[1], r[2], r[3], grid=256, copula_grid=128)
+        with mesh(grid=256, copula_grid=128):
+            mutual_variation_covariance(frame, r[0], r[1], r[2], r[3])
         assert calls == {"density_grid": 1, "cross_cov": 4}
 
-    def test_memo_follows_rho(self):
+    def test_memo_follows_rho(self, mesh):
         frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
         r = self._reps(frame)
-        mutual_variation_covariance(frame, r[0], r[1], grid=256, copula_grid=128)
-        frame.copula.rho = -0.3
-        moved = mutual_variation_covariance(frame, r[0], r[1], grid=256, copula_grid=128)
-        fresh = BivariateFrame(frame.margin1, frame.margin2, GaussianCopula(-0.3))
-        want = mutual_variation_covariance(fresh, r[0], r[1], grid=256, copula_grid=128)
+        with mesh(grid=256, copula_grid=128):
+            mutual_variation_covariance(frame, r[0], r[1])
+            frame.copula.rho = -0.3
+            moved = mutual_variation_covariance(frame, r[0], r[1])
+            fresh = BivariateFrame(frame.margin1, frame.margin2, GaussianCopula(-0.3))
+            want = mutual_variation_covariance(fresh, r[0], r[1])
         assert np.array_equal(moved.matrix, want.matrix)
-
-    @pytest.mark.parametrize("copula_grid", [0, -3, 2.5])
-    def test_bad_copula_grid(self, copula_grid):
-        frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
-        r = self._reps(frame)
-        with pytest.raises(OutOfRange):
-            mutual_variation_covariance(frame, r[0], r[1], grid=64, copula_grid=copula_grid)
-        with pytest.raises(OutOfRange):
-            frame.copula.density_grid(copula_grid)
 
 
 
@@ -506,25 +508,21 @@ def _numbers(j):
 def _contract_table():
     """``{argument: call}``, one call per numeric argument of the temporal
     API; each call puts its value in that argument and valid values in the
-    others, and returns every number it computed."""
+    others, and returns every number it computed.  Run them on a small mesh
+    (32 base cells, 16 copula midpoints per axis)."""
     m1, m2 = Uniform(0, 1), Uniform(0, 1.25)
     r1, r2 = (named_representation(m, NamedIndex.fgt(1.0, 0.5)) for m in (m1, m2))
     frame = BivariateFrame(m1, m2, GaussianCopula(0.3))
     a, b = CellPoly.from_cells(np.linspace(-1.0, 2.0, 8)), _step(8, 0.4)
     table = {
         "GaussianCopula.rho": lambda v: _numbers(temporal_joint_covariance(
-            BivariateFrame(m1, m2, GaussianCopula(v)), r1, r2, 32, 16)),
-        "empirical_copula.pairs": lambda v: [empirical_copula(v).cross_cov(a, b, 8)],
+            BivariateFrame(m1, m2, GaussianCopula(v)), r1, r2)),
+        "empirical_copula.pairs": lambda v: [empirical_copula(v).cross_cov(a, b)],
     }
     functions = [
-        ("temporal_joint_covariance", dict(grid=32, copula_grid=16),
-         lambda **kw: _numbers(temporal_joint_covariance(frame, r1, r2, **kw))),
-        ("relative_variation_law", dict(index1=0.2, index2=0.3, grid=32, copula_grid=16),
+        ("relative_variation_law", dict(index1=0.2, index2=0.3),
          lambda **kw: _numbers(relative_variation_law(frame, r1, rep2=r2, **kw))),
-        ("mutual_variation_covariance", dict(grid=32, copula_grid=16),
-         lambda **kw: _numbers(mutual_variation_covariance(frame, r1, r1, r2, r2, **kw))),
-        ("mutual_relative_covariance",
-         dict(i1=0.2, i2=0.3, j1=0.25, j2=0.2, grid=32, copula_grid=16),
+        ("mutual_relative_covariance", dict(i1=0.2, i2=0.3, j1=0.25, j2=0.2),
          lambda **kw: [mutual_relative_covariance(frame, r1, r1, rep_i2=r2, rep_j2=r2,
                                                   **kw)]),
     ]
@@ -541,9 +539,10 @@ _CONTRACT = _contract_table()
 class TestContract:
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(sorted(_CONTRACT)), _ANY)
-    def test_typed_error_or_finite_values(self, argument, value):
+    def test_typed_error_or_finite_values(self, mesh, argument, value):
         try:
-            numbers = _CONTRACT[argument](value)
+            with mesh(grid=32, copula_grid=16):
+                numbers = _CONTRACT[argument](value)
         except IndexLawError:
             return
         assert all(np.all(np.isfinite(x)) for x in numbers), (argument, value, numbers)

@@ -1,8 +1,13 @@
-"""Piecewise-polynomial machinery: closed-form integrals vs brute force."""
+"""Piecewise-polynomial machinery: closed-form integrals vs brute force, and
+the mesh sizes as constants of the package."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+import indexlaw
+from indexlaw import ugrid
 from indexlaw.ugrid import NODES, CellPoly, covariance, gauss_nodes
 
 
@@ -95,3 +100,32 @@ class TestBridgeForms:
         h = line(32)
         one = CellPoly.from_cells(np.ones(32))
         assert covariance(h, one.tail_integral_poly()) == pytest.approx(-1 / 12, abs=1e-15)
+
+
+def _public_signatures():
+    """``{name: signature}`` of every exported function and class and of
+    the public methods of every exported class."""
+    out = {}
+    for name in indexlaw.__all__:
+        obj = getattr(indexlaw, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            out[name] = inspect.signature(obj)
+        if inspect.isclass(obj):
+            for attr, member in inspect.getmembers(
+                    obj, lambda m: inspect.isfunction(m) or inspect.ismethod(m)):
+                if not attr.startswith("_"):
+                    out[f"{name}.{attr}"] = inspect.signature(member)
+    return out
+
+
+class TestMeshSizes:
+    def test_no_public_mesh_size_parameters(self):
+        # the mesh and the Gaussian copula's tensor are the package's own:
+        # their sizes are module constants, not arguments
+        signatures = _public_signatures()
+        assert {"index_variance", "GaussianCopula.cross_cov", "LogNormal.mesh",
+                "EmpiricalDistribution.mesh", "NamedIndex.sen"} <= set(signatures)
+        knobs = [(name, arg) for name, sig in signatures.items()
+                 for arg in sig.parameters if arg in ("grid", "copula_grid")]
+        assert knobs == []
+        assert not hasattr(ugrid, "check_grid")
