@@ -41,7 +41,7 @@ from numpy.polynomial import polynomial as npoly
 from .distributions import DistributionModel, normal_quantile
 from .empirical import ScoreFunction
 from .errors import BadLevel, NegativeVariance, NonFiniteIntegral, OutOfRange
-from .ugrid import NODES, CellPoly, covariance, inner
+from .ugrid import NODES, CellPoly, covariance, inner, sample_cells
 
 
 @dataclass(frozen=True)
@@ -115,19 +115,20 @@ def _evaluate(func: ScoreFunction, x: np.ndarray) -> np.ndarray:
 
 def _scorer(model: DistributionModel,
             breaks: Sequence[float] = ()) -> Callable[[ScoreFunction], CellPoly]:
-    """``func -> score_model(model, func)`` with the nodes built once:
-    the sorted sample of an empirical model, else the model's mesh for
-    ``breaks``, built on first use."""
+    """``func -> score_model(model, func)`` with the nodes built once: the
+    sorted sample of an empirical model and its n cells, else the model's
+    mesh for ``breaks``; cells and mesh are built on first use."""
     if model.kind == "empirical":
         x = model.sample.values
+        cells = functools.cache(lambda: sample_cells(x.size))
 
-        def cells(func):
+        def steps(func):
             vals = _evaluate(func, x)
             if not np.all(np.isfinite(vals)):
                 raise NonFiniteIntegral("score is non-finite on the sample")
-            return CellPoly.from_cells(vals)
+            return CellPoly(vals.reshape(-1, 1), *cells())
 
-        return cells
+        return steps
     mesh = functools.cache(lambda: model.mesh(breaks))
 
     def nodes(func):

@@ -136,21 +136,37 @@ class GaussianCopula(CopulaModel):
 class EmpiricalCopula(CopulaModel):
     """Rank-based copula estimate from paired observations (max-ranks).
 
+    ``u_ranks`` and ``v_ranks`` are normalized ranks r/n, integers 1 <= r <= n.
     As an integration measure it is the checkerboard extension of the rank
     pairs: each pair spreads its 1/n mass uniformly over its rank rectangle, so
-    cross brackets integrate per-cell averages.  That keeps them consistent
+    cross brackets integrate per-cell averages, looked up once at the sorted
+    levels j/n and gathered by rank.  That keeps them consistent
     with the within-period pieces (Cauchy-Schwarz, a nonnegative variance of a
     difference) even for perfectly dependent data.
     """
 
     def __init__(self, u_ranks: np.ndarray, v_ranks: np.ndarray):
-        self.u_ranks = np.asarray(u_ranks, dtype=float)
-        self.v_ranks = np.asarray(v_ranks, dtype=float)
+        u, v = np.asarray(u_ranks, dtype=float), np.asarray(v_ranks, dtype=float)
+        if u.ndim != 1 or u.size == 0 or u.shape != v.shape:
+            raise OutOfRange("u_ranks and v_ranks must be non-empty 1-d arrays of one length")
+        self._cells = (_rank_cells(u), _rank_cells(v))
+
+    u_ranks = property(lambda self: (self._cells[0] + 1) / self._cells[0].size)
+    v_ranks = property(lambda self: (self._cells[1] + 1) / self._cells[1].size)
 
     def cross_cov(self, phi, psi):
-        pv = phi.cell_average_at(self.u_ranks, side="left")
-        qv = psi.cell_average_at(self.v_ranks, side="left")
+        levels = np.arange(1, self._cells[0].size + 1) / self._cells[0].size
+        pv = phi.cell_average_at(levels, side="left")[self._cells[0]]
+        qv = psi.cell_average_at(levels, side="left")[self._cells[1]]
         return float(np.mean(pv * qv) - np.mean(pv) * np.mean(qv))
+
+
+def _rank_cells(ranks: np.ndarray) -> np.ndarray:
+    """The 0-based sample cell ``r - 1`` of each normalized rank ``r / n``."""
+    r = np.rint(ranks * ranks.size)
+    if not np.all((r >= 1) & (r <= ranks.size) & (r / ranks.size == ranks)):  # nan, inf fail
+        raise OutOfRange(f"ranks must be r/n with integers 1 <= r <= n = {ranks.size}")
+    return r.astype(np.intp) - 1
 
 
 def empirical_copula(pairs) -> EmpiricalCopula:

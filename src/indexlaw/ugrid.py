@@ -3,19 +3,19 @@
 The covariance calculus reduces every one-dimensional integral to products,
 cumulatives and moments of functions ``w(Q(s))`` with Q a quantile function.
 On an empirical model these are step functions on the n cells
-``((j-1)/n, j/n]``.  On a parametric model they live on the mesh of
-:func:`mesh_edges`: the package's ``DEFAULT_GRID`` uniform cells plus the
-levels F(b) of the breaks where the scores jump, with the cells next to 0, 1
-and each level halved ``GRADING`` times.  A mesh cell carries the polynomial through the values at
+``((j-1)/n, j/n]``: degree-0 polynomials on the edges ``arange(n + 1) / n``.
+On a parametric model they live on the mesh of :func:`mesh_edges`: the
+package's ``DEFAULT_GRID`` uniform cells plus the levels F(b) of the breaks
+where the scores jump, with the cells next to 0, 1 and each level halved
+``GRADING`` times.  A mesh cell carries the polynomial through the values at
 its ``NODES`` interior Gauss-Legendre nodes, so a jump at a cell edge needs
 no one-sided value.  Every integral of these per-cell polynomials is exact:
 refining never changes empirical results.  Every variance piece is one
 ``covariance(a, b) = Cov(a(U), b(U))``, U uniform on (0, 1), of the score
 ``h o Q`` and the tail integral ``W = int_s^1 q(Q(t)) dt`` of a weight.
 
-Local conventions: a uniform cell k covers ``[k/m, (k+1)/m]`` and stores
-coefficients of ``tau = s - k/m``; a mesh cell ``[a, b]`` stores
-coefficients of ``x = 2 (s - a) / (b - a) - 1`` in [-1, 1].
+A cell ``[a, b]`` stores coefficients of ``x = 2 (s - a) / (b - a) - 1`` in
+[-1, 1].
 """
 from __future__ import annotations
 
@@ -45,6 +45,8 @@ _W = np.append(_W[:-1], 2.0 - sum(_W[:-1].tolist()))
 # holds the Lagrange polynomial of node i
 _FIT = np.array([npoly.polyfromroots(np.delete(_X, i)) / np.prod(_X[i] - np.delete(_X, i))
                  for i in range(NODES)])
+# the mean of x^j over [-1, 1]: 1/(j+1) for even j, 0 for odd j
+_MEANS = np.where(np.arange(2 * NODES) % 2 == 0, 1.0 / np.arange(1, 2 * NODES + 1), 0.0)
 
 
 def mesh_edges(cells: int, levels=()) -> np.ndarray:
@@ -82,27 +84,44 @@ def gauss_sum(edges: np.ndarray, values: np.ndarray) -> float:
     return float(np.sum(np.diff(edges) / 2.0 * acc))
 
 
+def sample_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges ``arange(n + 1) / n`` of the n sample cells and their widths,
+    one read-only 1/n: near 1 the edges' differences are off by n ulps."""
+    return np.arange(n + 1) / n, np.broadcast_to(1.0 / n, n)
+
+
+def _cumsum(v: np.ndarray) -> np.ndarray:
+    """``np.cumsum(v)``, overwriting v, with the rounding error of each step
+    found by Knuth's TwoSum and added back: the sums do not drift with n."""
+    s = np.cumsum(v)
+    prev = np.concatenate(([0.0], s[:-1]))
+    part = s - prev                  # the part of v[k] that was added
+    v -= part                        # the error of step k is
+    np.subtract(s, part, out=part)   # (prev - (s - part)) + (v - part)
+    prev -= part
+    prev += v
+    s += np.cumsum(prev, out=prev)
+    return s
+
+
 class CellPoly:
-    """Piecewise polynomial on m cells of (0, 1): uniform when ``edges`` is
-    None, else on the cells between consecutive ``edges``."""
+    """Piecewise polynomial on the m cells between consecutive ``edges``."""
 
     __slots__ = ("m", "h", "coef", "edges")
 
-    def __init__(self, coef: np.ndarray, edges: np.ndarray | None = None, h=None):
-        coef = np.atleast_2d(np.asarray(coef, dtype=float))
-        self.coef = coef
+    def __init__(self, coef: np.ndarray, edges: np.ndarray, h=None):
+        self.coef = coef                 # (cells, degree + 1) float array
         self.m = coef.shape[0]
         self.edges = edges
-        # the width of every cell (uniform) or of each cell (mesh)
-        self.h = h if h is not None else 1.0 / self.m if edges is None else np.diff(edges)
+        self.h = np.diff(edges) if h is None else h    # the width of each cell
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_cells(cls, values) -> "CellPoly":
-        """Step function: values[k] on uniform cell k."""
+        """Step function: values[k] on the sample cell ``(k/n, (k+1)/n]``."""
         v = np.asarray(values, dtype=float).reshape(-1, 1)
-        return cls(v)
+        return cls(v, *sample_cells(v.shape[0]))
 
     @classmethod
     def fit(cls, values, edges: np.ndarray) -> "CellPoly":
@@ -111,21 +130,13 @@ class CellPoly:
 
     # -- algebra ------------------------------------------------------------
 
-    def _aligned(self, other: "CellPoly") -> None:
-        if self.m != other.m or not (self.edges is other.edges
-                                     or np.array_equal(self.edges, other.edges)):
-            raise ValueError(f"cell mismatch: {self.m} vs {other.m} cells")
-
-    def __mul__(self, other: "CellPoly") -> "CellPoly":
-        self._aligned(other)
-        d1, d2 = self.coef.shape[1], other.coef.shape[1]
-        out = np.zeros((self.m, d1 + d2 - 1))
-        for i in range(d1):
-            out[:, i:i + d2] += self.coef[:, i:i + 1] * other.coef
-        return CellPoly(out, self.edges, self.h)
+    def _aligned(self, other: "CellPoly") -> bool:
+        return self.m == other.m and (self.edges is other.edges
+                                      or np.array_equal(self.edges, other.edges))
 
     def __add__(self, other: "CellPoly") -> "CellPoly":
-        self._aligned(other)
+        if not self._aligned(other):
+            raise ValueError(f"cell mismatch: {self.m} vs {other.m} cells")
         d = max(self.coef.shape[1], other.coef.shape[1])
         out = np.zeros((self.m, d))
         out[:, : self.coef.shape[1]] += self.coef
@@ -139,50 +150,34 @@ class CellPoly:
 
     # -- calculus -----------------------------------------------------------
 
+    def cell_means(self) -> np.ndarray:
+        return self.coef @ _MEANS[: self.coef.shape[1]]
+
     def cell_integrals(self) -> np.ndarray:
-        p = np.arange(1, self.coef.shape[1] + 1)
-        if self.edges is None:
-            return self.coef @ (self.h ** p / p)
-        # int_{-1}^{1} x^j dx is 2/(j+1) for even j and 0 for odd j
-        return self.h / 2.0 * (self.coef @ np.where(p % 2 == 1, 2.0 / p, 0.0))
+        return self.h * self.cell_means()
 
     def integral(self) -> float:
         return float(self.cell_integrals().sum())
 
     def antiderivative(self) -> "CellPoly":
         """Cumulative integral from 0, continuous across cells."""
-        d = self.coef.shape[1]
-        p = np.arange(1, d + 1)
-        out = np.zeros((self.m, d + 1))
-        if self.edges is None:
-            out[:, 1:] = self.coef / p
-        else:
-            out[:, 1:] = self.coef / p * (self.h / 2.0)[:, None]
-            out[:, 0] = -(out[:, 1:] @ (-1.0) ** p)    # 0 at the cell's left edge
-        out[1:, 0] += np.cumsum(self.cell_integrals())[:-1]
+        p = np.arange(1, self.coef.shape[1] + 1)
+        left = _cumsum(self.cell_integrals())    # before ``out``, to hold less at once
+        out = np.empty((self.m, p.size + 1))
+        np.divide(self.coef, p, out=out[:, 1:])
+        out[:, 1:] *= (self.h / 2.0)[:, None]
+        out[:, 0] = out[:, 1:] @ -(-1.0) ** p    # 0 at the cell's left edge
+        out[1:, 0] += left[:-1]
         return CellPoly(out, self.edges, self.h)
 
     def tail_integral_poly(self) -> "CellPoly":
         """R(u) = integral of f over (u, 1), as a CellPoly."""
-        cum = self.antiderivative()
-        return CellPoly(-cum.coef, self.edges, self.h).plus_constant(self.integral())
+        tail = self.antiderivative()
+        np.negative(tail.coef, out=tail.coef)
+        tail.coef[:, 0] += self.integral()
+        return tail
 
     # -- evaluation ---------------------------------------------------------
-
-    def _cell_index(self, s: np.ndarray, side: str) -> np.ndarray:
-        if self.edges is not None:
-            k = np.searchsorted(self.edges, s, side="left" if side == "left" else "right") - 1
-            return np.clip(k, 0, self.m - 1)
-        t = s * self.m
-        # snap to boundaries that are boundaries up to round-off (grid
-        # fractions like k/n scaled by m do not reproduce integers exactly)
-        near = np.round(t)
-        boundary = np.abs(t - near) <= 1e-9 * np.maximum(1.0, near)
-        if side == "left":
-            k = np.where(boundary, near - 1, np.ceil(t) - 1)
-        else:
-            k = np.where(boundary, near, np.floor(t))
-        return np.clip(k.astype(int), 0, self.m - 1)
 
     def eval(self, s, side: str = "right"):
         """Evaluate at points of [0, 1].
@@ -193,51 +188,35 @@ class CellPoly:
         ``((j-1)/n, j/n]``.
         """
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        k = self._cell_index(s, side)
-        if self.edges is None:
-            tau = s - k * self.h
-        else:
-            tau = 2.0 * (s - self.edges[k]) / self.h[k] - 1.0
-        coef = self.coef[k]
-        out = np.zeros_like(s)
-        for d in range(self.coef.shape[1] - 1, -1, -1):
-            out = out * tau + coef[:, d]
-        return float(out[0]) if scalar else out
+        k = np.clip(np.searchsorted(self.edges, s, side) - 1, 0, self.m - 1)
+        x = 2.0 * (s - self.edges[k]) / self.h[k] - 1.0
+        out = npoly.polyval(x, self.coef[k].T, tensor=False)
+        return out if s.ndim else float(out)
 
     def cell_average_at(self, s, side: str = "right"):
         """Average of the function over the cell containing each point."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        k = self._cell_index(s, side)
-        if self.edges is None:
-            return self.cell_integrals()[k] * self.m
-        return self.cell_integrals()[k] / self.h[k]
+        return self.cell_means()[np.clip(np.searchsorted(self.edges, s, side) - 1, 0, self.m - 1)]
 
 
 def inner(a: CellPoly, b: CellPoly) -> float:
     """``int_0^1 a(s) b(s) ds``, exact for the cell polynomials.
 
-    Uniform cells integrate the product polynomial.  Mesh cells, and two
-    different sets of cells (on the union of their edges), use a Gauss rule
-    with enough nodes for the degree of the product.
+    A Gauss rule with enough nodes for the degree of the product, on the
+    shared cells or else on the union of both sets of edges, summed node by
+    node so that only a few vectors of the cells' length are live.
     """
-    aligned = a.m == b.m and (a.edges is b.edges or np.array_equal(a.edges, b.edges))
-    if aligned and a.edges is None:
-        return (a * b).integral()
     x, w = gauss_legendre((a.coef.shape[1] + b.coef.shape[1]) // 2)
-    if aligned:
+    if a._aligned(b):
         half = a.h / 2.0
-        av, bv = (p.coef @ x[None, :] ** np.arange(p.coef.shape[1])[:, None] for p in (a, b))
+        values = lambda p, i: p.coef @ x[i] ** np.arange(p.coef.shape[1])
     else:
-        edges = _distinct(np.concatenate([np.arange(p.m + 1) / p.m if p.edges is None
-                                          else p.edges for p in (a, b)]))
+        edges = _distinct(np.concatenate([a.edges, b.edges]))
         half = np.diff(edges) / 2.0
-        s = (edges[:-1, None] + half[:, None] * (x + 1.0)).ravel()
-        av, bv = (p.eval(s).reshape(-1, x.size) for p in (a, b))
-    return float(np.sum(half * ((av * bv) @ w)))
+        values = lambda p, i: p.eval(edges[:-1] + half * (x[i] + 1.0))
+    return float(np.sum(half * sum(w[i] * values(a, i) * values(b, i) for i in range(x.size))))
 
 
 def covariance(a: CellPoly, b: CellPoly) -> float:
     """Cov(a(U), b(U)) for U uniform on (0, 1), in centred form."""
-    return inner(a.plus_constant(-a.integral()), b.plus_constant(-b.integral()))
+    ac = a.plus_constant(-a.integral())
+    return inner(ac, ac if b is a else b.plus_constant(-b.integral()))

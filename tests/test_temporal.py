@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Mixture, Normal, Pareto, Uniform, normal_quantile)
-from indexlaw.errors import (BadParams, IndexLawError, NonFiniteValue, TooFewPairs,
-                             ZeroBaseIndex)
+from indexlaw.errors import (BadParams, IndexLawError, NonFiniteValue, OutOfRange,
+                             TooFewPairs, ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_representation
 from indexlaw.representation import (IndexRepresentation, index_cross_covariance,
                                      index_variance, score_model, u_atoms)
 from indexlaw.rng import stream_seed, uniforms
-from indexlaw.temporal import (BivariateFrame, ComonotoneCopula,
+from indexlaw.temporal import (BivariateFrame, ComonotoneCopula, EmpiricalCopula,
                                GaussianCopula, IndependenceCopula,
                                empirical_copula, mutual_relative_covariance,
                                mutual_variation_covariance, relative_variation_law,
                                temporal_joint_covariance)
-from indexlaw.ugrid import NODES, CellPoly, covariance, gauss_nodes, mesh_edges
+from indexlaw.ugrid import (NODES, CellPoly, covariance, gauss_legendre, gauss_nodes, inner,
+                            mesh_edges)
 
 one = lambda x: np.ones_like(np.asarray(x, dtype=float))
 zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -70,6 +71,37 @@ class TestCopulaModels:
                         assert abs(cop.cross_cov(phi, psi)) <= bound * (1 + 1e-12)
 
 
+def _union_oracle_cov(a, b):
+    """``Cov(a(U), b(U))`` on the union of both cells, each function's cell
+    found once per union cell from its midpoint, so no Gauss node can land
+    in a neighbouring cell."""
+    edges = np.union1d(a.edges, b.edges)
+    half = np.diff(edges) / 2.0
+    x, w = gauss_legendre(NODES + 1)
+    s = edges[:-1, None] + half[:, None] * (x + 1.0)
+    vals = []
+    for p in (a, b):
+        k = np.searchsorted(p.edges, edges[:-1] + half) - 1
+        t = 2.0 * (s - p.edges[k, None]) / p.h[k, None] - 1.0
+        vals.append(sum(p.coef[k, j, None] * t ** j for j in range(p.coef.shape[1])))
+    return float(np.sum(half * ((vals[0] * vals[1]) @ w))) - a.integral() * b.integral()
+
+
+class TestComonotoneCopula:
+    def test_mixed_cells_match_union_oracle(self):
+        # a sample's cells against a parametric mesh graded towards
+        # F(Z) = 0.5 = 75/150: Gauss nodes within 1e-9 of 0.5 belong to the
+        # sample cell below it
+        x = np.random.default_rng(11).lognormal(size=150)
+        index = NamedIndex.sen(1.0)
+        sample, margin = EmpiricalDistribution(x), LogNormal(0.0, 1.0)
+        phi = u_atoms(sample, named_representation(sample, index))
+        psi = u_atoms(margin, named_representation(margin, index))
+        assert margin.cdf(1.0) == 0.5
+        assert ComonotoneCopula().cross_cov(phi, psi) == pytest.approx(
+            _union_oracle_cov(phi, psi), rel=1e-14)
+
+
 class TestEmpiricalCopula:
     # the rank construction seen through the measure it defines: cross_cov
     # against the exact covariance of cell functions
@@ -99,6 +131,28 @@ class TestEmpiricalCopula:
     def test_too_few(self):
         with pytest.raises(TooFewPairs):
             empirical_copula([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("u, v", [
+        ([0.0, 1.0], [0.5, 1.0]),          # r = 0 would wrap to the last cell
+        ([0.3, 1.0], [0.5, 1.0]),          # not r/n
+        ([0.5, 1.5], [0.5, 1.0]),          # r > n
+        ([float("nan"), 1.0], [0.5, 1.0]),
+        ([0.5, 1.0], [0.5, float("inf")]),
+        ([0.5, 1.0], [1 / 3, 2 / 3, 1.0]),  # lengths differ
+    ])
+    def test_ranks_must_be_r_over_n(self, u, v):
+        with pytest.raises(OutOfRange):
+            EmpiricalCopula(u, v)
+
+    def test_rank_gather_matches_lookup_at_ranks(self):
+        # the sorted lookup gathered by rank is the cell average at each rank
+        rng = np.random.default_rng(12)
+        cop = empirical_copula(rng.normal(size=(97, 2)))
+        a, b = CellPoly.from_cells(rng.normal(size=97)), _mesh_random(rng, 40)
+        pv = a.cell_average_at(cop.u_ranks, side="left")
+        qv = b.cell_average_at(cop.v_ranks, side="left")
+        want = np.mean(pv * qv) - np.mean(pv) * np.mean(qv)
+        assert cop.cross_cov(a, b) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_pair_rejected(self, bad):
@@ -407,7 +461,7 @@ class TestEmpiricalCopulaJointLaws:
         rep = named_representation(m, NamedIndex.shorrocks(1.0))
         hm = score_model(m, rep.h)
         cop = empirical_copula(np.column_stack([x, x]))
-        within = (hm * hm).integral() - hm.integral() ** 2
+        within = inner(hm, hm) - hm.integral() ** 2
         assert cop.cross_cov(hm, hm) == pytest.approx(within, abs=1e-14)
 
 

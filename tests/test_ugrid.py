@@ -8,7 +8,7 @@ import pytest
 
 import indexlaw
 from indexlaw import ugrid
-from indexlaw.ugrid import NODES, CellPoly, covariance, gauss_nodes
+from indexlaw.ugrid import NODES, CellPoly, covariance, gauss_nodes, inner
 
 
 def line(cells):
@@ -56,8 +56,8 @@ class TestCellPoly:
     def test_product(self):
         f = line(2)
         g = CellPoly.fit(np.ones((2, NODES)), f.edges)   # 1
-        assert (f * g).integral() == pytest.approx(0.5, abs=1e-15)
-        assert (f * f).integral() == pytest.approx(1 / 3, abs=1e-15)
+        assert inner(f, g) == pytest.approx(0.5, abs=1e-15)
+        assert inner(f, f) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_eval_sides(self):
         f = CellPoly.from_cells([1.0, 2.0])
@@ -80,6 +80,15 @@ class TestBridgeForms:
 
     def test_constant_weights_exact(self):
         w = CellPoly.from_cells(np.ones(64)).tail_integral_poly()
+        assert covariance(w, w) == pytest.approx(1 / 12, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [200_000, 500_000])
+    def test_unit_weights_do_not_drift(self, n):
+        # W = 1 - s on every cell: the running sum of n cell integrals
+        # keeps each partial sum to about one rounding
+        w = CellPoly.from_cells(np.ones(n)).tail_integral_poly()
+        s = ((np.arange(n)[:, None] + [0.0, 0.5, 1.0]) / n).ravel()
+        assert np.max(np.abs(w.eval(s, side="left") - (1.0 - s))) <= 1e-15
         assert covariance(w, w) == pytest.approx(1 / 12, abs=1e-15)
 
     def test_bilinear_vs_brute(self):
