@@ -45,6 +45,7 @@ from .errors import BadWeights, NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
 from .representation import (IndexRepresentation, _combine, _cov, _mean, _scorer, _split,
                              confidence_interval)
+from .ugrid import _cumsum
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,13 @@ def _tail(model: DistributionModel, q, score: Callable) -> Callable[[np.ndarray]
     """``x -> int_{y >= x} q dF``: the q-mass of the model at or above x.
 
     Empirical models sum ``q(x_t)/n`` over the sorted sample from the first
-    value >= x, so a value tied with x counts as above it; parametric ones
+    value >= x, compensated so the suffix does not drift with n, and a value
+    tied with x counts as above it; parametric ones
     evaluate the tail integral of the q cell model ``score(q)`` at F(x).
     """
     if model.kind == "empirical":
         x = model.sample.values
-        suffix = np.append(np.cumsum((np.asarray(q(x), dtype=float) / x.size)[::-1])[::-1], 0.0)
+        suffix = np.append(_cumsum((np.asarray(q(x), dtype=float) / x.size)[::-1])[::-1], 0.0)
         return lambda y: suffix[np.searchsorted(x, y, side="left")]
     tail = score(q).tail_integral_poly()
     return lambda y: tail.eval(model.cdf(y))

@@ -23,6 +23,11 @@ Stream layout
   + (channel+1)*GAMMA)`` -- replicates are independent and order-insensitive.
 * ``uniforms(seed, n)`` returns ``u_j = ((mix64(seed + (j+1)*GAMMA) >> 11)
   + 0.5) * 2**-53`` for ``j = 0..n-1``, all values strictly inside (0, 1).
+
+Both take a block of streams at once: an array of indices gives an array of
+seeds, and an array of R seeds gives R rows of n uniforms.  The arithmetic
+is the same integer arithmetic per element, so row r holds the bits of the
+r-th stream drawn on its own.
 """
 
 from __future__ import annotations
@@ -44,22 +49,30 @@ def mix64(z: np.ndarray | int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def stream_seed(master_seed: int, index: int, channel: int = 0) -> int:
-    """Seed of substream (index, channel) derived from the master seed."""
-    m = np.uint64(master_seed & _MASK)
+def _u64(v):
+    """An integer, or an array of integers, modulo 2**64 as uint64."""
+    if np.ndim(v) == 0:
+        return np.uint64(int(v) & _MASK)
+    return np.asarray(v).astype(np.uint64)
+
+
+def stream_seed(master_seed: int, index, channel: int = 0):
+    """Seed of substream (index, channel) derived from the master seed: an
+    int, or a uint64 array with one seed per entry of an array ``index``."""
     with np.errstate(over="ignore"):
-        s = mix64(m + np.uint64((index + 1) & _MASK) * GAMMA)
-        s = mix64(s + np.uint64((channel + 1) & _MASK) * GAMMA)
-    return int(s)
+        s = mix64(_u64(master_seed) + (_u64(index) + np.uint64(1)) * GAMMA)
+        s = mix64(s + _u64(channel + 1) * GAMMA)
+    return int(s) if s.ndim == 0 else s
 
 
-def uniforms(seed: int, n: int) -> np.ndarray:
-    """n uniforms in the open interval (0, 1) from the given stream seed.
+def uniforms(seed, n: int) -> np.ndarray:
+    """n uniforms in the open interval (0, 1) from the given stream seed;
+    an array of R seeds gives an (R, n) array, one stream per row.
 
     Deterministic in (seed, n); u_j depends only on the counter j, so any
     prefix of a stream is stable under extension.
     """
     counters = np.arange(1, n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        bits = mix64(np.uint64(seed & _MASK) + counters * GAMMA)
+        bits = mix64(_u64(seed)[..., None] + counters * GAMMA)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53

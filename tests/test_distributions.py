@@ -278,6 +278,23 @@ def test_draw_generalized_inverse_identity():
         assert np.max(np.abs(np.asarray(model.cdf(x)) - u)) < 1e-12
 
 
+@pytest.mark.parametrize("model", [
+    Uniform(-1, 3), Exponential(2.0), LogNormal(0.3, 0.8), Pareto(1, 3), Normal(2, 1.5),
+    Mixture((0.3, 0.7), [LogNormal(0.0, 1.0), Exponential(0.5)]),
+    EmpiricalDistribution([0.5, 1.0, 1.0, 2.5, 4.0, 7.0, 7.0, 9.5])],
+    ids=["uniform", "exponential", "lognormal", "pareto", "normal", "mixture", "empirical"])
+def test_quantile_on_a_block_is_rowwise(model):
+    # the Monte Carlo harness draws a block of rows in one quantile call and
+    # relies on each row holding the bits of a call on that row alone
+    from indexlaw.rng import stream_seed, uniforms
+
+    block = uniforms(stream_seed(3, np.arange(19)), 257)
+    got = np.asarray(model.quantile(block), dtype=float)
+    assert got.shape == block.shape
+    for u, row in zip(block, got):
+        assert row.tobytes() == np.asarray(model.quantile(u), dtype=float).tobytes()
+
+
 def scalar_integrate_score(model, f, breaks=()):
     """Per-point reference for ``integrate_score``: the same Gauss rule on the
     same mesh, with f evaluated at one quantile node at a time on a 0-d

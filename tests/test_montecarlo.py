@@ -1,17 +1,21 @@
 """Simulation harness: determinism, KS machinery, experiment behavior."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from indexlaw.distributions import Exponential, LogNormal, Uniform
+from indexlaw.decomposition import _recompose, gap_variance
+from indexlaw.distributions import EmpiricalDistribution, Exponential, LogNormal, Mixture, Uniform
+from indexlaw.empirical import build_sample
 from indexlaw.errors import BadParams, BadWeights, ZeroVariance
-from indexlaw.indices import NamedIndex
-from indexlaw.montecarlo import (coverage_experiment, cre2_diagnostic,
+from indexlaw.indices import NamedIndex, named_estimate, named_representation
+from indexlaw.montecarlo import (McReport, coverage_experiment, cre2_diagnostic,
                                  decomposability_experiment, draw, ks_pvalue,
                                  ks_statistic, normality_experiment)
+from indexlaw.representation import confidence_interval, index_variance
 from indexlaw.rng import stream_seed, uniforms
 
 ident = lambda x: np.asarray(x, dtype=float)
@@ -222,3 +226,101 @@ class TestDeterminism:
         out = cre2_diagnostic(Uniform(0, 1), lambda x: (ident(x) <= 0.5).astype(float),
                               n_grid=[50, 200], n_replicates=10, master_seed=4)
         assert all(np.isfinite(v) for _, v in out)
+
+
+def _report(experiment, seed, n, values, standardized, **kw):
+    """The report an experiment builds from its replicate values."""
+    stat = ks_statistic(standardized)
+    return McReport(experiment=experiment, master_seed=seed, n=n, n_replicates=values.size,
+                    replicate_values=values, standardized=standardized, ks_stat=stat,
+                    ks_pvalue=ks_pvalue(stat, values.size), **kw)
+
+
+def _json(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+class TestBlocksMatchReplicateLoop:
+    """Experiments draw CHUNK replicates per block; one replicate at a time
+    with ``draw`` and ``stream_seed`` gives the same report, byte for byte.
+    37 replicates end on a short block."""
+
+    R = 37
+
+    def test_normality(self):
+        family, index, n, seed = LogNormal(0, 1), NamedIndex.fgt(1.0, 1.0), 300, 11
+        rep = named_representation(family, index)
+        value, gamma = rep.value(family), index_variance(family, rep).total
+        est = np.array([named_estimate(draw(family, n, stream_seed(seed, r)), index)
+                        for r in range(self.R)])
+        want = _report("normality", seed, n, est, math.sqrt(n) * (est - value) / math.sqrt(gamma),
+                       extra={"value": value, "variance": gamma, "index": index.label()})
+        assert _json(normality_experiment(family, index, n, self.R, seed)) == _json(want)
+
+    def test_coverage(self):
+        family, index, n, seed, level = Uniform(0, 1), NamedIndex.fgt(0.0, 0.5), 200, 7101, 0.9
+        value = named_representation(family, index).value(family)
+        est, std, hits = np.empty(self.R), np.empty(self.R), 0
+        for r in range(self.R):
+            sample = draw(family, n, stream_seed(seed, r))
+            est[r] = named_estimate(sample, index)
+            plug = EmpiricalDistribution(sample)
+            var = index_variance(plug, named_representation(plug, index)).total
+            lo, hi = confidence_interval(est[r], var, n, level)
+            hits += int(lo <= value <= hi)
+            std[r] = math.sqrt(n) * (est[r] - value) / math.sqrt(var) if var > 0 else 0.0
+        want = _report("coverage", seed, n, est, std, coverage=hits / self.R,
+                       extra={"value": value, "level": level, "index": index.label()})
+        got = coverage_experiment(family, index, n, self.R, level, seed)
+        assert _json(got) == _json(want)
+
+    @pytest.mark.parametrize("family, q", [
+        (Uniform(0, 1), ident), (LogNormal(0, 0.5), lambda x: np.log1p(ident(x)))],
+        ids=["uniform", "lognormal"])
+    def test_cre2(self, family, q):
+        n_grid, seed = [50, 300], 424242
+        want = []
+        for idx, n in enumerate(n_grid):
+            edges = np.arange(n + 1) / n
+            widths = np.diff(edges)
+            acc = 0.0
+            for r in range(self.R):
+                u = np.sort(uniforms(stream_seed(seed, r, channel=idx), n))
+                total = 0.0
+                for frac in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+                    s = edges[:-1] + frac * widths
+                    total += 0.5 * float(np.sum(widths * (s - u) * (q(family.quantile(u))
+                                                                    - q(family.quantile(s)))))
+                acc += abs(math.sqrt(n) * total)
+            want.append((n, acc / self.R))
+        got = cre2_diagnostic(family, q, n_grid, self.R, seed)
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("families, p, n, seed", [
+        ([LogNormal(0, 1), LogNormal(0.5, 1)], [0.5, 0.5], 300, 11),
+        ([LogNormal(0, 1), LogNormal(0.5, 1), LogNormal(-0.5, 1)], [0.96, 0.02, 0.02], 40, 8)],
+        ids=["two-groups", "empty-group"])
+    def test_decomposability(self, families, p, n, seed):
+        index, k = NamedIndex.shorrocks(1.0), len(p)
+        cut = np.cumsum(p)[:-1]
+        gaps, empty = np.empty(self.R), []
+        for r in range(self.R):
+            labels = np.searchsorted(cut, uniforms(stream_seed(seed, r, channel=0), n))
+            v = uniforms(stream_seed(seed, r, channel=1), n)
+            x = np.empty(n)
+            for g in range(k):
+                x[labels == g] = families[g].quantile(v[labels == g])
+            gaps[r] = _recompose(build_sample(x), [x[labels == g] for g in range(k)], index)[0]
+            empty.append(np.unique(labels).size < k)
+        if k == 3:
+            assert any(empty) and not all(empty)
+        dec = gap_variance(p, families, lambda m: named_representation(m, index))
+        variance = dec.theta1_sq + dec.theta2_sq
+        mixture = Mixture(p, families)
+        gd = named_representation(mixture, index).value(mixture) - float(sum(
+            pi * named_representation(f, index).value(f) for pi, f in zip(p, families)))
+        want = _report("decomposability", seed, n, gaps,
+                       math.sqrt(n) * (gaps - gd) / math.sqrt(variance),
+                       extra={"gap_value": gd, "variance": variance, "index": index.label()})
+        got = decomposability_experiment(families, p, index, n, self.R, seed)
+        assert _json(got) == _json(want)

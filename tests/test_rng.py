@@ -1,7 +1,9 @@
 """Counter-based stream: bit-exactness, determinism, statistical sanity."""
 
 import numpy as np
+import pytest
 
+from indexlaw.montecarlo import CHUNK
 from indexlaw.rng import GAMMA, mix64, stream_seed, uniforms
 
 
@@ -59,3 +61,30 @@ def test_rough_uniformity():
 
 def test_gamma_constant():
     assert int(GAMMA) == 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize("master", [0, 2**64 - 1])
+@pytest.mark.parametrize("channel", [0, 1])
+@pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_block_rows_are_the_single_streams(master, channel, rows):
+    # a block of streams gives each stream's bits, whatever the block size
+    start = 5
+    seeds = stream_seed(master, np.arange(start, start + rows), channel=channel)
+    assert seeds.dtype == np.uint64 and seeds.shape == (rows,)
+    block = uniforms(seeds, 33)
+    assert block.shape == (rows, 33)
+    for i, r in enumerate(range(start, start + rows)):
+        seed = stream_seed(master, r, channel=channel)
+        assert int(seeds[i]) == seed
+        assert block[i].tobytes() == uniforms(seed, 33).tobytes()
+
+
+def test_block_row_matches_reference():
+    mask = (1 << 64) - 1
+    g = 0x9E3779B97F4A7C15
+    block = uniforms(stream_seed(2**64 - 1, np.arange(3), channel=1), 5)
+    s = _mix64_reference((2**64 - 1 + 3 * g) & mask)   # index 2
+    s = _mix64_reference((s + 2 * g) & mask)
+    want = [((_mix64_reference((s + (j + 1) * g) & mask) >> 11) + 0.5) * 2.0**-53
+            for j in range(5)]
+    assert block[2].tolist() == want
