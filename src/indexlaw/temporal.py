@@ -14,8 +14,11 @@ method, the laws of relative variations are read off the assembled matrix.
 
 Copula integrals: independence and comonotone copulas are closed forms; the
 Gaussian copula integrates on a tensor of ``DEFAULT_COPULA_GRID`` (512)
-midpoints per axis of its density, kept on the copula per rho, whose normal
-quantiles are computed once; empirical copulas are exact rank sums.  Each
+midpoints per axis of its density, kept on the copula per rho.  The normal
+quantiles of the midpoints are computed once, on the lower half and mirrored
+to the upper half, and the density is point-symmetric,
+``c(u, v) = c(1-u, 1-v)``, so the tensor is built from its first half of
+rows; empirical copulas are exact rank sums.  Each
 margin's atoms are built on one mesh, whose cell edges include the levels of
 every break of the representations in the call.
 
@@ -77,41 +80,65 @@ class ComonotoneCopula(CopulaModel):
 @functools.lru_cache(maxsize=8)
 def _normal_midpoints(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell midpoints ``(k + 1/2) / size`` and their standard normal
-    quantiles, read-only; they depend on the size alone."""
+    quantiles, read-only; they depend on the size alone.
+
+    The quantiles of the upper half are the negated lower half
+    (``z[size-1-k] = -z[k]``, 0 in the middle of an odd size), so ``z`` is
+    exactly antisymmetric at every size, as ``Phi^-1(1-p) = -Phi^-1(p)`` is.
+    """
     mid = (np.arange(size) + 0.5) / size
-    z = np.asarray(normal_quantile(mid), dtype=float)
+    z = np.empty(size)
+    half = (size + 1) // 2
+    z[:half] = normal_quantile(mid[:half])
+    z[half:] = -z[:size // 2][::-1]
     mid.flags.writeable = z.flags.writeable = False
     return mid, z
 
 
 class GaussianCopula(CopulaModel):
     def __init__(self, rho: float):
-        self.rho = _real(rho)
-        if not -1.0 < self.rho < 1.0:
-            raise BadParams(f"gaussian copula needs rho in (-1, 1), got {rho!r}")
+        self.rho = rho
         self._memo: tuple = (None, None)
+
+    @property
+    def rho(self) -> float:
+        return self._rho
+
+    @rho.setter
+    def rho(self, value) -> None:
+        rho = _real(value)
+        if not -1.0 < rho < 1.0:
+            raise BadParams(f"gaussian copula needs rho in (-1, 1), got {value!r}")
+        self._rho = rho
 
     def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Midpoints and copula density values on the tensor of the
         package's ``DEFAULT_COPULA_GRID`` midpoints per axis.
 
         The midpoints and their normal quantiles are shared by every copula
-        (read-only arrays); the exponent is formed in place in the density's
-        own buffer.
+        (read-only arrays).  The density is point-symmetric,
+        ``c(u, v) = c(1-u, 1-v)``, and so are the mirrored quantiles, so only
+        the first half of the rows is formed, in place in the density's own
+        buffer; the other rows are those rows reversed on both axes.
         """
         mid, z = _normal_midpoints(DEFAULT_COPULA_GRID)
+        size = z.size
         rho = self.rho
         denom = 1.0 - rho * rho
-        z2 = z * z
-        dens = np.add.outer(z2, z2)
-        dens *= rho * rho
-        zz = np.multiply.outer(z, z)
+        half = (size + 1) // 2
+        dens = np.empty((size, size))
+        top = dens[:half]
+        zt = z[:half]
+        np.add.outer(zt * zt, z * z, out=top)
+        top *= rho * rho
+        zz = np.multiply.outer(zt, z)
         zz *= 2.0 * rho
-        dens -= zz
-        np.negative(dens, out=dens)
-        dens /= 2.0 * denom
-        np.exp(dens, out=dens)
-        dens /= math.sqrt(denom)
+        top -= zz
+        np.negative(top, out=top)
+        top /= 2.0 * denom
+        np.exp(top, out=top)
+        top /= math.sqrt(denom)
+        dens[half:] = top[:size // 2][::-1, ::-1]
         return mid, dens
 
     def _tensor(self) -> tuple:

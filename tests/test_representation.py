@@ -254,7 +254,7 @@ class TestIndexVariance:
         g2 = np.sum(w[:-1] ** 2 + w[:-1] * w[1:] + w[1:] ** 2) / (3 * n)
         g3 = np.sum(hc * (w[:-1] + w[1:])) / (2 * n)
         err = abs(ld(cv.gamma2) + 2 * ld(cv.gamma3) - (g2 + 2 * g3))
-        assert float(err) <= 2e-13 * cv.total
+        assert float(err) <= 1e-14 * cv.total
 
     def test_negative_variance_guard(self):
         # a variance assembled from one (F, h, q) is nonnegative by

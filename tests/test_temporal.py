@@ -17,7 +17,7 @@ from indexlaw.representation import (IndexRepresentation, index_cross_covariance
                                      index_variance, score_model, u_atoms)
 from indexlaw.rng import stream_seed, uniforms
 from indexlaw.temporal import (BivariateFrame, ComonotoneCopula, EmpiricalCopula,
-                               GaussianCopula, IndependenceCopula,
+                               GaussianCopula, IndependenceCopula, _normal_midpoints,
                                empirical_copula, mutual_relative_covariance,
                                mutual_variation_covariance, relative_variation_law,
                                temporal_joint_covariance)
@@ -540,6 +540,62 @@ class TestGaussianDensityOnce:
             fresh = BivariateFrame(frame.margin1, frame.margin2, GaussianCopula(-0.3))
             want = mutual_variation_covariance(fresh, r[0], r[1])
         assert np.array_equal(moved.matrix, want.matrix)
+
+    @pytest.mark.parametrize("bad", [1.0, math.nan, 1.5])
+    def test_assigned_rho_is_checked(self, bad):
+        cop = GaussianCopula(0.4)
+        with pytest.raises(BadParams):
+            cop.rho = bad
+        assert cop.rho == 0.4
+
+    def test_assigned_rho_reads_as_the_constructor_reads(self):
+        cop = GaussianCopula(0.4)
+        cop.rho = "0.2"
+        assert cop.rho == 0.2 and type(cop.rho) is float
+        assert np.array_equal(cop.density_grid()[1], GaussianCopula(0.2).density_grid()[1])
+
+
+def _full_density(z, rho):
+    """The copula density on the whole tensor of quantiles ``z``, every
+    entry by the same elementwise steps as ``density_grid``."""
+    denom = 1.0 - rho * rho
+    z2 = z * z
+    dens = np.add.outer(z2, z2)
+    dens *= rho * rho
+    zz = np.multiply.outer(z, z)
+    zz *= 2.0 * rho
+    dens -= zz
+    np.negative(dens, out=dens)
+    dens /= 2.0 * denom
+    np.exp(dens, out=dens)
+    dens /= math.sqrt(denom)
+    return dens
+
+
+class TestPointSymmetricDensity:
+    @pytest.mark.parametrize("size", [512, 128, 96, 15])
+    def test_mirrored_quantiles_are_antisymmetric(self, size):
+        mid, z = _normal_midpoints(size)
+        assert np.array_equal(z, -z[::-1])
+        assert np.array_equal(mid, (np.arange(size) + 0.5) / size)
+        if size % 2:
+            assert math.copysign(1.0, z[size // 2]) == 1.0 and z[size // 2] == 0.0
+
+    @pytest.mark.parametrize("size", [16, 128, 512, 4096])
+    def test_dyadic_quantiles_are_as241(self, size):
+        # at dyadic sizes AS241 is itself antisymmetric on the midpoints
+        mid, z = _normal_midpoints(size)
+        assert np.array_equal(z, normal_quantile(mid))
+
+    @pytest.mark.parametrize("size", [512, 128, 96, 15])
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.45, 0.9])
+    def test_half_build_is_the_full_tensor(self, mesh, size, rho):
+        with mesh(copula_grid=size):
+            mid, dens = GaussianCopula(rho).density_grid()
+        want_mid, z = _normal_midpoints(size)
+        assert mid is want_mid
+        assert dens.shape == (size, size) and dens.flags.c_contiguous
+        assert np.array_equal(dens, _full_density(z, rho))
 
 
 
