@@ -43,7 +43,7 @@ from .distributions import DistributionModel, EmpiricalDistribution, Mixture
 from .empirical import EmpiricalSample, build_sample
 from .errors import BadWeights, NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
-from .representation import (IndexRepresentation, _combine, _cov, _mean, _scorer, _split,
+from .representation import (IndexRepresentation, _combine, _covs, _mean, _scorer, _split,
                              confidence_interval)
 from .ugrid import _cumsum
 
@@ -195,7 +195,8 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
                         _pg * np.asarray(q_global(x), dtype=float)
                         - np.asarray(_qg(x), dtype=float)).tail_integral_poly()
             psi = own if psi is None else psi + own
-        theta1 += p[g] * _cov(model_g, score, (psi, poly), (psi, poly))
+        parts = [(psi, poly)]
+        theta1 += p[g] * float(_covs(model_g, score, parts, parts)[0, 0])
 
     # label-noise components
     ell = np.empty(k)

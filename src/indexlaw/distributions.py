@@ -3,6 +3,7 @@
 A distribution model is anything exposing
 
 * ``cdf(x)``            -- nondecreasing, right-continuous,
+* ``pdf(x)``            -- the density, or None where there is none,
 * ``quantile(s)``       -- the generalized inverse on (0, 1),
 * ``integrate_score(f)``-- the expectation of a score under the model,
 * ``raw_moment(k)`` and ``central_moment(k)`` -- closed-form moments,
@@ -58,6 +59,10 @@ _E = (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580
 _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
       1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
       1.42151175831644588870e-7, 2.04426310338993978564e-15)
+
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_NEWTON_PASSES = 64          # Mixture quantiles: passes before bisection takes over
 
 
 def _poly(coefs, x):
@@ -161,6 +166,10 @@ class DistributionModel:
         """Quantile as a total function on [0, 1]; may return +-inf at the ends."""
         raise NotImplementedError
 
+    def pdf(self, x):
+        """The density of F at x, or None for a model without one."""
+        return None
+
     def mesh(self, breaks: Sequence[float] = ()):
         """The cell edges of the mesh for scores that jump at ``breaks``, and
         the quantile at the cells' Gauss nodes, flattened cell by cell."""
@@ -255,6 +264,10 @@ class Uniform(DistributionModel):
     def quantile_extended(self, s):
         return self.a + (self.b - self.a) * np.asarray(s, dtype=float)
 
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
+
     @_closed_form
     def raw_moment(self, k: int) -> float:
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
@@ -278,6 +291,10 @@ class Exponential(DistributionModel):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore"):
             return -np.log1p(-s) / self.rate
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
 
     @_closed_form
     def raw_moment(self, k: int) -> float:
@@ -308,6 +325,13 @@ class LogNormal(DistributionModel):
         with np.errstate(over="ignore"):
             return np.exp(self.mu + self.sigma * np.asarray(z, dtype=float))
 
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (np.log(x) - self.mu) / self.sigma
+            dens = np.exp(-0.5 * z * z) / (x * (self.sigma * _SQRT_2PI))
+        return np.where(x > 0.0, dens, 0.0)
+
     @_closed_form
     def raw_moment(self, k: int) -> float:
         return math.exp(k * self.mu + 0.5 * (k * self.sigma) ** 2)
@@ -332,13 +356,20 @@ class Pareto(DistributionModel):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x <= self.xm, 0.0, 1.0 - (self.xm / np.maximum(x, self.xm)) ** self.a)
+        # np.power, not a numpy scalar's ``**`` (libm's pow), so that a scalar
+        # x gets the value an array holding it gets
+        out = np.where(x <= self.xm, 0.0, 1.0 - np.power(self.xm / np.maximum(x, self.xm), self.a))
         return float(out) if out.ndim == 0 else out
 
     def quantile_extended(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore"):
             return self.xm * (1.0 - s) ** (-1.0 / self.a)
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= self.xm, 0.0,
+                        self.a / self.xm * np.power(self.xm / np.maximum(x, self.xm), self.a + 1.0))
 
     @_closed_form
     def raw_moment(self, k: int) -> float:
@@ -367,6 +398,11 @@ class Normal(DistributionModel):
         z = normal_quantile(s)
         return self.mu + self.sigma * np.asarray(z, dtype=float)
 
+    def pdf(self, x):
+        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
+
     @_closed_form
     def raw_moment(self, k: int) -> float:
         # E (mu + sigma W)^k with E W^(2j) = (2j-1)!!
@@ -392,8 +428,10 @@ class Mixture(DistributionModel):
 
     def __init__(self, weights: Sequence[float], components: Sequence[DistributionModel]):
         w = np.asarray(weights, dtype=float)
-        if len(components) != w.size or w.size == 0:
-            raise BadParams("weights and components must align and be nonempty")
+        if w.ndim != 1 or len(components) != w.size or w.size == 0:
+            raise BadParams("weights must be a 1-d sequence aligned with nonempty components")
+        if not all(isinstance(c, DistributionModel) for c in components):
+            raise BadParams("mixture components must be distribution models")
         if np.any(w <= 0) or not math.isclose(float(w.sum()), 1.0, abs_tol=1e-9):
             raise BadParams("mixture weights must be positive and sum to 1")
         self.weights = w / w.sum()
@@ -405,16 +443,28 @@ class Mixture(DistributionModel):
                   for p, c in zip(self.weights, self.components))
         return float(out) if np.asarray(out).ndim == 0 else out
 
+    def pdf(self, x):
+        """The weighted sum of the components' densities; None if one has none."""
+        parts = [c.pdf(x) for c in self.components]
+        if any(part is None for part in parts):
+            return None
+        return sum(p * np.asarray(part, dtype=float) for p, part in zip(self.weights, parts))
+
     def quantile_extended(self, s):
-        """Generalized inverse ``inf {x : F(x) >= s}`` by vectorized root finding.
+        """Generalized inverse ``inf {x : F(x) >= s}`` by safeguarded Newton steps.
 
         Each interior level is bracketed by the smallest and the largest
-        component quantile; all brackets are narrowed together, with one
-        vectorized ``cdf`` call per step, until each is two adjacent floats.
-        The upper end, the smallest float found with ``F(x) >= s``, is
-        returned, so in a flat region of F the result is its left end.
-        Levels <= 0 and >= 1 give the smallest and the largest component
-        endpoint.
+        component quantile, widened where round-off makes it miss, so that
+        ``F(lo) < s <= F(hi)``.  Every pass then evaluates F once on the
+        brackets still open and moves one of their ends to the trial point:
+        the Newton point on the mixture density (rtsafe, Press et al.),
+        aimed one reach past the root, or the bisection point
+        ``lo + (hi - lo) / 2`` where the Newton point leaves the bracket,
+        the density is 0 or missing, or the step is not at most half the one
+        before last.  A bracket closes on two adjacent floats, and its upper
+        end, the smallest float found with ``F(x) >= s``, is returned, so in
+        a flat region of F the result is its left end.  Levels <= 0 and >= 1
+        give the smallest and the largest component endpoint.
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty_like(s_arr)
@@ -422,41 +472,80 @@ class Mixture(DistributionModel):
         out[low] = min(np.min(c.quantile_extended(0.0)) for c in self.components)
         out[high] = max(np.max(c.quantile_extended(1.0)) for c in self.components)
         inner = ~(low | high)
-        level = s_arr[inner]
+        out[inner] = self._roots(s_arr[inner])
+        return float(out[0]) if np.asarray(s).ndim == 0 else out
+
+    def _roots(self, level: np.ndarray) -> np.ndarray:
+        """``inf {x : F(x) >= s}`` for every level s of a 1-d array in (0, 1)."""
         comp = np.array([c.quantile_extended(level) for c in self.components], dtype=float)
         lo, hi = comp.min(axis=0), comp.max(axis=0)
         # where a component's cdf and quantile disagree by round-off (deep
         # tails) a bracket can miss; widen it until F(lo) < s <= F(hi)
         step = hi - lo + np.abs(lo) + np.abs(hi) + np.finfo(float).tiny
-        while (miss := np.asarray(self.cdf(hi)) < level).any():
+        f_hi = np.asarray(self.cdf(hi), dtype=float)
+        while (miss := f_hi < level).any():
             lo[miss], hi[miss] = hi[miss], hi[miss] + step[miss]
             step[miss] *= 2.0
-        while (miss := np.asarray(self.cdf(lo)) >= level).any():
-            lo[miss], hi[miss] = lo[miss] - step[miss], lo[miss]
+            f_hi[miss] = self.cdf(hi[miss])
+        f_lo = np.asarray(self.cdf(lo), dtype=float)
+        while (miss := f_lo >= level).any():
+            lo[miss], hi[miss], f_hi[miss] = lo[miss] - step[miss], lo[miss], f_lo[miss]
             step[miss] *= 2.0
-        # false position with the Illinois halving narrows most brackets in
-        # 8 passes; bisection then closes each on the float it would reach
-        g_lo, g_hi = np.asarray(self.cdf(lo)) - level, np.asarray(self.cdf(hi)) - level
-        side = np.zeros(level.size)
-        for _ in range(8):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = lo - g_lo * ((hi - lo) / (g_hi - g_lo))
-            x = np.where((x > lo) & (x < hi), x, lo + 0.5 * (hi - lo))
-            g = np.asarray(self.cdf(x)) - level
-            new = np.where(g >= 0.0, 1.0, -1.0)
-            g_lo = np.where(new < 0, g, np.where(side > 0, 0.5, 1.0) * g_lo)
-            g_hi = np.where(new > 0, g, np.where(side < 0, 0.5, 1.0) * g_hi)
-            lo, hi, side = np.where(new < 0, x, lo), np.where(new > 0, x, hi), new
-        open_ = (lo < hi) & (np.nextafter(lo, hi) < hi)
-        while open_.any():
-            mid = lo[open_] + 0.5 * (hi[open_] - lo[open_])
-            above = np.asarray(self.cdf(mid)) >= level[open_]
-            idx = np.flatnonzero(open_)
-            hi[idx[above]] = mid[above]
-            lo[idx[~above]] = mid[~above]
-            open_[idx] = np.nextafter(lo[idx], hi[idx]) < hi[idx]
-        out[inner] = hi
-        return float(out[0]) if np.asarray(s).ndim == 0 else out
+            f_lo[miss] = self.cdf(lo[miss])
+        # the first trial is the false-position point of the bracket
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = lo - (f_lo - level) * ((hi - lo) / (f_hi - f_lo))
+        t = np.where((t > lo) & (t < hi), t, lo + 0.5 * (hi - lo))
+        found = np.empty(level.size)
+        idx = np.arange(level.size)        # the open brackets' places in found
+        d = hi - lo                        # the step before last (rtsafe's dxold)
+        bisect = np.zeros(level.size, dtype=bool)
+        # A bracket bisects from the pass where the density is 0 or missing or
+        # the bracket is narrower than Newton's resolution, so the steps of
+        # each level do not depend on the other levels of the call.  The cap
+        # on the passes only guards termination; bisection closes the rest.
+        for _ in range(_NEWTON_PASSES):
+            if not idx.size or bisect.all():
+                break
+            g = np.asarray(self.cdf(t), dtype=float) - level
+            above = g >= 0.0
+            lo, hi = np.where(above, lo, t), np.where(above, t, hi)
+            open_ = np.nextafter(lo, hi) < hi
+            if not open_.all():
+                found[idx[~open_]] = hi[~open_]
+                idx, level, lo, hi, t, g, above, d, bisect = (
+                    a[open_] for a in (idx, level, lo, hi, t, g, above, d, bisect))
+            mid = lo + 0.5 * (hi - lo)
+            dens = self.pdf(t)
+            if dens is None:
+                t = mid
+                break
+            # Within round-off of s, F is a staircase whose steps span many
+            # floats, and a Newton point on the root lands on the same side
+            # again and again.  So each trial aims one reach past the root,
+            # towards the bracket's other end: the x-width of one ulp of s
+            # under the density, at least one float.  There the steps are
+            # noise, and rtsafe's halving test gives way to the bracket.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                root = t - g / dens
+                corr = np.abs(root - t)
+                reach = np.maximum(np.spacing(level) / dens, np.spacing(np.abs(root)))
+            trial = np.where(above, root - reach, root + reach)
+            near = np.abs(g) <= 64.0 * np.spacing(level)
+            bisect |= ~(dens > 0.0) | (hi - lo <= 4.0 * reach)
+            take = ~bisect & (trial > lo) & (trial < hi) & (near | (corr <= 0.5 * d))
+            d = np.where(take, corr, 0.5 * (hi - lo))
+            t = np.where(take, trial, mid)
+        # no Newton step left to take: bisection closes the rest
+        while idx.size:
+            above = np.asarray(self.cdf(t)) >= level
+            lo, hi = np.where(above, lo, t), np.where(above, t, hi)
+            open_ = np.nextafter(lo, hi) < hi
+            if not open_.all():
+                found[idx[~open_]] = hi[~open_]
+                idx, level, lo, hi = (a[open_] for a in (idx, level, lo, hi))
+            t = lo + 0.5 * (hi - lo)
+        return found
 
     def integrate_score(self, f, breaks=()) -> float:
         return float(sum(p * c.integrate_score(f, breaks=breaks)

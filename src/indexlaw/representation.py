@@ -41,7 +41,7 @@ from numpy.polynomial import polynomial as npoly
 from .distributions import DistributionModel, normal_quantile
 from .empirical import ScoreFunction
 from .errors import BadLevel, NegativeVariance, NonFiniteIntegral, OutOfRange
-from .ugrid import NODES, CellPoly, covariance, inner, sample_cells
+from .ugrid import NODES, CellPoly, covariance, covariances, inner, sample_cells
 
 
 @dataclass(frozen=True)
@@ -187,26 +187,48 @@ def _mean(model: DistributionModel, score, h: ScoreFunction,
     return total
 
 
-def _cov(model: DistributionModel, score, a: tuple, b: tuple) -> float:
-    """Cov of two split scores ``(cells, polynomial coefficients)`` of U.
+def _covs(model: DistributionModel, score, rows: list, cols: list) -> np.ndarray:
+    """Cov of every row and column split score ``(cells, polynomial
+    coefficients)`` of U; ``cols is rows`` gives a symmetric matrix.
 
-    The cells' covariance is exact on the mesh.  A polynomial part P meets
-    the other side's bounded cells B through ``int (P - E P) B``, whose
-    integrand vanishes where B does, and meets the other polynomial part
-    through the central moments: ``sum a_i b_j (mu_{i+j} - mu_i mu_j)``.
+    The cells' covariances are exact on the mesh, each cell part centred and
+    evaluated once (``ugrid.covariances``).  A polynomial part P meets the
+    other side's bounded cells B through ``int (P - E P) B``, whose integrand
+    vanishes where B does, with the cells of P - E P built once, and meets
+    the other polynomial part through the central moments:
+    ``sum a_i b_j (mu_{i+j} - mu_i mu_j)``.
     """
-    (ca, pa), (cb, pb) = a, b
-    total = covariance(ca, cb) if ca is not None and cb is not None else 0.0
-    for p, c in ((pa, cb), (pb, ca)):
-        if p is not None and c is not None:
-            centred = p.copy()
-            centred[0] -= math.fsum(p * _central_moments(model, p.size - 1))
-            total += inner(score(Polynomial(model.raw_moment(1), tuple(centred))), c)
-    if pa is not None and pb is not None:
-        mu = _central_moments(model, pa.size + pb.size - 2)
-        total += math.fsum(pa[i] * pb[j] * (mu[i + j] - mu[i] * mu[j])
-                           for i in range(1, pa.size) for j in range(1, pb.size))
-    return total
+    out = np.zeros((len(rows), len(cols)))
+    ri = [i for i, (c, _) in enumerate(rows) if c is not None]
+    ci = ri if cols is rows else [j for j, (c, _) in enumerate(cols) if c is not None]
+    if ri and ci:
+        cells = [rows[i][0] for i in ri]
+        out[np.ix_(ri, ci)] = covariances(cells, cells if cols is rows
+                                          else [cols[j][0] for j in ci])
+    centred = {}
+
+    def poly_cells(p: np.ndarray) -> CellPoly:
+        if id(p) not in centred:
+            c = p.copy()
+            c[0] -= math.fsum(p * _central_moments(model, p.size - 1))
+            centred[id(p)] = score(Polynomial(model.raw_moment(1), tuple(c)))
+        return centred[id(p)]
+
+    for i, (ca, pa) in enumerate(rows):
+        for j, (cb, pb) in enumerate(cols):
+            if cols is rows and j < i:
+                out[i, j] = out[j, i]
+                continue
+            total = float(out[i, j])
+            for p, c in ((pa, cb), (pb, ca)):
+                if p is not None and c is not None:
+                    total += inner(poly_cells(p), c)
+            if pa is not None and pb is not None:
+                mu = _central_moments(model, pa.size + pb.size - 2)
+                total += math.fsum(pa[k] * pb[m] * (mu[k + m] - mu[k] * mu[m])
+                                   for k in range(1, pa.size) for m in range(1, pb.size))
+            out[i, j] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +246,7 @@ def score_covariance(model: DistributionModel, f: ScoreFunction, g: ScoreFunctio
     """
     if model.kind == "empirical":
         fv = np.asarray(f(model.sample.values), dtype=float)
-        gv = np.asarray(g(model.sample.values), dtype=float)
+        gv = fv if g is f else np.asarray(g(model.sample.values), dtype=float)
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
             raise NonFiniteIntegral("score is non-finite on the sample")
         return float(np.mean((fv - np.mean(fv)) * (gv - np.mean(gv))))
@@ -263,17 +285,19 @@ def _pieces(model: DistributionModel, rep_i: IndexRepresentation,
     score = _scorer(model, rep_i.breaks if same else tuple(rep_i.breaks) + tuple(rep_j.breaks))
     exact = model.kind == "empirical"
     q_zero = rep_i.q_zero and rep_j.q_zero
-    if not (exact and q_zero):
-        hi = _split(model, score, rep_i.h, rep_i.poly)
-        hj = hi if same else _split(model, score, rep_j.h, rep_j.poly)
-    g1 = score_covariance(model, rep_i.h, rep_j.h) if exact else _cov(model, score, hi, hj)
+    if exact and q_zero:
+        return score_covariance(model, rep_i.h, rep_j.h), 0.0, 0.0, 0.0
+    rows = [_split(model, score, rep_i.h, rep_i.poly)]
+    cols = rows if same else [_split(model, score, rep_j.h, rep_j.poly)]
+    if not q_zero:
+        rows.append((score(rep_i.q).tail_integral_poly(), None))
+        if not same:
+            cols.append((score(rep_j.q).tail_integral_poly(), None))
+    m = _covs(model, score, rows, cols)
+    g1 = score_covariance(model, rep_i.h, rep_j.h) if exact else float(m[0, 0])
     if q_zero:
         return g1, 0.0, 0.0, 0.0
-    wi = (score(rep_i.q).tail_integral_poly(), None)
-    wj = wi if same else (score(rep_j.q).tail_integral_poly(), None)
-    g3 = _cov(model, score, hi, wj)
-    return (g1, _cov(model, score, wi, wj), g3,
-            g3 if same else _cov(model, score, wi, hj))
+    return g1, float(m[1, 1]), float(m[0, 1]), float(m[1, 0])
 
 
 def index_variance(model: DistributionModel, rep: IndexRepresentation) -> CovarianceEstimate:

@@ -22,6 +22,13 @@ rows; empirical copulas are exact rank sums.  Each
 margin's atoms are built on one mesh, whose cell edges include the levels of
 every break of the representations in the call.
 
+Assembly: the atoms of one period form one block of covariances
+(``ugrid.covariances``), each atom centred once and evaluated once per Gauss
+rule; the two periods meet in one block call of the copula's ``cross_cov``,
+where the Gaussian copula evaluates each atom once at the midpoints and forms
+``pv @ dens`` once per period-1 atom, and the empirical copula takes each
+atom's cell averages once.  Every entry keeps the arithmetic of its pair.
+
 A period's own entry is ``index_variance(...).total`` to round-off on an
 empirical or bounded margin, or for a score without polynomial part.  Not
 so for a polynomial part on an unbounded margin: ``phi`` holds ``h o Q``
@@ -45,7 +52,7 @@ from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, To
                      ZeroBaseIndex)
 from .indices import _real
 from .representation import IndexRepresentation, _u_functions, u_atoms
-from .ugrid import CellPoly, covariance
+from .ugrid import CellPoly, covariance, covariances, sample_cells
 
 DEFAULT_COPULA_GRID = 512    # midpoints per axis of the Gaussian copula's tensor
 
@@ -59,22 +66,42 @@ class CopulaModel:
     """The coupling of two uniforms (U, V) with uniform margins, used as the
     integration measure of cross-period covariances."""
 
-    def cross_cov(self, phi: CellPoly, psi: CellPoly) -> float:
+    def cross_cov(self, phi, psi):
         """``Cov(phi(U), psi(V))`` for (U, V) ~ C, with means taken under the
         same (possibly discretized) measure as the joint term, so a constant
-        factor gives exactly 0 and assembled matrices stay consistent."""
+        factor gives exactly 0 and assembled matrices stay consistent.
+
+        Given two lists of atoms, the matrix of their pairs' covariances,
+        one row per atom of ``phi``, each entry the pair's own value; the
+        Gaussian and empirical copulas evaluate each atom once for it.
+        """
         raise NotImplementedError
 
 
-class IndependenceCopula(CopulaModel):
+def _pairwise(block):
+    """A copula's ``cross_cov`` from its block form, which takes two lists
+    of atoms and returns their matrix: a pair of atoms gives the float."""
+
+    @functools.wraps(block)
     def cross_cov(self, phi, psi):
-        return 0.0
+        if isinstance(phi, CellPoly):
+            return float(block(self, [phi], [psi])[0, 0])
+        return block(self, list(phi), list(psi))
+
+    return cross_cov
+
+
+class IndependenceCopula(CopulaModel):
+    @_pairwise
+    def cross_cov(self, phis, psis):
+        return np.zeros((len(phis), len(psis)))
 
 
 class ComonotoneCopula(CopulaModel):
-    def cross_cov(self, phi, psi):
+    @_pairwise
+    def cross_cov(self, phis, psis):
         # U = V: exact also when the two periods' cells differ
-        return covariance(phi, psi)
+        return np.array([[covariance(phi, psi) for psi in psis] for phi in phis])
 
 
 @functools.lru_cache(maxsize=8)
@@ -150,14 +177,21 @@ class GaussianCopula(CopulaModel):
             self._memo = (key, (mid, dens, float(dens.sum()), dens.sum(axis=1), dens.sum(axis=0)))
         return self._memo[1]
 
-    def cross_cov(self, phi, psi):
+    @_pairwise
+    def cross_cov(self, phis, psis):
+        # each atom is evaluated once at the midpoints, and each row atom
+        # meets the density once: ``(pv @ dens) @ qv`` for every column
         mid, dens, total, rows, cols = self._tensor()
-        pv = phi.eval(mid)
-        qv = psi.eval(mid)
-        joint = float(pv @ dens @ qv) / total
-        mu_phi = float(rows @ pv) / total
-        mu_psi = float(cols @ qv) / total
-        return joint - mu_phi * mu_psi
+        qvs = [psi.eval(mid) for psi in psis]
+        mu_psi = [float(cols @ qv) / total for qv in qvs]
+        out = np.empty((len(phis), len(psis)))
+        for i, phi in enumerate(phis):
+            pv = phi.eval(mid)
+            weighted = pv @ dens
+            mu_phi = float(rows @ pv) / total
+            for j, qv in enumerate(qvs):
+                out[i, j] = float(weighted @ qv) / total - mu_phi * mu_psi[j]
+        return out
 
 
 class EmpiricalCopula(CopulaModel):
@@ -166,10 +200,10 @@ class EmpiricalCopula(CopulaModel):
     ``u_ranks`` and ``v_ranks`` are normalized ranks r/n, integers 1 <= r <= n.
     As an integration measure it is the checkerboard extension of the rank
     pairs: each pair spreads its 1/n mass uniformly over its rank rectangle, so
-    cross brackets integrate per-cell averages, looked up once at the sorted
-    levels j/n and gathered by rank.  That keeps them consistent
-    with the within-period pieces (Cauchy-Schwarz, a nonnegative variance of a
-    difference) even for perfectly dependent data.
+    cross brackets integrate per-cell averages, taken once per atom over the
+    cells ending at the levels j/n and gathered by rank.  That keeps them
+    consistent with the within-period pieces (Cauchy-Schwarz, a nonnegative
+    variance of a difference) even for perfectly dependent data.
     """
 
     def __init__(self, u_ranks: np.ndarray, v_ranks: np.ndarray):
@@ -178,14 +212,34 @@ class EmpiricalCopula(CopulaModel):
             raise OutOfRange("u_ranks and v_ranks must be non-empty 1-d arrays of one length")
         self._cells = (_rank_cells(u), _rank_cells(v))
 
+    @classmethod
+    def _from_cells(cls, u_cells: np.ndarray, v_cells: np.ndarray) -> "EmpiricalCopula":
+        """The copula of the 0-based sample cells ``r - 1`` of known ranks."""
+        copula = cls.__new__(cls)
+        copula._cells = (u_cells, v_cells)
+        return copula
+
     u_ranks = property(lambda self: (self._cells[0] + 1) / self._cells[0].size)
     v_ranks = property(lambda self: (self._cells[1] + 1) / self._cells[1].size)
 
-    def cross_cov(self, phi, psi):
-        levels = np.arange(1, self._cells[0].size + 1) / self._cells[0].size
-        pv = phi.cell_average_at(levels, side="left")[self._cells[0]]
-        qv = psi.cell_average_at(levels, side="left")[self._cells[1]]
-        return float(np.mean(pv * qv) - np.mean(pv) * np.mean(qv))
+    @_pairwise
+    def cross_cov(self, phis, psis):
+        edges = sample_cells(self._cells[0].size)[0]
+
+        def at_ranks(phi: CellPoly, cells: np.ndarray) -> np.ndarray:
+            # the average over the cell ending at each j/n, gathered by rank;
+            # on the n sample cells that is phi's own j-th cell
+            if phi.m == cells.size and np.array_equal(phi.edges, edges):
+                return phi.cell_means()[cells]
+            return phi.cell_average_at(edges[1:], side="left")[cells]
+
+        qvs = [at_ranks(psi, self._cells[1]) for psi in psis]
+        out = np.empty((len(phis), len(psis)))
+        for i, phi in enumerate(phis):
+            pv = at_ranks(phi, self._cells[0])
+            for j, qv in enumerate(qvs):
+                out[i, j] = np.mean(pv * qv) - np.mean(pv) * np.mean(qv)
+        return out
 
 
 def _rank_cells(ranks: np.ndarray) -> np.ndarray:
@@ -210,7 +264,7 @@ def empirical_copula(pairs) -> EmpiricalCopula:
     bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
         raise NonFiniteValue(int(np.flatnonzero(bad)[0]))
-    return EmpiricalCopula(_max_ranks(arr[:, 0]) / n, _max_ranks(arr[:, 1]) / n)
+    return EmpiricalCopula._from_cells(_max_ranks(arr[:, 0]) - 1, _max_ranks(arr[:, 1]) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +325,19 @@ def _delta_form(grad_a: np.ndarray, matrix: np.ndarray, grad_b: np.ndarray) -> f
 def _joint_matrix(frame: BivariateFrame, atoms: list[tuple[int, CellPoly]]) -> np.ndarray:
     """Covariance matrix of ``(period, phi)`` atoms.
 
-    Atoms of one period share U and its mesh, so their entry is the
-    covariance on that mesh; atoms of different periods are coupled by the
-    frame's copula, with the period-1 atom as its first argument.
+    Atoms of one period share U and its mesh, so their block is the
+    covariance matrix on that mesh; atoms of different periods are coupled
+    by the frame's copula, with the period-1 atoms as its rows.  Each atom
+    is centred and evaluated once per block.
     """
+    place = {p: [i for i, (q, _) in enumerate(atoms) if q == p] for p in (1, 2)}
+    phis = {p: [atoms[i][1] for i in place[p]] for p in (1, 2)}
     m = np.empty((len(atoms), len(atoms)))
-    for i, (pa, a) in enumerate(atoms):
-        for j, (pb, b) in enumerate(atoms[i:], start=i):
-            if pa == pb:
-                m[i, j] = m[j, i] = covariance(a, b)
-            else:
-                first, second = (b, a) if pa > pb else (a, b)
-                m[i, j] = m[j, i] = frame.copula.cross_cov(first, second)
+    for p in (1, 2):
+        m[np.ix_(place[p], place[p])] = covariances(phis[p], phis[p])
+    cross = frame.copula.cross_cov(phis[1], phis[2])
+    m[np.ix_(place[1], place[2])] = cross
+    m[np.ix_(place[2], place[1])] = cross.T
     return m
 
 

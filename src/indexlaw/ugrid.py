@@ -20,6 +20,8 @@ A cell ``[a, b]`` stores coefficients of ``x = 2 (s - a) / (b - a) - 1`` in
 from __future__ import annotations
 
 import functools
+from collections import Counter
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -198,25 +200,82 @@ class CellPoly:
         return self.cell_means()[np.clip(np.searchsorted(self.edges, s, side) - 1, 0, self.m - 1)]
 
 
-def inner(a: CellPoly, b: CellPoly) -> float:
-    """``int_0^1 a(s) b(s) ds``, exact for the cell polynomials.
+@functools.lru_cache(maxsize=None)
+def _node_powers(n: int, degree: int) -> tuple:
+    """``x_k ** arange(degree)`` at each node x_k of the n-point rule."""
+    return tuple(x ** np.arange(degree) for x in gauss_legendre(n)[0])
 
-    A Gauss rule with enough nodes for the degree of the product, on the
-    shared cells or else on the union of both sets of edges, summed node by
-    node so that only a few vectors of the cells' length are live.
+
+def _products(rows: Sequence[CellPoly], cols: Sequence[CellPoly],
+              centre: bool = False) -> np.ndarray:
+    """``int_0^1 r(s) c(s) ds`` for every row r and column c, exact for the
+    cell polynomials; with ``centre``, of the functions less their integrals.
+
+    Each entry takes a Gauss rule with enough nodes for the degree of its
+    product, on the shared cells or else on the union of all the edges, and
+    adds the weighted products of the nodes one after the other from 0.
+    Each function is centred once and evaluated once per rule it meets, all
+    at its first entry, and its values are dropped after the last entry
+    that needs them.  When ``cols is rows`` the matrix is symmetric and only
+    its upper triangle is summed.
     """
-    x, w = gauss_legendre((a.coef.shape[1] + b.coef.shape[1]) // 2)
-    if a._aligned(b):
-        half = a.h / 2.0
-        values = lambda p, i: p.coef @ x[i] ** np.arange(p.coef.shape[1])
-    else:
-        edges = _distinct(np.concatenate([a.edges, b.edges]))
-        half = np.diff(edges) / 2.0
-        values = lambda p, i: p.eval(edges[:-1] + half * (x[i] + 1.0))
-    return float(np.sum(half * sum(w[i] * values(a, i) * values(b, i) for i in range(x.size))))
+    funcs = list({id(f): f for f in (*rows, *cols)}.values())
+    union = None
+    if not all(funcs[0]._aligned(f) for f in funcs[1:]):
+        union = _distinct(np.concatenate([f.edges for f in funcs]))
+        union_half = np.diff(union) / 2.0
+    entries = [(i, j, (a.coef.shape[1] + b.coef.shape[1]) // 2)
+               for i, a in enumerate(rows) for j, b in enumerate(cols)
+               if cols is not rows or j >= i]
+    needs = [(id(f), n) for i, j, n in entries for f in (rows[i], cols[j])]
+    uses, values = Counter(needs), {}
+
+    def evaluate(p: CellPoly) -> None:
+        """p at the nodes of each rule it meets, one row per node."""
+        q = p.plus_constant(-p.integral()) if centre else p
+        for n in {m for key, m in uses if key == id(p)}:
+            vals = values[id(p), n] = np.empty((n, p.m if union is None else union.size - 1))
+            if union is None:
+                for row, powers in zip(vals, _node_powers(n, q.coef.shape[1])):
+                    np.matmul(q.coef, powers, out=row)
+            else:
+                for row, x in zip(vals, gauss_legendre(n)[0]):
+                    row[:] = q.eval(union[:-1] + union_half * (x + 1.0))
+
+    out = np.empty((len(rows), len(cols)))
+    for i, j, n in entries:
+        a, b = rows[i], cols[j]
+        for p in (a, b):
+            if (id(p), n) not in values:
+                evaluate(p)
+        terms = gauss_legendre(n)[1][:, None] * values[id(a), n]
+        terms *= values[id(b), n]
+        # the rows added one after the other from 0, then times the half widths
+        acc = np.add.reduce(terms, axis=0, initial=0.0)
+        del terms
+        acc *= a.h / 2.0 if union is None else union_half
+        out[i, j] = np.sum(acc)
+        if cols is rows:
+            out[j, i] = out[i, j]
+        for key in ((id(a), n), (id(b), n)):
+            uses[key] -= 1
+            if not uses[key]:
+                del values[key]
+    return out
+
+
+def inner(a: CellPoly, b: CellPoly) -> float:
+    """``int_0^1 a(s) b(s) ds``, exact for the cell polynomials."""
+    return float(_products([a], [b])[0, 0])
+
+
+def covariances(rows: Sequence[CellPoly], cols: Sequence[CellPoly]) -> np.ndarray:
+    """``Cov(r(U), c(U))`` for every row r and column c, U uniform on (0, 1),
+    in centred form, each function centred once; ``cols is rows`` gives a
+    symmetric matrix from its upper triangle."""
+    return _products(rows, cols, centre=True)
 
 
 def covariance(a: CellPoly, b: CellPoly) -> float:
     """Cov(a(U), b(U)) for U uniform on (0, 1), in centred form."""
-    ac = a.plus_constant(-a.integral())
-    return inner(ac, ac if b is a else b.plus_constant(-b.integral()))
+    return float(covariances([a], [b])[0, 0])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from indexlaw import ugrid
+from indexlaw import distributions, ugrid
 from indexlaw.distributions import (DistributionModel, EmpiricalDistribution, Exponential,
                                     LogNormal, Mixture, Normal, Pareto, Uniform, normal_cdf,
                                     normal_quantile)
@@ -67,6 +67,24 @@ class TestFamilies:
         assert np.all(np.diff(f) >= -1e-15)
         assert float(np.asarray(model.cdf(lo - abs(lo) - 1e3))) <= 1e-8
         assert float(np.asarray(model.cdf(hi + abs(hi) + 1e3))) >= 1 - 1e-6
+
+    @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
+    def test_scalar_cdf_is_the_arrays(self, model):
+        # a quantile brackets F on arrays, and its callers read F on scalars
+        x = np.asarray(model.quantile(np.random.default_rng(5).uniform(size=400)))
+        assert np.array_equal([model.cdf(v) for v in x], model.cdf(x))
+        assert np.array_equal([model.pdf(v) for v in x], model.pdf(x))
+
+    @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
+    def test_pdf_matches_scipy(self, model):
+        frozen = {Uniform: lambda m: stats.uniform(m.a, m.b - m.a),
+                  Exponential: lambda m: stats.expon(scale=1 / m.rate),
+                  LogNormal: lambda m: stats.lognorm(m.sigma, scale=np.exp(m.mu)),
+                  Pareto: lambda m: stats.pareto(m.a, scale=m.xm),
+                  Normal: lambda m: stats.norm(m.mu, m.sigma)}[type(model)](model)
+        x = np.concatenate([np.asarray(model.quantile(np.linspace(0.001, 0.999, 97))),
+                            [-1e100, -1.0, 0.0, 1e100]])
+        assert np.allclose(np.asarray(model.pdf(x)), frozen.pdf(x), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("model,k", [(Uniform(0, 1), 3), (Exponential(2.0), 4),
                                          (LogNormal(0.2, 0.8), 3), (Normal(0.5, 1.5), 4),
@@ -171,14 +189,31 @@ class TestMixture:
         assert mix.raw_moment(1) == pytest.approx(0.25 * 1.0 + 0.75 * 0.5)
 
     def test_bad_weights(self):
-        with pytest.raises(BadParams):
-            Mixture([0.5, 0.6], [Uniform(0, 1), Uniform(0, 2)])
+        for weights, components in (
+                ([0.5, 0.6], [Uniform(0, 1), Uniform(0, 2)]),
+                ([[0.5, 0.5]], [LogNormal(), LogNormal(0.5, 1)]),   # weights not 1-d
+                ([1.0], ["x"])):                                    # not a model
+            with pytest.raises(BadParams):
+                Mixture(weights, components)
+
+    def test_pdf_is_weighted_sum_or_missing(self):
+        mix = Mixture([0.3, 0.7], [Normal(0, 1), Exponential(2.0)])
+        x = np.linspace(-3.0, 4.0, 71)
+        assert np.array_equal(mix.pdf(x), 0.3 * Normal(0, 1).pdf(x) + 0.7 * Exponential(2.0).pdf(x))
+        assert Mixture([0.5, 0.5], [mix, EmpiricalDistribution([1.0, 2.0])]).pdf(x) is None
 
 
 _PAIRS = {
     "lognormal": Mixture([0.5, 0.5], [LogNormal(0, 1), LogNormal(0.5, 1)]),
     "exponential": Mixture([0.25, 0.75], [Exponential(1.0), Exponential(2.0)]),
     "disjoint-uniform": Mixture([0.5, 0.5], [Uniform(0, 1), Uniform(2, 3)]),
+    # a density that is 0 below the Pareto's x_m but for the normal part
+    "normal-pareto": Mixture([0.6, 0.4], [Normal(1.0, 0.5), Pareto(1.5, 3.5)]),
+    # no density: every step bisects, and F jumps at the sample points
+    "with-empirical": Mixture([0.5, 0.5], [LogNormal(0, 1), EmpiricalDistribution(
+        np.random.default_rng(3).lognormal(size=200))]),
+    "nested": Mixture([0.3, 0.7], [Mixture([0.5, 0.5], [LogNormal(0, 1), Normal(2, 1)]),
+                                   Exponential(0.7)]),
 }
 
 
@@ -199,6 +234,16 @@ class TestMixtureGeneralizedInverse:
         assert np.all(np.asarray(mix.cdf(q)) >= s)
         assert np.all(np.asarray(mix.cdf(np.nextafter(q, -np.inf))) < s)
         assert np.array_equal(q, [mix.quantile(x) for x in s])
+
+    @pytest.mark.parametrize("passes", [0, 3])
+    def test_bisection_closes_what_newton_leaves(self, monkeypatch, passes):
+        # the cap on the Newton passes hands every bracket still open to
+        # bisection, which ends on the same float
+        s = np.random.default_rng(9).uniform(size=400)
+        want = {name: mix.quantile(s) for name, mix in _PAIRS.items()}
+        monkeypatch.setattr(distributions, "_NEWTON_PASSES", passes)
+        for name, mix in _PAIRS.items():
+            assert np.array_equal(mix.quantile(s), want[name])
 
     def test_flat_region_left_end(self):
         assert _PAIRS["disjoint-uniform"].quantile(0.5) == 1.0

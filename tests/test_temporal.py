@@ -154,6 +154,26 @@ class TestEmpiricalCopula:
         want = np.mean(pv * qv) - np.mean(pv) * np.mean(qv)
         assert cop.cross_cov(a, b) == pytest.approx(want, rel=1e-14)
 
+    def test_rank_cells_are_the_searched_form(self):
+        # the copula is built from integer max-ranks; atoms on the n sample
+        # cells read their own cell means, others are searched at j/n, and
+        # both give exactly the sorted lookup gathered by rank
+        rng = np.random.default_rng(13)
+        xy = rng.normal(size=(97, 2))
+        xy[::7, 0] = xy[0, 0]                 # ties share a max-rank
+        cop = empirical_copula(xy)
+        public = EmpiricalCopula(cop.u_ranks, cop.v_ranks)
+        levels = np.arange(1, 98) / 97
+        cells = [np.rint(r * 97).astype(int) - 1 for r in (cop.u_ranks, cop.v_ranks)]
+        step, fine = CellPoly.from_cells(rng.normal(size=97)), _mesh_random(rng, 40)
+        parametric = u_atoms(LogNormal(0, 1), named_representation(LogNormal(0, 1),
+                                                                   NamedIndex.sen(1.0)))
+        for a, b in ((step, fine), (fine, step), (step, step), (parametric, step)):
+            pv = a.cell_average_at(levels, side="left")[cells[0]]
+            qv = b.cell_average_at(levels, side="left")[cells[1]]
+            want = float(np.mean(pv * qv) - np.mean(pv) * np.mean(qv))
+            assert cop.cross_cov(a, b) == want == public.cross_cov(a, b)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_pair_rejected(self, bad):
         pairs = [[1.0, 2.0], [3.0, 1.0], [2.0, 5.0], [4.0, 4.0]]
@@ -508,6 +528,43 @@ class TestOneBilinearCall:
             assert abs(got - sum(brackets)) <= 1e-12 * scale
 
 
+class TestOneAssembly:
+    """A joint law centres each atom once and couples the periods in one
+    block per copula, whose entries are the pair form's."""
+
+    _COPULAS = [IndependenceCopula(), ComonotoneCopula(), GaussianCopula(-0.7),
+                GaussianCopula(0.5), _random_pairs_copula()]
+    _IDS = ["independence", "comonotone", "gauss-0.7", "gauss0.5", "empirical"]
+
+    @pytest.mark.parametrize("cop", _COPULAS, ids=_IDS)
+    def test_block_entries_are_the_pairs(self, cop):
+        rng = np.random.default_rng(17)
+        phis = [_mesh_random(rng, 30), CellPoly.from_cells(rng.normal(size=300))]
+        psis = [_mesh_random(rng, 50), _mesh_random(rng, 50), CellPoly.from_cells(rng.normal(size=300))]
+        block = cop.cross_cov(phis, psis)
+        assert block.shape == (2, 3)
+        assert np.array_equal(block, [[cop.cross_cov(p, q) for q in psis] for p in phis])
+
+    @pytest.mark.parametrize("cop", [GaussianCopula(0.4), IndependenceCopula(),
+                                     _random_pairs_copula()], ids=["gauss", "independence",
+                                                                   "empirical"])
+    def test_each_atom_centred_once(self, monkeypatch, cop):
+        calls = []
+        original = CellPoly.plus_constant
+
+        def counted(self, c):
+            calls.append(id(self))
+            return original(self, c)
+
+        monkeypatch.setattr(CellPoly, "plus_constant", counted)
+        frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), cop)
+        idx = (NamedIndex.sen(1.0), NamedIndex.fgt(1.0, 1.0))
+        r = ([named_representation(frame.margin1, ix) for ix in idx]
+             + [named_representation(frame.margin2, ix) for ix in idx])
+        mutual_variation_covariance(frame, r[0], r[1], r[2], r[3])
+        assert len(calls) == len(set(calls)) == 4
+
+
 class TestGaussianDensityOnce:
     def _reps(self, frame):
         idx = (NamedIndex.sen(1.0), NamedIndex.fgt(1.0, 1.0))
@@ -515,20 +572,23 @@ class TestGaussianDensityOnce:
                 + [named_representation(frame.margin2, ix) for ix in idx])
 
     def test_one_density_per_joint_law(self, monkeypatch, mesh):
-        calls = {"density_grid": 0, "cross_cov": 0}
-        for name in calls:
-            original = getattr(GaussianCopula, name)
+        # one density, one cross block of the 2 x 2 period-crossing entries,
+        # and one evaluation of each of the 4 atoms at the midpoints
+        calls = {"density_grid": 0, "cross_cov": 0, "eval": 0}
+        for owner, name in ((GaussianCopula, "density_grid"), (GaussianCopula, "cross_cov"),
+                            (CellPoly, "eval")):
+            original = getattr(owner, name)
 
             def counted(self, *args, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(self, *args)
 
-            monkeypatch.setattr(GaussianCopula, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
         r = self._reps(frame)
         with mesh(grid=256, copula_grid=128):
             mutual_variation_covariance(frame, r[0], r[1], r[2], r[3])
-        assert calls == {"density_grid": 1, "cross_cov": 4}
+        assert calls == {"density_grid": 1, "cross_cov": 1, "eval": 4}
 
     def test_memo_follows_rho(self, mesh):
         frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))

@@ -111,6 +111,49 @@ class TestBridgeForms:
         assert covariance(h, one.tail_integral_poly()) == pytest.approx(-1 / 12, abs=1e-15)
 
 
+def _inner_by_nodes(a, b):
+    """``int a b`` node by node: the Gauss rule of ``inner`` summed one node
+    at a time from 0, the reference for the batched products."""
+    x, w = ugrid.gauss_legendre((a.coef.shape[1] + b.coef.shape[1]) // 2)
+    if a._aligned(b):
+        half = a.h / 2.0
+        values = lambda p, i: p.coef @ x[i] ** np.arange(p.coef.shape[1])
+    else:
+        edges = np.unique(np.concatenate([a.edges, b.edges]))
+        half = np.diff(edges) / 2.0
+        values = lambda p, i: p.eval(edges[:-1] + half * (x[i] + 1.0))
+    return float(np.sum(half * sum(w[i] * values(a, i) * values(b, i) for i in range(x.size))))
+
+
+class TestCovarianceMatrix:
+    """``covariances`` centres each function once and evaluates it once per
+    Gauss rule; every entry is the node-by-node sum of its pair."""
+
+    def _functions(self, rng, cells):
+        edges = ugrid.mesh_edges(cells)
+        fitted = [CellPoly.fit(rng.normal(size=(edges.size - 1, NODES)), edges) for _ in range(2)]
+        return fitted + [fitted[0].tail_integral_poly(), fitted[0] + fitted[1].tail_integral_poly()]
+
+    def test_entries_are_the_node_sums(self):
+        rng = np.random.default_rng(31)
+        steps = [CellPoly.from_cells(rng.lognormal(size=100_000)) for _ in range(2)]
+        for funcs in (self._functions(rng, 24),
+                      [steps[0], steps[1].tail_integral_poly(), steps[0].tail_integral_poly()]):
+            got = ugrid.covariances(funcs, funcs)
+            centred = [f.plus_constant(-f.integral()) for f in funcs]
+            want = [[_inner_by_nodes(a, b) for b in centred] for a in centred]
+            assert np.array_equal(np.triu(got), np.triu(want))
+            assert np.array_equal(got, got.T)
+
+    def test_cells_of_two_meshes(self):
+        rng = np.random.default_rng(32)
+        a, b = self._functions(rng, 24)[3], CellPoly.from_cells(rng.normal(size=50))
+        ac, bc = a.plus_constant(-a.integral()), b.plus_constant(-b.integral())
+        assert covariance(a, b) == _inner_by_nodes(ac, bc)
+        assert inner(a, b) == _inner_by_nodes(a, b)
+        assert np.array_equal(ugrid.covariances([a], [b, b]), [[covariance(a, b)] * 2])
+
+
 def _public_signatures():
     """``{name: signature}`` of every exported function and class and of
     the public methods of every exported class."""
