@@ -50,8 +50,7 @@ print(f"\nShorrocks / poverty-gap asymptotic correlation: {corr:.4f}")
 # x is all polynomial, so it declares that part and its moments come in
 # closed form instead of from the quadrature mesh
 rep_c = named_representation(model, NamedIndex.takayama(Z))
-rep_mu = IndexRepresentation(h=ident, q=lambda x: np.zeros_like(ident(x)),
-                             value=lambda m: m.raw_moment(1), q_zero=True,
+rep_mu = IndexRepresentation(h=ident, q=None, value=lambda m: m.raw_moment(1),
                              poly=Polynomial(0.0, (0.0, 1.0)))
 ratio = compose_ratio(rep_c, rep_mu, rep_c.value(model), model.raw_moment(1))
 print(f"Takayama ratio variance via composition: "

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .empirical import EmpiricalSample, build_sample
 from .errors import BadWeights, NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
 from .representation import (IndexRepresentation, _combine, _covs, _mean, _scorer, _split,
-                             confidence_interval)
+                             _zero, confidence_interval)
 from .ugrid import _cumsum
 
 
@@ -52,31 +52,41 @@ from .ugrid import _cumsum
 class SubgroupPartition:
     """Per-observation group labels (input order).
 
-    ``labels`` holds integer codes 1..K.  Group i is weighted by its observed
-    frequency n_i*/n; groups that happen to be empty are skipped in sums (the
-    limit theory assumes all groups grow).
+    ``labels`` holds integer codes 1..K = ``len(names)`` (else ``OutOfRange``).
+    Group i is weighted by its observed frequency n_i*/n; groups that happen
+    to be empty are skipped in sums (the limit theory assumes all groups grow).
     """
 
     labels: np.ndarray
-    n_groups: int
     names: tuple
+
+    def __post_init__(self):
+        codes = np.asarray(self.labels)
+        if codes.ndim != 1 or not np.isin(codes, np.arange(1, self.n_groups + 1)).all():
+            raise OutOfRange(f"labels must be a 1-d array of integer codes 1..{self.n_groups}")
+        object.__setattr__(self, "labels", codes)
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.names)
 
     @staticmethod
     def from_labels(labels: Sequence) -> "SubgroupPartition":
-        """Map arbitrary labels to 1..K in first-seen order.
+        """Map hashable labels to 1..K in first-seen order (else ``OutOfRange``).
 
         A float NaN label raises ``NonFiniteValue``: NaN equals nothing, not
         even another NaN, so each would silently form a group of its own.
         """
         seen: dict = {}
-        codes = np.empty(len(labels), dtype=np.int64)
-        for i, lab in enumerate(labels):
-            if isinstance(lab, (float, np.floating)) and math.isnan(lab):
-                raise NonFiniteValue(i)
-            if lab not in seen:
-                seen[lab] = len(seen) + 1
-            codes[i] = seen[lab]
-        return SubgroupPartition(labels=codes, n_groups=len(seen), names=tuple(seen))
+        codes = []
+        try:
+            for i, lab in enumerate(labels):
+                if isinstance(lab, (float, np.floating)) and math.isnan(lab):
+                    raise NonFiniteValue(i)
+                codes.append(seen.setdefault(lab, len(seen) + 1))
+        except TypeError:
+            raise OutOfRange("labels must be an iterable of hashable values") from None
+        return SubgroupPartition(labels=np.array(codes, dtype=np.int64), names=tuple(seen))
 
 
 @dataclass(frozen=True)
@@ -153,29 +163,33 @@ def _tail(model: DistributionModel, q, score: Callable) -> Callable[[np.ndarray]
 
 
 def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionModel],
-                 rep_builder: Callable[[DistributionModel], IndexRepresentation],
-                 global_rep: Optional[IndexRepresentation] = None) -> DecompositionVariance:
+                 rep_builder: Callable[[DistributionModel], IndexRepresentation]
+                 ) -> DecompositionVariance:
     """The within-group variance theta1^2 and the label-noise parts
     theta2^2, theta3^2 for the given group laws.
 
     ``rep_builder`` maps a distribution model to the index representation
-    under that model; it is applied to each subgroup law and (unless
-    ``global_rep`` is supplied) to their mixture.
+    under that model; it is applied to each subgroup law and to their
+    mixture.  A representation without a weight (``q is None``, e.g. in a
+    group in which nobody is poor) meets the others' weights as q = 0.
     """
-    p = np.asarray(weights, dtype=float)
+    try:
+        p = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise BadWeights(f"weights must be numbers, got {weights!r}") from None
     k = p.size
-    if len(group_models) != k or k == 0:
-        raise BadWeights("weights and group models must align and be nonempty")
+    if p.ndim != 1 or len(group_models) != k or k == 0:
+        raise BadWeights("weights must be a 1-d array aligned with the nonempty group models")
     if np.any(p <= 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
         raise BadWeights("weights must be positive and sum to 1")
 
     mixture = group_models[0] if k == 1 else Mixture(p, group_models)
-    rep = global_rep or rep_builder(mixture)
+    rep = rep_builder(mixture)
     reps = [rep_builder(m) for m in group_models]
     breaks = tuple(rep.breaks) + tuple(b for r in reps for b in r.breaks)
 
-    h_global, q_global = rep.h, rep.q
-    q_skip = rep.q_zero and all(r.q_zero for r in reps)
+    h_global, q_global = rep.h, rep.q or _zero
+    q_skip = rep.q is None and all(r.q is None for r in reps)
     scores = [_scorer(m, breaks) for m in group_models]
     tails = [] if q_skip else [_tail(m, q_global, sc) for m, sc in zip(group_models, scores)]
 
@@ -191,7 +205,7 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
 
         psi, poly = _split(model_g, score, point_part, _combine(1.0, rep.poly, -1.0, rep_g.poly))
         if not q_skip:
-            own = score(lambda x, _qg=rep_g.q, _pg=p[g]:
+            own = score(lambda x, _qg=rep_g.q or _zero, _pg=p[g]:
                         _pg * np.asarray(q_global(x), dtype=float)
                         - np.asarray(_qg(x), dtype=float)).tail_integral_poly()
             psi = own if psi is None else psi + own

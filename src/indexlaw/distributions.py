@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .empirical import EmpiricalSample, build_sample, ecdf, equantile
+from .empirical import EmpiricalSample, build_sample, ecdf
 from .errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
 from . import ugrid
 from .ugrid import gauss_nodes, gauss_sum, mesh_edges
@@ -203,21 +203,17 @@ class EmpiricalDistribution(DistributionModel):
             sample = build_sample(sample)
         self.sample = sample
 
-    @property
-    def n(self) -> int:
-        return self.sample.n
-
     def cdf(self, x):
         return ecdf(self.sample, x)
 
     def quantile(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        if s_arr.ndim == 0:
-            return equantile(self.sample, float(s_arr))
+        try:
+            s_arr = np.asarray(s, dtype=float)
+        except (TypeError, ValueError):
+            raise OutOfRange(f"quantile levels must be numbers, got {s!r}") from None
         if np.any(~((s_arr > 0.0) & (s_arr <= 1.0))):
             raise OutOfRange("quantile level must lie in (0, 1]")
-        j = np.ceil(self.sample.n * s_arr).astype(int)
-        return self.sample.values[j - 1]
+        return self.quantile_extended(s)
 
     def quantile_extended(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))

@@ -37,16 +37,17 @@ class EmpiricalSample:
     ----------
     values : ndarray
         Observations sorted nondecreasing (read-only).
-    n : int
-        Sample size.
 
-    The observations in input order are kept as a read-only copy, which
-    ``input_values()`` returns.
+    ``n`` is the sample size.  The observations in input order are kept as
+    a read-only copy, which ``input_values()`` returns.
     """
 
     values: np.ndarray
-    n: int
     _inputs: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
     def input_values(self) -> np.ndarray:
         """The observations in their original input order (read-only)."""
@@ -72,7 +73,7 @@ def build_sample(values) -> EmpiricalSample:
     sorted_vals = np.sort(arr)
     sorted_vals.flags.writeable = False
     arr.flags.writeable = False
-    return EmpiricalSample(values=sorted_vals, n=int(arr.size), _inputs=arr)
+    return EmpiricalSample(values=sorted_vals, _inputs=arr)
 
 
 def ecdf(sample: EmpiricalSample, x) -> float | np.ndarray:

@@ -41,7 +41,7 @@ from .empirical import EmpiricalSample, ScoreFunction
 from .errors import (BadParams, BadThreshold, NonFiniteConstant, OutOfRange,
                      ThresholdOutsideSupport, ZeroDenominator, ZeroHpi,
                      ZeroMean, ZeroVariance)
-from .representation import IndexRepresentation, Polynomial, compose_ratio
+from .representation import IndexRepresentation, Polynomial, _zero, compose_ratio
 from .ugrid import NODES, gauss_nodes, gauss_sum
 
 _POVERTY_KINDS = ("fgt", "sen", "kakwani", "shorrocks", "thon", "takayama",
@@ -283,10 +283,6 @@ def _gap(z: float, x: np.ndarray) -> np.ndarray:
     return (z - x) / z
 
 
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def _poor_score(z: float, f: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray],
                 model: Optional[DistributionModel] = None) -> ScoreFunction:
     """The score ``x -> f(x, F(x))`` on ``x <= Z`` and 0 above the line.
@@ -324,7 +320,7 @@ def _kakwani_representation(model: DistributionModel, z: float, k: int) -> Index
     fz, jk, kk = _kakwani_constants(model, z, k)
     value = lambda m: _kakwani_constants(m, z, k)[1]
     if fz == 0.0:  # nobody poor: the zero score pair
-        return IndexRepresentation(h=_zero, q=_zero, value=value, breaks=(z,), q_zero=True)
+        return IndexRepresentation(h=_zero, q=None, value=value, breaks=(z,))
     h = _poor_score(z, lambda x, fx: (k + 1.0) * ((1.0 - fx / fz) ** k * _gap(z, x)
                                                   - (jk / fz) * (fx / fz) ** k) + kk, model)
     q = _poor_score(z, lambda x, fx: (-k * (k + 1.0) / fz
@@ -345,7 +341,7 @@ def _rank_linear_representation(model: DistributionModel, z: float,
         return m.integrate_score(h_under(m), breaks=(z,))
 
     if _check_threshold(model, z) == 0.0:  # nobody poor: the zero score pair
-        return IndexRepresentation(h=_zero, q=_zero, value=value, breaks=(z,), q_zero=True)
+        return IndexRepresentation(h=_zero, q=None, value=value, breaks=(z,))
     return IndexRepresentation(h=h_under(model), q=_poor_score(z, lambda x, _: -d(x)),
                                value=value, breaks=(z,))
 
@@ -365,8 +361,7 @@ def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRe
         # and the variance degenerates gracefully when F(Z) hits 0 or 1
         h = _poor_score(z, lambda x, _: _gap(z, x) ** index.alpha)
         return IndexRepresentation(
-            h=h, q=_zero, value=lambda m: m.integrate_score(h, breaks=(z,)),
-            breaks=(z,), q_zero=True)
+            h=h, q=None, value=lambda m: m.integrate_score(h, breaks=(z,)), breaks=(z,))
 
     if kind in ("sen", "kakwani"):
         return _kakwani_representation(model, z, 1 if kind == "sen" else index.k)
@@ -382,8 +377,8 @@ def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRe
         mu = model.raw_moment(1)
         if mu == 0.0:
             raise ZeroMean("takayama ratio needs a nonzero mean")
-        mean_rep = IndexRepresentation(h=_MEAN, q=_zero, value=lambda m: m.raw_moment(1),
-                                       q_zero=True, poly=_MEAN)
+        mean_rep = IndexRepresentation(h=_MEAN, q=None, value=lambda m: m.raw_moment(1),
+                                       poly=_MEAN)
         return compose_ratio(c_rep, mean_rep, c_rep.value(model), mu)
 
     if kind == "central_moment":
@@ -427,10 +422,9 @@ def moment_representation(model: DistributionModel, order: int) -> IndexRepresen
     if order < 1:
         raise OutOfRange("moment order must be >= 1")
     if order == 1:
-        return IndexRepresentation(h=_zero, q=_zero, value=lambda m: 0.0, q_zero=True)
+        return IndexRepresentation(h=_zero, q=None, value=lambda m: 0.0)
     poly = Polynomial(model.raw_moment(1), tuple(_influence(model, order)))
-    return IndexRepresentation(h=poly, q=_zero, value=lambda m: m.central_moment(order),
-                               q_zero=True, poly=poly)
+    return IndexRepresentation(h=poly, q=None, value=lambda m: m.central_moment(order), poly=poly)
 
 
 def normalized_moment_representation(model: DistributionModel, p: int,
@@ -461,7 +455,7 @@ def normalized_moment_representation(model: DistributionModel, p: int,
             raise ZeroVariance("normalized moments need positive variance")
         return m.central_moment(top) / s2 ** (top / 2.0)
 
-    return IndexRepresentation(h=poly, q=_zero, value=value, q_zero=True, poly=poly)
+    return IndexRepresentation(h=poly, q=None, value=value, poly=poly)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from .decomposition import _recompose, gap_variance
 from .distributions import (DistributionModel, EmpiricalDistribution, Mixture,
                             normal_cdf)
 from .empirical import EmpiricalSample, build_sample
-from .errors import BadParams, ZeroVariance
-from .indices import NamedIndex, named_estimate, named_representation
+from .errors import BadParams, OutOfRange, ZeroVariance
+from .indices import NamedIndex, _real, named_estimate, named_representation
 from .representation import confidence_interval, index_variance
 from .rng import stream_seed, uniforms
 
@@ -128,13 +128,17 @@ def ks_statistic(values: Sequence[float], cdf=normal_cdf) -> float:
     return float(np.max(np.maximum(grid_hi - f, f - grid_lo)))
 
 
-def ks_pvalue(stat: float, n: int, terms: int = 100) -> float:
-    """Asymptotic Kolmogorov p-value 2 sum (-1)^(k-1) exp(-2 k^2 lambda^2)."""
-    lam = math.sqrt(n) * stat
+def ks_pvalue(stat: float, n: int) -> float:
+    """Asymptotic Kolmogorov p-value 2 sum (-1)^(k-1) exp(-2 k^2 lambda^2),
+    lambda = sqrt(n) stat in [0, 1], n >= 1, to 100 terms or one below 1e-16."""
+    _check_count(n, "n")
+    if not 0.0 <= _real(stat) <= 1.0:
+        raise OutOfRange(f"a KS statistic lies in [0, 1], got {stat!r}")
+    lam = math.sqrt(n) * float(stat)
     if lam <= 0.0:
         return 1.0
     total = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, 101):
         term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * (k * lam) ** 2)
         total += term
         if abs(term) < 1e-16:

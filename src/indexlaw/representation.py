@@ -77,19 +77,23 @@ class IndexRepresentation:
 
     ``value`` maps any distribution model to the theoretical index; ``h`` and
     ``q`` are the score and weight-precursor functions built against a
-    reference model.  ``breaks`` lists x-values where the scores jump (cell
-    edges of the parametric mesh) and ``q_zero`` marks pure-mean statistics
-    whose beta-term vanishes identically.  ``poly`` is the polynomial part
-    of h (``h is poly`` when h is all polynomial): ``h - poly`` is bounded
-    and vanishes above the largest break.
+    reference model; ``q`` is None for a pure-mean statistic, and reads as 0
+    where it meets a present weight.  ``breaks`` lists x-values where the
+    scores jump (cell edges of the parametric mesh).  ``poly`` is the
+    polynomial part of h (``h is poly`` when h is all polynomial):
+    ``h - poly`` is bounded and vanishes above the largest break.
     """
 
     h: ScoreFunction
-    q: ScoreFunction
+    q: Optional[ScoreFunction]
     value: Callable[[DistributionModel], float]
     breaks: tuple = ()
-    q_zero: bool = False
     poly: Optional[Polynomial] = None
+
+
+def _zero(x):
+    """The zero score; ``rep.q or _zero`` reads an absent weight as 0."""
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -236,6 +240,11 @@ def _covs(model: DistributionModel, score, rows: list, cols: list) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
+def _sample_cov(fv: np.ndarray, gv: np.ndarray) -> float:
+    """The centred covariance, divisor n, of two score vectors: a sample's gamma1."""
+    return float(np.mean((fv - np.mean(fv)) * (gv - np.mean(gv))))
+
+
 def score_covariance(model: DistributionModel, f: ScoreFunction, g: ScoreFunction,
                      breaks: Sequence[float] = ()) -> float:
     """Covariance of f(X) and g(X) under the model.
@@ -249,7 +258,7 @@ def score_covariance(model: DistributionModel, f: ScoreFunction, g: ScoreFunctio
         gv = fv if g is f else np.asarray(g(model.sample.values), dtype=float)
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
             raise NonFiniteIntegral("score is non-finite on the sample")
-        return float(np.mean((fv - np.mean(fv)) * (gv - np.mean(gv))))
+        return _sample_cov(fv, gv)
     score = _scorer(model, breaks)
     fm = score(f)
     return covariance(fm, fm if g is f else score(g))
@@ -279,24 +288,22 @@ def beta_cross_cov(model: DistributionModel, h: ScoreFunction, q: ScoreFunction)
 def _pieces(model: DistributionModel, rep_i: IndexRepresentation,
             rep_j: IndexRepresentation) -> tuple[float, float, float, float]:
     """``(Cov(h_i, h_j), Cov(W_i, W_j), Cov(h_i, W_j), Cov(W_i, h_j))`` of
-    two representations on one sample or mesh; the W terms are 0 when both
-    weights vanish, and one representation shares its h and W."""
+    two representations on one sample or mesh; an absent weight's W terms
+    are 0, and one representation shares its h and W."""
     same = rep_i is rep_j
     score = _scorer(model, rep_i.breaks if same else tuple(rep_i.breaks) + tuple(rep_j.breaks))
     exact = model.kind == "empirical"
-    q_zero = rep_i.q_zero and rep_j.q_zero
-    if exact and q_zero:
+    if exact and rep_i.q is None and rep_j.q is None:
         return score_covariance(model, rep_i.h, rep_j.h), 0.0, 0.0, 0.0
-    rows = [_split(model, score, rep_i.h, rep_i.poly)]
-    cols = rows if same else [_split(model, score, rep_j.h, rep_j.poly)]
-    if not q_zero:
-        rows.append((score(rep_i.q).tail_integral_poly(), None))
-        if not same:
-            cols.append((score(rep_j.q).tail_integral_poly(), None))
+
+    def parts(rep):
+        tail = None if rep.q is None else score(rep.q).tail_integral_poly()
+        return [_split(model, score, rep.h, rep.poly), (tail, None)]
+
+    rows = parts(rep_i)
+    cols = rows if same else parts(rep_j)
     m = _covs(model, score, rows, cols)
-    g1 = score_covariance(model, rep_i.h, rep_j.h) if exact else float(m[0, 0])
-    if q_zero:
-        return g1, 0.0, 0.0, 0.0
+    g1 = _sample_cov(rows[0][0].coef[:, 0], cols[0][0].coef[:, 0]) if exact else float(m[0, 0])
     return g1, float(m[1, 1]), float(m[0, 1]), float(m[1, 0])
 
 
@@ -319,8 +326,6 @@ def index_cross_covariance(model: DistributionModel, rep_i: IndexRepresentation,
                            rep_j: IndexRepresentation) -> float:
     """Asymptotic covariance of two indices measured on the same sample."""
     g1, g2, g3_ij, g3_ji = _pieces(model, rep_i, rep_j)
-    if rep_i.q_zero and rep_j.q_zero:
-        return float(g1)
     return float(g1 + (g2 + g3_ij + g3_ji))
 
 
@@ -342,7 +347,7 @@ def _u_functions(model: DistributionModel,
     phis = []
     for rep in reps:
         hm = score(rep.h)
-        phis.append(hm if rep.q_zero else hm + score(rep.q).tail_integral_poly())
+        phis.append(hm if rep.q is None else hm + score(rep.q).tail_integral_poly())
     return phis
 
 
@@ -387,14 +392,14 @@ def compose_ratio(rep_num: IndexRepresentation, rep_den: IndexRepresentation,
         return ca * np.asarray(rep_num.h(x), dtype=float) + cb * np.asarray(rep_den.h(x), dtype=float)
 
     def q(x):
-        return ca * np.asarray(rep_num.q(x), dtype=float) + cb * np.asarray(rep_den.q(x), dtype=float)
+        return (ca * np.asarray((rep_num.q or _zero)(x), dtype=float)
+                + cb * np.asarray((rep_den.q or _zero)(x), dtype=float))
 
     def value(model):
         return rep_num.value(model) / rep_den.value(model)
 
     return IndexRepresentation(
-        h=h, q=q, value=value,
+        h=h, q=None if rep_num.q is None and rep_den.q is None else q, value=value,
         breaks=tuple(rep_num.breaks) + tuple(rep_den.breaks),
-        q_zero=rep_num.q_zero and rep_den.q_zero,
         poly=_combine(ca, rep_num.poly, cb, rep_den.poly),
     )

@@ -14,13 +14,13 @@ method, the laws of relative variations are read off the assembled matrix.
 
 Copula integrals: independence and comonotone copulas are closed forms; the
 Gaussian copula integrates on a tensor of ``DEFAULT_COPULA_GRID`` (512)
-midpoints per axis of its density, kept on the copula per rho.  The normal
-quantiles of the midpoints are computed once, on the lower half and mirrored
-to the upper half, and the density is point-symmetric,
-``c(u, v) = c(1-u, 1-v)``, so the tensor is built from its first half of
-rows; empirical copulas are exact rank sums.  Each
-margin's atoms are built on one mesh, whose cell edges include the levels of
-every break of the representations in the call.
+midpoints per axis of its density, built once per ``cross_cov`` call for the
+copula's fixed rho.  The normal quantiles of the midpoints are computed once,
+on the lower half and mirrored to the upper half, and the density is
+point-symmetric, ``c(u, v) = c(1-u, 1-v)``, so the tensor is built from its
+first half of rows; empirical copulas are exact rank sums.  Each margin's
+atoms are built on one mesh, whose cell edges include the levels of every
+break of the representations in the call.
 
 Assembly: the atoms of one period form one block of covariances
 (``ugrid.covariances``), each atom centred once and evaluated once per Gauss
@@ -124,19 +124,12 @@ def _normal_midpoints(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 class GaussianCopula(CopulaModel):
     def __init__(self, rho: float):
-        self.rho = rho
-        self._memo: tuple = (None, None)
+        value = _real(rho)
+        if not -1.0 < value < 1.0:
+            raise BadParams(f"gaussian copula needs rho in (-1, 1), got {rho!r}")
+        self._rho = value
 
-    @property
-    def rho(self) -> float:
-        return self._rho
-
-    @rho.setter
-    def rho(self, value) -> None:
-        rho = _real(value)
-        if not -1.0 < rho < 1.0:
-            raise BadParams(f"gaussian copula needs rho in (-1, 1), got {value!r}")
-        self._rho = rho
+    rho = property(lambda self: self._rho)
 
     def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Midpoints and copula density values on the tensor of the
@@ -168,20 +161,12 @@ class GaussianCopula(CopulaModel):
         dens[half:] = top[:size // 2][::-1, ::-1]
         return mid, dens
 
-    def _tensor(self) -> tuple:
-        """``(mid, dens, total, row sums, column sums)``, built on first use
-        and kept for the latest ``rho`` and tensor size only."""
-        key = (self.rho, DEFAULT_COPULA_GRID)
-        if self._memo[0] != key:
-            mid, dens = self.density_grid()
-            self._memo = (key, (mid, dens, float(dens.sum()), dens.sum(axis=1), dens.sum(axis=0)))
-        return self._memo[1]
-
     @_pairwise
     def cross_cov(self, phis, psis):
         # each atom is evaluated once at the midpoints, and each row atom
         # meets the density once: ``(pv @ dens) @ qv`` for every column
-        mid, dens, total, rows, cols = self._tensor()
+        mid, dens = self.density_grid()
+        total, rows, cols = float(dens.sum()), dens.sum(axis=1), dens.sum(axis=0)
         qvs = [psi.eval(mid) for psi in psis]
         mu_psi = [float(cols @ qv) / total for qv in qvs]
         out = np.empty((len(phis), len(psis)))

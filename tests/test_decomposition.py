@@ -34,6 +34,18 @@ class TestPartition:
         assert np.array_equal(p.labels, [1, 2, 1, 3])
         assert p.names == (None, "nan", 3.0)
 
+    @pytest.mark.parametrize("labels", [[1, 1, 2, 2, 3, 3], [0, 1, 2], [1, 1.5, 2], [[1, 2]]])
+    def test_labels_outside_the_names_are_rejected(self, labels):
+        # a label without a name was dropped from every group: with a third
+        # group unnamed, the FGT(1) gap of six values read 0.1167, not 0
+        with pytest.raises(OutOfRange):
+            SubgroupPartition(labels=np.array(labels), names=("a", "b"))
+
+    def test_group_count_is_the_names(self):
+        with pytest.raises(TypeError):
+            SubgroupPartition(labels=np.array([1, 2, 2]), n_groups=2, names=("a", "b"))
+        assert SubgroupPartition(labels=np.array([1, 2, 2]), names=("a", "b")).n_groups == 2
+
     @pytest.mark.parametrize("n_labels", [100, 300])
     @pytest.mark.parametrize("entry", [gap_estimate, gap_inference])
     def test_partition_must_match_sample(self, entry, n_labels):

@@ -591,7 +591,7 @@ class TestReferenceTable:
             eh = x_expectation(model, rep.h, z)
             eh2 = x_expectation(model, lambda x: np.asarray(rep.h(x)) ** 2, z)
             _close(got.gamma1, eh2 - eh * eh, f"{label} gamma1")
-            if rep.q_zero:
+            if rep.q is None:
                 _close(got.total, eh2 - eh * eh, f"{label} total")
             else:
                 with mesh(grid=2 ** 14):

@@ -208,9 +208,13 @@ class TestIndexVariance:
         assert index_variance(Uniform(0, 1), rep).total == pytest.approx(0.25, abs=1e-10)
 
     def test_constant_h(self):
-        rep = IndexRepresentation(h=one, q=zero, value=lambda m: 1.0, q_zero=True)
+        rep = IndexRepresentation(h=one, q=None, value=lambda m: 1.0)
         cv = index_variance(Uniform(0, 1), rep)
         assert cv.total == pytest.approx(0.0, abs=1e-12)
+
+    def test_absent_weight_is_none(self):
+        with pytest.raises(TypeError):
+            IndexRepresentation(h=one, q=None, value=lambda m: 1.0, q_zero=True)
 
     def test_sample_variance_statistic_normal(self):
         # Var((X - m)^2) = mu4 - sigma^4 = 3 - 1 = 2 under N(0, 1)
@@ -304,7 +308,7 @@ class TestCrossCovariance:
     def test_degenerate_partner(self):
         m = EmpiricalDistribution(np.linspace(0.1, 2.0, 25))
         repi = named_representation(m, NamedIndex.fgt(1.0, 1.0))
-        repj = IndexRepresentation(h=one, q=zero, value=lambda mm: 1.0, q_zero=True)
+        repj = IndexRepresentation(h=one, q=None, value=lambda mm: 1.0)
         assert index_cross_covariance(m, repi, repj) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_by_two_psd(self):
@@ -322,8 +326,7 @@ class TestCompose:
     def test_ratio_matches_delta_method(self):
         m = EmpiricalDistribution(np.sort(np.random.default_rng(8).lognormal(size=150)))
         num = named_representation(m, NamedIndex.takayama(1.0))
-        den = IndexRepresentation(h=ident, q=zero, value=lambda mm: mm.raw_moment(1),
-                                  q_zero=True)
+        den = IndexRepresentation(h=ident, q=None, value=lambda mm: mm.raw_moment(1))
         a, b = num.value(m), den.value(m)
         comp = compose_ratio(num, den, a, b)
         v = index_variance(m, comp).total
@@ -336,10 +339,8 @@ class TestCompose:
 
     def test_ratio_value(self):
         m = EmpiricalDistribution([1.0, 2.0, 3.0])
-        num = IndexRepresentation(h=ident, q=zero, value=lambda mm: mm.raw_moment(2),
-                                  q_zero=True)
-        den = IndexRepresentation(h=ident, q=zero, value=lambda mm: mm.raw_moment(1),
-                                  q_zero=True)
+        num = IndexRepresentation(h=ident, q=None, value=lambda mm: mm.raw_moment(2))
+        den = IndexRepresentation(h=ident, q=None, value=lambda mm: mm.raw_moment(1))
         comp = compose_ratio(num, den, 1.0, 1.0)
         assert comp.value(m) == pytest.approx(m.raw_moment(2) / m.raw_moment(1))
 

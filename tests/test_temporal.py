@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indexlaw.decomposition import SubgroupPartition, gap_variance
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Mixture, Normal, Pareto, Uniform, normal_quantile)
-from indexlaw.errors import (BadParams, IndexLawError, NonFiniteValue, OutOfRange,
-                             TooFewPairs, ZeroBaseIndex)
+from indexlaw.errors import (BadParams, BadWeights, IndexLawError, NonFiniteValue,
+                             OutOfRange, TooFewPairs, ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_representation
+from indexlaw.montecarlo import ks_pvalue
 from indexlaw.representation import (IndexRepresentation, index_cross_covariance,
                                      index_variance, score_model, u_atoms)
 from indexlaw.rng import stream_seed, uniforms
@@ -221,6 +223,46 @@ class TestJointCovariance:
             diagonal = temporal_joint_covariance(frame, rep).matrix[0, 0]
             assert diagonal == pytest.approx(index_variance(margin, rep).total, rel=1e-13)
 
+    @pytest.mark.xfail(strict=True, reason="the mesh holds h o Q whole: the tails of a "
+                       "polynomial score on an unbounded margin are lost (4.06% low)")
+    def test_diagonal_is_index_variance_polynomial_unbounded(self):
+        margin = LogNormal(0, 1)
+        rep = named_representation(margin, NamedIndex.central_moment(3))
+        diagonal = temporal_joint_covariance(BivariateFrame(margin, margin, GaussianCopula(0.3)),
+                                             rep).matrix[0, 0]
+        assert diagonal == pytest.approx(index_variance(margin, rep).total, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="the copula tensor drops the mass beyond its outer "
+                       "midpoints: the cross entry reads 0.4738")
+    def test_gaussian_cross_entry_isserlis(self):
+        # Cov((X - mu)^2, (Y - mu)^2) = 2 rho^2 sigma^4 for a bivariate normal
+        margin = Normal(2, 1)
+        rep = named_representation(margin, NamedIndex.central_moment(2))
+        j = temporal_joint_covariance(BivariateFrame(margin, margin, GaussianCopula(0.5)), rep)
+        assert j.cross == pytest.approx(2.0 * 0.5 ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("margin", [LogNormal(0, 1), EmpiricalDistribution(
+        np.random.default_rng(5).lognormal(size=300))], ids=["lognormal", "sample"])
+    @pytest.mark.parametrize("index", [NamedIndex.fgt(0.0, 1.0), NamedIndex.fgt(1.0, 1.0),
+                                       NamedIndex.central_moment(3)], ids=lambda ix: ix.label())
+    def test_zero_weight_is_no_weight(self, margin, index):
+        # q = 0 at every node and q = None give one variance and, on a sample,
+        # one joint law; on a mesh the zero tail raises the cell degree, and
+        # with it the Gauss rule of the within-period block
+        rep = named_representation(margin, index)
+        assert rep.q is None
+        zq = IndexRepresentation(h=rep.h, q=zero, value=rep.value, breaks=rep.breaks,
+                                 poly=rep.poly)
+        assert index_variance(margin, zq) == index_variance(margin, rep)
+        for cop in (GaussianCopula(0.5), ComonotoneCopula()):
+            frame = BivariateFrame(margin, margin, cop)
+            got = temporal_joint_covariance(frame, zq).matrix
+            want = temporal_joint_covariance(frame, rep).matrix
+            if margin.kind == "empirical":
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
     def test_independence_beta_cross_is_zero(self):
         frame = BivariateFrame(Uniform(0, 1), Uniform(0, 1), IndependenceCopula())
         j = temporal_joint_covariance(frame, beta_only)
@@ -285,9 +327,8 @@ class TestRelativeVariation:
         rep = named_representation(m, NamedIndex.fgt(1.0, 1.0))
         base = relative_variation_law(BivariateFrame(m, m, IndependenceCopula()),
                                       rep, 1.0, 1.5)
-        crep = IndexRepresentation(h=lambda x: 2.0 * rep.h(x),
-                                   q=lambda x: 2.0 * rep.q(x),
-                                   value=rep.value, breaks=rep.breaks, q_zero=rep.q_zero)
+        crep = IndexRepresentation(h=lambda x: 2.0 * rep.h(x), q=None,
+                                   value=rep.value, breaks=rep.breaks)
         scaled = relative_variation_law(BivariateFrame(m, m, IndependenceCopula()),
                                         crep, 1.0, 1.5)
         assert scaled.rel_var == pytest.approx(4 * base.rel_var, rel=1e-12)
@@ -328,7 +369,7 @@ class TestMutualInfluence:
     def test_degenerate_partner_zero_rows(self):
         frame = self._frame()
         rep = named_representation(frame.margin1, NamedIndex.fgt(1.0, 1.0))
-        repc = IndexRepresentation(h=one, q=zero, value=lambda m: 1.0, q_zero=True)
+        repc = IndexRepresentation(h=one, q=None, value=lambda m: 1.0)
         jm = mutual_variation_covariance(frame, rep, repc)
         assert np.allclose(jm.matrix[2:, :], 0.0, atol=1e-12)
         assert np.allclose(jm.matrix[:, 2:], 0.0, atol=1e-12)
@@ -590,27 +631,16 @@ class TestGaussianDensityOnce:
             mutual_variation_covariance(frame, r[0], r[1], r[2], r[3])
         assert calls == {"density_grid": 1, "cross_cov": 1, "eval": 4}
 
-    def test_memo_follows_rho(self, mesh):
-        frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
-        r = self._reps(frame)
-        with mesh(grid=256, copula_grid=128):
-            mutual_variation_covariance(frame, r[0], r[1])
-            frame.copula.rho = -0.3
-            moved = mutual_variation_covariance(frame, r[0], r[1])
-            fresh = BivariateFrame(frame.margin1, frame.margin2, GaussianCopula(-0.3))
-            want = mutual_variation_covariance(fresh, r[0], r[1])
-        assert np.array_equal(moved.matrix, want.matrix)
-
-    @pytest.mark.parametrize("bad", [1.0, math.nan, 1.5])
+    @pytest.mark.parametrize("bad", [0.9, 1.0, math.nan, 1.5])
     def test_assigned_rho_is_checked(self, bad):
+        # rho is read-only: any assignment is refused and leaves it as built
         cop = GaussianCopula(0.4)
-        with pytest.raises(BadParams):
+        with pytest.raises(AttributeError):
             cop.rho = bad
         assert cop.rho == 0.4
 
-    def test_assigned_rho_reads_as_the_constructor_reads(self):
-        cop = GaussianCopula(0.4)
-        cop.rho = "0.2"
+    def test_string_rho_reads_as_the_float(self):
+        cop = GaussianCopula("0.2")
         assert cop.rho == 0.2 and type(cop.rho) is float
         assert np.array_equal(cop.density_grid()[1], GaussianCopula(0.2).density_grid()[1])
 
@@ -750,3 +780,60 @@ class TestContract:
         if base != 1e-100:  # there the mixed form is about 1e200, still finite
             with pytest.raises(BadParams):
                 mutual_relative_covariance(frame, rep, rep, 0.3, 0.3, base, 0.3)
+
+
+def _sweep_table():
+    """``{argument: call}`` like ``_contract_table``, for the numeric
+    arguments of the partition, gap-variance, sample-quantile and KS
+    functions."""
+    groups = [Uniform(0, 1), Uniform(0, 1.25)]
+    sample = EmpiricalDistribution([0.4, 1.0, 2.5, 3.0])
+
+    def gap(v):
+        dec = gap_variance(v, groups, lambda m: named_representation(m, NamedIndex.sen(0.5)))
+        return [dec.L, dec.M, dec.theta1_sq, dec.theta2_sq, dec.theta3_sq]
+
+    return {
+        "SubgroupPartition.from_labels": lambda v: [SubgroupPartition.from_labels(v).labels],
+        "gap_variance.weights": gap,
+        "EmpiricalDistribution.quantile": lambda v: [sample.quantile(v)],
+        "ks_pvalue.stat": lambda v: [ks_pvalue(v, 10)],
+        "ks_pvalue.n": lambda v: [ks_pvalue(0.1, v)],
+    }
+
+
+_SWEEP = _sweep_table()
+
+
+class TestContractSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_SWEEP)), _ANY)
+    def test_typed_error_or_finite_values(self, mesh, argument, value):
+        try:
+            with mesh(grid=32):
+                numbers = _SWEEP[argument](value)
+        except IndexLawError:
+            return
+        assert all(np.all(np.isfinite(x)) for x in numbers), (argument, value, numbers)
+
+    @pytest.mark.parametrize("stat, n", [(math.nan, 10), (0.1, -5), (1.5, 10), (-0.1, 10),
+                                         (0.1, 0), (0.1, 2.5), ("abc", 10)])
+    def test_ks_pvalue_domain(self, stat, n):
+        with pytest.raises(IndexLawError):
+            ks_pvalue(stat, n)
+
+    @pytest.mark.parametrize("labels", [[[1], [2]], np.zeros((2, 2)), 3, None])
+    def test_labels_need_hashable_values(self, labels):
+        with pytest.raises(OutOfRange):
+            SubgroupPartition.from_labels(labels)
+
+    @pytest.mark.parametrize("weights, groups", [
+        ("a", [Uniform(0, 1)]), (1.0, [Uniform(0, 1)]), ([0.5, "x"], [Uniform(0, 1)] * 2)])
+    def test_gap_weights_need_one_row_of_numbers(self, weights, groups):
+        with pytest.raises(BadWeights):
+            gap_variance(weights, groups, lambda m: named_representation(m, NamedIndex.sen(0.5)))
+
+    @pytest.mark.parametrize("level", ["abc", [[0.5], [0.5, 0.2]]])
+    def test_sample_quantile_levels_need_numbers(self, level):
+        with pytest.raises(OutOfRange):
+            EmpiricalDistribution([1.0, 2.0]).quantile(level)
