@@ -162,6 +162,20 @@ def _tail(model: DistributionModel, q, score: Callable) -> Callable[[np.ndarray]
     return lambda y: tail.eval(model.cdf(y))
 
 
+def _weights(weights: Sequence[float], group_models: Sequence) -> np.ndarray:
+    """The drawing weights as a float array, ``BadWeights`` unless they are
+    positive numbers summing to 1, one per group model."""
+    try:
+        p = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise BadWeights(f"weights must be numbers, got {weights!r}") from None
+    if p.ndim != 1 or len(group_models) != p.size or p.size == 0:
+        raise BadWeights("weights must be a 1-d array aligned with the nonempty group models")
+    if np.any(p <= 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
+        raise BadWeights("weights must be positive and sum to 1")
+    return p
+
+
 def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionModel],
                  rep_builder: Callable[[DistributionModel], IndexRepresentation]
                  ) -> DecompositionVariance:
@@ -173,16 +187,8 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
     mixture.  A representation without a weight (``q is None``, e.g. in a
     group in which nobody is poor) meets the others' weights as q = 0.
     """
-    try:
-        p = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError):
-        raise BadWeights(f"weights must be numbers, got {weights!r}") from None
+    p = _weights(weights, group_models)
     k = p.size
-    if p.ndim != 1 or len(group_models) != k or k == 0:
-        raise BadWeights("weights must be a 1-d array aligned with the nonempty group models")
-    if np.any(p <= 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
-        raise BadWeights("weights must be positive and sum to 1")
-
     mixture = group_models[0] if k == 1 else Mixture(p, group_models)
     rep = rep_builder(mixture)
     reps = [rep_builder(m) for m in group_models]

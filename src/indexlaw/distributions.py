@@ -147,17 +147,40 @@ def _shifted(moments: Sequence[float], d: float, k: int) -> float:
     return math.fsum(math.comb(k, j) * moments[j] * d ** (k - j) for j in range(k + 1))
 
 
+def _levels(s) -> np.ndarray:
+    """Quantile levels as a float array; ``OutOfRange`` unless they are numbers."""
+    try:
+        return np.asarray(s, dtype=float)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"quantile levels must be numbers, got {s!r}") from None
+
+
 class DistributionModel:
-    """Base class; concrete models fill in cdf/quantile and moments."""
+    """Base class; concrete models fill in cdf/quantile and moments.
+
+    A model's parameters are set once, by its constructor; setting or
+    deleting one later raises ``AttributeError``.  The one attribute set
+    again is ``_period``, the memo slot of the model's last period of
+    u-functions (``representation._period``).
+    """
 
     kind = "parametric"
+    _period = None
+
+    def __setattr__(self, name: str, value) -> None:
+        if name != "_period" and name in vars(self):
+            raise AttributeError(f"{type(self).__name__}.{name} is fixed at construction")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is fixed at construction")
 
     def cdf(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def quantile(self, s):
         """Generalized inverse CDF on (0, 1)."""
-        s_arr = np.asarray(s, dtype=float)
+        s_arr = _levels(s)
         if np.any(~((s_arr > 0.0) & (s_arr < 1.0))):
             raise OutOfRange("quantile level must lie in (0, 1)")
         return self.quantile_extended(s)
@@ -207,10 +230,7 @@ class EmpiricalDistribution(DistributionModel):
         return ecdf(self.sample, x)
 
     def quantile(self, s):
-        try:
-            s_arr = np.asarray(s, dtype=float)
-        except (TypeError, ValueError):
-            raise OutOfRange(f"quantile levels must be numbers, got {s!r}") from None
+        s_arr = _levels(s)
         if np.any(~((s_arr > 0.0) & (s_arr <= 1.0))):
             raise OutOfRange("quantile level must lie in (0, 1]")
         return self.quantile_extended(s)
@@ -423,15 +443,19 @@ class Mixture(DistributionModel):
     """Finite mixture sum_i p_i F_i; the law of a subgroup-labelled draw."""
 
     def __init__(self, weights: Sequence[float], components: Sequence[DistributionModel]):
-        w = np.asarray(weights, dtype=float)
+        try:
+            w = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError):
+            raise BadParams(f"mixture weights must be numbers, got {weights!r}") from None
         if w.ndim != 1 or len(components) != w.size or w.size == 0:
             raise BadParams("weights must be a 1-d sequence aligned with nonempty components")
         if not all(isinstance(c, DistributionModel) for c in components):
             raise BadParams("mixture components must be distribution models")
         if np.any(w <= 0) or not math.isclose(float(w.sum()), 1.0, abs_tol=1e-9):
             raise BadParams("mixture weights must be positive and sum to 1")
-        self.weights = w / w.sum()
-        self.components = list(components)
+        w = w / w.sum()
+        w.flags.writeable = False
+        self.weights, self.components = w, tuple(components)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

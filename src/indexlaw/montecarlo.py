@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import _recompose, gap_variance
+from .decomposition import _recompose, _weights, gap_variance
 from .distributions import (DistributionModel, EmpiricalDistribution, Mixture,
                             normal_cdf)
 from .empirical import EmpiricalSample, build_sample
@@ -244,7 +244,7 @@ def decomposability_experiment(families: Sequence[DistributionModel],
     analytic decomposition variance (theta1^2 + theta2^2)."""
     _check_count(n, "n")
     _check_count(n_replicates, "n_replicates")
-    p = np.asarray(weights, dtype=float)
+    p = _weights(weights, families)
     k = p.size
     dec = gap_variance(p, list(families), lambda m: named_representation(m, index))
     variance = dec.theta1_sq + dec.theta2_sq

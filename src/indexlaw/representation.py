@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -337,18 +338,51 @@ def u_atoms(model: DistributionModel, rep: IndexRepresentation) -> CellPoly:
     covariance of two representations is ``Cov(phi_a(U), phi_b(V))``, with
     U = V under one margin and (U, V) drawn from the copula across periods.
     """
-    return _u_functions(model, [rep])[0]
+    return _period(model, [rep]).atoms[0]
 
 
-def _u_functions(model: DistributionModel,
-                 reps: Sequence[IndexRepresentation]) -> list[CellPoly]:
-    """``[u_atoms(model, rep) for rep in reps]`` on one set of nodes."""
-    score = _scorer(model, [b for rep in reps for b in rep.breaks])
-    phis = []
-    for rep in reps:
-        hm = score(rep.h)
-        phis.append(hm if rep.q is None else hm + score(rep.q).tail_integral_poly())
-    return phis
+@dataclass
+class _Period:
+    """The u-functions of one margin's representations, read-only, and their
+    within-period covariance block, formed on first use.  The representations
+    are held by weak reference: their scores may refer to the model, which
+    holds the slot, and a cycle would outlive the model's last reference."""
+
+    reps: tuple
+    cells: int
+    atoms: tuple
+    _block: Optional[np.ndarray] = None
+
+    def block(self) -> np.ndarray:
+        """``ugrid.covariances`` of the atoms with themselves (read-only)."""
+        if self._block is None:
+            atoms = list(self.atoms)
+            self._block = covariances(atoms, atoms)
+            self._block.flags.writeable = False
+        return self._block
+
+
+def _period(model: DistributionModel, reps: Sequence[IndexRepresentation]) -> _Period:
+    """The u-functions of ``reps`` under ``model``, on one set of nodes,
+    from the model's one-slot memo.
+
+    The slot holds the last period asked for and is reused while the call
+    passes the very same representations (``is``) on the same number of
+    base cells, so patching ``ugrid.DEFAULT_GRID`` rebuilds it; a model's
+    parameters cannot change.  Otherwise the atoms are built and replace
+    the slot.
+    """
+    cells, slot = model._base_cells(), model._period
+    if (slot is None or slot.cells != cells or len(slot.reps) != len(reps)
+            or any(ref() is not rep for ref, rep in zip(slot.reps, reps))):
+        score = _scorer(model, [b for rep in reps for b in rep.breaks])
+        atoms = []
+        for rep in reps:
+            hm = score(rep.h)
+            atoms.append(hm if rep.q is None else hm + score(rep.q).tail_integral_poly())
+            atoms[-1].coef.flags.writeable = False
+        slot = model._period = _Period(tuple(map(weakref.ref, reps)), cells, tuple(atoms))
+    return slot
 
 
 @functools.lru_cache(maxsize=64)

@@ -29,6 +29,14 @@ where the Gaussian copula evaluates each atom once at the midpoints and forms
 ``pv @ dens`` once per period-1 atom, and the empirical copula takes each
 atom's cell averages once.  Every entry keeps the arithmetic of its pair.
 
+Reuse: each margin keeps a one-slot memo of its last period
+(``representation._period``): the atoms of the representations passed and,
+once asked for, their within-period block.  It is keyed on the identity of
+those representations and on the mesh size (``model._base_cells()``), and
+holds one period, so a sweep over copulas with fixed margins and
+representations recomputes only the copula's cross block per call, with
+the bits of a fresh build.
+
 A period's own entry is ``index_variance(...).total`` to round-off on an
 empirical or bounded margin, or for a score without polynomial part.  Not
 so for a polynomial part on an unbounded margin: ``phi`` holds ``h o Q``
@@ -51,8 +59,8 @@ from .empirical import _max_ranks
 from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, TooFewPairs,
                      ZeroBaseIndex)
 from .indices import _real
-from .representation import IndexRepresentation, _u_functions, u_atoms
-from .ugrid import CellPoly, covariance, covariances, sample_cells
+from .representation import IndexRepresentation, _period
+from .ugrid import CellPoly, covariance, sample_cells
 
 DEFAULT_COPULA_GRID = 512    # midpoints per axis of the Gaussian copula's tensor
 
@@ -307,23 +315,19 @@ def _delta_form(grad_a: np.ndarray, matrix: np.ndarray, grad_b: np.ndarray) -> f
     return value
 
 
-def _joint_matrix(frame: BivariateFrame, atoms: list[tuple[int, CellPoly]]) -> np.ndarray:
-    """Covariance matrix of ``(period, phi)`` atoms.
+def _joint_matrix(frame: BivariateFrame, reps1: list[IndexRepresentation],
+                  reps2: list[IndexRepresentation]) -> np.ndarray:
+    """Covariance matrix of the u-functions of ``reps1`` under margin 1
+    followed by those of ``reps2`` under margin 2.
 
     Atoms of one period share U and its mesh, so their block is the
-    covariance matrix on that mesh; atoms of different periods are coupled
-    by the frame's copula, with the period-1 atoms as its rows.  Each atom
-    is centred and evaluated once per block.
+    covariance matrix on that mesh; each margin's atoms and block come from
+    its memo slot (``representation._period``).  Atoms of different periods
+    are coupled by the frame's copula, with the period-1 atoms as its rows.
     """
-    place = {p: [i for i, (q, _) in enumerate(atoms) if q == p] for p in (1, 2)}
-    phis = {p: [atoms[i][1] for i in place[p]] for p in (1, 2)}
-    m = np.empty((len(atoms), len(atoms)))
-    for p in (1, 2):
-        m[np.ix_(place[p], place[p])] = covariances(phis[p], phis[p])
-    cross = frame.copula.cross_cov(phis[1], phis[2])
-    m[np.ix_(place[1], place[2])] = cross
-    m[np.ix_(place[2], place[1])] = cross.T
-    return m
+    one, two = _period(frame.margin1, reps1), _period(frame.margin2, reps2)
+    cross = frame.copula.cross_cov(list(one.atoms), list(two.atoms))
+    return np.block([[one.block(), cross], [cross.T, two.block()]])
 
 
 def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,
@@ -334,8 +338,7 @@ def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,
     ``rep``) the one under margin 2 -- pass a margin-specific rebuild for
     indices whose scores depend on the underlying CDF.
     """
-    matrix = _joint_matrix(frame, [(1, u_atoms(frame.margin1, rep)),
-                                   (2, u_atoms(frame.margin2, rep2 or rep))])
+    matrix = _joint_matrix(frame, [rep], [rep2 or rep])
     cross = float(matrix[0, 1])
     delta = _clamp_variance(float(matrix[0, 0] + matrix[1, 1] - 2.0 * cross),
                             "variance of the difference")
@@ -365,9 +368,9 @@ def mutual_variation_covariance(frame: BivariateFrame, rep_i: IndexRepresentatio
     Assembles the 4x4 covariance of (I*_1, I*_2, J*_1, J*_2); the covariance
     of the two differences is the contrast ``(-1, 1)`` applied to each block.
     """
-    i1, j1 = _u_functions(frame.margin1, [rep_i, rep_j])
-    i2, j2 = _u_functions(frame.margin2, [rep_i2 or rep_i, rep_j2 or rep_j])
-    m = _joint_matrix(frame, [(1, i1), (2, i2), (1, j1), (2, j2)])
+    order = [0, 2, 1, 3]    # (I*_1, J*_1, I*_2, J*_2) -> (I*_1, I*_2, J*_1, J*_2)
+    m = _joint_matrix(frame, [rep_i, rep_j], [rep_i2 or rep_i, rep_j2 or rep_j])[
+        np.ix_(order, order)]
     cross = float(np.array([-1.0, 1.0, 0.0, 0.0]) @ m @ np.array([0.0, 0.0, -1.0, 1.0]))
     return JointCovariance(matrix=m, cross=cross)
 

@@ -196,6 +196,10 @@ class TestMixture:
             with pytest.raises(BadParams):
                 Mixture(weights, components)
 
+    def test_weights_that_are_not_numbers(self):
+        with pytest.raises(BadParams):
+            Mixture("ab", [Uniform(0, 1), Uniform(0, 2)])
+
     def test_pdf_is_weighted_sum_or_missing(self):
         mix = Mixture([0.3, 0.7], [Normal(0, 1), Exponential(2.0)])
         x = np.linspace(-3.0, 4.0, 71)
@@ -215,6 +219,38 @@ _PAIRS = {
     "nested": Mixture([0.3, 0.7], [Mixture([0.5, 0.5], [LogNormal(0, 1), Normal(2, 1)]),
                                    Exponential(0.7)]),
 }
+
+
+class TestFixedParameters:
+    """A model's parameters are set by its constructor alone."""
+
+    @pytest.mark.parametrize("model, names", [
+        (Uniform(0, 2), ("a", "b")), (Exponential(2.0), ("rate",)),
+        (LogNormal(0, 1), ("mu", "sigma")), (Pareto(1, 3), ("xm", "a")),
+        (Normal(0, 1), ("mu", "sigma")), (EmpiricalDistribution([1.0, 2.0]), ("sample",)),
+        (Mixture([0.5, 0.5], [Uniform(0, 1), Uniform(0, 2)]), ("weights", "components")),
+    ], ids=["uniform", "exponential", "lognormal", "pareto", "normal", "empirical", "mixture"])
+    def test_assignment_and_deletion_raise(self, model, names):
+        for name in names:
+            before = getattr(model, name)
+            with pytest.raises(AttributeError):
+                setattr(model, name, 5.0)
+            with pytest.raises(AttributeError):
+                delattr(model, name)
+            assert getattr(model, name) is before
+
+    def test_mixture_weights_and_components_are_fixed(self):
+        mix = Mixture([0.3, 0.7], [Uniform(0, 1), Uniform(0, 2)])
+        with pytest.raises(ValueError):
+            mix.weights[0] = 0.9
+        assert isinstance(mix.components, tuple)
+        assert mix.weights.tolist() == [0.3, 0.7]
+
+    def test_caller_weights_stay_writeable(self):
+        weights = np.array([0.25, 0.75])
+        Mixture(weights, [Uniform(0, 1), Uniform(0, 2)])
+        weights[0] = 0.5
+        assert weights.flags.writeable
 
 
 class TestMixtureGeneralizedInverse:

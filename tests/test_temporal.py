@@ -1,7 +1,9 @@
 """Two-period frame: copula models, joint laws, variations."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNorma
 from indexlaw.errors import (BadParams, BadWeights, IndexLawError, NonFiniteValue,
                              OutOfRange, TooFewPairs, ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_representation
-from indexlaw.montecarlo import ks_pvalue
+from indexlaw.montecarlo import decomposability_experiment, ks_pvalue
 from indexlaw.representation import (IndexRepresentation, index_cross_covariance,
                                      index_variance, score_model, u_atoms)
 from indexlaw.rng import stream_seed, uniforms
@@ -645,6 +647,133 @@ class TestGaussianDensityOnce:
         assert np.array_equal(cop.density_grid()[1], GaussianCopula(0.2).density_grid()[1])
 
 
+class TestPeriodMemo:
+    """Each margin keeps the u-functions of its last period and their
+    within-period block; only the copula's cross block is new per call.
+    Representations depend on the mesh size, so each test builds its own
+    inside one ``mesh`` block."""
+
+    _IDX = (NamedIndex.sen(1.0), NamedIndex.fgt(1.0, 1.0))
+
+    @staticmethod
+    def _margins():
+        return LogNormal(0, 1), LogNormal(0.1, 0.9)
+
+    def _reps(self, m1, m2):
+        return [named_representation(m, ix) for m in (m1, m2) for ix in self._IDX]
+
+    def _fresh(self, copula):
+        """The joint law of fresh margins and representations."""
+        m1, m2 = self._margins()
+        return mutual_variation_covariance(BivariateFrame(m1, m2, copula),
+                                           *self._reps(m1, m2)).matrix
+
+    def test_rho_sweep_is_fresh_bits(self, mesh):
+        with mesh(grid=64, copula_grid=32):
+            m1, m2 = self._margins()
+            r = self._reps(m1, m2)
+            for cop in [GaussianCopula(rho) for rho in np.linspace(-0.9, 0.9, 7)] + [
+                    ComonotoneCopula(), IndependenceCopula()]:
+                got = mutual_variation_covariance(BivariateFrame(m1, m2, cop), *r).matrix
+                assert np.array_equal(got, self._fresh(cop))
+
+    def test_hit_builds_no_mesh_and_no_block(self, monkeypatch, mesh):
+        from indexlaw import representation
+        calls = {"mesh": 0, "covariances": 0}
+        mesh_of, covariances_of = LogNormal.mesh, representation.covariances
+
+        def counted_mesh(self, *args):
+            calls["mesh"] += 1
+            return mesh_of(self, *args)
+
+        def counted_covariances(*args):
+            calls["covariances"] += 1
+            return covariances_of(*args)
+
+        with mesh(grid=64, copula_grid=32):
+            m1, m2 = self._margins()
+            r = self._reps(m1, m2)
+            monkeypatch.setattr(LogNormal, "mesh", counted_mesh)
+            monkeypatch.setattr(representation, "covariances", counted_covariances)
+            for rho in (0.2, -0.5, 0.7):
+                mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(rho)), *r)
+        assert calls == {"mesh": 2, "covariances": 2}
+
+    def test_alternating_rep_tuples(self, mesh):
+        cop = GaussianCopula(0.6)
+        with mesh(grid=64, copula_grid=32):
+            m1, m2 = self._margins()
+            r = self._reps(m1, m2)
+            frame = BivariateFrame(m1, m2, cop)
+            want_mutual = self._fresh(cop)
+            a, b = self._margins()
+            want_single = temporal_joint_covariance(
+                BivariateFrame(a, b, cop), *self._reps(a, b)[::2]).matrix
+            for _ in range(3):
+                assert np.array_equal(
+                    mutual_variation_covariance(frame, *r).matrix, want_mutual)
+                assert np.array_equal(
+                    temporal_joint_covariance(frame, r[0], r[2]).matrix, want_single)
+
+    @pytest.mark.parametrize("cop", [GaussianCopula(0.5), ComonotoneCopula()],
+                             ids=["gauss", "comonotone"])
+    def test_one_margin_in_both_periods(self, cop, mesh):
+        with mesh(grid=64, copula_grid=32):
+            m = LogNormal(0, 1)
+            rep, rep2 = (named_representation(m, ix) for ix in self._IDX)
+            frame = BivariateFrame(m, m, cop)
+            for second in (None, rep2, None):
+                a, b = LogNormal(0, 1), LogNormal(0, 1)
+                want = temporal_joint_covariance(
+                    BivariateFrame(a, b, cop), named_representation(a, self._IDX[0]),
+                    None if second is None else named_representation(b, self._IDX[1])).matrix
+                assert np.array_equal(temporal_joint_covariance(frame, rep, second).matrix, want)
+            a, b = LogNormal(0, 1), LogNormal(0, 1)
+            want = mutual_variation_covariance(BivariateFrame(a, b, cop), *self._reps(a, b))
+            assert np.array_equal(mutual_variation_covariance(frame, rep, rep2).matrix,
+                                  want.matrix)
+
+    def test_mesh_size_change_rebuilds(self, mesh):
+        # one model and its representations across a patched mesh size: the
+        # second call is that of fresh margins at the patched size
+        cop = GaussianCopula(0.3)
+        with mesh(grid=64, copula_grid=32):
+            m1, m2 = self._margins()
+            r = self._reps(m1, m2)
+            before = mutual_variation_covariance(BivariateFrame(m1, m2, cop), *r).matrix
+        with mesh(grid=96, copula_grid=32):
+            got = mutual_variation_covariance(BivariateFrame(m1, m2, cop), *r).matrix
+            want = mutual_variation_covariance(BivariateFrame(*self._margins(), cop), *r).matrix
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, before)
+
+    def test_margin_freed_with_its_last_reference(self, mesh):
+        # the slot holds no reference back to the margin: no cycle to collect
+        with mesh(grid=32, copula_grid=16):
+            m1, m2 = self._margins()
+            r = self._reps(m1, m2)
+            mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(0.5)), *r)
+        refs = weakref.ref(m1), weakref.ref(m2)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del m1, m2, r
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("model", [LogNormal(0, 1), EmpiricalDistribution([0.5, 1.5, 3.0])],
+                             ids=["lognormal", "sample"])
+    def test_atoms_are_read_only(self, model, mesh):
+        with mesh(grid=32):
+            rep = named_representation(model, NamedIndex.sen(1.0))
+            atom = u_atoms(model, rep)
+            assert u_atoms(model, rep).coef is atom.coef
+        with pytest.raises(ValueError):
+            atom.coef[0, 0] = 1.0
+
+
 def _full_density(z, rho):
     """The copula density on the whole tensor of quantiles ``z``, every
     entry by the same elementwise steps as ``density_grid``."""
@@ -793,9 +922,20 @@ def _sweep_table():
         dec = gap_variance(v, groups, lambda m: named_representation(m, NamedIndex.sen(0.5)))
         return [dec.L, dec.M, dec.theta1_sq, dec.theta2_sq, dec.theta3_sq]
 
+    def experiment(v):
+        report = decomposability_experiment(groups, v, NamedIndex.sen(0.5), 20, 2, 1)
+        return [report.replicate_values, report.extra["variance"]]
+
+    def mixture(v):
+        mix = Mixture(v, groups)
+        return [mix.weights, mix.quantile(0.5)]
+
     return {
         "SubgroupPartition.from_labels": lambda v: [SubgroupPartition.from_labels(v).labels],
         "gap_variance.weights": gap,
+        "decomposability_experiment.weights": experiment,
+        "Mixture.weights": mixture,
+        "DistributionModel.quantile": lambda v: [LogNormal(0, 1).quantile(v)],
         "EmpiricalDistribution.quantile": lambda v: [sample.quantile(v)],
         "ks_pvalue.stat": lambda v: [ks_pvalue(v, 10)],
         "ks_pvalue.n": lambda v: [ks_pvalue(0.1, v)],
@@ -837,3 +977,21 @@ class TestContractSweep:
     def test_sample_quantile_levels_need_numbers(self, level):
         with pytest.raises(OutOfRange):
             EmpiricalDistribution([1.0, 2.0]).quantile(level)
+
+    @pytest.mark.parametrize("model", [LogNormal(0, 1), Uniform(0, 1), Normal(0, 1),
+                                       Mixture([0.5, 0.5], [Uniform(0, 1), Uniform(0, 2)])],
+                             ids=["lognormal", "uniform", "normal", "mixture"])
+    @pytest.mark.parametrize("level", ["abc", [[0.1], [0.2, 0.3]], {}])
+    def test_parametric_quantile_levels_need_numbers(self, model, level):
+        with pytest.raises(OutOfRange):
+            model.quantile(level)
+
+    def test_mixture_weights_need_numbers(self):
+        with pytest.raises(BadParams):
+            Mixture("ab", [Uniform(0, 1), Uniform(0, 1.25)])
+
+    @pytest.mark.parametrize("weights", [[0.5, "x"], "ab", [[0.5, 0.5]], [0.5, 0.6]])
+    def test_experiment_weights_are_checked_first(self, weights):
+        with pytest.raises(BadWeights):
+            decomposability_experiment([Uniform(0, 1), Uniform(0, 1.25)], weights,
+                                       NamedIndex.sen(0.5), 20, 2, 1)
