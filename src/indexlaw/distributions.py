@@ -160,15 +160,15 @@ class DistributionModel:
 
     A model's parameters are set once, by its constructor; setting or
     deleting one later raises ``AttributeError``.  The one attribute set
-    again is ``_period``, the memo slot of the model's last period of
+    again is ``_periods``, the memo of the model's last two periods of
     u-functions (``representation._period``).
     """
 
     kind = "parametric"
-    _period = None
+    _periods = ()
 
     def __setattr__(self, name: str, value) -> None:
-        if name != "_period" and name in vars(self):
+        if name != "_periods" and name in vars(self):
             raise AttributeError(f"{type(self).__name__}.{name} is fixed at construction")
         object.__setattr__(self, name, value)
 

@@ -341,17 +341,26 @@ def u_atoms(model: DistributionModel, rep: IndexRepresentation) -> CellPoly:
     return _period(model, [rep]).atoms[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class _Period:
-    """The u-functions of one margin's representations, read-only, and their
-    within-period covariance block, formed on first use.  The representations
-    are held by weak reference: their scores may refer to the model, which
-    holds the slot, and a cycle would outlive the model's last reference."""
+    """The u-functions of one margin's representations, read-only, their
+    within-period covariance block, formed on first use, and a copula's
+    projections of them (``temporal``'s Hermite spectrum), kept once asked
+    for.  The representations are held by weak reference: their scores may
+    refer to the model, which holds the slot, and a cycle would outlive the
+    model's last reference.  A copula's block form iterates the atoms."""
 
     reps: tuple
     cells: int
     atoms: tuple
     _block: Optional[np.ndarray] = None
+    spectrum: Optional[object] = None
+
+    def __iter__(self):
+        return iter(self.atoms)
+
+    def __len__(self) -> int:
+        return len(self.atoms)
 
     def block(self) -> np.ndarray:
         """``ugrid.covariances`` of the atoms with themselves (read-only)."""
@@ -364,24 +373,30 @@ class _Period:
 
 def _period(model: DistributionModel, reps: Sequence[IndexRepresentation]) -> _Period:
     """The u-functions of ``reps`` under ``model``, on one set of nodes,
-    from the model's one-slot memo.
+    from the model's two-slot memo.
 
-    The slot holds the last period asked for and is reused while the call
-    passes the very same representations (``is``) on the same number of
-    base cells, so patching ``ugrid.DEFAULT_GRID`` rebuilds it; a model's
-    parameters cannot change.  Otherwise the atoms are built and replace
-    the slot.
+    A slot is reused while the call passes the very same representations
+    (``is``) on the same number of base cells, so patching
+    ``ugrid.DEFAULT_GRID`` rebuilds it; a model's parameters cannot change.
+    Otherwise the atoms are built and replace the slot used least recently.
+    Two slots hold both periods of a joint law whose frame passes one model
+    as both margins.
     """
-    cells, slot = model._base_cells(), model._period
-    if (slot is None or slot.cells != cells or len(slot.reps) != len(reps)
-            or any(ref() is not rep for ref, rep in zip(slot.reps, reps))):
+    cells, periods = model._base_cells(), model._periods
+    for slot in periods:
+        if (slot.cells == cells and len(slot.reps) == len(reps)
+                and all(ref() is rep for ref, rep in zip(slot.reps, reps))):
+            break
+    else:
         score = _scorer(model, [b for rep in reps for b in rep.breaks])
         atoms = []
         for rep in reps:
             hm = score(rep.h)
             atoms.append(hm if rep.q is None else hm + score(rep.q).tail_integral_poly())
             atoms[-1].coef.flags.writeable = False
-        slot = model._period = _Period(tuple(map(weakref.ref, reps)), cells, tuple(atoms))
+        slot = _Period(tuple(map(weakref.ref, reps)), cells, tuple(atoms))
+    if not periods or periods[0] is not slot:
+        model._periods = (slot, *(p for p in periods if p is not slot))[:2]
     return slot
 
 

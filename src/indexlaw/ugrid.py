@@ -76,6 +76,11 @@ def gauss_nodes(edges: np.ndarray) -> np.ndarray:
     return edges[:-1, None] + half[:, None] * (_X + 1.0)
 
 
+def gauss_weights(edges: np.ndarray) -> np.ndarray:
+    """The weights of the Gauss rule at ``gauss_nodes(edges)``, shape (cells, NODES)."""
+    return (np.diff(edges) / 2.0)[:, None] * _W
+
+
 def gauss_sum(edges: np.ndarray, values: np.ndarray) -> float:
     """``int_0^1`` by the Gauss rule from values at ``gauss_nodes(edges)``;
     the weights of a cell add up to exactly 2 in the order used, so a
@@ -194,6 +199,10 @@ class CellPoly:
         x = 2.0 * (s - self.edges[k]) / self.h[k] - 1.0
         out = npoly.polyval(x, self.coef[k].T, tensor=False)
         return out if s.ndim else float(out)
+
+    def node_values(self) -> np.ndarray:
+        """The values at ``gauss_nodes(self.edges)``, shape (cells, NODES)."""
+        return self.coef @ np.array(_node_powers(NODES, self.coef.shape[1])).T
 
     def cell_average_at(self, s, side: str = "right"):
         """Average of the function over the cell containing each point."""

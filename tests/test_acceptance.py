@@ -193,7 +193,7 @@ def test_criterion_9_randomized_joint_laws_psd(mesh):
             value=lambda m: 0.0)
 
     worst = np.inf
-    with mesh(grid=512, copula_grid=256):
+    with mesh(grid=512):
         for trial in range(1000):
             m1, m2 = rng.choice(margins, 2, replace=True)
             cop = [IndependenceCopula(), ComonotoneCopula(),

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import time
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indexlaw import temporal, ugrid
 from indexlaw.decomposition import SubgroupPartition, gap_variance
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Mixture, Normal, Pareto, Uniform, normal_quantile)
@@ -21,7 +23,7 @@ from indexlaw.representation import (IndexRepresentation, index_cross_covariance
                                      index_variance, score_model, u_atoms)
 from indexlaw.rng import stream_seed, uniforms
 from indexlaw.temporal import (BivariateFrame, ComonotoneCopula, EmpiricalCopula,
-                               GaussianCopula, IndependenceCopula, _normal_midpoints,
+                               GaussianCopula, IndependenceCopula, MEHLER_ORDER,
                                empirical_copula, mutual_relative_covariance,
                                mutual_variation_covariance, relative_variation_law,
                                temporal_joint_covariance)
@@ -58,21 +60,20 @@ class TestCopulaModels:
     @pytest.mark.parametrize("cop", [IndependenceCopula(), ComonotoneCopula(),
                                      GaussianCopula(-0.9), GaussianCopula(0.6),
                                      "empirical"])
-    def test_constant_factor_and_cauchy_schwarz(self, cop, mesh):
+    def test_constant_factor_and_cauchy_schwarz(self, cop):
         rng = np.random.default_rng(31)
         if cop == "empirical":
             xy = rng.normal(size=(200, 2))
             cop = empirical_copula(xy @ np.array([[1.0, 0.7], [0.0, 1.0]]))
         const = CellPoly.from_cells(np.full(50, 3.7))
-        with mesh(copula_grid=128):
-            for cells in (50, 73):
-                for phi in (CellPoly.from_cells(rng.normal(size=cells)),
-                            _mesh_random(rng, cells)):
-                    assert abs(cop.cross_cov(phi, const)) <= 1e-15
-                    assert abs(cop.cross_cov(const, phi)) <= 1e-15
-                    for psi in (phi, _step(cells, 0.4), _line(8)):
-                        bound = math.sqrt(covariance(phi, phi) * covariance(psi, psi))
-                        assert abs(cop.cross_cov(phi, psi)) <= bound * (1 + 1e-12)
+        for cells in (50, 73):
+            for phi in (CellPoly.from_cells(rng.normal(size=cells)),
+                        _mesh_random(rng, cells)):
+                assert abs(cop.cross_cov(phi, const)) <= 1e-15
+                assert abs(cop.cross_cov(const, phi)) <= 1e-15
+                for psi in (phi, _step(cells, 0.4), _line(8)):
+                    bound = math.sqrt(covariance(phi, phi) * covariance(psi, psi))
+                    assert abs(cop.cross_cov(phi, psi)) <= bound * (1 + 1e-12)
 
 
 def _union_oracle_cov(a, b):
@@ -234,14 +235,30 @@ class TestJointCovariance:
                                              rep).matrix[0, 0]
         assert diagonal == pytest.approx(index_variance(margin, rep).total, rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="the copula tensor drops the mass beyond its outer "
-                       "midpoints: the cross entry reads 0.4738")
-    def test_gaussian_cross_entry_isserlis(self):
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_gaussian_cross_entry_isserlis(self, rho):
         # Cov((X - mu)^2, (Y - mu)^2) = 2 rho^2 sigma^4 for a bivariate normal
         margin = Normal(2, 1)
         rep = named_representation(margin, NamedIndex.central_moment(2))
-        j = temporal_joint_covariance(BivariateFrame(margin, margin, GaussianCopula(0.5)), rep)
-        assert j.cross == pytest.approx(2.0 * 0.5 ** 2, rel=1e-9)
+        j = temporal_joint_covariance(BivariateFrame(margin, margin, GaussianCopula(rho)), rep)
+        assert j.cross == pytest.approx(2.0 * rho ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_lognormal_cross_entry_closed_form(self, rho):
+        # Cov((X - m1)^2, (Y - m2)^2) for X = exp(Z1), Y = 1.1 exp(Z2) from
+        # E X^a Y^b = exp(a mu1 + b mu2 + (a^2 + b^2 + 2 a b rho) / 2); the
+        # mesh ends 2^-40 short of 1 and so drops 2.4e-6 (rho 0.5) and
+        # 6.1e-5 (rho 0.9) of it
+        mu = (0.0, math.log(1.1))
+        moment = lambda a, b: math.exp(a * mu[0] + b * mu[1]
+                                       + (a * a + b * b + 2 * a * b * rho) / 2)
+        cov = lambda a, b: moment(a, b) - moment(a, 0) * moment(0, b)
+        m1, m2 = moment(1, 0), moment(0, 1)
+        want = cov(2, 2) - 2 * m2 * cov(2, 1) - 2 * m1 * cov(1, 2) + 4 * m1 * m2 * cov(1, 1)
+        margins = LogNormal(mu[0], 1.0), LogNormal(mu[1], 1.0)
+        reps = [named_representation(m, NamedIndex.central_moment(2)) for m in margins]
+        j = temporal_joint_covariance(BivariateFrame(*margins, GaussianCopula(rho)), *reps)
+        assert j.cross == pytest.approx(want, rel=1e-4)
 
     @pytest.mark.parametrize("margin", [LogNormal(0, 1), EmpiricalDistribution(
         np.random.default_rng(5).lognormal(size=300))], ids=["lognormal", "sample"])
@@ -388,7 +405,7 @@ class TestMutualInfluence:
                 value=lambda m: 0.0)
             rep_j = named_representation(frame.margin1, NamedIndex.fgt(1.0, 1.0))
             rep_j2 = named_representation(frame.margin2, NamedIndex.fgt(1.0, 1.0))
-            with mesh(grid=512, copula_grid=256):
+            with mesh(grid=512):
                 jm = mutual_variation_covariance(frame, rep_i, rep_j, rep_j2=rep_j2)
             assert np.linalg.eigvalsh(jm.matrix).min() >= -1e-9
 
@@ -539,6 +556,64 @@ def _random_score_weight(rng, m, step):
     return hm, lm.tail_integral_poly()
 
 
+class TestMehlerSeries:
+    """The Gaussian copula as ``sum_k rho^k a_k b_k`` over the atoms' Hermite
+    spectra, against closed forms and under changes of mesh and order."""
+
+    _IDX = (NamedIndex.sen(1.0), NamedIndex.fgt(1.0, 1.0))
+
+    @pytest.mark.parametrize("margins, z", [
+        ((Normal(2, 1), Normal(2.2, 1.1)), 1.5),
+        ((LogNormal(0, 1), LogNormal(math.log(1.1), 1)), 1.0),
+    ], ids=["normal", "lognormal"])
+    @pytest.mark.parametrize("rho", [-0.9, 0.3, 0.5, 0.9, 0.99])
+    def test_fgt0_cross_entry_is_the_bivariate_normal(self, margins, z, rho):
+        # Cov(1{X <= z}, 1{Y <= z}) = Phi2(a, b; rho) - Phi(a) Phi(b) with
+        # a, b the normal scores of F1(z), F2(z)
+        stats = pytest.importorskip("scipy.stats")
+        a, b = (float(stats.norm.ppf(float(m.cdf(z)))) for m in margins)
+        want = (stats.multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]]).cdf([a, b])
+                - stats.norm.cdf(a) * stats.norm.cdf(b))
+        reps = [named_representation(m, NamedIndex.fgt(0.0, z)) for m in margins]
+        j = temporal_joint_covariance(BivariateFrame(*margins, GaussianCopula(rho)), *reps)
+        assert abs(j.cross - want) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.5, 0.9])
+    def test_cross_entries_hold_on_a_doubled_mesh(self, mesh, rho):
+        got = []
+        for cells in (ugrid.DEFAULT_GRID, 2 * ugrid.DEFAULT_GRID):
+            with mesh(grid=cells):
+                m1, m2 = LogNormal(0, 1), LogNormal(0.1, 0.9)
+                reps = [named_representation(m, ix) for m in (m1, m2) for ix in self._IDX]
+                matrix = mutual_variation_covariance(
+                    BivariateFrame(m1, m2, GaussianCopula(rho)), *reps).matrix
+            # (I*_1, I*_2, J*_1, J*_2): the entries across periods
+            got.append(matrix[np.ix_([0, 2], [1, 3])])
+        assert np.all(np.abs(got[1] - got[0]) < 1e-10 * np.abs(got[0]))
+
+    @pytest.mark.parametrize("rho", [1.0 - 2.0 ** -52, -(1.0 - 2.0 ** -52)], ids=["+", "-"])
+    def test_rho_next_to_one(self, rho):
+        # the order stops at MEHLER_ORDER: a finite, symmetric, PSD law in
+        # a bounded time
+        start = time.perf_counter()
+        m1, m2 = LogNormal(0, 1), LogNormal(0.1, 0.9)
+        reps = [named_representation(m, ix) for m in (m1, m2) for ix in self._IDX]
+        matrix = mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(rho)),
+                                             *reps).matrix
+        assert time.perf_counter() - start < 1.0
+        assert temporal._mehler_order(rho) == MEHLER_ORDER
+        assert np.all(np.isfinite(matrix)) and np.array_equal(matrix, matrix.T)
+        assert np.linalg.eigvalsh(matrix).min() >= -1e-9
+
+    @pytest.mark.parametrize("rho, order", [(0.0, 0), (-0.0, 0), (2.0 ** -53, 0), (0.5, 52),
+                                            (-0.5, 52), (0.9, 348), (0.991, 4063)])
+    def test_order_rule(self, rho, order):
+        # the smallest K with |rho|^(K+1) <= 2^-53
+        assert temporal._mehler_order(rho) == order
+        if order:
+            assert abs(rho) ** (order + 1) <= 2.0 ** -53 < abs(rho) ** order
+
+
 def _random_pairs_copula():
     xy = np.random.default_rng(41).normal(size=(300, 2))
     return empirical_copula(xy @ np.array([[1.0, 0.4], [0.0, 1.0]]))
@@ -550,24 +625,18 @@ class TestOneBilinearCall:
         GaussianCopula(0.6), _random_pairs_copula(),
     ], ids=["independence", "comonotone", "gauss-0.9", "gauss0", "gauss0.6", "empirical"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_summed_call_equals_four_brackets(self, cop, seed, mesh):
+    def test_summed_call_equals_four_brackets(self, cop, seed):
         # the call on the u-functions h + W equals the four score/weight
-        # brackets, so one atom per period carries the whole covariance
+        # brackets, so one atom per period carries the whole covariance;
+        # at rho = 0 every bracket and the call are exactly 0
         rng = np.random.default_rng(seed)
         step = rng.uniform() < 0.5
         m1, m2 = (int(m) for m in rng.integers(20, 90, size=2))
         for b_cells in (m1, m2):  # equal and (usually) unequal grids across periods
             a, b = _random_score_weight(rng, m1, step), _random_score_weight(rng, b_cells, step)
-            with mesh(copula_grid=96):
-                brackets = [cop.cross_cov(p, q) for p in a for q in b]
-                got = cop.cross_cov(a[0] + a[1], b[0] + b[1])
+            brackets = [cop.cross_cov(p, q) for p in a for q in b]
+            got = cop.cross_cov(a[0] + a[1], b[0] + b[1])
             scale = sum(abs(x) for x in brackets)
-            if getattr(cop, "rho", None) == 0.0:
-                # every bracket is 0 up to cancellation; measure against the
-                # size of the terms that cancel instead
-                mid = (np.arange(96) + 0.5) / 96
-                scale = sum(np.mean(np.abs(p.eval(mid))) * np.mean(np.abs(q.eval(mid)))
-                            for p in a for q in b)
             assert abs(got - sum(brackets)) <= 1e-12 * scale
 
 
@@ -609,29 +678,40 @@ class TestOneAssembly:
 
 
 class TestGaussianDensityOnce:
+    """The Gaussian copula's parameter, and its work per margin: one Hermite
+    spectrum, kept with the margin's period."""
+
     def _reps(self, frame):
         idx = (NamedIndex.sen(1.0), NamedIndex.fgt(1.0, 1.0))
         return ([named_representation(frame.margin1, ix) for ix in idx]
                 + [named_representation(frame.margin2, ix) for ix in idx])
 
-    def test_one_density_per_joint_law(self, monkeypatch, mesh):
-        # one density, one cross block of the 2 x 2 period-crossing entries,
-        # and one evaluation of each of the 4 atoms at the midpoints
-        calls = {"density_grid": 0, "cross_cov": 0, "eval": 0}
-        for owner, name in ((GaussianCopula, "density_grid"), (GaussianCopula, "cross_cov"),
-                            (CellPoly, "eval")):
+    def test_one_spectrum_per_margin(self, monkeypatch):
+        # a sweep of 7 rho whose |rho| grows: each margin's atoms are valued
+        # at their nodes once and projected once, the projections extended
+        # as the order grows, and each rho is one cross block with the bits
+        # of fresh margins
+        calls = {"spectrum": 0, "cross_cov": 0, "node_values": 0}
+        for owner, name, key in ((temporal._Spectrum, "__init__", "spectrum"),
+                                 (GaussianCopula, "cross_cov", "cross_cov"),
+                                 (CellPoly, "node_values", "node_values")):
             original = getattr(owner, name)
 
-            def counted(self, *args, _name=name, _original=original):
-                calls[_name] += 1
+            def counted(self, *args, _key=key, _original=original):
+                calls[_key] += 1
                 return _original(self, *args)
 
             monkeypatch.setattr(owner, name, counted)
-        frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
-        r = self._reps(frame)
-        with mesh(grid=256, copula_grid=128):
-            mutual_variation_covariance(frame, r[0], r[1], r[2], r[3])
-        assert calls == {"density_grid": 1, "cross_cov": 1, "eval": 4}
+        m1, m2 = LogNormal(0, 1), LogNormal(0.1, 0.9)
+        r = self._reps(BivariateFrame(m1, m2, IndependenceCopula()))
+        sweep = [0.0, 0.3, -0.5, 0.6, -0.75, 0.9, -0.9]
+        got = [mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(rho)),
+                                           *r).matrix for rho in sweep]
+        assert calls == {"spectrum": 2, "cross_cov": 7, "node_values": 4}
+        for rho, matrix in zip(sweep, got):
+            frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(rho))
+            assert np.array_equal(matrix, mutual_variation_covariance(
+                frame, *self._reps(frame)).matrix)
 
     @pytest.mark.parametrize("bad", [0.9, 1.0, math.nan, 1.5])
     def test_assigned_rho_is_checked(self, bad):
@@ -644,7 +724,6 @@ class TestGaussianDensityOnce:
     def test_string_rho_reads_as_the_float(self):
         cop = GaussianCopula("0.2")
         assert cop.rho == 0.2 and type(cop.rho) is float
-        assert np.array_equal(cop.density_grid()[1], GaussianCopula(0.2).density_grid()[1])
 
 
 class TestPeriodMemo:
@@ -669,7 +748,7 @@ class TestPeriodMemo:
                                            *self._reps(m1, m2)).matrix
 
     def test_rho_sweep_is_fresh_bits(self, mesh):
-        with mesh(grid=64, copula_grid=32):
+        with mesh(grid=64):
             m1, m2 = self._margins()
             r = self._reps(m1, m2)
             for cop in [GaussianCopula(rho) for rho in np.linspace(-0.9, 0.9, 7)] + [
@@ -690,7 +769,7 @@ class TestPeriodMemo:
             calls["covariances"] += 1
             return covariances_of(*args)
 
-        with mesh(grid=64, copula_grid=32):
+        with mesh(grid=64):
             m1, m2 = self._margins()
             r = self._reps(m1, m2)
             monkeypatch.setattr(LogNormal, "mesh", counted_mesh)
@@ -701,7 +780,7 @@ class TestPeriodMemo:
 
     def test_alternating_rep_tuples(self, mesh):
         cop = GaussianCopula(0.6)
-        with mesh(grid=64, copula_grid=32):
+        with mesh(grid=64):
             m1, m2 = self._margins()
             r = self._reps(m1, m2)
             frame = BivariateFrame(m1, m2, cop)
@@ -718,7 +797,7 @@ class TestPeriodMemo:
     @pytest.mark.parametrize("cop", [GaussianCopula(0.5), ComonotoneCopula()],
                              ids=["gauss", "comonotone"])
     def test_one_margin_in_both_periods(self, cop, mesh):
-        with mesh(grid=64, copula_grid=32):
+        with mesh(grid=64):
             m = LogNormal(0, 1)
             rep, rep2 = (named_representation(m, ix) for ix in self._IDX)
             frame = BivariateFrame(m, m, cop)
@@ -733,15 +812,34 @@ class TestPeriodMemo:
             assert np.array_equal(mutual_variation_covariance(frame, rep, rep2).matrix,
                                   want.matrix)
 
+    def test_one_margin_two_representations_builds_two_periods(self, monkeypatch, mesh):
+        # the margin's two slots hold both periods of the joint law
+        from indexlaw import representation
+        builds = []
+        init = representation._Period.__init__
+
+        def counted(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(representation._Period, "__init__", counted)
+        with mesh(grid=64):
+            m = LogNormal(0, 1)
+            rep, rep2 = (named_representation(m, ix) for ix in self._IDX)
+            frame = BivariateFrame(m, m, GaussianCopula(0.5))
+            for _ in range(3):
+                temporal_joint_covariance(frame, rep, rep2)
+        assert len(builds) == 2
+
     def test_mesh_size_change_rebuilds(self, mesh):
         # one model and its representations across a patched mesh size: the
         # second call is that of fresh margins at the patched size
         cop = GaussianCopula(0.3)
-        with mesh(grid=64, copula_grid=32):
+        with mesh(grid=64):
             m1, m2 = self._margins()
             r = self._reps(m1, m2)
             before = mutual_variation_covariance(BivariateFrame(m1, m2, cop), *r).matrix
-        with mesh(grid=96, copula_grid=32):
+        with mesh(grid=96):
             got = mutual_variation_covariance(BivariateFrame(m1, m2, cop), *r).matrix
             want = mutual_variation_covariance(BivariateFrame(*self._margins(), cop), *r).matrix
         assert np.array_equal(got, want)
@@ -749,7 +847,7 @@ class TestPeriodMemo:
 
     def test_margin_freed_with_its_last_reference(self, mesh):
         # the slot holds no reference back to the margin: no cycle to collect
-        with mesh(grid=32, copula_grid=16):
+        with mesh(grid=32):
             m1, m2 = self._margins()
             r = self._reps(m1, m2)
             mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(0.5)), *r)
@@ -772,50 +870,6 @@ class TestPeriodMemo:
             assert u_atoms(model, rep).coef is atom.coef
         with pytest.raises(ValueError):
             atom.coef[0, 0] = 1.0
-
-
-def _full_density(z, rho):
-    """The copula density on the whole tensor of quantiles ``z``, every
-    entry by the same elementwise steps as ``density_grid``."""
-    denom = 1.0 - rho * rho
-    z2 = z * z
-    dens = np.add.outer(z2, z2)
-    dens *= rho * rho
-    zz = np.multiply.outer(z, z)
-    zz *= 2.0 * rho
-    dens -= zz
-    np.negative(dens, out=dens)
-    dens /= 2.0 * denom
-    np.exp(dens, out=dens)
-    dens /= math.sqrt(denom)
-    return dens
-
-
-class TestPointSymmetricDensity:
-    @pytest.mark.parametrize("size", [512, 128, 96, 15])
-    def test_mirrored_quantiles_are_antisymmetric(self, size):
-        mid, z = _normal_midpoints(size)
-        assert np.array_equal(z, -z[::-1])
-        assert np.array_equal(mid, (np.arange(size) + 0.5) / size)
-        if size % 2:
-            assert math.copysign(1.0, z[size // 2]) == 1.0 and z[size // 2] == 0.0
-
-    @pytest.mark.parametrize("size", [16, 128, 512, 4096])
-    def test_dyadic_quantiles_are_as241(self, size):
-        # at dyadic sizes AS241 is itself antisymmetric on the midpoints
-        mid, z = _normal_midpoints(size)
-        assert np.array_equal(z, normal_quantile(mid))
-
-    @pytest.mark.parametrize("size", [512, 128, 96, 15])
-    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.45, 0.9])
-    def test_half_build_is_the_full_tensor(self, mesh, size, rho):
-        with mesh(copula_grid=size):
-            mid, dens = GaussianCopula(rho).density_grid()
-        want_mid, z = _normal_midpoints(size)
-        assert mid is want_mid
-        assert dens.shape == (size, size) and dens.flags.c_contiguous
-        assert np.array_equal(dens, _full_density(z, rho))
-
 
 
 # values outside the documented domain of a numeric argument, and some inside
@@ -870,7 +924,7 @@ class TestContract:
     @given(st.sampled_from(sorted(_CONTRACT)), _ANY)
     def test_typed_error_or_finite_values(self, mesh, argument, value):
         try:
-            with mesh(grid=32, copula_grid=16):
+            with mesh(grid=32):
                 numbers = _CONTRACT[argument](value)
         except IndexLawError:
             return
