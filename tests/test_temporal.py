@@ -686,11 +686,8 @@ class TestGaussianDensityOnce:
         return ([named_representation(frame.margin1, ix) for ix in idx]
                 + [named_representation(frame.margin2, ix) for ix in idx])
 
-    def test_one_spectrum_per_margin(self, monkeypatch):
-        # a sweep of 7 rho whose |rho| grows: each margin's atoms are valued
-        # at their nodes once and projected once, the projections extended
-        # as the order grows, and each rho is one cross block with the bits
-        # of fresh margins
+    @staticmethod
+    def _count(monkeypatch):
         calls = {"spectrum": 0, "cross_cov": 0, "node_values": 0}
         for owner, name, key in ((temporal._Spectrum, "__init__", "spectrum"),
                                  (GaussianCopula, "cross_cov", "cross_cov"),
@@ -702,6 +699,24 @@ class TestGaussianDensityOnce:
                 return _original(self, *args)
 
             monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_one_density_per_joint_law(self, monkeypatch):
+        # the density enters a joint law once: one cross block of the 2 x 2
+        # period-crossing entries, one spectrum per margin, and one valuing
+        # of each of the 4 atoms at its nodes
+        calls = self._count(monkeypatch)
+        frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
+        r = self._reps(frame)
+        mutual_variation_covariance(frame, r[0], r[1], r[2], r[3])
+        assert calls == {"spectrum": 2, "cross_cov": 1, "node_values": 4}
+
+    def test_one_spectrum_per_margin(self, monkeypatch):
+        # a sweep of 7 rho whose |rho| grows: each margin's atoms are valued
+        # at their nodes once and projected once, the projections extended
+        # as the order grows, and each rho is one cross block with the bits
+        # of fresh margins
+        calls = self._count(monkeypatch)
         m1, m2 = LogNormal(0, 1), LogNormal(0.1, 0.9)
         r = self._reps(BivariateFrame(m1, m2, IndependenceCopula()))
         sweep = [0.0, 0.3, -0.5, 0.6, -0.75, 0.9, -0.9]
@@ -870,6 +885,29 @@ class TestPeriodMemo:
             assert u_atoms(model, rep).coef is atom.coef
         with pytest.raises(ValueError):
             atom.coef[0, 0] = 1.0
+
+
+class TestPointSymmetricDensity:
+    """The Gaussian copula's density is point-symmetric, ``c(1-u, 1-v) =
+    c(u, v)``, as the normal scores are: ``Phi^-1(1-p) = -Phi^-1(p)``."""
+
+    @pytest.mark.parametrize("size", [16, 128, 512, 4096])
+    def test_dyadic_quantiles_are_as241(self, size):
+        # at dyadic sizes AS241 is itself antisymmetric on the midpoints
+        z = normal_quantile((np.arange(size) + 0.5) / size)
+        assert np.array_equal(z, -z[::-1])
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.45, 0.9])
+    @pytest.mark.parametrize("cells", [16, 73])
+    def test_reflected_atoms_keep_the_cross_entry(self, rho, cells):
+        # phi(1-u) against psi(1-v) reads the same as phi against psi
+        rng = np.random.default_rng(cells)
+        phi, psi = rng.normal(size=cells), rng.normal(size=cells)
+        cop = GaussianCopula(rho)
+        want = cop.cross_cov(CellPoly.from_cells(phi), CellPoly.from_cells(psi))
+        got = cop.cross_cov(CellPoly.from_cells(phi[::-1]), CellPoly.from_cells(psi[::-1]))
+        bound = math.sqrt(np.var(phi) * np.var(psi))
+        assert abs(got - want) <= 1e-12 * bound
 
 
 # values outside the documented domain of a numeric argument, and some inside
