@@ -341,26 +341,17 @@ def u_atoms(model: DistributionModel, rep: IndexRepresentation) -> CellPoly:
     return _period(model, [rep]).atoms[0]
 
 
-@dataclass(eq=False)
+@dataclass
 class _Period:
-    """The u-functions of one margin's representations, read-only, their
-    within-period covariance block, formed on first use, and a copula's
-    projections of them (``temporal``'s Hermite spectrum), kept once asked
-    for.  The representations are held by weak reference: their scores may
-    refer to the model, which holds the slot, and a cycle would outlive the
-    model's last reference.  A copula's block form iterates the atoms."""
+    """The u-functions of one margin's representations, read-only, and their
+    within-period covariance block, formed on first use.  The representations
+    are held by weak reference: their scores may refer to the model, which
+    holds the slot, and a cycle would outlive the model's last reference."""
 
     reps: tuple
     cells: int
     atoms: tuple
     _block: Optional[np.ndarray] = None
-    spectrum: Optional[object] = None
-
-    def __iter__(self):
-        return iter(self.atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
     def block(self) -> np.ndarray:
         """``ugrid.covariances`` of the atoms with themselves (read-only)."""

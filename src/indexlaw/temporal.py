@@ -20,17 +20,22 @@ expansion (1866),
     a_k = int_0^1 phi(u) h_k(Phi^-1(u)) du,
 
 with h_k the orthonormal Hermite polynomials.  The spectrum a_k of an atom
-does not depend on rho: it is taken once, by the Gauss rule on the atom's
-own cells at their nodes' normal scores, with the atom centred once, so a
-jump on a cell edge costs nothing extra.  The series stops at the smallest
-K with ``|rho|^(K+1) <= 2^-53``, which by Bessel bounds the dropped tail by
-``2^-53 |phi~| |psi~|`` (the L2 norms of the centred atoms); K is 0 at
-rho = 0 (every entry exactly 0) and at most ``MEHLER_ORDER`` (4096).  The
-cap is reached above |rho| ~ 0.991, where the dropped tail is bounded only
-by ``|rho|^4097 |phi~| |psi~|``; it keeps rho next to +-1 finite in time.
-A spectrum costs O(K) passes over the atom's nodes, once per margin: on a
-sample margin that is 7 n nodes per pass.  Each margin's atoms are built
-on one mesh, whose cell edges include the levels of every break of the
+does not depend on rho.  It is taken on one mesh for every atom,
+``ugrid.mesh_edges(DEFAULT_GRID)``, whose graded cells resolve
+h_k(Phi^-1(u)) towards 0 and 1: the atom, centred once, is projected
+exactly (in L2) on the degree-6 polynomials of each cell, and a_k is the
+Gauss rule there at the nodes' normal scores.  The projection's error in
+a_k is that of h_k's interpolant on the mesh, wherever the atom jumps, so
+a sample's step functions read the bivariate normal to 1e-12 as a
+parametric margin's do; it costs one pass over the atom's cells (the n
+cells of a sample), and the series then runs on the mesh's nodes only.
+The series stops at the smallest K with ``|rho|^(K+1) <= 2^-53``, which by
+Bessel bounds the dropped tail by ``2^-53 |phi~| |psi~|`` (the L2 norms of
+the centred atoms); K is 0 at rho = 0 (every entry exactly 0) and at most
+``MEHLER_ORDER`` (4096).  The cap is reached above |rho| ~ 0.991, where
+the dropped tail is bounded only by ``|rho|^4097 |phi~| |psi~|``; it keeps
+rho next to +-1 finite in time.  Each margin's atoms are built on one
+mesh, whose cell edges include the levels of every break of the
 representations in the call.
 
 Assembly: the atoms of one period form one block of covariances
@@ -41,13 +46,15 @@ and the empirical copula takes each atom's cell averages once.  Every entry
 keeps the arithmetic of its pair.
 
 Reuse: each margin keeps a two-slot memo of its last periods
-(``representation._period``): the atoms of the representations passed,
-once asked for their within-period block, and their Hermite spectrum to the
-largest order asked so far, extended when a larger |rho| arrives.  A slot
-is keyed on the identity of those representations and on the mesh size
+(``representation._period``): the atoms of the representations passed and,
+once asked for, their within-period block.  A slot is keyed on the
+identity of those representations and on the mesh size
 (``model._base_cells()``); two slots hold both periods of a frame that
-passes one margin twice.  A sweep over copulas with fixed margins and
-representations so projects each margin once and then pays one product of
+passes one margin twice.  The Gaussian copula keeps each atom's spectrum,
+K numbers, for as long as the atom lives (``_SPECTRA``, weakly keyed), and
+takes it again, from the atom, when a larger |rho| asks for a larger K.  A
+sweep over copulas with fixed margins and representations so projects each
+margin once if its largest |rho| comes first, and then pays one product of
 spectra per rho, with the bits of a fresh build.
 
 A period's own entry is ``index_variance(...).total`` to round-off on an
@@ -66,21 +73,27 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import ugrid
 from .distributions import DistributionModel, normal_quantile
 from .empirical import _max_ranks
 from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, TooFewPairs,
                      ZeroBaseIndex)
 from .indices import _real
-from .representation import IndexRepresentation, _Period, _period
-from .ugrid import CellPoly, covariance, gauss_nodes, gauss_weights, sample_cells
+from .representation import IndexRepresentation, _period
+from .ugrid import (NODES, CellPoly, covariance, gauss_legendre, gauss_nodes, gauss_weights,
+                    mesh_edges, sample_cells)
 
 MEHLER_ORDER = 4096    # the largest order of the Gaussian copula's Hermite series
-_PART = 1 << 15        # nodes per pass of the Hermite recurrence
+
+# each atom's Hermite coefficients, kept while the atom lives: (the mesh
+# size they were taken on, a_1 .. a_K)
+_SPECTRA: "weakref.WeakKeyDictionary[CellPoly, tuple]" = weakref.WeakKeyDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -97,26 +110,23 @@ class CopulaModel:
         same (possibly discretized) measure as the joint term, so a constant
         factor gives exactly 0 and assembled matrices stay consistent.
 
-        Given two lists of atoms, or two margins' periods
-        (``representation._period``), the matrix of their pairs'
-        covariances, one row per atom of ``phi``, each entry the pair's own
-        value.  The Gaussian copula projects each atom once, and keeps a
-        period's projections in its memo slot; the empirical copula
-        evaluates each atom once.
+        Given two lists of atoms, the matrix of their pairs' covariances,
+        one row per atom of ``phi``, each entry the pair's own value; the
+        Gaussian copula projects each atom once (and keeps its spectrum
+        while the atom lives), the empirical copula evaluates it once.
         """
         raise NotImplementedError
 
 
 def _pairwise(block):
     """A copula's ``cross_cov`` from its block form, which takes two lists
-    of atoms or periods and returns their matrix: a pair of atoms gives the
-    float."""
+    of atoms and returns their matrix: a pair of atoms gives the float."""
 
     @functools.wraps(block)
     def cross_cov(self, phi, psi):
         if isinstance(phi, CellPoly):
             return float(block(self, [phi], [psi])[0, 0])
-        return block(self, *(p if isinstance(p, _Period) else list(p) for p in (phi, psi)))
+        return block(self, list(phi), list(psi))
 
     return cross_cov
 
@@ -142,65 +152,86 @@ def _mehler_order(rho: float) -> int:
     return min(MEHLER_ORDER, math.ceil(-53.0 / math.log2(abs(rho))) - 1)
 
 
-class _Spectrum:
-    """The Hermite coefficients ``a_k = int phi(u) h_k(Phi^-1(u)) du``,
-    k = 1, 2, ..., of atoms on one set of cells, with h_k the orthonormal
-    Hermite polynomials, by the Gauss rule on those cells.
+def _centred_projection(phi: CellPoly, edges: np.ndarray) -> np.ndarray:
+    """``phi - int phi`` projected in L2 on the polynomials of degree
+    ``NODES - 1`` on each cell of ``edges``: its values at
+    ``gauss_nodes(edges)``, shape (cells, NODES).
 
-    Each atom is centred once, at its node values, and weighted by the
-    rule; the recurrence ``h_{k+1} = (z h_k - sqrt(k) h_{k-1}) / sqrt(k+1)``
-    runs over the nodes' normal scores z and is projected on the atoms at
-    each step, so no order-by-node matrix is formed.  The coefficients are
-    kept to the largest order asked for; a larger order continues the
-    recurrence where it stopped, with the bits of a fresh run.
+    The products ``int_cell (phi - int phi) l_j`` with the Lagrange
+    polynomials l_j of a cell's nodes are exact: sums of the cell's moments
+    of x^p, each taken by a Gauss rule with nodes enough for its degree on
+    every cell of the union of both meshes.  A node's value is its product
+    over ``W_j`` times the cell's half width.
     """
-
-    def __init__(self, atoms: list[CellPoly]):
-        edges = atoms[0].edges
-        weights = gauss_weights(edges)
-        self._z = normal_quantile(gauss_nodes(edges).ravel())
-        self._g = np.array([((a.node_values() - a.integral()) * weights).ravel()
-                            for a in atoms])
-        self._h = (np.ones_like(self._z), self._z.copy())    # h_{k-1}, h_k for the next k
-        self._coef = np.empty((len(atoms), 0))
-
-    def upto(self, order: int) -> np.ndarray:
-        """``a_1 .. a_order``, one row per atom."""
-        have = self._coef.shape[1]
-        if order > have:
-            coef = np.zeros((self._g.shape[0], order))
-            coef[:, :have] = self._coef
-            steps = range(have + 1, order + 1)
-            # the nodes in cache-sized parts, each part through every step;
-            # the projections are numpy's own sums, which unlike a BLAS
-            # product do not depend on the thread count
-            for lo in range(0, self._z.size, _PART):
-                part = slice(lo, lo + _PART)
-                z, g = self._z[part], self._g[:, part]
-                prev, cur = self._h[0][part], self._h[1][part]
-                work, terms = np.empty_like(z), np.empty_like(g)
-                for k in steps:
-                    coef[:, k - 1] += np.multiply(g, cur, out=terms).sum(axis=1)
-                    np.multiply(z, cur, out=work)
-                    prev *= math.sqrt(k)
-                    np.subtract(work, prev, out=prev)
-                    prev /= math.sqrt(k + 1)
-                    prev, cur = cur, prev
-            if len(steps) % 2:    # the two buffers swapped roles
-                self._h = self._h[::-1]
-            self._coef = coef
-        return self._coef[:, :order]
+    union = ugrid._distinct(np.concatenate([phi.edges, edges]))
+    left, half = union[:-1], np.diff(union) / 2.0
+    own = np.searchsorted(phi.edges, left, "right") - 1
+    cell = np.searchsorted(edges, left, "right") - 1
+    width = np.diff(edges)
+    # the point x of a union cell is alpha + beta x in the coordinate of
+    # phi's cell and gamma + delta x in that of the target cell
+    beta = half * (2.0 / phi.h[own])
+    alpha = (left - phi.edges[own]) * (2.0 / phi.h[own]) + (beta - 1.0)
+    delta = half * (2.0 / width[cell])
+    gamma = (left - edges[cell]) * (2.0 / width[cell]) + (delta - 1.0)
+    coef, mean = phi.coef[own].T.copy(), phi.integral()
+    sums = np.zeros((NODES, left.size))
+    for x, w in zip(*gauss_legendre((phi.coef.shape[1] + NODES) // 2)):
+        t, v = alpha + beta * x, coef[-1].copy()
+        for c in coef[-2::-1]:    # Horner
+            v *= t
+            v += c
+        v -= mean
+        v *= w * half
+        t = gamma + delta * x
+        for row in sums:
+            row += v
+            v *= t
+    moments = np.add.reduceat(sums, np.flatnonzero(np.diff(cell, prepend=-1)), axis=1)
+    return (ugrid._FIT @ moments).T * (2.0 / width)[:, None] / ugrid._W
 
 
-def _spectra(atoms, order: int) -> np.ndarray:
-    """``a_1 .. a_order`` of each atom, one row per atom.  A margin's
-    period keeps its spectrum in its memo slot; a list of atoms gets fresh
-    ones, atom by atom on its own cells."""
-    if isinstance(atoms, _Period):
-        if atoms.spectrum is None:
-            atoms.spectrum = _Spectrum(list(atoms))
-        return atoms.spectrum.upto(order)
-    return np.vstack([_Spectrum([phi]).upto(order) for phi in atoms])
+def _hermite(atoms: list[CellPoly], order: int) -> np.ndarray:
+    """``a_k = int phi(u) h_k(Phi^-1(u)) du`` for k = 1 .. order, one row
+    per atom, with h_k the orthonormal Hermite polynomials.
+
+    Each atom is centred and projected on the mesh ``mesh_edges(DEFAULT_GRID)``
+    (``_centred_projection``), and a_k is the Gauss rule there: the
+    recurrence ``h_{k+1} = (z h_k - sqrt(k) h_{k-1}) / sqrt(k+1)`` runs
+    over the nodes' normal scores z and is projected on the atoms at each
+    step, so no order-by-node matrix is formed.  Row k is the same for
+    every order.
+    """
+    edges = mesh_edges(ugrid.DEFAULT_GRID)
+    z = normal_quantile(gauss_nodes(edges).ravel())
+    weights = gauss_weights(edges)
+    g = np.array([(_centred_projection(phi, edges) * weights).ravel() for phi in atoms])
+    coef = np.empty((len(atoms), order))
+    prev, cur = np.ones_like(z), z
+    for k in range(1, order + 1):
+        # numpy's own row sums, which unlike a BLAS product do not depend
+        # on the thread count
+        coef[:, k - 1] = (g * cur).sum(axis=1)
+        prev, cur = cur, (z * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
+    return coef
+
+
+def _spectra(atoms: list[CellPoly], order: int) -> np.ndarray:
+    """``a_1 .. a_order`` of each atom, one row per atom: kept in
+    ``_SPECTRA`` from an earlier call on the same mesh size to at least
+    that order, or else taken now, for all such atoms in one pass, and
+    kept."""
+    cells = ugrid.DEFAULT_GRID
+
+    def kept(phi):
+        have = _SPECTRA.get(phi)
+        return have is not None and have[0] == cells and have[1].size >= order
+
+    todo = list(dict.fromkeys(phi for phi in atoms if not kept(phi)))
+    if todo:
+        for phi, coef in zip(todo, _hermite(todo, order)):
+            _SPECTRA[phi] = (cells, coef)
+    return np.array([_SPECTRA[phi][1][:order] for phi in atoms])
 
 
 class GaussianCopula(CopulaModel):
@@ -219,8 +250,9 @@ class GaussianCopula(CopulaModel):
         order = _mehler_order(self.rho)
         out = np.zeros((len(phis), len(psis)))
         if order:
-            a = _spectra(phis, order) * self.rho ** np.arange(1, order + 1)
-            b = _spectra(psis, order)
+            spectra = _spectra(phis + psis, order)
+            a = spectra[:len(phis)] * self.rho ** np.arange(1, order + 1)
+            b = spectra[len(phis):]
             for i, j in np.ndindex(out.shape):
                 out[i, j] = a[i] @ b[j]
         return out
@@ -362,11 +394,10 @@ def _joint_matrix(frame: BivariateFrame, reps1: list[IndexRepresentation],
     Atoms of one period share U and its mesh, so their block is the
     covariance matrix on that mesh; each margin's atoms and block come from
     its memo slot (``representation._period``).  Atoms of different periods
-    are coupled by the frame's copula, which gets the two periods, with the
-    period-1 atoms as its rows.
+    are coupled by the frame's copula, with the period-1 atoms as its rows.
     """
     one, two = _period(frame.margin1, reps1), _period(frame.margin2, reps2)
-    cross = frame.copula.cross_cov(one, two)
+    cross = frame.copula.cross_cov(list(one.atoms), list(two.atoms))
     return np.block([[one.block(), cross], [cross.T, two.block()]])
 
 

@@ -114,7 +114,7 @@ def _cumsum(v: np.ndarray) -> np.ndarray:
 class CellPoly:
     """Piecewise polynomial on the m cells between consecutive ``edges``."""
 
-    __slots__ = ("m", "h", "coef", "edges")
+    __slots__ = ("m", "h", "coef", "edges", "__weakref__")
 
     def __init__(self, coef: np.ndarray, edges: np.ndarray, h=None):
         self.coef = coef                 # (cells, degree + 1) float array
@@ -199,10 +199,6 @@ class CellPoly:
         x = 2.0 * (s - self.edges[k]) / self.h[k] - 1.0
         out = npoly.polyval(x, self.coef[k].T, tensor=False)
         return out if s.ndim else float(out)
-
-    def node_values(self) -> np.ndarray:
-        """The values at ``gauss_nodes(self.edges)``, shape (cells, NODES)."""
-        return self.coef @ np.array(_node_powers(NODES, self.coef.shape[1])).T
 
     def cell_average_at(self, s, side: str = "right"):
         """Average of the function over the cell containing each point."""

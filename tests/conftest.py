@@ -11,8 +11,8 @@ from indexlaw import ugrid
 def _mesh_sizes(grid=None):
     """Run a block on another number of uniform base cells of every
     parametric mesh (``ugrid.DEFAULT_GRID``) than the package's; None keeps
-    it.  The Gaussian copula has no mesh of its own: its Hermite spectra
-    are taken on the margins' meshes."""
+    it.  The Gaussian copula's Hermite spectra are taken on the mesh of
+    ``DEFAULT_GRID`` base cells, so they move with it."""
     with pytest.MonkeyPatch.context() as mp:
         if grid is not None:
             mp.setattr(ugrid, "DEFAULT_GRID", grid)

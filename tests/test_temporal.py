@@ -578,6 +578,36 @@ class TestMehlerSeries:
         j = temporal_joint_covariance(BivariateFrame(*margins, GaussianCopula(rho)), *reps)
         assert abs(j.cross - want) <= 1e-12
 
+    @pytest.mark.parametrize("n", [3, 2000, 50000])
+    @pytest.mark.parametrize("rho", [-0.9, 0.5, 0.99])
+    def test_fgt0_on_samples_is_the_bivariate_normal(self, n, rho):
+        # on sample margins the atom jumps at F_n(z) = k / n, a sample cell
+        # edge that need not be one of the spectrum's mesh
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(n)
+        xs = ((np.array([0.5, 1.5, 3.0]), np.array([0.2, 0.7, 1.2])) if n == 3
+              else (rng.lognormal(size=n), rng.lognormal(0.1, 0.9, size=n)))
+        margins = [EmpiricalDistribution(x) for x in xs]
+        p = [float(np.mean(x <= 1.0)) for x in xs]
+        a, b = (float(stats.norm.ppf(q)) for q in p)
+        want = (stats.multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]]).cdf([a, b])
+                - p[0] * p[1])
+        reps = [named_representation(m, NamedIndex.fgt(0.0, 1.0)) for m in margins]
+        j = temporal_joint_covariance(BivariateFrame(*margins, GaussianCopula(rho)), *reps)
+        assert abs(j.cross - want) <= 1e-12
+
+    def test_sample_spectra_cost_one_pass_over_the_sample(self):
+        # the sample's atoms are projected once on the mesh, and the series
+        # runs there: 3,656 orders on 100,000-value margins in a bounded time
+        rng = np.random.default_rng(5)
+        m1, m2 = (EmpiricalDistribution(rng.lognormal(size=100_000)) for _ in range(2))
+        reps = [named_representation(m, ix) for m in (m1, m2) for ix in self._IDX]
+        start = time.perf_counter()
+        matrix = mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(0.99)),
+                                             *reps).matrix
+        assert time.perf_counter() - start < 2.0
+        assert np.array_equal(matrix, matrix.T) and np.linalg.eigvalsh(matrix).min() >= -1e-9
+
     @pytest.mark.parametrize("rho", [-0.9, 0.5, 0.9])
     def test_cross_entries_hold_on_a_doubled_mesh(self, mesh, rho):
         got = []
@@ -679,7 +709,7 @@ class TestOneAssembly:
 
 class TestGaussianDensityOnce:
     """The Gaussian copula's parameter, and its work per margin: one Hermite
-    spectrum, kept with the margin's period."""
+    spectrum of each atom, kept while the atom lives."""
 
     def _reps(self, frame):
         idx = (NamedIndex.sen(1.0), NamedIndex.fgt(1.0, 1.0))
@@ -688,45 +718,68 @@ class TestGaussianDensityOnce:
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"spectrum": 0, "cross_cov": 0, "node_values": 0}
-        for owner, name, key in ((temporal._Spectrum, "__init__", "spectrum"),
-                                 (GaussianCopula, "cross_cov", "cross_cov"),
-                                 (CellPoly, "node_values", "node_values")):
-            original = getattr(owner, name)
+        # atoms through the Hermite recurrence, atoms projected on its mesh,
+        # and cross blocks
+        calls = {"spectra": 0, "projections": 0, "cross_cov": 0}
+        hermite, project = temporal._hermite, temporal._centred_projection
+        cross_cov = GaussianCopula.cross_cov
 
-            def counted(self, *args, _key=key, _original=original):
-                calls[_key] += 1
-                return _original(self, *args)
+        def counted_hermite(atoms, order):
+            calls["spectra"] += len(atoms)
+            return hermite(atoms, order)
 
-            monkeypatch.setattr(owner, name, counted)
+        def counted_project(phi, edges):
+            calls["projections"] += 1
+            return project(phi, edges)
+
+        def counted_cross_cov(self, phi, psi):
+            calls["cross_cov"] += 1
+            return cross_cov(self, phi, psi)
+
+        monkeypatch.setattr(temporal, "_hermite", counted_hermite)
+        monkeypatch.setattr(temporal, "_centred_projection", counted_project)
+        monkeypatch.setattr(GaussianCopula, "cross_cov", counted_cross_cov)
         return calls
 
     def test_one_density_per_joint_law(self, monkeypatch):
-        # the density enters a joint law once: one cross block of the 2 x 2
-        # period-crossing entries, one spectrum per margin, and one valuing
-        # of each of the 4 atoms at its nodes
+        # the copula enters a joint law once: one cross block of the 2 x 2
+        # period-crossing entries, and one projection and spectrum of each
+        # of the 4 atoms
         calls = self._count(monkeypatch)
         frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(0.4))
         r = self._reps(frame)
         mutual_variation_covariance(frame, r[0], r[1], r[2], r[3])
-        assert calls == {"spectrum": 2, "cross_cov": 1, "node_values": 4}
+        assert calls == {"spectra": 4, "projections": 4, "cross_cov": 1}
 
     def test_one_spectrum_per_margin(self, monkeypatch):
-        # a sweep of 7 rho whose |rho| grows: each margin's atoms are valued
-        # at their nodes once and projected once, the projections extended
-        # as the order grows, and each rho is one cross block with the bits
-        # of fresh margins
+        # a sweep of 7 rho led by its largest |rho|: each atom's spectrum is
+        # taken once, and each rho is one cross block with the bits of fresh
+        # margins; a larger |rho| takes the spectra again, to its order
         calls = self._count(monkeypatch)
         m1, m2 = LogNormal(0, 1), LogNormal(0.1, 0.9)
         r = self._reps(BivariateFrame(m1, m2, IndependenceCopula()))
-        sweep = [0.0, 0.3, -0.5, 0.6, -0.75, 0.9, -0.9]
+        sweep = [-0.9, 0.0, 0.3, -0.5, 0.6, -0.75, 0.9]
         got = [mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(rho)),
                                            *r).matrix for rho in sweep]
-        assert calls == {"spectrum": 2, "cross_cov": 7, "node_values": 4}
+        assert calls == {"spectra": 4, "projections": 4, "cross_cov": 7}
+        mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(0.95)), *r)
+        assert calls == {"spectra": 8, "projections": 8, "cross_cov": 8}
         for rho, matrix in zip(sweep, got):
             frame = BivariateFrame(LogNormal(0, 1), LogNormal(0.1, 0.9), GaussianCopula(rho))
             assert np.array_equal(matrix, mutual_variation_covariance(
                 frame, *self._reps(frame)).matrix)
+
+    def test_spectra_live_with_their_atoms(self):
+        # only the coefficients are kept, and they go with the margin
+        m1, m2 = LogNormal(0, 1), LogNormal(0.1, 0.9)
+        r = self._reps(BivariateFrame(m1, m2, IndependenceCopula()))
+        mutual_variation_covariance(BivariateFrame(m1, m2, GaussianCopula(0.9)), *r)
+        atoms = [a for m in (m1, m2) for a in m._periods[0].atoms]
+        assert [temporal._SPECTRA[a][1].shape for a in atoms] == [(348,)] * 4
+        refs = [weakref.ref(a) for a in atoms]
+        del m1, m2, r, atoms
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
 
     @pytest.mark.parametrize("bad", [0.9, 1.0, math.nan, 1.5])
     def test_assigned_rho_is_checked(self, bad):
