@@ -74,10 +74,10 @@ def _poly(coefs, x):
 
 def normal_quantile(p):
     """Inverse standard normal CDF (AS241); vectorized, +-inf at 0 and 1."""
-    p = np.asarray(p, dtype=float)
+    p = _levels(p)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):   # nan fails both
         raise OutOfRange("probability outside [0, 1]")
     out = np.empty_like(p)
     q = p - 0.5
@@ -209,11 +209,19 @@ class DistributionModel:
         ``breaks`` lists x-values where f jumps (e.g. a poverty line); their
         levels F(b) are cell edges, so the rule never straddles a jump.
         """
+        return self._integrals(lambda x: (f(x),), breaks)[0]
+
+    def _integrals(self, scores: Callable, breaks: Sequence[float] = ()) -> list:
+        """``[E f(X) for f in the scores]``, where ``scores(x)`` returns the
+        values of every score at x: one mesh and one call for them all."""
         edges, x = self.mesh(breaks)
-        vals = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteIntegral("score composed with quantile is not finite on (0, 1)")
-        return gauss_sum(edges, vals.reshape(edges.size - 1, -1))
+        out = []
+        for values in scores(x):
+            vals = np.broadcast_to(np.asarray(values, dtype=float), x.shape)
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteIntegral("score composed with quantile is not finite on (0, 1)")
+            out.append(gauss_sum(edges, vals.reshape(edges.size - 1, -1)))
+        return out
 
 
 class EmpiricalDistribution(DistributionModel):
@@ -245,11 +253,14 @@ class EmpiricalDistribution(DistributionModel):
         """The n sample cells ``((j-1)/n, j/n]``."""
         return self.sample.n
 
-    def integrate_score(self, f, breaks=()) -> float:
-        vals = np.asarray(f(self.sample.values), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteIntegral("score is non-finite on the sample")
-        return float(np.mean(vals))
+    def _integrals(self, scores, breaks=()) -> list:
+        out = []
+        for values in scores(self.sample.values):
+            vals = np.asarray(values, dtype=float)
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteIntegral("score is non-finite on the sample")
+            out.append(float(np.mean(vals)))
+        return out
 
     @_closed_form
     def raw_moment(self, k: int) -> float:
@@ -473,8 +484,9 @@ class Mixture(DistributionModel):
     def quantile_extended(self, s):
         """Generalized inverse ``inf {x : F(x) >= s}`` by safeguarded Newton steps.
 
-        Each interior level is bracketed by the smallest and the largest
-        component quantile, widened where round-off makes it miss, so that
+        Each interior level starts between the two adjacent points of a
+        sorted grid of component quantiles that one pass of F brackets it
+        by, widened where round-off makes it miss, so that
         ``F(lo) < s <= F(hi)``.  Every pass then evaluates F once on the
         brackets still open and moves one of their ends to the trial point:
         the Newton point on the mixture density (rtsafe, Press et al.),
@@ -484,30 +496,41 @@ class Mixture(DistributionModel):
         before last.  A bracket closes on two adjacent floats, and its upper
         end, the smallest float found with ``F(x) >= s``, is returned, so in
         a flat region of F the result is its left end.  Levels <= 0 and >= 1
-        give the smallest and the largest component endpoint.
+        give the smallest and the largest component endpoint, and a nan
+        level gives nan.
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s_arr)
+        out = np.full_like(s_arr, np.nan)
         low, high = s_arr <= 0.0, s_arr >= 1.0
         out[low] = min(np.min(c.quantile_extended(0.0)) for c in self.components)
         out[high] = max(np.max(c.quantile_extended(1.0)) for c in self.components)
-        inner = ~(low | high)
-        out[inner] = self._roots(s_arr[inner])
+        inner = (s_arr > 0.0) & (s_arr < 1.0)   # a nan level stays nan
+        if inner.any():
+            out[inner] = self._roots(s_arr[inner])
         return float(out[0]) if np.asarray(s).ndim == 0 else out
 
     def _roots(self, level: np.ndarray) -> np.ndarray:
         """``inf {x : F(x) >= s}`` for every level s of a 1-d array in (0, 1)."""
         comp = np.array([c.quantile_extended(level) for c in self.components], dtype=float)
-        lo, hi = comp.min(axis=0), comp.max(axis=0)
+        # The root of level s lies between the components' quantiles at s.
+        # One pass of F over a sorted grid of component quantiles -- at every
+        # NODES-th level, one per cell of a mesh call, and the extremes of
+        # all -- brackets each level between two adjacent grid points.
+        grid = np.sort(np.concatenate([comp[:, ::ugrid.NODES].ravel(),
+                                       [comp.min(), comp.max()]]))
+        f_grid = np.asarray(self.cdf(grid), dtype=float)
+        # the first grid point whose F reaches s, read off the running
+        # maximum so that a round-off dip of F cannot hide it
+        k = np.searchsorted(np.maximum.accumulate(f_grid), level)
+        upper, lower = np.minimum(k, grid.size - 1), np.maximum(k - 1, 0)
+        lo, hi, f_lo, f_hi = grid[lower], grid[upper], f_grid[lower], f_grid[upper]
         # where a component's cdf and quantile disagree by round-off (deep
-        # tails) a bracket can miss; widen it until F(lo) < s <= F(hi)
+        # tails) the grid can miss a level; widen until F(lo) < s <= F(hi)
         step = hi - lo + np.abs(lo) + np.abs(hi) + np.finfo(float).tiny
-        f_hi = np.asarray(self.cdf(hi), dtype=float)
         while (miss := f_hi < level).any():
-            lo[miss], hi[miss] = hi[miss], hi[miss] + step[miss]
+            lo[miss], hi[miss], f_lo[miss] = hi[miss], hi[miss] + step[miss], f_hi[miss]
             step[miss] *= 2.0
             f_hi[miss] = self.cdf(hi[miss])
-        f_lo = np.asarray(self.cdf(lo), dtype=float)
         while (miss := f_lo >= level).any():
             lo[miss], hi[miss], f_hi[miss] = lo[miss] - step[miss], lo[miss], f_lo[miss]
             step[miss] *= 2.0
@@ -521,9 +544,10 @@ class Mixture(DistributionModel):
         d = hi - lo                        # the step before last (rtsafe's dxold)
         bisect = np.zeros(level.size, dtype=bool)
         # A bracket bisects from the pass where the density is 0 or missing or
-        # the bracket is narrower than Newton's resolution, so the steps of
-        # each level do not depend on the other levels of the call.  The cap
-        # on the passes only guards termination; bisection closes the rest.
+        # the bracket is narrower than Newton's resolution.  A level's steps
+        # depend on the grid, so on the other levels of the call, but its
+        # result does not: every bracket closes on the same two floats.  The
+        # cap on the passes only guards termination; bisection closes the rest.
         for _ in range(_NEWTON_PASSES):
             if not idx.size or bisect.all():
                 break
@@ -567,9 +591,9 @@ class Mixture(DistributionModel):
             t = lo + 0.5 * (hi - lo)
         return found
 
-    def integrate_score(self, f, breaks=()) -> float:
-        return float(sum(p * c.integrate_score(f, breaks=breaks)
-                         for p, c in zip(self.weights, self.components)))
+    def _integrals(self, scores, breaks=()) -> list:
+        parts = zip(*(c._integrals(scores, breaks) for c in self.components))
+        return [float(sum(p * v for p, v in zip(self.weights, values))) for values in parts]
 
     def raw_moment(self, k: int) -> float:
         return float(sum(p * c.raw_moment(k) for p, c in zip(self.weights, self.components)))

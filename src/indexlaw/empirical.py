@@ -63,8 +63,13 @@ def build_sample(values) -> EmpiricalSample:
         If no observations are given.
     NonFiniteValue
         If any observation is NaN or infinite (reports the first offender).
+    OutOfRange
+        If the observations are not numbers.
     """
-    arr = np.array(values, dtype=float).ravel()
+    try:
+        arr = np.array(values, dtype=float).ravel()
+    except (TypeError, ValueError):
+        raise OutOfRange(f"observations must be numbers, got {values!r}") from None
     if arr.size == 0:
         raise EmptySample("need at least one observation")
     bad = ~np.isfinite(arr)
@@ -77,8 +82,13 @@ def build_sample(values) -> EmpiricalSample:
 
 
 def ecdf(sample: EmpiricalSample, x) -> float | np.ndarray:
-    """Empirical CDF: fraction of observations <= x (vectorized in x)."""
-    counts = np.searchsorted(sample.values, x, side="right")
+    """Empirical CDF: fraction of observations <= x (vectorized in x);
+    ``OutOfRange`` unless x is numbers."""
+    try:
+        points = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"ecdf points must be numbers, got {x!r}") from None
+    counts = np.searchsorted(sample.values, points, side="right")
     out = counts / sample.n
     return float(out) if np.isscalar(x) else out
 

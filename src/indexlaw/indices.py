@@ -179,10 +179,11 @@ class NamedIndex:
 
 def fgt_estimate(sample: EmpiricalSample, poverty_line: float, alpha: float) -> float:
     """Foster-Greer-Thorbecke index ``(1/n) sum_{X<=Z} ((Z-X)/Z)^alpha``."""
-    if not poverty_line > 0:
-        raise BadThreshold("poverty line must be positive")
-    if alpha < 0:
-        raise BadThreshold("alpha must be nonnegative")
+    poverty_line, alpha = _real(poverty_line), _real(alpha)
+    if not 0 < poverty_line < math.inf:
+        raise BadThreshold("poverty line must be positive and finite")
+    if not 0 <= alpha < math.inf:
+        raise BadThreshold("fgt needs a finite alpha >= 0")
     _, gaps = _poor_gaps(sample, poverty_line)
     return float(np.sum(gaps ** alpha) / sample.n)
 
@@ -283,33 +284,44 @@ def _gap(z: float, x: np.ndarray) -> np.ndarray:
     return (z - x) / z
 
 
-def _poor_score(z: float, f: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray],
-                model: Optional[DistributionModel] = None) -> ScoreFunction:
-    """The score ``x -> f(x, F(x))`` on ``x <= Z`` and 0 above the line.
+def _poor_scores(z: float, f: Callable[[np.ndarray, Optional[np.ndarray]], tuple],
+                 model: Optional[DistributionModel] = None) -> Callable[[np.ndarray], list]:
+    """The scores ``x -> f(x, F(x))[i]`` on ``x <= Z`` and 0 above the line,
+    from one evaluation of ``f`` and of ``F``.
 
     ``f`` and the model CDF ``F`` (``None`` without a model) see the poor
     points only, so neither is evaluated at a negative gap.
     """
 
-    def score(x):
+    def scores(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
         poor = x <= z
         xp = x[poor]
-        out[poor] = f(xp, None if model is None else np.asarray(model.cdf(xp), dtype=float))
+        out = []
+        for values in f(xp, None if model is None else np.asarray(model.cdf(xp), dtype=float)):
+            score = np.zeros_like(x)
+            score[poor] = values
+            out.append(score)
         return out
 
-    return score
+    return scores
+
+
+def _poor_score(z: float, f: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray],
+                model: Optional[DistributionModel] = None) -> ScoreFunction:
+    """The one score ``x -> f(x, F(x))`` of ``_poor_scores``."""
+    scores = _poor_scores(z, lambda x, fx: (f(x, fx),), model)
+    return lambda x: scores(x)[0]
 
 
 def _kakwani_constants(model: DistributionModel, z: float, k: int) -> tuple[float, float, float]:
     fz = _check_threshold(model, z)
     if fz == 0.0:
         return fz, 0.0, 0.0
-    jk = model.integrate_score(_poor_score(
-        z, lambda x, fx: (k + 1.0) * (1.0 - fx / fz) ** k * _gap(z, x), model), breaks=(z,))
-    core = model.integrate_score(_poor_score(
-        z, lambda x, fx: (1.0 - fx / fz) ** (k - 1) * _gap(z, x), model), breaks=(z,))
+    # jk and core integrate over one set of nodes with one F pass at the poor
+    jk, core = model._integrals(_poor_scores(
+        z, lambda x, fx: ((k + 1.0) * (1.0 - fx / fz) ** k * _gap(z, x),
+                          (1.0 - fx / fz) ** (k - 1) * _gap(z, x)), model), breaks=(z,))
     kk = k * (k + 1.0) / fz * core + jk / fz
     if not (np.isfinite(jk) and np.isfinite(kk)):
         raise NonFiniteConstant("Kakwani constants are not finite")

@@ -119,8 +119,9 @@ def _samples(family: DistributionModel, n: int, n_replicates: int, master_seed: 
 
 
 def ks_statistic(values: Sequence[float], cdf=normal_cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a continuous CDF."""
-    x = np.sort(np.asarray(values, dtype=float))
+    """One-sample Kolmogorov-Smirnov statistic against a continuous CDF;
+    the values are checked as ``build_sample`` checks observations."""
+    x = build_sample(values).values
     n = x.size
     f = np.asarray(cdf(x), dtype=float)
     grid_hi = np.arange(1, n + 1) / n

@@ -388,8 +388,9 @@ def _delta_form(grad_a: np.ndarray, matrix: np.ndarray, grad_b: np.ndarray) -> f
 
 def _joint_matrix(frame: BivariateFrame, reps1: list[IndexRepresentation],
                   reps2: list[IndexRepresentation]) -> np.ndarray:
-    """Covariance matrix of the u-functions of ``reps1`` under margin 1
-    followed by those of ``reps2`` under margin 2.
+    """Covariance matrix of the u-functions of index i under margins 1 and 2,
+    in the order (I_1, I_2, J_1, J_2, ...): the i-th of ``reps1`` at 2i and
+    the i-th of ``reps2`` at 2i + 1.
 
     Atoms of one period share U and its mesh, so their block is the
     covariance matrix on that mesh; each margin's atoms and block come from
@@ -398,7 +399,10 @@ def _joint_matrix(frame: BivariateFrame, reps1: list[IndexRepresentation],
     """
     one, two = _period(frame.margin1, reps1), _period(frame.margin2, reps2)
     cross = frame.copula.cross_cov(list(one.atoms), list(two.atoms))
-    return np.block([[one.block(), cross], [cross.T, two.block()]])
+    out = np.empty((2 * len(reps1),) * 2)
+    out[0::2, 0::2], out[1::2, 1::2] = one.block(), two.block()
+    out[0::2, 1::2], out[1::2, 0::2] = cross, cross.T
+    return out
 
 
 def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,
@@ -439,9 +443,7 @@ def mutual_variation_covariance(frame: BivariateFrame, rep_i: IndexRepresentatio
     Assembles the 4x4 covariance of (I*_1, I*_2, J*_1, J*_2); the covariance
     of the two differences is the contrast ``(-1, 1)`` applied to each block.
     """
-    order = [0, 2, 1, 3]    # (I*_1, J*_1, I*_2, J*_2) -> (I*_1, I*_2, J*_1, J*_2)
-    m = _joint_matrix(frame, [rep_i, rep_j], [rep_i2 or rep_i, rep_j2 or rep_j])[
-        np.ix_(order, order)]
+    m = _joint_matrix(frame, [rep_i, rep_j], [rep_i2 or rep_i, rep_j2 or rep_j])
     cross = float(np.array([-1.0, 1.0, 0.0, 0.0]) @ m @ np.array([0.0, 0.0, -1.0, 1.0]))
     return JointCovariance(matrix=m, cross=cross)
 

@@ -410,6 +410,25 @@ class TestReadCsv:
         for have, col in zip(got, want):
             assert have.tobytes() == col.tobytes()
 
+    @pytest.mark.parametrize("header", ["income,period2\n", ""], ids=["header", "no-header"])
+    @pytest.mark.parametrize("n_columns", [1, 2])
+    def test_bulk_reader_matches_string_reader(self, tmp_path, n_columns, header):
+        # np.loadtxt reads the file past the byte-order mark, the leading
+        # blank lines and the header that the string reader drops from the text
+        values = np.exp(np.random.default_rng(5).standard_normal((300, n_columns)))
+        rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+        head = ",".join(header.rstrip("\n").split(",")[:n_columns]) + "\n" if header else ""
+        path = str(tmp_path / "x.csv")
+        Path(path).write_bytes(("\ufeff\n \n\t\n  " + head + rows).encode("utf-8"))
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+        bulk = cli._bulk_table(path, text, n_columns)
+        assert bulk is not None and bulk.shape == (300, n_columns)
+        strings = cli._read_rows(path, text, n_columns, False)
+        for have, want in zip(np.ascontiguousarray(bulk.T), strings):
+            assert have.tobytes() == want.tobytes()
+        assert np.array_equal(bulk, values)
+
     def test_parse_error_line_after_blank_lines(self, tmp_path):
         path = write(tmp_path, "x.csv", "\n\n1\n\n2\nabc\n3\n")
         with pytest.raises(ParseError) as exc:

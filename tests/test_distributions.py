@@ -220,6 +220,11 @@ _PAIRS = {
                                    Exponential(0.7)]),
 }
 
+# the 2,695 levels at which a Sen variance with poverty line 1 on the
+# benchmark's mixture evaluates the mixture quantile: its mesh's Gauss nodes
+BENCH_LEVELS = ugrid.gauss_nodes(ugrid.mesh_edges(
+    ugrid.DEFAULT_GRID, [float(_PAIRS["lognormal"].cdf(1.0))])).ravel()
+
 
 class TestFixedParameters:
     """A model's parameters are set by its constructor alone."""
@@ -284,6 +289,14 @@ class TestMixtureGeneralizedInverse:
     def test_flat_region_left_end(self):
         assert _PAIRS["disjoint-uniform"].quantile(0.5) == 1.0
 
+    @pytest.mark.parametrize("name", sorted(_PAIRS))
+    def test_nan_level_leaves_the_others(self, name):
+        # a nan level must not reach the grid that brackets the other levels
+        mix = _PAIRS[name]
+        got = mix.quantile_extended(np.array([np.nan, 0.3, 0.9]))
+        assert np.isnan(got[0])
+        assert np.array_equal(got[1:], mix.quantile_extended(np.array([0.3, 0.9])))
+
     def test_endpoints(self):
         mix = _PAIRS["lognormal"]
         assert mix.quantile_extended(0.0) == 0.0
@@ -305,6 +318,63 @@ class TestMixtureGeneralizedInverse:
         assert np.array_equal(got[[0, -1]], want[[0, -1]])
         inner = slice(1, -1)
         assert np.max(np.abs(got[inner] - want[inner]) / want[inner]) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_PAIRS))
+    def test_bisection_oracle_on_bench_mesh(self, name):
+        mix = _PAIRS[name]
+        assert np.array_equal(mix.quantile_extended(BENCH_LEVELS), _bit_bisection(mix, BENCH_LEVELS))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_bisection_oracle_on_random_mixtures(self, seed):
+        rng = np.random.default_rng([seed, 30])
+        mix = _random_mixture(rng)
+        s = np.concatenate([rng.uniform(size=200), 10.0 ** -rng.uniform(1, 300, 20),
+                            1.0 - 10.0 ** -rng.uniform(1, 16, 20)])
+        assert np.array_equal(mix.quantile_extended(s), _bit_bisection(mix, s))
+
+    def test_scalar_matches_batch_on_bench_mesh(self):
+        # a level's first bracket comes from the grid of its whole call
+        mix = _PAIRS["lognormal"]
+        batch = mix.quantile_extended(BENCH_LEVELS)
+        assert np.array_equal(batch, [mix.quantile_extended(float(s)) for s in BENCH_LEVELS])
+
+
+_SIGN = np.int64(np.iinfo(np.int64).min)
+
+
+def _bit_bisection(mix, s):
+    """``inf {x : F(x) >= s}`` by bisection on the int64 bit patterns of the
+    floats, ordered as the floats are (-0.0 and 0.0 share a key), from the
+    bracket (-inf, inf]; each pass evaluates F once at every level."""
+    def key(x):
+        bits = np.asarray(x, dtype=float).view(np.int64)
+        return np.where(bits < 0, -(bits & ~_SIGN), bits)
+
+    def value(k):
+        return np.where(k < 0, -k | _SIGN, k).view(np.float64)
+
+    s = np.asarray(s, dtype=float)
+    lo, hi = key(np.full(s.shape, -np.inf)), key(np.full(s.shape, np.inf))
+    while (open_ := lo + 1 < hi).any():
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        with np.errstate(over="ignore"):  # Exponential.cdf's unused branch at x << 0
+            above = np.asarray(mix.cdf(value(mid)), dtype=float) >= s
+        hi, lo = np.where(open_ & above, mid, hi), np.where(open_ & ~above, mid, lo)
+    return value(hi)
+
+
+def _random_mixture(rng):
+    """One to three components of the parametric families, random weights."""
+    families = [lambda: Normal(rng.uniform(-2, 2), rng.uniform(0.2, 2)),
+                lambda: LogNormal(rng.uniform(-1, 1), rng.uniform(0.2, 1.5)),
+                lambda: Exponential(rng.uniform(0.3, 3)),
+                lambda: Pareto(rng.uniform(0.5, 2), rng.uniform(2.1, 5)),
+                lambda: Uniform(a := rng.uniform(-1, 1), a + rng.uniform(0.1, 2))]
+    k = int(rng.integers(1, 4))
+    components = [families[int(rng.integers(5))]() for _ in range(k)]
+    w = rng.dirichlet(np.ones(k))
+    w[-1] = 1.0 - w[:-1].sum()
+    return Mixture(w, components)
 
 
 class TestNanLevels:
@@ -376,13 +446,14 @@ def test_quantile_on_a_block_is_rowwise(model):
         assert row.tobytes() == np.asarray(model.quantile(u), dtype=float).tobytes()
 
 
-def scalar_integrate_score(model, f, breaks=()):
-    """Per-point reference for ``integrate_score``: the same Gauss rule on the
-    same mesh, with f evaluated at one quantile node at a time on a 0-d
-    array."""
+def scalar_integrals(model, scores, breaks=()):
+    """Per-point reference for ``_integrals``, under ``integrate_score`` and
+    the Kakwani constants: the same Gauss rule on the same mesh, with the
+    scores evaluated at one quantile node at a time on a 0-d array."""
     edges, x = model.mesh(breaks)
-    vals = [float(np.asarray(f(np.asarray(v)), dtype=float)) for v in x.tolist()]
-    return gauss_sum(edges, np.reshape(vals, (-1, NODES)))
+    vals = [[float(np.asarray(v, dtype=float)) for v in scores(np.asarray(node))]
+            for node in x.tolist()]
+    return [gauss_sum(edges, np.reshape(col, (-1, NODES))) for col in zip(*vals)]
 
 
 BENCH_MIXTURE = Mixture((0.5, 0.5), [LogNormal(0.0, 1.0), LogNormal(0.5, 1.0)])
@@ -411,10 +482,11 @@ def _numbers(model, index):
 
 
 def _reference_numbers(monkeypatch, model, indices):
-    """The catalog numbers with ``integrate_score`` replaced by the reference."""
+    """The catalog numbers with the parametric ``_integrals`` replaced by the
+    reference; a mixture's reach it through its components."""
     with monkeypatch.context() as m:
-        m.setattr(DistributionModel, "integrate_score",
-                  lambda self, f, breaks=(): scalar_integrate_score(self, f, breaks))
+        m.setattr(DistributionModel, "_integrals",
+                  lambda self, scores, breaks=(): scalar_integrals(self, scores, breaks))
         return [_numbers(model, index) for index in indices]
 
 

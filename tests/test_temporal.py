@@ -15,10 +15,11 @@ from indexlaw import temporal, ugrid
 from indexlaw.decomposition import SubgroupPartition, gap_variance
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Mixture, Normal, Pareto, Uniform, normal_quantile)
-from indexlaw.errors import (BadParams, BadWeights, IndexLawError, NonFiniteValue,
-                             OutOfRange, TooFewPairs, ZeroBaseIndex)
-from indexlaw.indices import NamedIndex, named_representation
-from indexlaw.montecarlo import decomposability_experiment, ks_pvalue
+from indexlaw.empirical import ecdf
+from indexlaw.errors import (BadParams, BadThreshold, BadWeights, EmptySample, IndexLawError,
+                             NonFiniteValue, OutOfRange, TooFewPairs, ZeroBaseIndex)
+from indexlaw.indices import NamedIndex, fgt_estimate, named_representation
+from indexlaw.montecarlo import decomposability_experiment, ks_pvalue, ks_statistic
 from indexlaw.representation import (IndexRepresentation, index_cross_covariance,
                                      index_variance, score_model, u_atoms)
 from indexlaw.rng import stream_seed, uniforms
@@ -1084,6 +1085,12 @@ def _sweep_table():
         "EmpiricalDistribution.quantile": lambda v: [sample.quantile(v)],
         "ks_pvalue.stat": lambda v: [ks_pvalue(v, 10)],
         "ks_pvalue.n": lambda v: [ks_pvalue(0.1, v)],
+        # the quantile is -inf at 0 and +inf at 1 by definition; tanh keeps a nan
+        "normal_quantile": lambda v: [np.tanh(normal_quantile(v))],
+        "ecdf": lambda v: [ecdf(sample.sample, v)],
+        "ks_statistic": lambda v: [ks_statistic(v)],
+        "fgt_estimate.poverty_line": lambda v: [fgt_estimate(sample.sample, v, 1.0)],
+        "fgt_estimate.alpha": lambda v: [fgt_estimate(sample.sample, 1.0, v)],
     }
 
 
@@ -1100,6 +1107,22 @@ class TestContractSweep:
         except IndexLawError:
             return
         assert all(np.all(np.isfinite(x)) for x in numbers), (argument, value, numbers)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: normal_quantile(math.nan), OutOfRange),
+        (lambda: normal_quantile(np.array([0.5, math.nan])), OutOfRange),
+        (lambda: ecdf(EmpiricalDistribution([1.0, 2.0]).sample, "x"), OutOfRange),
+        (lambda: ks_statistic([]), EmptySample),
+        (lambda: ks_statistic([math.nan]), NonFiniteValue),
+        (lambda: fgt_estimate(EmpiricalDistribution([1.0, 2.0]).sample, 1.5, math.nan),
+         BadThreshold),
+        (lambda: fgt_estimate(EmpiricalDistribution([1.0, 2.0]).sample, math.inf, 1.0),
+         BadThreshold),
+    ], ids=["normal-quantile-nan", "normal-quantile-nan-in-array", "ecdf-string",
+            "ks-empty", "ks-nan", "fgt-alpha-nan", "fgt-line-inf"])
+    def test_typed_error(self, call, error):
+        with pytest.raises(error):
+            call()
 
     @pytest.mark.parametrize("stat, n", [(math.nan, 10), (0.1, -5), (1.5, 10), (-0.1, 10),
                                          (0.1, 0), (0.1, 2.5), ("abc", 10)])
