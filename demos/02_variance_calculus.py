@@ -6,16 +6,17 @@ An index with representation pair (h, q) has limiting variance
 
 where gamma1 is the plain score variance, gamma2 the Brownian-bridge form of
 the weight, and gamma3 their coupling.  This script shows the pieces for a
-rank-weighted index, the joint law of two indices on the same sample, and
-the ratio-composition rule.
+rank-weighted index, reads three closed forms of the bridge kernel
+min(s, t) - s t off the pieces of simple score pairs, and shows the joint
+law of two indices on the same sample and the ratio-composition rule.
 """
 
 import numpy as np
 
-from indexlaw import (LogNormal, NamedIndex, beta_beta_cov, beta_cross_cov,
-                      compose_ratio, index_cross_covariance, index_variance,
-                      indicator_cov_closed_form, named_representation)
-from indexlaw.representation import IndexRepresentation, Polynomial
+from indexlaw import (EmpiricalDistribution, IndexRepresentation, LogNormal, NamedIndex,
+                      Uniform, compose_ratio, index_cross_covariance, index_variance,
+                      named_representation)
+from indexlaw.representation import Polynomial
 
 model = LogNormal(0.0, 1.0)
 Z = 1.0
@@ -29,14 +30,19 @@ print(f"  gamma2 (bridge form)     = {cv.gamma2:.6f}")
 print(f"  gamma3 (coupling)        = {cv.gamma3:.6f}")
 print(f"  total                    = {cv.total:.6f}")
 
-# the elementary kernels have closed forms worth knowing
-print(f"\nbridge kernel at (1/2, 1/2): {indicator_cov_closed_form(0.5, 0.5)}")
+# the bridge kernel has closed forms worth knowing: a headcount at the
+# median of a sample has gamma1 = min(s, s) - s^2 at s = 1/2, a unit weight
+# has gamma2 = 1/12 under any law, and (x, 1) has gamma3 = -1/12 under U(0, 1)
+sample = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
+headcount = named_representation(sample, NamedIndex.fgt(0.0, 2.5))
+print(f"\nbridge kernel at (1/2, 1/2): {index_variance(sample, headcount).gamma1}")
 one = lambda x: np.ones_like(np.asarray(x, dtype=float))
 ident = lambda x: np.asarray(x, dtype=float)
-print(f"unit-weight bridge form (= 1/12): {beta_beta_cov(model, one, one):.12f}")
-from indexlaw import Uniform
+unit = IndexRepresentation(h=lambda x: np.zeros_like(ident(x)), q=one, value=lambda m: 0.0)
+print(f"unit-weight bridge form (= 1/12): {index_variance(model, unit).gamma2:.12f}")
+coupled = IndexRepresentation(h=ident, q=one, value=lambda m: 0.0)
 print(f"identity/unit coupling on uniform (= -1/12): "
-      f"{beta_cross_cov(Uniform(0, 1), ident, one):.12f}")
+      f"{index_variance(Uniform(0, 1), coupled).gamma3:.12f}")
 
 # two indices on one sample: the joint 2x2 law
 rep_fgt = named_representation(model, NamedIndex.fgt(1.0, Z))

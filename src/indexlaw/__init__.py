@@ -12,10 +12,8 @@ from .empirical import (EmpiricalSample, build_sample, ecdf, equantile,
 from .distributions import (DistributionModel, EmpiricalDistribution, Exponential,
                             LogNormal, Mixture, Normal, Pareto, Uniform,
                             normal_cdf, normal_quantile)
-from .representation import (CovarianceEstimate, IndexRepresentation, beta_beta_cov,
-                             beta_cross_cov, compose_ratio, confidence_interval,
-                             index_cross_covariance, index_variance,
-                             indicator_cov_closed_form, score_covariance)
+from .representation import (CovarianceEstimate, IndexRepresentation, compose_ratio,
+                             confidence_interval, index_cross_covariance, index_variance)
 from .indices import (GpiConstants, GpiSpec, NamedIndex, central_moment_estimate,
                       fgt_estimate, gpi_constants, gpi_estimate, gpi_representation,
                       moment_representation, named_estimate, named_representation,

@@ -125,14 +125,15 @@ def normal_cdf(x):
 def _closed_form(moment: Callable[["DistributionModel", int], float]):
     """Mark a closed-form ``raw_moment`` or ``central_moment``: one beyond
     the float range raises ``NonFiniteMoment``, where Python's float powers,
-    ``math.exp`` and big-integer division raise ``OverflowError`` and a sum
-    can reach inf (or, on a sample, nan from opposite infinite powers)."""
+    ``math.exp`` and big-integer division raise ``OverflowError``, a divisor
+    such as ``rate ** k`` underflows to 0, and a sum can reach inf (or, on a
+    sample, nan from opposite infinite powers)."""
 
     @functools.wraps(moment)
     def checked(self, k: int) -> float:
         try:
             value = float(moment(self, k))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             value = math.inf
         if not math.isfinite(value):
             raise NonFiniteMoment(f"{type(self).__name__} moment of order {k} "
@@ -145,6 +146,14 @@ def _closed_form(moment: Callable[["DistributionModel", int], float]):
 def _shifted(moments: Sequence[float], d: float, k: int) -> float:
     """``E (Y + d)^k`` from the moments ``E Y^j``, j = 0..k."""
     return math.fsum(math.comb(k, j) * moments[j] * d ** (k - j) for j in range(k + 1))
+
+
+def _real(value) -> float:
+    """``value`` read through ``float()``, nan if it cannot be read."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 def _levels(s) -> np.ndarray:
@@ -281,9 +290,10 @@ class EmpiricalDistribution(DistributionModel):
 
 class Uniform(DistributionModel):
     def __init__(self, a: float = 0.0, b: float = 1.0):
+        a, b = _real(a), _real(b)
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise BadParams(f"uniform requires a < b, got ({a}, {b})")
-        self.a, self.b = float(a), float(b)
+            raise BadParams(f"uniform requires numbers a < b, got ({a}, {b})")
+        self.a, self.b = a, b
 
     def cdf(self, x):
         return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
@@ -306,13 +316,14 @@ class Uniform(DistributionModel):
 
 class Exponential(DistributionModel):
     def __init__(self, rate: float = 1.0):
+        rate = _real(rate)
         if not (np.isfinite(rate) and rate > 0):
-            raise BadParams(f"exponential rate must be positive, got {rate}")
-        self.rate = float(rate)
+            raise BadParams(f"exponential rate must be a positive number, got {rate}")
+        self.rate = rate
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * x))
+        return np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
 
     def quantile_extended(self, s):
         s = np.asarray(s, dtype=float)
@@ -335,9 +346,10 @@ class Exponential(DistributionModel):
 
 class LogNormal(DistributionModel):
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
+        mu, sigma = _real(mu), _real(sigma)
         if not (np.isfinite(mu) and np.isfinite(sigma) and sigma > 0):
-            raise BadParams(f"lognormal requires sigma > 0, got ({mu}, {sigma})")
-        self.mu, self.sigma = float(mu), float(sigma)
+            raise BadParams(f"lognormal requires numbers mu and sigma > 0, got ({mu}, {sigma})")
+        self.mu, self.sigma = mu, sigma
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -354,7 +366,7 @@ class LogNormal(DistributionModel):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             z = (np.log(x) - self.mu) / self.sigma
             dens = np.exp(-0.5 * z * z) / (x * (self.sigma * _SQRT_2PI))
         return np.where(x > 0.0, dens, 0.0)
@@ -377,9 +389,10 @@ class Pareto(DistributionModel):
     """Pareto with scale x_m and tail index a > 2 (finite variance)."""
 
     def __init__(self, xm: float = 1.0, a: float = 3.0):
+        xm, a = _real(xm), _real(a)
         if not (np.isfinite(xm) and xm > 0 and np.isfinite(a) and a > 2):
             raise BadParams(f"pareto requires xm > 0 and tail index a > 2, got ({xm}, {a})")
-        self.xm, self.a = float(xm), float(a)
+        self.xm, self.a = xm, a
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -414,9 +427,10 @@ class Pareto(DistributionModel):
 
 class Normal(DistributionModel):
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
+        mu, sigma = _real(mu), _real(sigma)
         if not (np.isfinite(mu) and np.isfinite(sigma) and sigma > 0):
-            raise BadParams(f"normal requires sigma > 0, got ({mu}, {sigma})")
-        self.mu, self.sigma = float(mu), float(sigma)
+            raise BadParams(f"normal requires numbers mu and sigma > 0, got ({mu}, {sigma})")
+        self.mu, self.sigma = mu, sigma
 
     def cdf(self, x):
         return normal_cdf((np.asarray(x, dtype=float) - self.mu) / self.sigma)
@@ -496,8 +510,9 @@ class Mixture(DistributionModel):
         before last.  A bracket closes on two adjacent floats, and its upper
         end, the smallest float found with ``F(x) >= s``, is returned, so in
         a flat region of F the result is its left end.  Levels <= 0 and >= 1
-        give the smallest and the largest component endpoint, and a nan
-        level gives nan.
+        give the smallest and the largest component endpoint, a level whose
+        root lies beyond the float range gives +-inf, and a nan level gives
+        nan.
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.full_like(s_arr, np.nan)
@@ -525,22 +540,33 @@ class Mixture(DistributionModel):
         upper, lower = np.minimum(k, grid.size - 1), np.maximum(k - 1, 0)
         lo, hi, f_lo, f_hi = grid[lower], grid[upper], f_grid[lower], f_grid[upper]
         # where a component's cdf and quantile disagree by round-off (deep
-        # tails) the grid can miss a level; widen until F(lo) < s <= F(hi)
+        # tails) the grid can miss a level; widen until F(lo) < s <= F(hi),
+        # or until the end is infinite
         step = hi - lo + np.abs(lo) + np.abs(hi) + np.finfo(float).tiny
-        while (miss := f_hi < level).any():
-            lo[miss], hi[miss], f_lo[miss] = hi[miss], hi[miss] + step[miss], f_hi[miss]
-            step[miss] *= 2.0
-            f_hi[miss] = self.cdf(hi[miss])
-        while (miss := f_lo >= level).any():
-            lo[miss], hi[miss], f_hi[miss] = lo[miss] - step[miss], lo[miss], f_lo[miss]
-            step[miss] *= 2.0
-            f_lo[miss] = self.cdf(lo[miss])
+        with np.errstate(over="ignore"):
+            while (miss := (f_hi < level) & (hi < np.inf)).any():
+                lo[miss], hi[miss], f_lo[miss] = hi[miss], hi[miss] + step[miss], f_hi[miss]
+                step[miss] *= 2.0
+                f_hi[miss] = self.cdf(hi[miss])
+            while (miss := (f_lo >= level) & (lo > -np.inf)).any():
+                lo[miss], hi[miss], f_hi[miss] = lo[miss] - step[miss], lo[miss], f_lo[miss]
+                step[miss] *= 2.0
+                f_lo[miss] = self.cdf(lo[miss])
+        # An infinite end (a component quantile or a widening overflowed) is
+        # the largest float of its sign.  A level that F has not reached
+        # there, or has passed, has its root beyond the float range: +inf or
+        # -inf, as a component's own quantile gives.
+        for end, f_end in ((hi, f_hi), (lo, f_lo)):
+            if (wide := np.isinf(end)).any():
+                end[wide] = np.copysign(np.finfo(float).max, end[wide])
+                f_end[wide] = self.cdf(end[wide])
+        found = np.where(f_hi < level, np.inf, -np.inf)
+        idx = np.flatnonzero((f_lo < level) & (level <= f_hi))  # the open brackets
+        level, lo, hi, f_lo, f_hi = (a[idx] for a in (level, lo, hi, f_lo, f_hi))
         # the first trial is the false-position point of the bracket
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = lo - (f_lo - level) * ((hi - lo) / (f_hi - f_lo))
         t = np.where((t > lo) & (t < hi), t, lo + 0.5 * (hi - lo))
-        found = np.empty(level.size)
-        idx = np.arange(level.size)        # the open brackets' places in found
         d = hi - lo                        # the step before last (rtsafe's dxold)
         bisect = np.zeros(level.size, dtype=bool)
         # A bracket bisects from the pass where the density is 0 or missing or

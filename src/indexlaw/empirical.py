@@ -83,11 +83,13 @@ def build_sample(values) -> EmpiricalSample:
 
 def ecdf(sample: EmpiricalSample, x) -> float | np.ndarray:
     """Empirical CDF: fraction of observations <= x (vectorized in x);
-    ``OutOfRange`` unless x is numbers."""
+    ``OutOfRange`` unless every point is a number other than nan."""
     try:
         points = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
-        raise OutOfRange(f"ecdf points must be numbers, got {x!r}") from None
+        points = np.array(np.nan)
+    if np.isnan(points).any():
+        raise OutOfRange(f"ecdf points must be numbers, got {x!r}")
     counts = np.searchsorted(sample.values, points, side="right")
     out = counts / sample.n
     return float(out) if np.isscalar(x) else out

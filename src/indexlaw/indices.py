@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import DistributionModel
+from .distributions import DistributionModel, _real
 from .empirical import EmpiricalSample, ScoreFunction
 from .errors import (BadParams, BadThreshold, NonFiniteConstant, OutOfRange,
                      ThresholdOutsideSupport, ZeroDenominator, ZeroHpi,
@@ -60,14 +60,6 @@ def _identity(x):
 
 
 _MEAN = Polynomial(0.0, (0.0, 1.0))   # the mean's score x, all polynomial
-
-
-def _real(value) -> float:
-    """``value`` read through ``float()``, nan if it cannot be read."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
 
 
 def _whole(value, least: int, message: str) -> int:

@@ -35,12 +35,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .decomposition import _recompose, _weights, gap_variance
-from .distributions import (DistributionModel, EmpiricalDistribution, Mixture,
+from .distributions import (DistributionModel, EmpiricalDistribution, Mixture, _real,
                             normal_cdf)
 from .empirical import EmpiricalSample, build_sample
-from .errors import BadParams, OutOfRange, ZeroVariance
-from .indices import NamedIndex, _real, named_estimate, named_representation
-from .representation import confidence_interval, index_variance
+from .errors import OutOfRange, ZeroVariance
+from .indices import NamedIndex, named_estimate, named_representation
+from .representation import _check_count, confidence_interval, index_variance
 from .rng import stream_seed, uniforms
 
 _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -85,12 +85,6 @@ class McReport:
 # ---------------------------------------------------------------------------
 # Sampling and the KS test
 # ---------------------------------------------------------------------------
-
-
-def _check_count(value, name: str) -> None:
-    """Reject a count (draws, replicates, sample size) that is not an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise BadParams(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _inverse_cdf(family: DistributionModel, n: int, seeds) -> np.ndarray:

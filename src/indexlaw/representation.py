@@ -39,10 +39,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .distributions import DistributionModel, normal_quantile
+from .distributions import DistributionModel, _real, normal_quantile
 from .empirical import ScoreFunction
-from .errors import BadLevel, NegativeVariance, NonFiniteIntegral, OutOfRange
-from .ugrid import NODES, CellPoly, covariance, covariances, inner, sample_cells
+from .errors import BadLevel, BadParams, NegativeVariance, NonFiniteIntegral, OutOfRange
+from .ugrid import NODES, CellPoly, covariances, inner, sample_cells
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,10 @@ def _scorer(model: DistributionModel,
     return nodes
 
 
-def _score_models(model: DistributionModel, funcs: Sequence[ScoreFunction]) -> list[CellPoly]:
-    """``[score_model(model, f) for f in funcs]`` on one set of nodes."""
-    return list(map(_scorer(model), funcs))
-
-
 def score_model(model: DistributionModel, func: ScoreFunction) -> CellPoly:
     """CellPoly model of ``s -> func(Q(s))`` on (0, 1): the exact step
     function of a sample, or per-cell interpolants on a parametric mesh."""
-    return _score_models(model, [func])[0]
+    return _scorer(model)(func)
 
 
 # ---------------------------------------------------------------------------
@@ -236,54 +231,9 @@ def _covs(model: DistributionModel, score, rows: list, cols: list) -> np.ndarray
     return out
 
 
-# ---------------------------------------------------------------------------
-# Elementary covariance operations
-# ---------------------------------------------------------------------------
-
-
 def _sample_cov(fv: np.ndarray, gv: np.ndarray) -> float:
     """The centred covariance, divisor n, of two score vectors: a sample's gamma1."""
     return float(np.mean((fv - np.mean(fv)) * (gv - np.mean(gv))))
-
-
-def score_covariance(model: DistributionModel, f: ScoreFunction, g: ScoreFunction,
-                     breaks: Sequence[float] = ()) -> float:
-    """Covariance of f(X) and g(X) under the model.
-
-    For an empirical model this is the exact sample covariance with divisor
-    n, taken centred so that a constant score has covariance 0; otherwise
-    the covariance of the two cell models on the mesh for ``breaks``.
-    """
-    if model.kind == "empirical":
-        fv = np.asarray(f(model.sample.values), dtype=float)
-        gv = fv if g is f else np.asarray(g(model.sample.values), dtype=float)
-        if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
-            raise NonFiniteIntegral("score is non-finite on the sample")
-        return _sample_cov(fv, gv)
-    score = _scorer(model, breaks)
-    fm = score(f)
-    return covariance(fm, fm if g is f else score(g))
-
-
-def indicator_cov_closed_form(s: float, t: float) -> float:
-    """Closed-form bridge covariance min(s, t) - s*t for levels in (0, 1)."""
-    if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
-        raise OutOfRange(f"levels must lie in (0, 1), got ({s}, {t})")
-    return min(s, t) - s * t
-
-
-def beta_beta_cov(model: DistributionModel, q1: ScoreFunction, q2: ScoreFunction) -> float:
-    """Covariance of two beta-terms:
-    ``int int (min(s,t) - s t) q1(Q(s)) q2(Q(t)) ds dt = Cov(W1(U), W2(U))``."""
-    m1, m2 = _score_models(model, [q1, q2])
-    return covariance(m1.tail_integral_poly(), m2.tail_integral_poly())
-
-
-def beta_cross_cov(model: DistributionModel, h: ScoreFunction, q: ScoreFunction) -> float:
-    """Covariance of the score term with a beta-term:
-    ``int (int_0^s h(Q(u)) du - s E h) q(Q(s)) ds = Cov(h(Q(U)), W(U))``."""
-    hm, qm = _score_models(model, [h, q])
-    return covariance(hm, qm.tail_integral_poly())
 
 
 def _pieces(model: DistributionModel, rep_i: IndexRepresentation,
@@ -295,7 +245,12 @@ def _pieces(model: DistributionModel, rep_i: IndexRepresentation,
     score = _scorer(model, rep_i.breaks if same else tuple(rep_i.breaks) + tuple(rep_j.breaks))
     exact = model.kind == "empirical"
     if exact and rep_i.q is None and rep_j.q is None:
-        return score_covariance(model, rep_i.h, rep_j.h), 0.0, 0.0, 0.0
+        x = model.sample.values
+        fv = np.asarray(rep_i.h(x), dtype=float)
+        gv = fv if rep_j.h is rep_i.h else np.asarray(rep_j.h(x), dtype=float)
+        if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
+            raise NonFiniteIntegral("score is non-finite on the sample")
+        return _sample_cov(fv, gv), 0.0, 0.0, 0.0
 
     def parts(rep):
         tail = None if rep.q is None else score(rep.q).tail_integral_poly()
@@ -391,6 +346,12 @@ def _period(model: DistributionModel, reps: Sequence[IndexRepresentation]) -> _P
     return slot
 
 
+def _check_count(value, name: str) -> None:
+    """Reject a count (draws, replicates, sample size) that is not an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise BadParams(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @functools.lru_cache(maxsize=64)
 def _two_sided_z(level: float) -> float:
     """The normal quantile of ``(1 + level) / 2``; the coverage experiment
@@ -403,12 +364,15 @@ def confidence_interval(estimate: float, variance: float, n: int,
     """Normal confidence interval ``estimate -+ z * sqrt(variance / n)``."""
     if not (0.0 < level < 1.0):
         raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
+    estimate, variance = _real(estimate), _real(variance)
+    if not (math.isfinite(estimate) and math.isfinite(variance)):
+        raise OutOfRange(f"estimate and variance must be finite numbers, got "
+                         f"({estimate}, {variance})")
     if variance < 0.0:
         if variance < -1e-9:
             raise NegativeVariance(f"variance {variance} is negative")
         variance = 0.0
-    if n < 1:
-        raise OutOfRange("n must be a positive count")
+    _check_count(n, "n")
     half = _two_sided_z(level) * math.sqrt(variance / n)
     return (estimate - half, estimate + half)
 

@@ -80,11 +80,10 @@ from typing import Optional
 import numpy as np
 
 from . import ugrid
-from .distributions import DistributionModel, normal_quantile
+from .distributions import DistributionModel, _real, normal_quantile
 from .empirical import _max_ranks
 from .errors import (BadParams, NegativeVariance, NonFiniteValue, OutOfRange, TooFewPairs,
                      ZeroBaseIndex)
-from .indices import _real
 from .representation import IndexRepresentation, _period
 from .ugrid import (NODES, CellPoly, covariance, gauss_legendre, gauss_nodes, gauss_weights,
                     mesh_edges, sample_cells)

@@ -19,9 +19,7 @@ from indexlaw.indices import (NamedIndex, fgt_estimate, moment_representation,
 from indexlaw.montecarlo import (coverage_experiment, cre2_diagnostic,
                                  decomposability_experiment, draw,
                                  normality_experiment)
-from indexlaw.representation import (IndexRepresentation, beta_beta_cov,
-                                     beta_cross_cov, index_variance,
-                                     indicator_cov_closed_form)
+from indexlaw.representation import IndexRepresentation, index_variance
 from indexlaw.rng import stream_seed
 from indexlaw.temporal import (BivariateFrame, ComonotoneCopula, GaussianCopula,
                                IndependenceCopula, mutual_variation_covariance,
@@ -29,6 +27,7 @@ from indexlaw.temporal import (BivariateFrame, ComonotoneCopula, GaussianCopula,
 
 ident = lambda x: np.asarray(x, dtype=float)
 one = lambda x: np.ones_like(ident(x))
+zero = lambda x: np.zeros_like(ident(x))
 
 
 def report(num, text):
@@ -78,10 +77,17 @@ def test_criterion_3_normality_of_standardized_estimates():
 
 
 def test_criterion_4_analytic_integral_checks():
+    # gamma2 of a unit weight is the bridge form 1/12 under any law, gamma3
+    # of (x, 1) under U(0, 1) is -1/12, and a headcount at the median of a
+    # sample has gamma1 = min(s, s) - s^2 = 1/4 at s = 1/2
+    unit = IndexRepresentation(h=zero, q=one, value=lambda m: 0.0)
     for model in (Uniform(0, 1), LogNormal(0, 1), Exponential(1.0)):
-        assert abs(beta_beta_cov(model, one, one) - 1 / 12) <= 1e-9
-    assert abs(beta_cross_cov(Uniform(0, 1), ident, one) + 1 / 12) <= 1e-9
-    assert indicator_cov_closed_form(0.5, 0.5) == 0.25
+        assert abs(index_variance(model, unit).gamma2 - 1 / 12) <= 1e-9
+    cross = IndexRepresentation(h=ident, q=one, value=lambda m: 0.0)
+    assert abs(index_variance(Uniform(0, 1), cross).gamma3 + 1 / 12) <= 1e-9
+    sample = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
+    headcount = named_representation(sample, NamedIndex.fgt(0.0, 2.5))
+    assert index_variance(sample, headcount).gamma1 == 0.25
     report(4, "beta-beta 1/12, beta-cross -1/12, indicator kernel 0.25")
 
 
@@ -141,8 +147,7 @@ def test_criterion_6_decomposability():
 
 def test_criterion_7_temporal_laws():
     # (a) independent periods have zero cross-period weight covariance
-    beta_only = IndexRepresentation(h=lambda x: np.zeros_like(ident(x)), q=one,
-                                    value=lambda m: 0.0)
+    beta_only = IndexRepresentation(h=zero, q=one, value=lambda m: 0.0)
     frame_ind = BivariateFrame(Uniform(0, 1), Uniform(0, 1), IndependenceCopula())
     assert abs(temporal_joint_covariance(frame_ind, beta_only).cross) <= 1e-10
     # (b) perfectly dependent identical periods are degenerate

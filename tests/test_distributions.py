@@ -103,6 +103,8 @@ class TestFamilies:
     @pytest.mark.parametrize("model,k", [(LogNormal(0, 1), 200), (Uniform(0, 10), 400),
                                          (Exponential(1), 200), (Normal(0, 1), 400),
                                          (Pareto(1e200, 3.0), 2),
+                                         # rate ** k underflows to 0
+                                         (Exponential(1e-300), 2),
                                          # the sample power overflows to inf, or
                                          # to nan from -inf + inf
                                          (EmpiricalDistribution([1e200, 2.0]), 2),
@@ -134,10 +136,22 @@ class TestFamilies:
 
     @pytest.mark.parametrize("ctor", [lambda: Uniform(1, 1), lambda: Exponential(0),
                                       lambda: LogNormal(0, 0), lambda: Pareto(1, 2),
-                                      lambda: Normal(0, -1)])
+                                      lambda: Normal(0, -1),
+                                      # parameters that are not numbers
+                                      lambda: Uniform("a", 1), lambda: Normal("a", 1),
+                                      lambda: LogNormal(None, 1), lambda: Exponential("x"),
+                                      lambda: Pareto("x", 3)])
     def test_bad_params(self, ctor):
         with pytest.raises(BadParams):
             ctor()
+
+    @pytest.mark.filterwarnings("error")
+    def test_exponential_cdf_far_below_zero(self):
+        # the expm1 branch is not taken below 0, and must not overflow there
+        m = Exponential(1.0)
+        assert m.cdf(-1e300) == 0.0
+        x = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e3, 200), [1e300, np.inf]])
+        assert np.array_equal(m.cdf(x), -np.expm1(-m.rate * x))
 
 
 class DistributionQuad:
@@ -332,11 +346,52 @@ class TestMixtureGeneralizedInverse:
                             1.0 - 10.0 ** -rng.uniform(1, 16, 20)])
         assert np.array_equal(mix.quantile_extended(s), _bit_bisection(mix, s))
 
+    def test_root_beyond_the_float_range(self):
+        # F at the largest float is about 0.9955, so a higher level has its
+        # root at +inf, as LogNormal(0, 300)'s own quantile there; its
+        # bracket [x, inf] used to bisect to inf without end
+        components = [LogNormal(0, 300), LogNormal(0, 1)]
+        mix = _CdfPasses([0.5, 0.5], components)
+        assert np.array_equal(mix.quantile_extended(np.array([0.999, 1 - 1e-12])), [np.inf] * 2)
+        assert mix.passes == [4, 2]    # the grid, then F at the largest float
+        plain = Mixture([0.5, 0.5], components)
+        s = np.array([0.999, 0.3, 0.99, 0.995, 0.9955])
+        assert np.array_equal(plain.quantile_extended(s), _bit_bisection(plain, s))
+
+    def test_level_beyond_the_total_weight(self):
+        # these weights add up, as F(inf), to 1 - 2^-52 in floats, so F never
+        # reaches the level 1 - 2^-53 and its root is +inf; the widening of
+        # its bracket, which doubles a step, ends at inf within the exponent
+        # range, where it used to run on at inf
+        w = [0.0178319779747, 0.1132633576592, 0.1917000020765, 0.3900471898913,
+             0.2871574723982]
+        components = [Uniform(0, j + 1) for j in range(5)]
+        mix = _CdfPasses(w, components)
+        s = np.array([1 - 2 ** -53, 0.5])
+        assert mix.cdf(np.inf) < s[0]
+        got = mix.quantile_extended(s)
+        assert got[0] == np.inf and len(mix.passes) < 1100
+        assert np.array_equal(got, _bit_bisection(Mixture(w, components), s))
+
     def test_scalar_matches_batch_on_bench_mesh(self):
         # a level's first bracket comes from the grid of its whole call
         mix = _PAIRS["lognormal"]
         batch = mix.quantile_extended(BENCH_LEVELS)
         assert np.array_equal(batch, [mix.quantile_extended(float(s)) for s in BENCH_LEVELS])
+
+
+class _CdfPasses(Mixture):
+    """A mixture that records the size of each cdf pass, and fails past
+    2,048 of them, so that a search that would not end stops there."""
+
+    def __init__(self, weights, components):
+        super().__init__(weights, components)
+        self.passes = []
+
+    def cdf(self, x):
+        self.passes.append(np.size(x))
+        assert len(self.passes) <= 2048, "the quantile search does not end"
+        return super().cdf(x)
 
 
 _SIGN = np.int64(np.iinfo(np.int64).min)
@@ -357,8 +412,7 @@ def _bit_bisection(mix, s):
     lo, hi = key(np.full(s.shape, -np.inf)), key(np.full(s.shape, np.inf))
     while (open_ := lo + 1 < hi).any():
         mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-        with np.errstate(over="ignore"):  # Exponential.cdf's unused branch at x << 0
-            above = np.asarray(mix.cdf(value(mid)), dtype=float) >= s
+        above = np.asarray(mix.cdf(value(mid)), dtype=float) >= s
         hi, lo = np.where(open_ & above, mid, hi), np.where(open_ & ~above, mid, lo)
     return value(hi)
 

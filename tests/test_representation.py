@@ -9,32 +9,48 @@ import pytest
 from indexlaw import representation
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Mixture, Normal, Uniform, normal_quantile)
-from indexlaw.errors import BadLevel, NegativeVariance, OutOfRange
+from indexlaw.errors import BadLevel, NegativeVariance
 from indexlaw.indices import NamedIndex, moment_representation, named_representation
-from indexlaw.representation import (IndexRepresentation, beta_beta_cov,
-                                     beta_cross_cov, compose_ratio,
+from indexlaw.representation import (IndexRepresentation, compose_ratio,
                                      confidence_interval, index_cross_covariance,
-                                     index_variance, indicator_cov_closed_form,
-                                     score_covariance)
+                                     index_variance)
 
 ident = lambda x: np.asarray(x, dtype=float)
 one = lambda x: np.ones_like(np.asarray(x, dtype=float))
 zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
 
+def _pair(h, q=None, breaks=()):
+    """A bare score pair ``(h, q)``; its value functional is never read."""
+    return IndexRepresentation(h=h, q=q, value=lambda m: math.nan, breaks=breaks)
+
+
+def _cov(model, f, g):
+    """``Cov(f(X), g(X))``: the cross-covariance of two weightless pairs."""
+    return index_cross_covariance(model, _pair(f), _pair(g))
+
+
+def _bridge(model, q1, q2):
+    """``Cov(W1(U), W2(U)) = int int (min(s,t) - s t) q1(Q(s)) q2(Q(t)) ds dt``:
+    the cross-covariance of two pairs whose h is 0."""
+    return index_cross_covariance(model, _pair(zero, q1), _pair(zero, q2))
+
+
 class TestScoreCovariance:
+    """gamma1, ``Cov(h_i(X), h_j(X))``, of weightless pairs."""
+
     def test_two_point(self):
-        assert score_covariance(EmpiricalDistribution([1.0, 3.0]), ident, ident) == 1.0
+        assert index_variance(EmpiricalDistribution([1.0, 3.0]), _pair(ident)).gamma1 == 1.0
 
     def test_constant_score(self):
         m = EmpiricalDistribution([1.0, 2.0, 7.0])
-        assert score_covariance(m, one, lambda x: x ** 2) == pytest.approx(0.0, abs=1e-12)
+        assert _cov(m, one, lambda x: x ** 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_score_is_exactly_zero(self):
         # centred: a constant that is not a power of 2 leaves no round-off
         m = EmpiricalDistribution(np.random.default_rng(8).lognormal(size=400))
         c = lambda x: np.full(np.shape(x), -1.6687)
-        assert score_covariance(m, c, c) == 0.0
+        assert index_variance(m, _pair(c)).gamma1 == 0.0
 
     @pytest.mark.parametrize("model", [EmpiricalDistribution([1.0, 2.0, 7.0, 7.5]),
                                        Exponential(1.0)], ids=["empirical", "parametric"])
@@ -45,20 +61,21 @@ class TestScoreCovariance:
             calls.append(np.size(x))
             return np.asarray(x, dtype=float) ** 2
 
-        assert score_covariance(model, counted, counted) == score_covariance(
-            model, lambda x: np.asarray(x, dtype=float) ** 2, lambda x: np.asarray(x, dtype=float) ** 2)
+        square = lambda x: np.asarray(x, dtype=float) ** 2
+        assert (index_variance(model, _pair(counted)).gamma1
+                == index_variance(model, _pair(square)).gamma1)
         assert len(calls) == 1
 
     def test_bernoulli_half(self):
         f = lambda x: (np.asarray(x) <= 0.5).astype(float)
-        assert score_covariance(Uniform(0, 1), f, f, breaks=(0.5,)) == pytest.approx(0.25, abs=1e-10)
+        assert index_variance(Uniform(0, 1), _pair(f, breaks=(0.5,))).gamma1 == pytest.approx(
+            0.25, abs=1e-10)
 
     def test_parametric_moments(self):
-        # Exponential(1): E X = 1, E X^2 = 2, E X^3 = 6; the same f twice
-        # integrates E f once, two scores integrate both
+        # Exponential(1): E X = 1, E X^2 = 2, E X^3 = 6, on the mesh
         m = Exponential(1.0)
-        assert score_covariance(m, ident, ident) == pytest.approx(1.0, rel=1e-9)
-        assert score_covariance(m, ident, lambda x: x ** 2) == pytest.approx(4.0, rel=1e-9)
+        assert index_variance(m, _pair(ident)).gamma1 == pytest.approx(1.0, rel=1e-9)
+        assert _cov(m, ident, lambda x: x ** 2) == pytest.approx(4.0, rel=1e-9)
 
     def test_bilinearity(self):
         m = EmpiricalDistribution(np.linspace(0.1, 3.0, 17))
@@ -66,41 +83,56 @@ class TestScoreCovariance:
         g = lambda x: x ** 2
         h = lambda x: np.exp(-x)
         for a, b in [(2.0, -1.5), (0.3, 7.0)]:
-            lhs = score_covariance(m, lambda x: a * f(x) + b * g(x), h)
-            rhs = a * score_covariance(m, f, h) + b * score_covariance(m, g, h)
+            lhs = _cov(m, lambda x: a * f(x) + b * g(x), h)
+            rhs = a * _cov(m, f, h) + b * _cov(m, g, h)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestClosedForms:
+    """The bridge kernel min(s, t) - s t and its forms 1/12 and -1/12, read
+    off the pieces of ``index_variance`` and ``index_cross_covariance``."""
+
     def test_indicator_cov(self):
-        assert indicator_cov_closed_form(0.5, 0.5) == 0.25
-        assert indicator_cov_closed_form(0.25, 0.75) == 0.0625
-        assert indicator_cov_closed_form(1e-9, 0.4) == pytest.approx(0.0, abs=1e-9)
+        # headcounts on [1, 2, 3, 4] (and 5) at poverty lines of level s and t
+        def kernel(x, z1, z2):
+            m = EmpiricalDistribution(x)
+            return index_cross_covariance(m, named_representation(m, NamedIndex.fgt(0.0, z1)),
+                                          named_representation(m, NamedIndex.fgt(0.0, z2)))
+
+        m = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
+        assert index_variance(m, named_representation(m, NamedIndex.fgt(0.0, 2.5))).gamma1 == 0.25
+        assert kernel([1.0, 2.0, 3.0, 4.0], 1.5, 3.5) == 0.0625
+        assert kernel([1.0, 2.0, 3.0, 4.0, 5.0], 0.5, 2.5) == pytest.approx(0.0, abs=1e-9)
 
     def test_indicator_cov_range(self):
-        with pytest.raises(OutOfRange):
-            indicator_cov_closed_form(0.0, 0.5)
+        # at the ends of the level range, s = 0 and s = 1, the kernel is 0
+        m = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
+        for z in (0.5, 4.5):
+            rep = named_representation(m, NamedIndex.fgt(0.0, z))
+            assert index_variance(m, rep).gamma1 == 0.0
 
     @pytest.mark.parametrize("model", [Uniform(0, 1), LogNormal(0, 1),
                                        EmpiricalDistribution(np.linspace(1, 2, 50))])
     def test_beta_beta_constant_weight(self, model):
         # int int (min - st) ds dt = 1/3 - 1/4 = 1/12 for any F when q = 1
-        assert beta_beta_cov(model, one, one) == pytest.approx(1 / 12, abs=1e-9)
+        assert index_variance(model, _pair(zero, one)).gamma2 == pytest.approx(1 / 12, abs=1e-9)
 
     def test_beta_beta_zero_and_scaling(self):
         m = Uniform(0, 1)
-        assert beta_beta_cov(m, zero, one) == 0.0
+        assert _bridge(m, zero, one) == 0.0
         two = lambda x: 2.0 * one(x)
-        assert beta_beta_cov(m, two, two) == pytest.approx(1 / 3, abs=1e-9)
+        assert index_variance(m, _pair(zero, two)).gamma2 == pytest.approx(1 / 3, abs=1e-9)
 
     def test_beta_cross_uniform_identity(self):
         # int (s^2/2 - s/2) ds = -1/12
-        assert beta_cross_cov(Uniform(0, 1), ident, one) == pytest.approx(-1 / 12, abs=1e-9)
+        assert index_variance(Uniform(0, 1), _pair(ident, one)).gamma3 == pytest.approx(
+            -1 / 12, abs=1e-9)
 
     def test_beta_cross_trivial(self):
         m = Uniform(0, 1)
-        assert beta_cross_cov(m, ident, zero) == 0.0
-        assert beta_cross_cov(m, one, lambda x: np.cos(x)) == pytest.approx(0.0, abs=1e-12)
+        assert index_variance(m, _pair(ident, zero)).gamma3 == 0.0
+        assert index_variance(m, _pair(one, lambda x: np.cos(x))).gamma3 == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_beta_forms_bilinear(self):
         m = EmpiricalDistribution(np.linspace(0.0, 1.0, 23))
@@ -108,12 +140,11 @@ class TestClosedForms:
         q2 = lambda x: x - 0.3
         a, b = 1.7, -0.4
         combo = lambda x: a * q1(x) + b * q2(x)
-        lhs = beta_beta_cov(m, combo, q2)
-        rhs = a * beta_beta_cov(m, q1, q2) + b * beta_beta_cov(m, q2, q2)
+        lhs = _bridge(m, combo, q2)
+        rhs = a * _bridge(m, q1, q2) + b * _bridge(m, q2, q2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-        lhs2 = beta_cross_cov(m, ident, combo)
-        rhs2 = a * beta_cross_cov(m, ident, q1) + b * beta_cross_cov(m, ident, q2)
-        assert lhs2 == pytest.approx(rhs2, rel=1e-10)
+        gamma3 = lambda q: index_variance(m, _pair(ident, q)).gamma3
+        assert gamma3(combo) == pytest.approx(a * gamma3(q1) + b * gamma3(q2), rel=1e-10)
 
 
 def _counting(cls):
@@ -208,12 +239,12 @@ class TestOneQuantileGrid:
     @pytest.mark.parametrize("model", [
         EmpiricalDistribution(np.random.default_rng(4).lognormal(size=300)),
         LogNormal(0.0, 1.0), _bench_mixture()], ids=["empirical", "lognormal", "mixture"])
-    def test_score_models_match_score_model(self, model, mesh):
+    def test_one_scorer_matches_score_model(self, model, mesh):
         rep = named_representation(model, NamedIndex.sen(1.0))
         with mesh(grid=512):
-            both = representation._score_models(model, [rep.h, rep.q])
-            for got, f in zip(both, (rep.h, rep.q)):
-                assert np.array_equal(got.coef, representation.score_model(model, f).coef)
+            score = representation._scorer(model)
+            for f in (rep.h, rep.q):
+                assert np.array_equal(score(f).coef, representation.score_model(model, f).coef)
 
 
 @pytest.fixture(scope="module")

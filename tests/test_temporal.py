@@ -20,8 +20,9 @@ from indexlaw.errors import (BadParams, BadThreshold, BadWeights, EmptySample, I
                              NonFiniteValue, OutOfRange, TooFewPairs, ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, fgt_estimate, named_representation
 from indexlaw.montecarlo import decomposability_experiment, ks_pvalue, ks_statistic
-from indexlaw.representation import (IndexRepresentation, index_cross_covariance,
-                                     index_variance, score_model, u_atoms)
+from indexlaw.representation import (IndexRepresentation, confidence_interval,
+                                     index_cross_covariance, index_variance, score_model,
+                                     u_atoms)
 from indexlaw.rng import stream_seed, uniforms
 from indexlaw.temporal import (BivariateFrame, ComonotoneCopula, EmpiricalCopula,
                                GaussianCopula, IndependenceCopula, MEHLER_ORDER,
@@ -1059,8 +1060,8 @@ class TestContract:
 
 def _sweep_table():
     """``{argument: call}`` like ``_contract_table``, for the numeric
-    arguments of the partition, gap-variance, sample-quantile and KS
-    functions."""
+    arguments of the partition, gap-variance, sample-quantile, KS and
+    confidence-interval functions and of the family constructors."""
     groups = [Uniform(0, 1), Uniform(0, 1.25)]
     sample = EmpiricalDistribution([0.4, 1.0, 2.5, 3.0])
 
@@ -1076,7 +1077,18 @@ def _sweep_table():
         mix = Mixture(v, groups)
         return [mix.weights, mix.quantile(0.5)]
 
-    return {
+    def family(cls, param):
+        def call(v):
+            model = cls(**{param: v})
+            return [model.raw_moment(1), model.central_moment(2)]
+        return call
+
+    families = {f"{cls.__name__}.{param}": family(cls, param)
+                for cls, params in ((Uniform, "ab"), (Normal, ("mu", "sigma")),
+                                    (LogNormal, ("mu", "sigma")), (Exponential, ("rate",)),
+                                    (Pareto, ("xm", "a")))
+                for param in params}
+    return families | {
         "SubgroupPartition.from_labels": lambda v: [SubgroupPartition.from_labels(v).labels],
         "gap_variance.weights": gap,
         "decomposability_experiment.weights": experiment,
@@ -1091,6 +1103,9 @@ def _sweep_table():
         "ks_statistic": lambda v: [ks_statistic(v)],
         "fgt_estimate.poverty_line": lambda v: [fgt_estimate(sample.sample, v, 1.0)],
         "fgt_estimate.alpha": lambda v: [fgt_estimate(sample.sample, 1.0, v)],
+        "confidence_interval.estimate": lambda v: [confidence_interval(v, 1.0, 10)],
+        "confidence_interval.variance": lambda v: [confidence_interval(0.5, v, 10)],
+        "confidence_interval.n": lambda v: [confidence_interval(0.5, 1.0, v)],
     }
 
 
@@ -1118,8 +1133,16 @@ class TestContractSweep:
          BadThreshold),
         (lambda: fgt_estimate(EmpiricalDistribution([1.0, 2.0]).sample, math.inf, 1.0),
          BadThreshold),
+        (lambda: ecdf(EmpiricalDistribution([1.0, 2.0]).sample, math.nan), OutOfRange),
+        (lambda: EmpiricalDistribution([1.0, 2.0]).cdf(np.array([1.5, math.nan])), OutOfRange),
+        (lambda: confidence_interval(0.5, math.nan, 10), OutOfRange),
+        (lambda: confidence_interval(math.nan, 1.0, 10), OutOfRange),
+        (lambda: confidence_interval(0.5, 1.0, 2.5), BadParams),
+        (lambda: confidence_interval(0.5, 1.0, True), BadParams),
     ], ids=["normal-quantile-nan", "normal-quantile-nan-in-array", "ecdf-string",
-            "ks-empty", "ks-nan", "fgt-alpha-nan", "fgt-line-inf"])
+            "ks-empty", "ks-nan", "fgt-alpha-nan", "fgt-line-inf", "ecdf-nan",
+            "sample-cdf-nan-in-array", "ci-variance-nan", "ci-estimate-nan", "ci-n-fraction",
+            "ci-n-bool"])
     def test_typed_error(self, call, error):
         with pytest.raises(error):
             call()
