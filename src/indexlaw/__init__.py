@@ -14,10 +14,8 @@ from .distributions import (DistributionModel, EmpiricalDistribution, Exponentia
                             normal_cdf, normal_quantile)
 from .representation import (CovarianceEstimate, IndexRepresentation, compose_ratio,
                              confidence_interval, index_cross_covariance, index_variance)
-from .indices import (GpiConstants, GpiSpec, NamedIndex, central_moment_estimate,
-                      fgt_estimate, gpi_constants, gpi_estimate, gpi_representation,
-                      moment_representation, named_estimate, named_representation,
-                      normalized_moment_estimate, normalized_moment_representation)
+from .indices import (GpiConstants, GpiSpec, NamedIndex, gpi_constants, gpi_estimate,
+                      gpi_representation, named_estimate, named_representation)
 from .temporal import (BivariateFrame, ComonotoneCopula, EmpiricalCopula,
                        GaussianCopula, IndependenceCopula, JointCovariance,
                        empirical_copula, mutual_relative_covariance,

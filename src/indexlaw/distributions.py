@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .empirical import EmpiricalSample, build_sample, ecdf
+from .empirical import EmpiricalSample, _real, build_sample, ecdf
 from .errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
 from . import ugrid
 from .ugrid import gauss_nodes, gauss_sum, mesh_edges
@@ -146,14 +146,6 @@ def _closed_form(moment: Callable[["DistributionModel", int], float]):
 def _shifted(moments: Sequence[float], d: float, k: int) -> float:
     """``E (Y + d)^k`` from the moments ``E Y^j``, j = 0..k."""
     return math.fsum(math.comb(k, j) * moments[j] * d ** (k - j) for j in range(k + 1))
-
-
-def _real(value) -> float:
-    """``value`` read through ``float()``, nan if it cannot be read."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
 
 
 def _levels(s) -> np.ndarray:
@@ -296,7 +288,8 @@ class Uniform(DistributionModel):
         self.a, self.b = a, b
 
     def cdf(self, x):
-        return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # a point near the float limit is beyond b or a
+            return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def quantile_extended(self, s):
         return self.a + (self.b - self.a) * np.asarray(s, dtype=float)
@@ -433,11 +426,13 @@ class Normal(DistributionModel):
         self.mu, self.sigma = mu, sigma
 
     def cdf(self, x):
-        return normal_cdf((np.asarray(x, dtype=float) - self.mu) / self.sigma)
+        with np.errstate(over="ignore"):  # an infinite standardized point has F 0 or 1
+            return normal_cdf((np.asarray(x, dtype=float) - self.mu) / self.sigma)
 
     def quantile_extended(self, s):
         z = normal_quantile(s)
-        return self.mu + self.sigma * np.asarray(z, dtype=float)
+        with np.errstate(over="ignore"):  # a quantile beyond the float range is inf
+            return self.mu + self.sigma * np.asarray(z, dtype=float)
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma

@@ -143,13 +143,24 @@ def empirical_measure(sample: EmpiricalSample, f: ScoreFunction) -> float:
     return float(np.mean(_scores(sample, f)))
 
 
+def _real(value) -> float:
+    """``value`` read through ``float()``, nan if it cannot be read."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def fep(sample: EmpiricalSample, f: ScoreFunction, mean_f: float) -> float:
     """Functional empirical process at f.
 
     ``sqrt(n) * (P_n(f) - mean_f)`` where ``mean_f`` is the caller-supplied
-    theoretical mean of f(X).  Exactly linear in f.
+    theoretical mean of f(X), a number.  Exactly linear in f.
     """
-    return math.sqrt(sample.n) * (empirical_measure(sample, f) - float(mean_f))
+    value = math.sqrt(sample.n) * (empirical_measure(sample, f) - _real(mean_f))
+    if not math.isfinite(value):
+        raise OutOfRange(f"the process at mean_f = {mean_f!r} is not a finite number")
+    return value
 
 
 def residual_stat(sample: EmpiricalSample, q: ScoreFunction, model) -> float:

@@ -63,9 +63,10 @@ _MEAN = Polynomial(0.0, (0.0, 1.0))   # the mean's score x, all polynomial
 
 
 def _whole(value, least: int, message: str) -> int:
-    """``value`` as an int if it is a whole number >= ``least``, else OutOfRange."""
+    """``value`` as an int if it is a whole number >= ``least``, else
+    OutOfRange; a bool is not a number here."""
     try:
-        if int(value) == value >= least:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value >= least:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -169,17 +170,6 @@ class NamedIndex:
 # ---------------------------------------------------------------------------
 
 
-def fgt_estimate(sample: EmpiricalSample, poverty_line: float, alpha: float) -> float:
-    """Foster-Greer-Thorbecke index ``(1/n) sum_{X<=Z} ((Z-X)/Z)^alpha``."""
-    poverty_line, alpha = _real(poverty_line), _real(alpha)
-    if not 0 < poverty_line < math.inf:
-        raise BadThreshold("poverty line must be positive and finite")
-    if not 0 <= alpha < math.inf:
-        raise BadThreshold("fgt needs a finite alpha >= 0")
-    _, gaps = _poor_gaps(sample, poverty_line)
-    return float(np.sum(gaps ** alpha) / sample.n)
-
-
 def _poor_gaps(sample: EmpiricalSample, z: float) -> tuple[int, np.ndarray]:
     """The number q of poor (``X <= z``, a prefix of the sorted values) and
     their normalized gaps ``(z - X) / z``."""
@@ -193,7 +183,8 @@ def named_estimate(sample: EmpiricalSample, index: NamedIndex) -> float:
     n = sample.n
     z = index.poverty_line
     if index.kind == "fgt":
-        return fgt_estimate(sample, z, index.alpha)
+        _, gaps = _poor_gaps(sample, z)
+        return float(np.sum(gaps ** index.alpha) / n)
     if index.kind in ("sen", "kakwani"):
         k = 1 if index.kind == "sen" else index.k
         q, gaps = _poor_gaps(sample, z)
@@ -217,13 +208,7 @@ def named_estimate(sample: EmpiricalSample, index: NamedIndex) -> float:
         if mean == 0.0:
             raise ZeroMean("takayama ratio needs a nonzero sample mean")
         return _takayama_rank_form(sample, z, index.d) / mean
-    if index.kind == "central_moment":
-        return central_moment_estimate(sample, index.order)
-    if index.kind == "odd_moment":
-        return normalized_moment_estimate(sample, index.order, "odd")
-    if index.kind == "even_moment":
-        return normalized_moment_estimate(sample, index.order, "even")
-    raise OutOfRange(f"unknown index kind {index.kind!r}")
+    return _moment_estimate(sample.values, *_moment_key(index))
 
 
 def _takayama_rank_form(sample: EmpiricalSample, z: float, d: ScoreFunction) -> float:
@@ -234,29 +219,32 @@ def _takayama_rank_form(sample: EmpiricalSample, z: float, d: ScoreFunction) -> 
     return float(np.sum((1.0 - fn + 1.0 / sample.n) * dv) / sample.n)
 
 
-def central_moment_estimate(sample: EmpiricalSample, order: int) -> float:
-    """Plug-in central moment ``(1/n) sum (X_i - mean)^order``; exactly 0
-    at order 1, where the sum vanishes identically."""
-    if order < 1:
-        raise OutOfRange("moment order must be >= 1")
-    if order == 1:
-        return 0.0
-    x = sample.values
-    return float(np.mean((x - np.mean(x)) ** order))
+def _moment_key(index: NamedIndex) -> tuple[int, bool]:
+    """A moment kind as the order of its numerator moment (the order itself
+    for central_moment, 2p - 1 for odd_moment, 2p for even_moment) and
+    whether that moment is normalized by ``mu_2^(order/2)``."""
+    p = index.order
+    if index.kind == "central_moment":
+        return p, False
+    return (2 * p - 1 if index.kind == "odd_moment" else 2 * p), True
 
 
-def normalized_moment_estimate(sample: EmpiricalSample, p: int, kind: str) -> float:
-    """Normalized centered moment: odd ``mu_{2p-1}/mu_2^{(2p-1)/2}`` or even
-    ``mu_{2p}/mu_2^p``."""
-    if p < 2:
-        raise OutOfRange("normalized moments need p >= 2")
-    if kind not in ("odd", "even"):
-        raise OutOfRange(f"kind must be 'odd' or 'even', got {kind!r}")
-    mu2 = central_moment_estimate(sample, 2)
-    if mu2 == 0.0:
-        raise ZeroVariance("normalized moments are undefined at zero variance")
-    top = 2 * p - 1 if kind == "odd" else 2 * p
-    return central_moment_estimate(sample, top) / mu2 ** (top / 2.0)
+def _variance(mu2: float) -> float:
+    """``mu2``, the variance a normalized moment divides by; ZeroVariance
+    unless it is positive."""
+    if mu2 <= 0.0:
+        raise ZeroVariance("normalized moments need positive variance")
+    return mu2
+
+
+def _moment_estimate(x: np.ndarray, top: int, normalized: bool) -> float:
+    """Plug-in central moment ``(1/n) sum (X_i - mean)^top`` of the sorted
+    values, normalized if asked; exactly 0 at order 1, where the sum
+    vanishes identically."""
+    central = lambda k: 0.0 if k == 1 else float(np.mean((x - np.mean(x)) ** k))
+    if not normalized:
+        return central(top)
+    return central(top) / _variance(central(2)) ** (top / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +373,7 @@ def named_representation(model: DistributionModel, index: NamedIndex) -> IndexRe
                                        poly=_MEAN)
         return compose_ratio(c_rep, mean_rep, c_rep.value(model), mu)
 
-    if kind == "central_moment":
-        return moment_representation(model, index.order)
-    if kind == "odd_moment":
-        return normalized_moment_representation(model, index.order, "odd")
-    if kind == "even_moment":
-        return normalized_moment_representation(model, index.order, "even")
-    raise OutOfRange(f"unknown index kind {index.kind!r}")
+    return _moment_representation(model, *_moment_key(index))
 
 
 # ---------------------------------------------------------------------------
@@ -416,49 +398,27 @@ def _influence(model: DistributionModel, order: int) -> np.ndarray:
     return coef
 
 
-def moment_representation(model: DistributionModel, order: int) -> IndexRepresentation:
-    """Representation of the central moment of the given order (q = 0).
+def _moment_representation(model: DistributionModel, top: int,
+                           normalized: bool) -> IndexRepresentation:
+    """Representation (q = 0) of the central moment of order ``top``, or of
+    its normalized form ``mu_top / sigma^top``.
 
-    The score is all polynomial, so its moments are closed-form under any
-    model.  The first central moment is identically 0, so its pair is
+    The score is A(top), or ``sigma^-top (A(top) - top/2 sigma^-2 mu_top
+    A(2))`` normalized: all polynomial, so its moments are closed-form under
+    any model.  The first central moment is identically 0, so its pair is
     ``h = 0`` with the value 0.
     """
-    if order < 1:
-        raise OutOfRange("moment order must be >= 1")
-    if order == 1:
+    if top == 1:
         return IndexRepresentation(h=_zero, q=None, value=lambda m: 0.0)
-    poly = Polynomial(model.raw_moment(1), tuple(_influence(model, order)))
-    return IndexRepresentation(h=poly, q=None, value=lambda m: m.central_moment(order), poly=poly)
-
-
-def normalized_moment_representation(model: DistributionModel, p: int,
-                                     kind: str) -> IndexRepresentation:
-    """Representation of a normalized centered moment (q = 0).
-
-    Score ``sigma^-t (A(t) - t/2 sigma^-2 mu_t A(2))`` with numerator order
-    ``t = 2p - 1`` (odd kind) or ``t = 2p`` (even kind).
-    """
-    if p < 2:
-        raise OutOfRange("normalized moments need p >= 2")
-    if kind not in ("odd", "even"):
-        raise OutOfRange(f"kind must be 'odd' or 'even', got {kind!r}")
-    top = 2 * p - 1 if kind == "odd" else 2 * p
-    sigma2 = model.central_moment(2)
-    if sigma2 <= 0.0:
-        raise ZeroVariance("normalized moments need positive variance")
-    a2 = _influence(model, 2)
-    mu_top = model.central_moment(top)
     coef = _influence(model, top)
-    coef[: a2.size] -= 0.5 * top / sigma2 * mu_top * a2
-    coef *= sigma2 ** (-top / 2.0)
+    value = lambda m: m.central_moment(top)
+    if normalized:
+        sigma2 = _variance(model.central_moment(2))
+        a2 = _influence(model, 2)
+        coef[: a2.size] -= 0.5 * top / sigma2 * model.central_moment(top) * a2
+        coef *= sigma2 ** (-top / 2.0)
+        value = lambda m: m.central_moment(top) / _variance(m.central_moment(2)) ** (top / 2.0)
     poly = Polynomial(model.raw_moment(1), tuple(coef))
-
-    def value(m):
-        s2 = m.central_moment(2)
-        if s2 <= 0.0:
-            raise ZeroVariance("normalized moments need positive variance")
-        return m.central_moment(top) / s2 ** (top / 2.0)
-
     return IndexRepresentation(h=poly, q=None, value=value, poly=poly)
 
 
@@ -479,19 +439,26 @@ class GpiSpec:
     + mu4) -> c(Q/n, j/n)`` and ``w(j) h^-1 -> pi(Q/n, j/n)/n`` for a
     normalizing sequence h(n, Q).  Partial derivatives of c and pi may be
     supplied; missing ones are approximated by central differences.
+
+    ``w``, ``d``, ``c``, ``pi`` and the partials act on arrays, like every
+    score function: ``w`` and ``d`` take a float array, ``c``, ``pi`` and the
+    partials a scalar x = F(Z) and a float array of levels y.  Each returns
+    an array of its argument's shape or a scalar, which is broadcast, and is
+    called a fixed number of times whatever the sample size.  ``A`` takes the
+    scalars Q, n and Z.
     """
 
     A: Callable[[int, int, float], float]
-    w: Callable[[float], float]
+    w: Callable[[np.ndarray], np.ndarray]
     d: ScoreFunction
     mu: tuple[float, float, float, float]
-    c: Callable[[float, float], float]
-    pi: Callable[[float, float], float]
+    c: Callable[[float, np.ndarray], np.ndarray]
+    pi: Callable[[float, np.ndarray], np.ndarray]
     Z: float
-    dc_dx: Optional[Callable[[float, float], float]] = None
-    dc_dy: Optional[Callable[[float, float], float]] = None
-    dpi_dx: Optional[Callable[[float, float], float]] = None
-    dpi_dy: Optional[Callable[[float, float], float]] = None
+    dc_dx: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    dc_dy: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    dpi_dx: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    dpi_dy: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -513,30 +480,25 @@ def gpi_estimate(sample: EmpiricalSample, spec: GpiSpec) -> float:
     q = int(np.searchsorted(sample.values, z, side="right"))
     if q == 0:
         return 0.0
-    b = float(sum(spec.w(i) for i in range(1, q + 1)))
+    j = np.arange(1, q + 1, dtype=float)
+    b = float(np.sum(np.broadcast_to(np.asarray(spec.w(j), dtype=float), j.shape)))
     if b == 0.0:
         raise ZeroDenominator("B(Q, n) = sum w(i) vanished")
     mu1, mu2, mu3, mu4 = spec.mu
-    j = np.arange(1, q + 1, dtype=float)
-    weights = np.asarray([spec.w(mu1 * n + mu2 * q - mu3 * jj + mu4) for jj in j])
+    weights = np.asarray(spec.w(mu1 * n + mu2 * q - mu3 * j + mu4), dtype=float)
     gaps = np.asarray(spec.d((z - sample.values[:q]) / z), dtype=float)
     a = float(spec.A(q, n, z))
     return float(a / (n * b) * np.sum(weights * gaps))
 
 
-def _num_partial(f: Callable[[float, float], float], arg: int,
-                 step: float = 1e-5) -> Callable[[float, float], float]:
+def _num_partial(f: Callable[[float, np.ndarray], np.ndarray], arg: int,
+                 step: float = 1e-5) -> Callable[[float, np.ndarray], np.ndarray]:
     def deriv(x, y):
         if arg == 0:
             return (f(x + step, y) - f(x - step, y)) / (2.0 * step)
         return (f(x, y + step) - f(x, y - step)) / (2.0 * step)
 
     return deriv
-
-
-def _at_ranks(f: Callable[[float, float], float], fz: float, fx: np.ndarray) -> np.ndarray:
-    """``f(F(Z), F(x))`` at each poor point."""
-    return np.asarray([f(fz, float(v)) for v in np.atleast_1d(fx)])
 
 
 def _gpi_gaps(spec: GpiSpec, x: np.ndarray) -> np.ndarray:
@@ -551,9 +513,9 @@ def gpi_constants(model: DistributionModel, spec: GpiSpec) -> GpiConstants:
     dpi_dx = spec.dpi_dx or _num_partial(spec.pi, 0)
 
     h_c = model.integrate_score(_poor_score(
-        z, lambda x, fx: _at_ranks(spec.c, fz, fx) * _gpi_gaps(spec, x), model), breaks=(z,))
-    h_pi = model.integrate_score(_poor_score(
-        z, lambda x, fx: _at_ranks(spec.pi, fz, fx), model), breaks=(z,))
+        z, lambda x, fx: spec.c(fz, fx) * _gpi_gaps(spec, x), model), breaks=(z,))
+    h_pi = model.integrate_score(_poor_score(z, lambda x, fx: spec.pi(fz, fx), model),
+                                 breaks=(z,))
     if h_pi == 0.0 or not np.isfinite(h_pi):
         raise ZeroHpi(f"H_pi = {h_pi}")
 
@@ -561,15 +523,14 @@ def gpi_constants(model: DistributionModel, spec: GpiSpec) -> GpiConstants:
     # model's mesh has the sample cells, on which the step quantile is constant
     edges, x = model.mesh((z,))
     s = gauss_nodes(edges).ravel()
-    poor = np.flatnonzero(x <= z)
+    poor = x <= z
 
     def level_integral(integrand):
-        # the user's spec functions are scalar: evaluate one level at a time
         vals = np.zeros(x.size)
-        vals[poor] = [integrand(s[i], x[i]) for i in poor.tolist()]
+        vals[poor] = integrand(s[poor], x[poor])
         return gauss_sum(edges, vals.reshape(-1, NODES))
 
-    k_c = level_integral(lambda s, x: dc_dx(fz, s) * float(np.asarray(spec.d((z - x) / z))))
+    k_c = level_integral(lambda s, x: dc_dx(fz, s) * _gpi_gaps(spec, x))
     k_pi = level_integral(lambda s, x: dpi_dx(fz, s))
     j = h_c / h_pi
     k = k_c / h_pi - h_c * k_pi / h_pi ** 2
@@ -590,10 +551,10 @@ def gpi_representation(model: DistributionModel, spec: GpiSpec) -> IndexRepresen
     ca = 1.0 / consts.H_pi
     cb = -consts.H_c / consts.H_pi ** 2
 
-    h = _poor_score(z, lambda x, fx: (ca * _at_ranks(spec.c, fz, fx) * _gpi_gaps(spec, x)
-                                      + cb * _at_ranks(spec.pi, fz, fx) + consts.K), model)
-    q = _poor_score(z, lambda x, fx: (ca * _at_ranks(dc_dy, fz, fx) * _gpi_gaps(spec, x)
-                                      + cb * _at_ranks(dpi_dy, fz, fx)), model)
+    h = _poor_score(z, lambda x, fx: (ca * spec.c(fz, fx) * _gpi_gaps(spec, x)
+                                      + cb * spec.pi(fz, fx) + consts.K), model)
+    q = _poor_score(z, lambda x, fx: (ca * dc_dy(fz, fx) * _gpi_gaps(spec, x)
+                                      + cb * dpi_dy(fz, fx)), model)
 
     return IndexRepresentation(
         h=h, q=q, value=lambda m: gpi_constants(m, spec).J,

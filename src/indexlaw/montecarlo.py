@@ -38,7 +38,7 @@ from .decomposition import _recompose, _weights, gap_variance
 from .distributions import (DistributionModel, EmpiricalDistribution, Mixture, _real,
                             normal_cdf)
 from .empirical import EmpiricalSample, build_sample
-from .errors import OutOfRange, ZeroVariance
+from .errors import BadParams, OutOfRange, ZeroVariance
 from .indices import NamedIndex, named_estimate, named_representation
 from .representation import _check_count, confidence_interval, index_variance
 from .rng import stream_seed, uniforms
@@ -92,9 +92,16 @@ def _inverse_cdf(family: DistributionModel, n: int, seeds) -> np.ndarray:
     return np.asarray(family.quantile(uniforms(seeds, n)), dtype=float)
 
 
+def _check_seed(value, name: str) -> None:
+    """Reject a seed that is not an integer; an integer is read modulo 2**64."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParams(f"{name} must be an integer, got {value!r}")
+
+
 def draw(family: DistributionModel, n: int, stream_seed_value: int) -> EmpiricalSample:
     """n inverse-CDF draws from a deterministic uniform stream."""
     _check_count(n, "n")
+    _check_seed(stream_seed_value, "stream_seed_value")
     return build_sample(_inverse_cdf(family, n, stream_seed_value))
 
 
@@ -152,6 +159,7 @@ def normality_experiment(family: DistributionModel, index: NamedIndex, n: int,
     normal, with value and variance from the analytic model."""
     _check_count(n, "n")
     _check_count(n_replicates, "n_replicates")
+    _check_seed(master_seed, "master_seed")
     rep = named_representation(family, index)
     value = rep.value(family)
     gamma = index_variance(family, rep).total
@@ -176,6 +184,7 @@ def coverage_experiment(family: DistributionModel, index: NamedIndex, n: int,
     index value."""
     _check_count(n, "n")
     _check_count(n_replicates, "n_replicates")
+    _check_seed(master_seed, "master_seed")
     rep = named_representation(family, index)
     value = rep.value(family)
     estimates = np.empty(n_replicates)
@@ -209,6 +218,7 @@ def cre2_diagnostic(family: DistributionModel, q, n_grid: Sequence[int],
     piecewise linear.  ``q`` must act elementwise: it sees a block of rows.
     """
     _check_count(n_replicates, "n_replicates")
+    _check_seed(master_seed, "master_seed")
     for n in n_grid:
         _check_count(n, "every sample size")
 
@@ -239,6 +249,7 @@ def decomposability_experiment(families: Sequence[DistributionModel],
     analytic decomposition variance (theta1^2 + theta2^2)."""
     _check_count(n, "n")
     _check_count(n_replicates, "n_replicates")
+    _check_seed(master_seed, "master_seed")
     p = _weights(weights, families)
     k = p.size
     dec = gap_variance(p, list(families), lambda m: named_representation(m, index))

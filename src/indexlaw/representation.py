@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -41,7 +42,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .distributions import DistributionModel, _real, normal_quantile
 from .empirical import ScoreFunction
-from .errors import BadLevel, BadParams, NegativeVariance, NonFiniteIntegral, OutOfRange
+from .errors import (BadLevel, BadParams, NegativeVariance, NonFiniteIntegral, OutOfRange,
+                     ZeroDenominator)
 from .ugrid import NODES, CellPoly, covariances, inner, sample_cells
 
 
@@ -347,9 +349,12 @@ def _period(model: DistributionModel, reps: Sequence[IndexRepresentation]) -> _P
 
 
 def _check_count(value, name: str) -> None:
-    """Reject a count (draws, replicates, sample size) that is not an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise BadParams(f"{name} must be an integer >= 1, got {value!r}")
+    """Reject a count (draws, replicates, sample size) that is not an integer
+    >= 1 or that lies beyond the float range."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not 1 <= value <= sys.float_info.max):
+        raise BadParams(f"{name} must be an integer in [1, {sys.float_info.max:g}], "
+                        f"got {value!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -383,14 +388,19 @@ def compose_ratio(rep_num: IndexRepresentation, rep_den: IndexRepresentation,
 
     Follows the expansion algebra for products and ratios of representable
     sequences: the composed score is ``(1/B) h_A - (A/B^2) h_B`` and the
-    weight precursor and the polynomial parts combine the same way.
+    weight precursor and the polynomial parts combine the same way.  The
+    values A and B, B nonzero, and the weights 1/B and A/B^2 must be finite.
     """
-    from .errors import ZeroDenominator
-
+    num_value, den_value = _real(num_value), _real(den_value)
     if den_value == 0.0:
         raise ZeroDenominator("ratio composition needs a nonzero denominator value")
-    ca = 1.0 / den_value
-    cb = -num_value / den_value ** 2
+    try:
+        ca, cb = 1.0 / den_value, -num_value / den_value ** 2
+    except (OverflowError, ZeroDivisionError):  # B^2 beyond the float range
+        ca = cb = math.nan
+    if not all(map(math.isfinite, (num_value, den_value, ca, cb))):
+        raise OutOfRange(f"ratio composition needs finite A, B, 1/B and A/B^2, "
+                         f"got A = {num_value}, B = {den_value}")
 
     def h(x):
         return ca * np.asarray(rep_num.h(x), dtype=float) + cb * np.asarray(rep_den.h(x), dtype=float)

@@ -270,7 +270,10 @@ class EmpiricalCopula(CopulaModel):
     """
 
     def __init__(self, u_ranks: np.ndarray, v_ranks: np.ndarray):
-        u, v = np.asarray(u_ranks, dtype=float), np.asarray(v_ranks, dtype=float)
+        try:
+            u, v = np.asarray(u_ranks, dtype=float), np.asarray(v_ranks, dtype=float)
+        except (TypeError, ValueError):
+            u = v = np.empty(0)
         if u.ndim != 1 or u.size == 0 or u.shape != v.shape:
             raise OutOfRange("u_ranks and v_ranks must be non-empty 1-d arrays of one length")
         self._cells = (_rank_cells(u), _rank_cells(v))

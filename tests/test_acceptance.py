@@ -14,8 +14,7 @@ from indexlaw.decomposition import SubgroupPartition, gap_estimate, gap_variance
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Normal, Uniform)
 from indexlaw.empirical import build_sample
-from indexlaw.indices import (NamedIndex, fgt_estimate, moment_representation,
-                              named_estimate, named_representation)
+from indexlaw.indices import NamedIndex, named_estimate, named_representation
 from indexlaw.montecarlo import (coverage_experiment, cre2_diagnostic,
                                  decomposability_experiment, draw,
                                  normality_experiment)
@@ -39,7 +38,7 @@ def test_criterion_1_exact_formula_oracles():
     s4 = build_sample([1, 2, 3, 4])
     s2 = build_sample([1, 3])
     cases = [
-        (fgt_estimate(s4, 2.5, 1), 0.2),
+        (named_estimate(s4, NamedIndex.fgt(1, 2.5)), 0.2),
         (named_estimate(s2, NamedIndex.sen(2.0)), 0.25),
         (named_estimate(s2, NamedIndex.shorrocks(2.0)), 0.375),
         (named_estimate(s2, NamedIndex.thon(2.0)), 1 / 3),
@@ -95,7 +94,7 @@ def test_criterion_5_moment_scores_and_variances():
     # (a) the order-2 influence score is the centered square
     model = EmpiricalDistribution(build_sample(
         np.sort(np.random.default_rng(50).lognormal(size=60))))
-    rep = moment_representation(model, 2)
+    rep = named_representation(model, NamedIndex.central_moment(2))
     m1 = model.raw_moment(1)
     pts = np.random.default_rng(51).uniform(-4, 4, size=20)
     assert np.max(np.abs(rep.h(pts) - (pts - m1) ** 2)) <= 1e-10
@@ -103,7 +102,7 @@ def test_criterion_5_moment_scores_and_variances():
     # (b) plug-in variance of the sample variance under N(0,1), one draw
     sample = draw(Normal(0, 1), 100000, stream_seed(3, 0))
     plug = EmpiricalDistribution(sample)
-    total = index_variance(plug, moment_representation(plug, 2)).total
+    total = index_variance(plug, named_representation(plug, NamedIndex.central_moment(2))).total
     assert abs(total - 2.0) <= 0.02 * 2.0
 
     # (c) kurtosis-score variance 24 by simulation
@@ -168,8 +167,8 @@ def test_criterion_7_temporal_laws():
     deltas = np.empty(reps)
     for r in range(reps):
         x = draw(l1, n, stream_seed(5, r)).values
-        deltas[r] = (fgt_estimate(build_sample(1.1 * x), z, 1.0)
-                     - fgt_estimate(build_sample(x), z, 1.0))
+        deltas[r] = (named_estimate(build_sample(1.1 * x), idx)
+                     - named_estimate(build_sample(x), idx))
     mc = n * np.var(deltas)
     assert abs(mc - dv) <= 0.10 * dv
     report(7, f"independence cross 0; comonotone degenerate; MC delta variance "

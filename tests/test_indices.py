@@ -14,10 +14,8 @@ from indexlaw.empirical import build_sample, ecdf, ranks
 from indexlaw.errors import (BadParams, BadThreshold, NonFiniteMoment, OutOfRange,
                              ThresholdOutsideSupport, ZeroMean, ZeroVariance)
 from indexlaw.indices import (_MOMENT_KINDS, _POVERTY_KINDS, GpiSpec, NamedIndex,
-                              central_moment_estimate, fgt_estimate, gpi_constants,
-                              gpi_estimate, gpi_representation, moment_representation,
-                              named_estimate, named_representation,
-                              normalized_moment_estimate)
+                              gpi_constants, gpi_estimate, gpi_representation,
+                              named_estimate, named_representation)
 from indexlaw.montecarlo import draw
 from indexlaw.representation import index_variance
 from indexlaw.rng import stream_seed
@@ -26,32 +24,36 @@ from indexlaw.temporal import empirical_copula
 asarray = lambda x: np.asarray(x, dtype=float)
 
 
+def fgt(values, poverty_line, alpha):
+    return named_estimate(build_sample(values), NamedIndex.fgt(alpha, poverty_line))
+
+
 class TestFgt:
     def test_headcount(self):
-        assert fgt_estimate(build_sample([1, 2, 3, 4]), 2.5, 0) == 0.5
+        assert fgt([1, 2, 3, 4], 2.5, 0) == 0.5
 
     def test_gap(self):
-        assert fgt_estimate(build_sample([1, 2, 3, 4]), 2.5, 1) == pytest.approx(0.2, abs=1e-15)
+        assert fgt([1, 2, 3, 4], 2.5, 1) == pytest.approx(0.2, abs=1e-15)
 
     def test_nobody_poor(self):
-        assert fgt_estimate(build_sample([3, 4]), 2.5, 2) == 0.0
+        assert fgt([3, 4], 2.5, 2) == 0.0
 
     def test_zero_power_convention(self):
         # 0^0 = 1: an observation exactly at the line counts in the headcount
-        assert fgt_estimate(build_sample([2.5, 5.0]), 2.5, 0) == 0.5
+        assert fgt([2.5, 5.0], 2.5, 0) == 0.5
 
     def test_bad_threshold(self):
         with pytest.raises(BadThreshold):
-            fgt_estimate(build_sample([1.0]), 0.0, 1)
+            fgt([1.0], 0.0, 1)
 
     def test_monotone_in_income(self):
         base = [0.5, 1.0, 1.5, 3.0]
         z = 2.0
         for alpha in (0.5, 1, 2):
-            lower = fgt_estimate(build_sample(base), z, alpha)
+            lower = fgt(base, z, alpha)
             bumped = list(base)
             bumped[0] = 0.9  # raise one poor income, staying below z
-            higher = fgt_estimate(build_sample(bumped), z, alpha)
+            higher = fgt(bumped, z, alpha)
             assert higher <= lower
 
 
@@ -183,22 +185,22 @@ class TestNamedEstimates:
 class TestMoments:
     def test_first_central_moment_zero(self):
         s = build_sample([1.0, 5.0, -2.0])
-        assert central_moment_estimate(s, 1) == 0.0
+        assert named_estimate(s, NamedIndex.central_moment(1)) == 0.0
 
     def test_two_point_variance(self):
-        assert central_moment_estimate(build_sample([1, 3]), 2) == 1.0
+        assert named_estimate(build_sample([1, 3]), NamedIndex.central_moment(2)) == 1.0
 
     def test_symmetric_sample_skewness(self):
-        assert normalized_moment_estimate(build_sample([-1.0, 1.0]), 2, "odd") == 0.0
+        assert named_estimate(build_sample([-1.0, 1.0]), NamedIndex.odd_normalized(2)) == 0.0
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
-            normalized_moment_estimate(build_sample([2.0, 2.0]), 2, "even")
+            named_estimate(build_sample([2.0, 2.0]), NamedIndex.even_normalized(2))
 
     def test_influence_simplifies_to_centered_square(self):
         # A(2)(x) == (x - m1)^2 pointwise
         model = EmpiricalDistribution(np.sort(np.random.default_rng(17).lognormal(size=40)))
-        rep = moment_representation(model, 2)
+        rep = named_representation(model, NamedIndex.central_moment(2))
         m1 = model.raw_moment(1)
         x = np.random.default_rng(18).uniform(-3, 3, size=20)
         assert np.max(np.abs(rep.h(x) - (x - m1) ** 2)) < 1e-10
@@ -207,25 +209,19 @@ class TestMoments:
         # E A(l)(X) == mu_l up to the additive constant killed by the fep:
         # check the variance against the classical formula for l = 2
         model = Normal(0, 1)
-        rep = moment_representation(model, 2)
+        rep = named_representation(model, NamedIndex.central_moment(2))
         assert index_variance(model, rep).total == pytest.approx(2.0, rel=1e-8)
 
     def test_skewness_variance_normal(self):
-        from indexlaw.indices import normalized_moment_representation
-
-        rep = normalized_moment_representation(Normal(0, 1), 2, "odd")
+        rep = named_representation(Normal(0, 1), NamedIndex.odd_normalized(2))
         assert index_variance(Normal(0, 1), rep).total == pytest.approx(6.0, rel=1e-6)
 
     def test_kurtosis_variance_normal(self):
-        from indexlaw.indices import normalized_moment_representation
-
-        rep = normalized_moment_representation(Normal(0, 1), 2, "even")
+        rep = named_representation(Normal(0, 1), NamedIndex.even_normalized(2))
         assert index_variance(Normal(0, 1), rep).total == pytest.approx(24.0, rel=1e-6)
 
     def test_odd_value_vanishes_for_symmetric(self):
-        from indexlaw.indices import normalized_moment_representation
-
-        rep = normalized_moment_representation(Normal(0, 1), 2, "odd")
+        rep = named_representation(Normal(0, 1), NamedIndex.odd_normalized(2))
         assert rep.value(Normal(0, 1)) == pytest.approx(0.0, abs=1e-9)
         assert Normal(0, 1).integrate_score(rep.h) == pytest.approx(0.0, abs=1e-8)
 
@@ -394,6 +390,31 @@ class TestGpi:
         without = gpi_constants(Uniform(0, 1), nop)
         assert without.K == pytest.approx(with_partials.K, rel=1e-6, abs=1e-8)
 
+    def test_spec_calls_do_not_grow_with_n(self):
+        # every spec callable takes the whole array: its number of calls is
+        # the same for 50 points as for 5,000
+        def calls(n):
+            counts = {}
+
+            def counted(name, f):
+                def call(*args):
+                    counts[name] = counts.get(name, 0) + 1
+                    return f(*args)
+                return call
+
+            spec = _kakwani_gpi_spec(1.0, 2)
+            spec = GpiSpec(**{name: counted(name, f) if callable(f) else f
+                              for name, f in spec.__dict__.items()})
+            sample = build_sample(np.random.default_rng(n).lognormal(size=n))
+            model = EmpiricalDistribution(sample)
+            gpi_estimate(sample, spec)
+            index_variance(model, gpi_representation(model, spec))
+            return counts
+
+        small, large = calls(50), calls(5000)
+        assert set(small) == {"A", "w", "d", "c", "pi", "dc_dx", "dc_dy", "dpi_dx", "dpi_dy"}
+        assert small == large
+
 
 class TestNamedIndexValidation:
     def test_bad_kind(self):
@@ -439,10 +460,15 @@ class TestNamedIndexValidation:
         (lambda: NamedIndex.sen("abc"), BadThreshold),
         (lambda: NamedIndex.thon(10 ** 400), BadThreshold),
         (lambda: NamedIndex.fgt("abc", 1.0), BadThreshold),
+        (lambda: NamedIndex.kakwani(True, 1.0), OutOfRange),
+        (lambda: NamedIndex.central_moment(True), OutOfRange),
+        (lambda: NamedIndex.even_normalized(np.True_), OutOfRange),
+        (lambda: NamedIndex.central_moment("2"), OutOfRange),
     ], ids=["fgt-none", "fgt-nan", "kakwani-none", "kakwani-2.5", "kakwani-inf",
             "central-none", "central-2.7", "odd-2.5", "even-nan", "fgt-alpha-inf",
             "sen-line-inf", "fgt-line-inf", "sen-line-abc-direct", "sen-line-abc",
-            "thon-line-overflow", "fgt-alpha-abc"])
+            "thon-line-overflow", "fgt-alpha-abc", "kakwani-bool", "central-bool",
+            "even-numpy-bool", "central-text"])
     def test_missing_or_fractional_parameter(self, make, error):
         with pytest.raises(error):
             make()

@@ -10,7 +10,7 @@ from indexlaw import representation
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Mixture, Normal, Uniform, normal_quantile)
 from indexlaw.errors import BadLevel, NegativeVariance
-from indexlaw.indices import NamedIndex, moment_representation, named_representation
+from indexlaw.indices import NamedIndex, named_representation
 from indexlaw.representation import (IndexRepresentation, compose_ratio,
                                      confidence_interval, index_cross_covariance,
                                      index_variance)
@@ -269,7 +269,7 @@ class TestIndexVariance:
 
     def test_sample_variance_statistic_normal(self):
         # Var((X - m)^2) = mu4 - sigma^4 = 3 - 1 = 2 under N(0, 1)
-        rep = moment_representation(Normal(0, 1), 2)
+        rep = named_representation(Normal(0, 1), NamedIndex.central_moment(2))
         assert index_variance(Normal(0, 1), rep).total == pytest.approx(2.0, rel=1e-8)
 
     def test_total_identity(self):

@@ -15,12 +15,14 @@ from indexlaw import temporal, ugrid
 from indexlaw.decomposition import SubgroupPartition, gap_variance
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Mixture, Normal, Pareto, Uniform, normal_quantile)
-from indexlaw.empirical import ecdf
+from indexlaw.empirical import ecdf, fep
 from indexlaw.errors import (BadParams, BadThreshold, BadWeights, EmptySample, IndexLawError,
                              NonFiniteValue, OutOfRange, TooFewPairs, ZeroBaseIndex)
-from indexlaw.indices import NamedIndex, fgt_estimate, named_representation
-from indexlaw.montecarlo import decomposability_experiment, ks_pvalue, ks_statistic
-from indexlaw.representation import (IndexRepresentation, confidence_interval,
+from indexlaw.indices import NamedIndex, named_estimate, named_representation
+from indexlaw.montecarlo import (coverage_experiment, cre2_diagnostic,
+                                 decomposability_experiment, draw, ks_pvalue, ks_statistic,
+                                 normality_experiment)
+from indexlaw.representation import (IndexRepresentation, compose_ratio, confidence_interval,
                                      index_cross_covariance, index_variance, score_model,
                                      u_atoms)
 from indexlaw.rng import stream_seed, uniforms
@@ -1060,8 +1062,9 @@ class TestContract:
 
 def _sweep_table():
     """``{argument: call}`` like ``_contract_table``, for the numeric
-    arguments of the partition, gap-variance, sample-quantile, KS and
-    confidence-interval functions and of the family constructors."""
+    arguments of the partition, gap-variance, sample-quantile, KS,
+    confidence-interval, ratio and fep functions, the Monte Carlo seeds and
+    the family and copula constructors."""
     groups = [Uniform(0, 1), Uniform(0, 1.25)]
     sample = EmpiricalDistribution([0.4, 1.0, 2.5, 3.0])
 
@@ -1101,11 +1104,33 @@ def _sweep_table():
         "normal_quantile": lambda v: [np.tanh(normal_quantile(v))],
         "ecdf": lambda v: [ecdf(sample.sample, v)],
         "ks_statistic": lambda v: [ks_statistic(v)],
-        "fgt_estimate.poverty_line": lambda v: [fgt_estimate(sample.sample, v, 1.0)],
-        "fgt_estimate.alpha": lambda v: [fgt_estimate(sample.sample, 1.0, v)],
+        "NamedIndex.fgt.poverty_line": lambda v: [
+            named_estimate(sample.sample, NamedIndex.fgt(1.0, v))],
+        "NamedIndex.fgt.alpha": lambda v: [named_estimate(sample.sample, NamedIndex.fgt(v, 1.0))],
         "confidence_interval.estimate": lambda v: [confidence_interval(v, 1.0, 10)],
         "confidence_interval.variance": lambda v: [confidence_interval(0.5, v, 10)],
         "confidence_interval.n": lambda v: [confidence_interval(0.5, 1.0, v)],
+        "fep.mean_f": lambda v: [fep(sample.sample, np.sqrt, v)],
+        "compose_ratio.den_value": lambda v: [
+            compose_ratio(beta_only, beta_only, 1.0, v).q(sample.sample.values)],
+        "EmpiricalCopula": lambda v: [EmpiricalCopula(v, v).u_ranks],
+    } | {f"{name}.seed": run for name, run in _seeded().items()}
+
+
+def _seeded():
+    """``{function: call}``: each call runs a seeded function of the Monte
+    Carlo harness on a small configuration and returns the numbers it drew."""
+    model, sen = Uniform(0, 1), NamedIndex.sen(0.5)
+    groups = [model, Uniform(0, 1.25)]
+    return {
+        "draw": lambda seed: [draw(model, 3, seed).values],
+        "normality_experiment": lambda seed: [
+            normality_experiment(model, sen, 20, 2, seed).replicate_values],
+        "coverage_experiment": lambda seed: [
+            coverage_experiment(model, sen, 20, 2, 0.9, seed).replicate_values],
+        "cre2_diagnostic": lambda seed: [cre2_diagnostic(model, np.sqrt, [10], 2, seed)],
+        "decomposability_experiment": lambda seed: [
+            decomposability_experiment(groups, [0.5, 0.5], sen, 20, 2, seed).replicate_values],
     }
 
 
@@ -1129,23 +1154,51 @@ class TestContractSweep:
         (lambda: ecdf(EmpiricalDistribution([1.0, 2.0]).sample, "x"), OutOfRange),
         (lambda: ks_statistic([]), EmptySample),
         (lambda: ks_statistic([math.nan]), NonFiniteValue),
-        (lambda: fgt_estimate(EmpiricalDistribution([1.0, 2.0]).sample, 1.5, math.nan),
-         BadThreshold),
-        (lambda: fgt_estimate(EmpiricalDistribution([1.0, 2.0]).sample, math.inf, 1.0),
-         BadThreshold),
+        (lambda: NamedIndex.fgt(math.nan, 1.5), BadThreshold),
+        (lambda: NamedIndex.fgt(1.0, math.inf), BadThreshold),
         (lambda: ecdf(EmpiricalDistribution([1.0, 2.0]).sample, math.nan), OutOfRange),
         (lambda: EmpiricalDistribution([1.0, 2.0]).cdf(np.array([1.5, math.nan])), OutOfRange),
         (lambda: confidence_interval(0.5, math.nan, 10), OutOfRange),
         (lambda: confidence_interval(math.nan, 1.0, 10), OutOfRange),
         (lambda: confidence_interval(0.5, 1.0, 2.5), BadParams),
         (lambda: confidence_interval(0.5, 1.0, True), BadParams),
+        (lambda: confidence_interval(0.5, 1.0, 10 ** 400), BadParams),
+        (lambda: fep(EmpiricalDistribution([1.0, 2.0]).sample, np.sqrt, "a"), OutOfRange),
+        (lambda: fep(EmpiricalDistribution([1.0, 2.0]).sample, np.sqrt, math.nan), OutOfRange),
+        (lambda: fep(EmpiricalDistribution([1.0, 2.0]).sample, np.sqrt, -1.7e308), OutOfRange),
+        (lambda: compose_ratio(beta_only, beta_only, 1.0, math.nan), OutOfRange),
+        (lambda: compose_ratio(beta_only, beta_only, 1.0, "x"), OutOfRange),
+        (lambda: compose_ratio(beta_only, beta_only, 1.0, 1e-200), OutOfRange),
+        (lambda: EmpiricalCopula("a", "b"), OutOfRange),
     ], ids=["normal-quantile-nan", "normal-quantile-nan-in-array", "ecdf-string",
             "ks-empty", "ks-nan", "fgt-alpha-nan", "fgt-line-inf", "ecdf-nan",
             "sample-cdf-nan-in-array", "ci-variance-nan", "ci-estimate-nan", "ci-n-fraction",
-            "ci-n-bool"])
+            "ci-n-bool", "ci-n-beyond-float", "fep-mean-text", "fep-mean-nan",
+            "fep-value-beyond-float", "ratio-denominator-nan", "ratio-denominator-text",
+            "ratio-weight-beyond-float", "copula-text-ranks"])
     def test_typed_error(self, call, error):
         with pytest.raises(error):
             call()
+
+    @pytest.mark.parametrize("seed", ["7", math.nan, 7.0, True],
+                             ids=["text", "nan", "float", "bool"])
+    @pytest.mark.parametrize("name", sorted(_seeded()))
+    def test_seed_must_be_an_integer(self, name, seed):
+        with pytest.raises(BadParams):
+            _seeded()[name](seed)
+
+    @pytest.mark.parametrize("name", sorted(_seeded()))
+    def test_integer_seed_reads_modulo_2_64(self, name):
+        run = _seeded()[name]
+        for seed, same in ((5, 5 + 2 ** 64), (-1, 2 ** 64 - 1), (7, np.uint64(7))):
+            assert all(np.array_equal(a, b) for a, b in zip(run(seed), run(same)))
+
+    def test_cdf_and_quantile_at_the_float_limit(self):
+        # the standardized point leaves the float range; F there is 0 or 1
+        assert Normal(0, 0.2).cdf(1e308) == 1.0
+        assert Uniform(0, 0.5).cdf(1e308) == 1.0
+        assert Uniform(0, 0.5).cdf(-1e308) == 0.0
+        assert Normal(0, 1.5e308).quantile_extended(0.9) == math.inf
 
     @pytest.mark.parametrize("stat, n", [(math.nan, 10), (0.1, -5), (1.5, 10), (-0.1, 10),
                                          (0.1, 0), (0.1, 2.5), ("abc", 10)])
