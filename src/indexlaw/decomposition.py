@@ -39,12 +39,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import DistributionModel, EmpiricalDistribution, Mixture
+from .distributions import DistributionModel, EmpiricalDistribution, Mixture, _weights
 from .empirical import EmpiricalSample, build_sample
-from .errors import BadWeights, NonFiniteValue, OutOfRange
+from .errors import NonFiniteValue, OutOfRange
 from .indices import NamedIndex, named_estimate, named_representation
-from .representation import (IndexRepresentation, _combine, _covs, _mean, _scorer, _split,
-                             _zero, confidence_interval)
+from .representation import _combine, _covs, _mean, _scorer, _split, _zero, confidence_interval
 from .ugrid import _cumsum
 
 
@@ -91,8 +90,10 @@ class SubgroupPartition:
 
 @dataclass(frozen=True)
 class DecompositionVariance:
-    """The three variance parts and the per-group label-noise terms L, M."""
+    """The population gap ``I(F) - sum p_i I(F_i)``, the three variance
+    parts and the per-group label-noise terms L, M."""
 
+    gap_value: float
     L: np.ndarray
     M: np.ndarray
     theta1_sq: float
@@ -162,36 +163,21 @@ def _tail(model: DistributionModel, q, score: Callable) -> Callable[[np.ndarray]
     return lambda y: tail.eval(model.cdf(y))
 
 
-def _weights(weights: Sequence[float], group_models: Sequence) -> np.ndarray:
-    """The drawing weights as a float array, ``BadWeights`` unless they are
-    positive numbers summing to 1, one per group model."""
-    try:
-        p = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError):
-        raise BadWeights(f"weights must be numbers, got {weights!r}") from None
-    if p.ndim != 1 or len(group_models) != p.size or p.size == 0:
-        raise BadWeights("weights must be a 1-d array aligned with the nonempty group models")
-    if np.any(p <= 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
-        raise BadWeights("weights must be positive and sum to 1")
-    return p
-
-
 def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionModel],
-                 rep_builder: Callable[[DistributionModel], IndexRepresentation]
-                 ) -> DecompositionVariance:
-    """The within-group variance theta1^2 and the label-noise parts
-    theta2^2, theta3^2 for the given group laws.
+                 index: NamedIndex) -> DecompositionVariance:
+    """The population gap, the within-group variance theta1^2 and the
+    label-noise parts theta2^2, theta3^2 for the given group laws.
 
-    ``rep_builder`` maps a distribution model to the index representation
-    under that model; it is applied to each subgroup law and to their
-    mixture.  A representation without a weight (``q is None``, e.g. in a
-    group in which nobody is poor) meets the others' weights as q = 0.
+    The index's representation is built under each group law and under
+    their mixture, so every score is its own law's.  A representation
+    without a weight (``q is None``, e.g. in a group in which nobody is
+    poor) meets the others' weights as q = 0.
     """
-    p = _weights(weights, group_models)
+    p = _weights(weights, len(group_models))
     k = p.size
     mixture = group_models[0] if k == 1 else Mixture(p, group_models)
-    rep = rep_builder(mixture)
-    reps = [rep_builder(m) for m in group_models]
+    rep = named_representation(mixture, index)
+    reps = [named_representation(m, index) for m in group_models]
     breaks = tuple(rep.breaks) + tuple(b for r in reps for b in r.breaks)
 
     h_global, q_global = rep.h, rep.q or _zero
@@ -221,9 +207,9 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
     # label-noise components
     ell = np.empty(k)
     mm = np.empty(k)
-    for i in range(k):
+    values = [r.value(m) for r, m in zip(reps, group_models)]
+    for i, value_i in enumerate(values):
         eh = _mean(group_models[i], scores[i], h_global, rep.poly)
-        value_i = reps[i].value(group_models[i])
         if q_skip:
             h_i = 0.0
         else:
@@ -240,8 +226,9 @@ def gap_variance(weights: Sequence[float], group_models: Sequence[DistributionMo
     theta2 = float(p @ (ell - lbar) ** 2)
     theta3 = float(p @ (mm - mbar) ** 2)
 
-    return DecompositionVariance(L=ell, M=mm, theta1_sq=theta1, theta2_sq=theta2,
-                                 theta3_sq=theta3)
+    gap = rep.value(mixture) - float(sum(pi * v for pi, v in zip(p, values)))
+    return DecompositionVariance(gap_value=gap, L=ell, M=mm, theta1_sq=theta1,
+                                 theta2_sq=theta2, theta3_sq=theta3)
 
 
 def gap_inference(sample: EmpiricalSample, partition: SubgroupPartition,
@@ -255,8 +242,7 @@ def gap_inference(sample: EmpiricalSample, partition: SubgroupPartition,
     gap, groups, estimates = _recompose(sample, values, index)
     w = np.array([grp.n for grp in groups]) / sample.n
     w = w / w.sum()
-    dec = gap_variance(w, [EmpiricalDistribution(grp) for grp in groups],
-                       lambda m: named_representation(m, index))
+    dec = gap_variance(w, [EmpiricalDistribution(grp) for grp in groups], index)
     var_gd, var_gd0 = dec.theta1_sq + dec.theta2_sq, dec.theta1_sq + dec.theta3_sq
     return GapInference(gap=gap, variance_gd=var_gd, variance_gd0=var_gd0,
                         ci_gd=confidence_interval(gap, max(var_gd, 0.0), sample.n, level),

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .empirical import EmpiricalSample, _real, build_sample, ecdf
-from .errors import BadParams, NonFiniteIntegral, NonFiniteMoment, OutOfRange
+from .errors import BadParams, BadWeights, NonFiniteIntegral, NonFiniteMoment, OutOfRange
 from . import ugrid
 from .ugrid import gauss_nodes, gauss_sum, mesh_edges
 
@@ -283,8 +283,9 @@ class EmpiricalDistribution(DistributionModel):
 class Uniform(DistributionModel):
     def __init__(self, a: float = 0.0, b: float = 1.0):
         a, b = _real(a), _real(b)
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise BadParams(f"uniform requires numbers a < b, got ({a}, {b})")
+        if not (a < b and np.isfinite(b - a)):
+            raise BadParams(f"uniform requires numbers a < b with a finite width b - a, "
+                            f"got ({a}, {b})")
         self.a, self.b = a, b
 
     def cdf(self, x):
@@ -459,20 +460,29 @@ def _double_factorial(m: int) -> float:
     return float(math.prod(range(m, 0, -2)))
 
 
+def _weights(weights: Sequence[float], count: int) -> np.ndarray:
+    """The drawing weights of ``count`` groups as a float array,
+    ``BadWeights`` unless they are one positive number per group, summing
+    to 1 within 1e-9."""
+    try:
+        p = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise BadWeights(f"weights must be numbers, got {weights!r}") from None
+    if p.ndim != 1 or p.size != count or p.size == 0:
+        raise BadWeights("weights must be a 1-d array with one weight per group, "
+                         "for at least one group")
+    if np.any(p <= 0) or not math.isclose(float(p.sum()), 1.0, abs_tol=1e-9):
+        raise BadWeights("weights must be positive and sum to 1")
+    return p
+
+
 class Mixture(DistributionModel):
     """Finite mixture sum_i p_i F_i; the law of a subgroup-labelled draw."""
 
     def __init__(self, weights: Sequence[float], components: Sequence[DistributionModel]):
-        try:
-            w = np.asarray(weights, dtype=float)
-        except (TypeError, ValueError):
-            raise BadParams(f"mixture weights must be numbers, got {weights!r}") from None
-        if w.ndim != 1 or len(components) != w.size or w.size == 0:
-            raise BadParams("weights must be a 1-d sequence aligned with nonempty components")
+        w = _weights(weights, len(components))
         if not all(isinstance(c, DistributionModel) for c in components):
             raise BadParams("mixture components must be distribution models")
-        if np.any(w <= 0) or not math.isclose(float(w.sum()), 1.0, abs_tol=1e-9):
-            raise BadParams("mixture weights must be positive and sum to 1")
         w = w / w.sum()
         w.flags.writeable = False
         self.weights, self.components = w, tuple(components)

@@ -72,10 +72,6 @@ class ZeroVariance(IndexLawError):
     pass
 
 
-class BadWeights(IndexLawError):
-    pass
-
-
 class TooFewPairs(IndexLawError):
     pass
 
@@ -85,6 +81,10 @@ class ZeroBaseIndex(IndexLawError):
 
 
 class BadParams(IndexLawError):
+    pass
+
+
+class BadWeights(BadParams):
     pass
 
 

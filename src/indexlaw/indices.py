@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import DistributionModel, _real
+from .distributions import DistributionModel, EmpiricalDistribution, _real
 from .empirical import EmpiricalSample, ScoreFunction
 from .errors import (BadParams, BadThreshold, NonFiniteConstant, OutOfRange,
                      ThresholdOutsideSupport, ZeroDenominator, ZeroHpi,
@@ -208,7 +208,7 @@ def named_estimate(sample: EmpiricalSample, index: NamedIndex) -> float:
         if mean == 0.0:
             raise ZeroMean("takayama ratio needs a nonzero sample mean")
         return _takayama_rank_form(sample, z, index.d) / mean
-    return _moment_estimate(sample.values, *_moment_key(index))
+    return _moment_estimate(sample, *_moment_key(index))
 
 
 def _takayama_rank_form(sample: EmpiricalSample, z: float, d: ScoreFunction) -> float:
@@ -237,11 +237,13 @@ def _variance(mu2: float) -> float:
     return mu2
 
 
-def _moment_estimate(x: np.ndarray, top: int, normalized: bool) -> float:
-    """Plug-in central moment ``(1/n) sum (X_i - mean)^top`` of the sorted
-    values, normalized if asked; exactly 0 at order 1, where the sum
-    vanishes identically."""
-    central = lambda k: 0.0 if k == 1 else float(np.mean((x - np.mean(x)) ** k))
+def _moment_estimate(sample: EmpiricalSample, top: int, normalized: bool) -> float:
+    """Plug-in central moment ``(1/n) sum (X_i - mean)^top`` of the sample,
+    normalized if asked; exactly 0 at order 1, where the sum vanishes
+    identically.  A moment beyond the float range raises ``NonFiniteMoment``,
+    as the plug-in model's does."""
+    plug_in = EmpiricalDistribution(sample)
+    central = lambda k: 0.0 if k == 1 else plug_in.central_moment(k)
     if not normalized:
         return central(top)
     return central(top) / _variance(central(2)) ** (top / 2.0)

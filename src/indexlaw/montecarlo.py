@@ -34,9 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import _recompose, _weights, gap_variance
-from .distributions import (DistributionModel, EmpiricalDistribution, Mixture, _real,
-                            normal_cdf)
+from .decomposition import _recompose, gap_variance
+from .distributions import DistributionModel, EmpiricalDistribution, _real, _weights, normal_cdf
 from .empirical import EmpiricalSample, build_sample
 from .errors import BadParams, OutOfRange, ZeroVariance
 from .indices import NamedIndex, named_estimate, named_representation
@@ -250,14 +249,10 @@ def decomposability_experiment(families: Sequence[DistributionModel],
     _check_count(n, "n")
     _check_count(n_replicates, "n_replicates")
     _check_seed(master_seed, "master_seed")
-    p = _weights(weights, families)
+    p = _weights(weights, len(families))
     k = p.size
-    dec = gap_variance(p, list(families), lambda m: named_representation(m, index))
-    variance = dec.theta1_sq + dec.theta2_sq
-    mixture = families[0] if k == 1 else Mixture(p, families)
-    rep = named_representation(mixture, index)
-    gd_true = rep.value(mixture) - float(sum(
-        pi * named_representation(f, index).value(f) for pi, f in zip(p, families)))
+    dec = gap_variance(p, list(families), index)
+    variance, gd_true = dec.theta1_sq + dec.theta2_sq, dec.gap_value
     cut = np.cumsum(p)[:-1]
     gaps = np.empty(n_replicates)
     for rows in _blocks(n_replicates):

@@ -122,9 +122,10 @@ def _evaluate(func: ScoreFunction, x: np.ndarray) -> np.ndarray:
 
 def _scorer(model: DistributionModel,
             breaks: Sequence[float] = ()) -> Callable[[ScoreFunction], CellPoly]:
-    """``func -> score_model(model, func)`` with the nodes built once: the
-    sorted sample of an empirical model and its n cells, else the model's
-    mesh for ``breaks``; cells and mesh are built on first use."""
+    """``func ->`` the CellPoly model of ``s -> func(Q(s))`` on (0, 1), with
+    the nodes built once: the exact step function on the n cells of an
+    empirical model's sorted sample, else per-cell interpolants on the
+    model's mesh for ``breaks``; cells and mesh are built on first use."""
     if model.kind == "empirical":
         x = model.sample.values
         cells = functools.cache(lambda: sample_cells(x.size))
@@ -146,12 +147,6 @@ def _scorer(model: DistributionModel,
         return CellPoly.fit(vals.reshape(-1, NODES), edges)
 
     return nodes
-
-
-def score_model(model: DistributionModel, func: ScoreFunction) -> CellPoly:
-    """CellPoly model of ``s -> func(Q(s))`` on (0, 1): the exact step
-    function of a sample, or per-cell interpolants on a parametric mesh."""
-    return _scorer(model)(func)
 
 
 # ---------------------------------------------------------------------------
@@ -287,48 +282,30 @@ def index_cross_covariance(model: DistributionModel, rep_i: IndexRepresentation,
     return float(g1 + (g2 + g3_ij + g3_ji))
 
 
-def u_atoms(model: DistributionModel, rep: IndexRepresentation) -> CellPoly:
-    """The u-function ``phi(s) = h(Q(s)) + W(s)``, ``W(s) = int_s^1 q(Q(t)) dt``.
-
-    Since ``f_s(X) = 1{U <= s}`` for ``U = F(X)``, the beta-term is
-    ``G_n(W o F)`` and the whole expansion is ``G_n(phi o F)``: the
-    covariance of two representations is ``Cov(phi_a(U), phi_b(V))``, with
-    U = V under one margin and (U, V) drawn from the copula across periods.
-    """
-    return _period(model, [rep]).atoms[0]
-
-
-@dataclass
+@dataclass(frozen=True)
 class _Period:
-    """The u-functions of one margin's representations, read-only, and their
-    within-period covariance block, formed on first use.  The representations
-    are held by weak reference: their scores may refer to the model, which
-    holds the slot, and a cycle would outlive the model's last reference."""
+    """The u-functions ``phi = h o Q + W`` of one margin's representations
+    and their within-period covariance block, both read-only.  The
+    representations are held by weak reference: their scores may refer to
+    the model, which holds the slot, and a cycle would outlive the model's
+    last reference."""
 
     reps: tuple
     cells: int
     atoms: tuple
-    _block: Optional[np.ndarray] = None
-
-    def block(self) -> np.ndarray:
-        """``ugrid.covariances`` of the atoms with themselves (read-only)."""
-        if self._block is None:
-            atoms = list(self.atoms)
-            self._block = covariances(atoms, atoms)
-            self._block.flags.writeable = False
-        return self._block
+    block: np.ndarray
 
 
 def _period(model: DistributionModel, reps: Sequence[IndexRepresentation]) -> _Period:
-    """The u-functions of ``reps`` under ``model``, on one set of nodes,
-    from the model's two-slot memo.
+    """The u-functions of ``reps`` under ``model``, on one set of nodes, and
+    their covariance block, from the model's two-slot memo.
 
     A slot is reused while the call passes the very same representations
     (``is``) on the same number of base cells, so patching
     ``ugrid.DEFAULT_GRID`` rebuilds it; a model's parameters cannot change.
-    Otherwise the atoms are built and replace the slot used least recently.
-    Two slots hold both periods of a joint law whose frame passes one model
-    as both margins.
+    Otherwise the atoms and block are built and replace the slot used least
+    recently.  Two slots hold both periods of a joint law whose frame passes
+    one model as both margins.
     """
     cells, periods = model._base_cells(), model._periods
     for slot in periods:
@@ -342,7 +319,9 @@ def _period(model: DistributionModel, reps: Sequence[IndexRepresentation]) -> _P
             hm = score(rep.h)
             atoms.append(hm if rep.q is None else hm + score(rep.q).tail_integral_poly())
             atoms[-1].coef.flags.writeable = False
-        slot = _Period(tuple(map(weakref.ref, reps)), cells, tuple(atoms))
+        block = covariances(atoms, atoms)
+        block.flags.writeable = False
+        slot = _Period(tuple(map(weakref.ref, reps)), cells, tuple(atoms), block)
     if not periods or periods[0] is not slot:
         model._periods = (slot, *(p for p in periods if p is not slot))[:2]
     return slot
@@ -367,7 +346,8 @@ def _two_sided_z(level: float) -> float:
 def confidence_interval(estimate: float, variance: float, n: int,
                         level: float = 0.95) -> tuple[float, float]:
     """Normal confidence interval ``estimate -+ z * sqrt(variance / n)``."""
-    if not (0.0 < level < 1.0):
+    level = _real(level)
+    if not 0.0 < level < 1.0:
         raise BadLevel(f"confidence level must lie in (0, 1), got {level}")
     estimate, variance = _real(estimate), _real(variance)
     if not (math.isfinite(estimate) and math.isfinite(variance)):

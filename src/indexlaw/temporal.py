@@ -46,8 +46,8 @@ and the empirical copula takes each atom's cell averages once.  Every entry
 keeps the arithmetic of its pair.
 
 Reuse: each margin keeps a two-slot memo of its last periods
-(``representation._period``): the atoms of the representations passed and,
-once asked for, their within-period block.  A slot is keyed on the
+(``representation._period``): the atoms of the representations passed and
+their within-period block.  A slot is keyed on the
 identity of those representations and on the mesh size
 (``model._base_cells()``); two slots hold both periods of a frame that
 passes one margin twice.  The Gaussian copula keeps each atom's spectrum,
@@ -402,20 +402,19 @@ def _joint_matrix(frame: BivariateFrame, reps1: list[IndexRepresentation],
     one, two = _period(frame.margin1, reps1), _period(frame.margin2, reps2)
     cross = frame.copula.cross_cov(list(one.atoms), list(two.atoms))
     out = np.empty((2 * len(reps1),) * 2)
-    out[0::2, 0::2], out[1::2, 1::2] = one.block(), two.block()
+    out[0::2, 0::2], out[1::2, 1::2] = one.block, two.block
     out[0::2, 1::2], out[1::2, 0::2] = cross, cross.T
     return out
 
 
 def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,
-                              rep2: Optional[IndexRepresentation] = None) -> JointCovariance:
+                              rep2: IndexRepresentation) -> JointCovariance:
     """Joint law of one index at two periods.
 
-    ``rep`` is the representation under margin 1; ``rep2`` (defaulting to
-    ``rep``) the one under margin 2 -- pass a margin-specific rebuild for
-    indices whose scores depend on the underlying CDF.
+    ``rep`` is the representation under margin 1 and ``rep2`` the one under
+    margin 2: each period's scores are built under its own margin.
     """
-    matrix = _joint_matrix(frame, [rep], [rep2 or rep])
+    matrix = _joint_matrix(frame, [rep], [rep2])
     cross = float(matrix[0, 1])
     delta = _clamp_variance(float(matrix[0, 0] + matrix[1, 1] - 2.0 * cross),
                             "variance of the difference")
@@ -424,7 +423,7 @@ def temporal_joint_covariance(frame: BivariateFrame, rep: IndexRepresentation,
 
 def relative_variation_law(frame: BivariateFrame, rep: IndexRepresentation,
                            index1: float, index2: float,
-                           rep2: Optional[IndexRepresentation] = None) -> JointCovariance:
+                           rep2: IndexRepresentation) -> JointCovariance:
     """Law of the relative variation (I2 - I1) / I1 by the delta method."""
     grad = _relative_gradient(index1, index2)
     joint = temporal_joint_covariance(frame, rep, rep2)
@@ -437,15 +436,16 @@ def relative_variation_law(frame: BivariateFrame, rep: IndexRepresentation,
 
 
 def mutual_variation_covariance(frame: BivariateFrame, rep_i: IndexRepresentation,
-                                rep_j: IndexRepresentation,
-                                rep_i2: Optional[IndexRepresentation] = None,
-                                rep_j2: Optional[IndexRepresentation] = None) -> JointCovariance:
+                                rep_j: IndexRepresentation, rep_i2: IndexRepresentation,
+                                rep_j2: IndexRepresentation) -> JointCovariance:
     """Joint law of the variations of two indices.
 
-    Assembles the 4x4 covariance of (I*_1, I*_2, J*_1, J*_2); the covariance
-    of the two differences is the contrast ``(-1, 1)`` applied to each block.
+    ``rep_i``, ``rep_j`` are the representations under margin 1 and
+    ``rep_i2``, ``rep_j2`` those under margin 2.  Assembles the 4x4
+    covariance of (I*_1, I*_2, J*_1, J*_2); the covariance of the two
+    differences is the contrast ``(-1, 1)`` applied to each block.
     """
-    m = _joint_matrix(frame, [rep_i, rep_j], [rep_i2 or rep_i, rep_j2 or rep_j])
+    m = _joint_matrix(frame, [rep_i, rep_j], [rep_i2, rep_j2])
     cross = float(np.array([-1.0, 1.0, 0.0, 0.0]) @ m @ np.array([0.0, 0.0, -1.0, 1.0]))
     return JointCovariance(matrix=m, cross=cross)
 
@@ -453,8 +453,7 @@ def mutual_variation_covariance(frame: BivariateFrame, rep_i: IndexRepresentatio
 def mutual_relative_covariance(frame: BivariateFrame, rep_i: IndexRepresentation,
                                rep_j: IndexRepresentation,
                                i1: float, i2: float, j1: float, j2: float,
-                               rep_i2: Optional[IndexRepresentation] = None,
-                               rep_j2: Optional[IndexRepresentation] = None) -> float:
+                               rep_i2: IndexRepresentation, rep_j2: IndexRepresentation) -> float:
     """Covariance of the two relative variations by the bilinear delta
     method on the assembled 4x4 matrix."""
     grad_i = np.concatenate([_relative_gradient(i1, i2), [0.0, 0.0]])

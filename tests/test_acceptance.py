@@ -131,7 +131,7 @@ def test_criterion_6_decomposability():
         assert abs(gap) <= 1e-12
     # (b) single-group variance identically zero
     g = EmpiricalDistribution(build_sample(rng.lognormal(size=50)))
-    dec = gap_variance([1.0], [g], lambda m: named_representation(m, NamedIndex.sen(1.0)))
+    dec = gap_variance([1.0], [g], NamedIndex.sen(1.0))
     assert dec.theta1_sq == 0.0 and dec.theta2_sq == 0.0
     # (c) Shorrocks two-group experiment passes KS
     rep = decomposability_experiment([LogNormal(0, 1), LogNormal(0.5, 1)], [0.5, 0.5],
@@ -148,12 +148,12 @@ def test_criterion_7_temporal_laws():
     # (a) independent periods have zero cross-period weight covariance
     beta_only = IndexRepresentation(h=zero, q=one, value=lambda m: 0.0)
     frame_ind = BivariateFrame(Uniform(0, 1), Uniform(0, 1), IndependenceCopula())
-    assert abs(temporal_joint_covariance(frame_ind, beta_only).cross) <= 1e-10
+    assert abs(temporal_joint_covariance(frame_ind, beta_only, beta_only).cross) <= 1e-10
     # (b) perfectly dependent identical periods are degenerate
     margin = LogNormal(0, 1)
     srep = named_representation(margin, NamedIndex.sen(1.0))
     frame_com = BivariateFrame(margin, margin, ComonotoneCopula())
-    assert temporal_joint_covariance(frame_com, srep).delta_var <= 1e-8
+    assert temporal_joint_covariance(frame_com, srep, srep).delta_var <= 1e-8
     # (c) the variance of the difference matches simulation for FGT(1) under
     # ten-percent growth (family and line free in the criterion; lognormal
     # incomes with Z = 1.5)
@@ -203,8 +203,9 @@ def test_criterion_9_randomized_joint_laws_psd(mesh):
             cop = [IndependenceCopula(), ComonotoneCopula(),
                    GaussianCopula(rng.uniform(-0.9, 0.9))][int(rng.integers(0, 3))]
             scale = 10.0 ** rng.uniform(-2, 1)
+            rep_i, rep_j = random_rep(scale), random_rep(scale)
             jm = mutual_variation_covariance(BivariateFrame(m1, m2, cop),
-                                             random_rep(scale), random_rep(scale))
+                                             rep_i, rep_j, rep_i, rep_j)
             assert np.array_equal(jm.matrix, jm.matrix.T)
             worst = min(worst, float(np.linalg.eigvalsh(jm.matrix).min()))
     assert worst >= -1e-9

@@ -91,7 +91,7 @@ class TestGapEstimate:
         assert g1 == g2
 
 
-def brute_theta1(p, groups, rep_builder):
+def brute_theta1(p, groups, index):
     """Independent oracle: all seven constants by explicit cell sums.
 
     Works on empirical groups only, where every transformed integrand is a
@@ -99,8 +99,8 @@ def brute_theta1(p, groups, rep_builder):
     """
     k = len(p)
     mix = Mixture(p, groups) if k > 1 else groups[0]
-    rep = rep_builder(mix)
-    reps = [rep_builder(g) for g in groups]
+    rep = named_representation(mix, index)
+    reps = [named_representation(g, index) for g in groups]
     h, q = rep.h, rep.q
 
     cells = []  # per group: (edges, hstar vals, c vals, q vals)
@@ -229,9 +229,8 @@ class TestGapVariance:
             values = [rng.lognormal(size=m) for m in (6, 8, 5)]
         groups = [EmpiricalDistribution(build_sample(v)) for v in values]
         p = [0.3, 0.5, 0.2] if k == 3 else [0.3, 0.3, 0.25, 0.15]
-        builder = lambda m: named_representation(m, index)
-        dec = gap_variance(p, groups, builder)
-        want_theta1, _ = brute_theta1(p, groups, builder)
+        dec = gap_variance(p, groups, index)
+        want_theta1, _ = brute_theta1(p, groups, index)
         assert dec.theta1_sq == pytest.approx(want_theta1, rel=1e-10)
 
     # ids "index0"/"index1" are the K = 3 cases; K = 4 and 5 give each group
@@ -252,7 +251,7 @@ class TestGapVariance:
         p = {3: [0.3, 0.45, 0.25], 4: [0.3, 0.3, 0.25, 0.15],
              5: [0.25, 0.3, 0.2, 0.15, 0.1]}[k]
         builder = lambda m: named_representation(m, index)
-        dec = gap_variance(p, groups, builder)
+        dec = gap_variance(p, groups, index)
         rep = builder(Mixture(p, groups))
         x = [g.sample.values for g in groups]
         want = 0.0
@@ -272,7 +271,7 @@ class TestGapVariance:
 
     def test_single_group_all_zero(self):
         g = EmpiricalDistribution(build_sample(np.linspace(0.2, 3.0, 25)))
-        dec = gap_variance([1.0], [g], lambda m: named_representation(m, NamedIndex.sen(1.0)))
+        dec = gap_variance([1.0], [g], NamedIndex.sen(1.0))
         assert dec.theta1_sq == 0.0
         assert dec.theta2_sq == 0.0
         assert dec.theta3_sq == 0.0
@@ -280,8 +279,7 @@ class TestGapVariance:
     def test_fgt_within_part_zero(self):
         rng = np.random.default_rng(9)
         groups = [EmpiricalDistribution(build_sample(rng.lognormal(size=30))) for _ in range(3)]
-        dec = gap_variance([0.25, 0.25, 0.5], groups,
-                           lambda m: named_representation(m, NamedIndex.fgt(1.0, 1.0)))
+        dec = gap_variance([0.25, 0.25, 0.5], groups, NamedIndex.fgt(1.0, 1.0))
         assert dec.theta1_sq == 0.0
         assert dec.theta2_sq == 0.0
         # the plug-in-weighted centering keeps the multinomial dispersion of
@@ -292,8 +290,7 @@ class TestGapVariance:
     def test_weighted_variance_identity_nonnegative(self):
         rng = np.random.default_rng(3)
         groups = [EmpiricalDistribution(build_sample(rng.lognormal(size=20))) for _ in range(4)]
-        dec = gap_variance([0.25] * 4, groups,
-                           lambda m: named_representation(m, NamedIndex.shorrocks(1.0)))
+        dec = gap_variance([0.25] * 4, groups, NamedIndex.shorrocks(1.0))
         assert dec.theta2_sq >= 0.0
         assert dec.theta3_sq >= 0.0
         p = np.full(4, 0.25)
@@ -301,27 +298,24 @@ class TestGapVariance:
 
     def test_parametric_grid_convergence(self, mesh):
         groups = [LogNormal(0, 1), LogNormal(0.5, 1)]
-        builder = lambda m: named_representation(m, NamedIndex.shorrocks(1.0))
         with mesh(grid=512):
-            d1 = gap_variance([0.5, 0.5], groups, builder)
+            d1 = gap_variance([0.5, 0.5], groups, NamedIndex.shorrocks(1.0))
         with mesh(grid=1024):
-            d2 = gap_variance([0.5, 0.5], groups, builder)
+            d2 = gap_variance([0.5, 0.5], groups, NamedIndex.shorrocks(1.0))
         assert d2.theta1_sq == pytest.approx(d1.theta1_sq, rel=0.005)
         # the rank-weighted kinds: 2,048 base cells are within 1e-2 of a four
         # times finer mesh
         for index in (NamedIndex.sen(1.0), NamedIndex.takayama(1.0)):
-            builder = lambda m, _index=index: named_representation(m, _index)
             with mesh(grid=2048):
-                coarse = gap_variance([0.5, 0.5], groups, builder)
+                coarse = gap_variance([0.5, 0.5], groups, index)
             with mesh(grid=8192):
-                fine = gap_variance([0.5, 0.5], groups, builder)
+                fine = gap_variance([0.5, 0.5], groups, index)
             assert coarse.theta1_sq == pytest.approx(fine.theta1_sq, rel=1e-2)
 
     def test_identical_groups_decomposable_score(self):
         # equal group laws with a q = 0 index: every L_i identical -> theta2 = 0
         g = EmpiricalDistribution(build_sample(np.geomspace(0.2, 3.0, 30)))
-        dec = gap_variance([0.5, 0.5], [g, g],
-                           lambda m: named_representation(m, NamedIndex.fgt(1.0, 1.0)))
+        dec = gap_variance([0.5, 0.5], [g, g], NamedIndex.fgt(1.0, 1.0))
         assert dec.theta2_sq == pytest.approx(0.0, abs=1e-15)
         assert dec.theta3_sq == pytest.approx(0.0, abs=1e-15)
 

@@ -314,11 +314,12 @@ class TestBlocksMatchReplicateLoop:
             empty.append(np.unique(labels).size < k)
         if k == 3:
             assert any(empty) and not all(empty)
-        dec = gap_variance(p, families, lambda m: named_representation(m, index))
+        dec = gap_variance(p, families, index)
         variance = dec.theta1_sq + dec.theta2_sq
         mixture = Mixture(p, families)
         gd = named_representation(mixture, index).value(mixture) - float(sum(
             pi * named_representation(f, index).value(f) for pi, f in zip(p, families)))
+        assert dec.gap_value == gd
         want = _report("decomposability", seed, n, gaps,
                        math.sqrt(n) * (gaps - gd) / math.sqrt(variance),
                        extra={"gap_value": gd, "variance": variance, "index": index.label()})

@@ -12,19 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indexlaw import temporal, ugrid
-from indexlaw.decomposition import SubgroupPartition, gap_variance
+from indexlaw.decomposition import SubgroupPartition, gap_inference, gap_variance
 from indexlaw.distributions import (EmpiricalDistribution, Exponential, LogNormal,
                                     Mixture, Normal, Pareto, Uniform, normal_quantile)
-from indexlaw.empirical import ecdf, fep
-from indexlaw.errors import (BadParams, BadThreshold, BadWeights, EmptySample, IndexLawError,
-                             NonFiniteValue, OutOfRange, TooFewPairs, ZeroBaseIndex)
+from indexlaw.empirical import build_sample, ecdf, fep
+from indexlaw.errors import (BadLevel, BadParams, BadThreshold, BadWeights, EmptySample,
+                             IndexLawError, NonFiniteMoment, NonFiniteValue, OutOfRange,
+                             TooFewPairs, ZeroBaseIndex)
 from indexlaw.indices import NamedIndex, named_estimate, named_representation
 from indexlaw.montecarlo import (coverage_experiment, cre2_diagnostic,
                                  decomposability_experiment, draw, ks_pvalue, ks_statistic,
                                  normality_experiment)
-from indexlaw.representation import (IndexRepresentation, compose_ratio, confidence_interval,
-                                     index_cross_covariance, index_variance, score_model,
-                                     u_atoms)
+from indexlaw.representation import (IndexRepresentation, _period, _scorer, compose_ratio,
+                                     confidence_interval, index_cross_covariance,
+                                     index_variance)
 from indexlaw.rng import stream_seed, uniforms
 from indexlaw.temporal import (BivariateFrame, ComonotoneCopula, EmpiricalCopula,
                                GaussianCopula, IndependenceCopula, MEHLER_ORDER,
@@ -37,6 +38,11 @@ from indexlaw.ugrid import (NODES, CellPoly, covariance, gauss_legendre, gauss_n
 one = lambda x: np.ones_like(np.asarray(x, dtype=float))
 zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 beta_only = IndexRepresentation(h=zero, q=one, value=lambda m: 0.0)
+
+
+def _atom(model, rep):
+    """The u-function ``h o Q + W`` of one representation under ``model``."""
+    return _period(model, [rep]).atoms[0]
 
 
 def _step(cells, cut):
@@ -104,8 +110,8 @@ class TestComonotoneCopula:
         x = np.random.default_rng(11).lognormal(size=150)
         index = NamedIndex.sen(1.0)
         sample, margin = EmpiricalDistribution(x), LogNormal(0.0, 1.0)
-        phi = u_atoms(sample, named_representation(sample, index))
-        psi = u_atoms(margin, named_representation(margin, index))
+        phi = _atom(sample, named_representation(sample, index))
+        psi = _atom(margin, named_representation(margin, index))
         assert margin.cdf(1.0) == 0.5
         assert ComonotoneCopula().cross_cov(phi, psi) == pytest.approx(
             _union_oracle_cov(phi, psi), rel=1e-14)
@@ -175,8 +181,8 @@ class TestEmpiricalCopula:
         levels = np.arange(1, 98) / 97
         cells = [np.rint(r * 97).astype(int) - 1 for r in (cop.u_ranks, cop.v_ranks)]
         step, fine = CellPoly.from_cells(rng.normal(size=97)), _mesh_random(rng, 40)
-        parametric = u_atoms(LogNormal(0, 1), named_representation(LogNormal(0, 1),
-                                                                   NamedIndex.sen(1.0)))
+        parametric = _atom(LogNormal(0, 1), named_representation(LogNormal(0, 1),
+                                                                 NamedIndex.sen(1.0)))
         for a, b in ((step, fine), (fine, step), (step, step), (parametric, step)):
             pv = a.cell_average_at(levels, side="left")[cells[0]]
             qv = b.cell_average_at(levels, side="left")[cells[1]]
@@ -227,7 +233,7 @@ class TestJointCovariance:
                        NamedIndex.kakwani(3, z), NamedIndex.shorrocks(z), NamedIndex.takayama(z))
         for index in indices:
             rep = named_representation(margin, index)
-            diagonal = temporal_joint_covariance(frame, rep).matrix[0, 0]
+            diagonal = temporal_joint_covariance(frame, rep, rep).matrix[0, 0]
             assert diagonal == pytest.approx(index_variance(margin, rep).total, rel=1e-13)
 
     @pytest.mark.xfail(strict=True, reason="the mesh holds h o Q whole: the tails of a "
@@ -236,7 +242,7 @@ class TestJointCovariance:
         margin = LogNormal(0, 1)
         rep = named_representation(margin, NamedIndex.central_moment(3))
         diagonal = temporal_joint_covariance(BivariateFrame(margin, margin, GaussianCopula(0.3)),
-                                             rep).matrix[0, 0]
+                                             rep, rep).matrix[0, 0]
         assert diagonal == pytest.approx(index_variance(margin, rep).total, rel=1e-12)
 
     @pytest.mark.parametrize("rho", [0.5, 0.9])
@@ -244,7 +250,8 @@ class TestJointCovariance:
         # Cov((X - mu)^2, (Y - mu)^2) = 2 rho^2 sigma^4 for a bivariate normal
         margin = Normal(2, 1)
         rep = named_representation(margin, NamedIndex.central_moment(2))
-        j = temporal_joint_covariance(BivariateFrame(margin, margin, GaussianCopula(rho)), rep)
+        j = temporal_joint_covariance(BivariateFrame(margin, margin, GaussianCopula(rho)),
+                                      rep, rep)
         assert j.cross == pytest.approx(2.0 * rho ** 2, rel=1e-9)
 
     @pytest.mark.parametrize("rho", [0.5, 0.9])
@@ -279,8 +286,8 @@ class TestJointCovariance:
         assert index_variance(margin, zq) == index_variance(margin, rep)
         for cop in (GaussianCopula(0.5), ComonotoneCopula()):
             frame = BivariateFrame(margin, margin, cop)
-            got = temporal_joint_covariance(frame, zq).matrix
-            want = temporal_joint_covariance(frame, rep).matrix
+            got = temporal_joint_covariance(frame, zq, zq).matrix
+            want = temporal_joint_covariance(frame, rep, rep).matrix
             if margin.kind == "empirical":
                 assert np.array_equal(got, want)
             else:
@@ -288,12 +295,12 @@ class TestJointCovariance:
 
     def test_independence_beta_cross_is_zero(self):
         frame = BivariateFrame(Uniform(0, 1), Uniform(0, 1), IndependenceCopula())
-        j = temporal_joint_covariance(frame, beta_only)
+        j = temporal_joint_covariance(frame, beta_only, beta_only)
         assert j.cross == 0.0
 
     def test_comonotone_beta_pair(self):
         frame = BivariateFrame(Uniform(0, 1), Uniform(0, 1), ComonotoneCopula())
-        j = temporal_joint_covariance(frame, beta_only)
+        j = temporal_joint_covariance(frame, beta_only, beta_only)
         assert j.cross == pytest.approx(1 / 12, abs=1e-12)
 
     @pytest.mark.parametrize("margin", [Uniform(0, 1), LogNormal(0, 1),
@@ -305,7 +312,8 @@ class TestJointCovariance:
         for idx in (NamedIndex.sen(z), NamedIndex.shorrocks(z), NamedIndex.fgt(1.0, z),
                     NamedIndex.central_moment(2)):
             rep = named_representation(margin, idx)
-            j = temporal_joint_covariance(BivariateFrame(margin, margin, ComonotoneCopula()), rep)
+            j = temporal_joint_covariance(BivariateFrame(margin, margin, ComonotoneCopula()),
+                                          rep, rep)
             assert j.delta_var == 0.0, idx.label()
             assert j.cross == j.matrix[0, 0], idx.label()
 
@@ -332,14 +340,15 @@ class TestRelativeVariation:
     def test_degenerate_periods(self):
         m = LogNormal(0, 1)
         rep = named_representation(m, NamedIndex.fgt(1.0, 1.0))
-        j = relative_variation_law(BivariateFrame(m, m, ComonotoneCopula()), rep, 0.3, 0.3)
+        j = relative_variation_law(BivariateFrame(m, m, ComonotoneCopula()), rep, 0.3, 0.3, rep)
         assert j.rel_var == pytest.approx(0.0, abs=1e-10)
 
     def test_independent_equal_periods(self):
         m = LogNormal(0, 1)
         rep = named_representation(m, NamedIndex.fgt(1.0, 1.0))
         v = index_variance(m, rep).total
-        j = relative_variation_law(BivariateFrame(m, m, IndependenceCopula()), rep, 1.0, 1.0)
+        j = relative_variation_law(BivariateFrame(m, m, IndependenceCopula()), rep, 1.0, 1.0,
+                                   rep)
         assert j.rel_var == pytest.approx(2 * j.matrix[0, 0], rel=1e-12)
         assert j.matrix[0, 0] == pytest.approx(v, rel=1e-4)
         assert j.gamma4 == 1.0 and j.gamma5 == 0.0
@@ -349,18 +358,19 @@ class TestRelativeVariation:
         m = LogNormal(0, 1)
         rep = named_representation(m, NamedIndex.fgt(1.0, 1.0))
         base = relative_variation_law(BivariateFrame(m, m, IndependenceCopula()),
-                                      rep, 1.0, 1.5)
+                                      rep, 1.0, 1.5, rep)
         crep = IndexRepresentation(h=lambda x: 2.0 * rep.h(x), q=None,
                                    value=rep.value, breaks=rep.breaks)
         scaled = relative_variation_law(BivariateFrame(m, m, IndependenceCopula()),
-                                        crep, 1.0, 1.5)
+                                        crep, 1.0, 1.5, crep)
         assert scaled.rel_var == pytest.approx(4 * base.rel_var, rel=1e-12)
 
     def test_zero_base(self):
         m = Uniform(0, 1)
         rep = named_representation(m, NamedIndex.fgt(0.0, 0.5))
         with pytest.raises(ZeroBaseIndex):
-            relative_variation_law(BivariateFrame(m, m, IndependenceCopula()), rep, 0.0, 0.1)
+            relative_variation_law(BivariateFrame(m, m, IndependenceCopula()), rep, 0.0, 0.1,
+                                   rep)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_index(self, bad):
@@ -369,12 +379,12 @@ class TestRelativeVariation:
         frame = BivariateFrame(m, m, IndependenceCopula())
         for index1, index2 in ((bad, 0.3), (0.3, bad)):
             with pytest.raises(BadParams):
-                relative_variation_law(frame, rep, index1, index2)
+                relative_variation_law(frame, rep, index1, index2, rep)
         for at in range(4):
             values = [0.3, 0.35, 0.2, 0.25]
             values[at] = bad
             with pytest.raises(BadParams):
-                mutual_relative_covariance(frame, rep, rep, *values)
+                mutual_relative_covariance(frame, rep, rep, *values, rep, rep)
 
 
 class TestMutualInfluence:
@@ -393,7 +403,7 @@ class TestMutualInfluence:
         frame = self._frame()
         rep = named_representation(frame.margin1, NamedIndex.fgt(1.0, 1.0))
         repc = IndexRepresentation(h=one, q=None, value=lambda m: 1.0)
-        jm = mutual_variation_covariance(frame, rep, repc)
+        jm = mutual_variation_covariance(frame, rep, repc, rep, repc)
         assert np.allclose(jm.matrix[2:, :], 0.0, atol=1e-12)
         assert np.allclose(jm.matrix[:, 2:], 0.0, atol=1e-12)
 
@@ -410,7 +420,7 @@ class TestMutualInfluence:
             rep_j = named_representation(frame.margin1, NamedIndex.fgt(1.0, 1.0))
             rep_j2 = named_representation(frame.margin2, NamedIndex.fgt(1.0, 1.0))
             with mesh(grid=512):
-                jm = mutual_variation_covariance(frame, rep_i, rep_j, rep_j2=rep_j2)
+                jm = mutual_variation_covariance(frame, rep_i, rep_j, rep_i, rep_j2)
             assert np.linalg.eigvalsh(jm.matrix).min() >= -1e-9
 
     def test_relative_coincides(self):
@@ -442,7 +452,7 @@ class TestMutualInfluence:
         frame = self._frame()
         rep = named_representation(frame.margin1, NamedIndex.fgt(1.0, 1.0))
         with pytest.raises(ZeroBaseIndex):
-            mutual_relative_covariance(frame, rep, rep, 0.0, 1.0, 1.0, 1.0)
+            mutual_relative_covariance(frame, rep, rep, 0.0, 1.0, 1.0, 1.0, rep, rep)
 
     def test_entries_under_an_asymmetric_copula(self):
         # every entry is one covariance of u-functions: comonotone within a
@@ -456,7 +466,7 @@ class TestMutualInfluence:
         idx_i, idx_j = NamedIndex.sen(1.0), NamedIndex.fgt(2.0, 1.5)
         reps = [named_representation(m, ix) for ix in (idx_i, idx_j) for m in (m1, m2)]
         jm = mutual_variation_covariance(frame, reps[0], reps[2], reps[1], reps[3])
-        phi = [u_atoms(m, r) for m, r in zip((m1, m2, m1, m2), reps)]
+        phi = [_atom(m, r) for m, r in zip((m1, m2, m1, m2), reps)]
         same = ComonotoneCopula()
         for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3)):
             assert jm.matrix[a, b] == same.cross_cov(phi[a], phi[b])
@@ -510,7 +520,7 @@ class TestEmpiricalCopulaJointLaws:
         # on one margin, the covariance of two indices is Cov(phi_i(U), phi_j(U))
         m = EmpiricalDistribution(np.sort(np.random.default_rng(23).lognormal(size=300)))
         reps = [named_representation(m, ix) for ix in _catalog(1.0)]
-        atoms = [u_atoms(m, rep) for rep in reps]
+        atoms = [_atom(m, rep) for rep in reps]
         for i, j in itertools.combinations(range(len(reps)), 2):
             assert index_cross_covariance(m, reps[i], reps[j]) == pytest.approx(
                 covariance(atoms[i], atoms[j]), rel=1e-12), (i, j)
@@ -543,7 +553,7 @@ class TestEmpiricalCopulaJointLaws:
         x = np.random.default_rng(3).lognormal(size=173)  # non-dyadic n
         m = EmpiricalDistribution(build_sample(x))
         rep = named_representation(m, NamedIndex.shorrocks(1.0))
-        hm = score_model(m, rep.h)
+        hm = _scorer(m)(rep.h)
         cop = empirical_copula(np.column_stack([x, x]))
         within = inner(hm, hm) - hm.integral() ** 2
         assert cop.cross_cov(hm, hm) == pytest.approx(within, abs=1e-14)
@@ -873,15 +883,16 @@ class TestPeriodMemo:
             m = LogNormal(0, 1)
             rep, rep2 = (named_representation(m, ix) for ix in self._IDX)
             frame = BivariateFrame(m, m, cop)
-            for second in (None, rep2, None):
+            for second in (rep, rep2, rep):
                 a, b = LogNormal(0, 1), LogNormal(0, 1)
+                first = named_representation(a, self._IDX[0])
                 want = temporal_joint_covariance(
-                    BivariateFrame(a, b, cop), named_representation(a, self._IDX[0]),
-                    None if second is None else named_representation(b, self._IDX[1])).matrix
+                    BivariateFrame(a, b, cop), first,
+                    first if second is rep else named_representation(b, self._IDX[1])).matrix
                 assert np.array_equal(temporal_joint_covariance(frame, rep, second).matrix, want)
             a, b = LogNormal(0, 1), LogNormal(0, 1)
             want = mutual_variation_covariance(BivariateFrame(a, b, cop), *self._reps(a, b))
-            assert np.array_equal(mutual_variation_covariance(frame, rep, rep2).matrix,
+            assert np.array_equal(mutual_variation_covariance(frame, rep, rep2, rep, rep2).matrix,
                                   want.matrix)
 
     def test_one_margin_two_representations_builds_two_periods(self, monkeypatch, mesh):
@@ -938,8 +949,8 @@ class TestPeriodMemo:
     def test_atoms_are_read_only(self, model, mesh):
         with mesh(grid=32):
             rep = named_representation(model, NamedIndex.sen(1.0))
-            atom = u_atoms(model, rep)
-            assert u_atoms(model, rep).coef is atom.coef
+            atom = _atom(model, rep)
+            assert _atom(model, rep).coef is atom.coef
         with pytest.raises(ValueError):
             atom.coef[0, 0] = 1.0
 
@@ -1040,11 +1051,11 @@ class TestContract:
         rep = named_representation(m, NamedIndex.fgt(1.0, 1.0))
         frame = BivariateFrame(m, m, IndependenceCopula())
         with pytest.raises(BadParams):
-            relative_variation_law(frame, rep, None, 1.0)
+            relative_variation_law(frame, rep, None, 1.0, rep)
         with pytest.raises(BadParams):
-            relative_variation_law(frame, rep, 0.3, "abc")
+            relative_variation_law(frame, rep, 0.3, "abc", rep)
         with pytest.raises(BadParams):
-            mutual_relative_covariance(frame, rep, rep, 0.3, None, 0.2, 0.25)
+            mutual_relative_covariance(frame, rep, rep, 0.3, None, 0.2, 0.25, rep, rep)
 
     @pytest.mark.parametrize("base", [1e-100, 1e-200, 5e-324, -1e-170])
     def test_base_index_near_zero(self, base):
@@ -1054,10 +1065,10 @@ class TestContract:
         rep = named_representation(m, NamedIndex.fgt(1.0, 1.0))
         frame = BivariateFrame(m, m, IndependenceCopula())
         with pytest.raises(BadParams):
-            relative_variation_law(frame, rep, base, 0.3)
+            relative_variation_law(frame, rep, base, 0.3, rep)
         if base != 1e-100:  # there the mixed form is about 1e200, still finite
             with pytest.raises(BadParams):
-                mutual_relative_covariance(frame, rep, rep, 0.3, 0.3, base, 0.3)
+                mutual_relative_covariance(frame, rep, rep, 0.3, 0.3, base, 0.3, rep, rep)
 
 
 def _sweep_table():
@@ -1067,10 +1078,15 @@ def _sweep_table():
     the family and copula constructors."""
     groups = [Uniform(0, 1), Uniform(0, 1.25)]
     sample = EmpiricalDistribution([0.4, 1.0, 2.5, 3.0])
+    partition = SubgroupPartition.from_labels([1, 2, 1, 2])
+
+    def inference(v):
+        result = gap_inference(sample.sample, partition, NamedIndex.sen(1.5), level=v)
+        return [result.ci_gd, result.ci_gd0]
 
     def gap(v):
-        dec = gap_variance(v, groups, lambda m: named_representation(m, NamedIndex.sen(0.5)))
-        return [dec.L, dec.M, dec.theta1_sq, dec.theta2_sq, dec.theta3_sq]
+        dec = gap_variance(v, groups, NamedIndex.sen(0.5))
+        return [dec.gap_value, dec.L, dec.M, dec.theta1_sq, dec.theta2_sq, dec.theta3_sq]
 
     def experiment(v):
         report = decomposability_experiment(groups, v, NamedIndex.sen(0.5), 20, 2, 1)
@@ -1110,6 +1126,10 @@ def _sweep_table():
         "confidence_interval.estimate": lambda v: [confidence_interval(v, 1.0, 10)],
         "confidence_interval.variance": lambda v: [confidence_interval(0.5, v, 10)],
         "confidence_interval.n": lambda v: [confidence_interval(0.5, 1.0, v)],
+        "confidence_interval.level": lambda v: [confidence_interval(0.5, 1.0, 10, v)],
+        "coverage_experiment.level": lambda v: [
+            coverage_experiment(Uniform(0, 1), NamedIndex.sen(0.5), 20, 2, v, 1).coverage],
+        "gap_inference.level": inference,
         "fep.mean_f": lambda v: [fep(sample.sample, np.sqrt, v)],
         "compose_ratio.den_value": lambda v: [
             compose_ratio(beta_only, beta_only, 1.0, v).q(sample.sample.values)],
@@ -1170,12 +1190,29 @@ class TestContractSweep:
         (lambda: compose_ratio(beta_only, beta_only, 1.0, "x"), OutOfRange),
         (lambda: compose_ratio(beta_only, beta_only, 1.0, 1e-200), OutOfRange),
         (lambda: EmpiricalCopula("a", "b"), OutOfRange),
+        (lambda: Uniform(-1e308, 1e308), BadParams),
+        (lambda: named_estimate(build_sample([1e200, -1e200, 3.0]),
+                                NamedIndex.central_moment(2)), NonFiniteMoment),
+        (lambda: named_estimate(build_sample([1e200, -1e200, 3.0]),
+                                NamedIndex.odd_normalized(2)), NonFiniteMoment),
+        (lambda: named_estimate(build_sample([1e200, -1e200, 3.0]),
+                                NamedIndex.even_normalized(2)), NonFiniteMoment),
+        (lambda: confidence_interval(0.5, 1.0, 10, "abc"), BadLevel),
+        (lambda: confidence_interval(0.5, 1.0, 10, None), BadLevel),
+        (lambda: coverage_experiment(Uniform(0, 1), NamedIndex.sen(0.5), 20, 2, "abc", 1),
+         BadLevel),
+        (lambda: gap_inference(build_sample([0.4, 1.0, 2.5, 3.0]),
+                               SubgroupPartition.from_labels([1, 2, 1, 2]),
+                               NamedIndex.sen(1.5), level=None), BadLevel),
     ], ids=["normal-quantile-nan", "normal-quantile-nan-in-array", "ecdf-string",
             "ks-empty", "ks-nan", "fgt-alpha-nan", "fgt-line-inf", "ecdf-nan",
             "sample-cdf-nan-in-array", "ci-variance-nan", "ci-estimate-nan", "ci-n-fraction",
             "ci-n-bool", "ci-n-beyond-float", "fep-mean-text", "fep-mean-nan",
             "fep-value-beyond-float", "ratio-denominator-nan", "ratio-denominator-text",
-            "ratio-weight-beyond-float", "copula-text-ranks"])
+            "ratio-weight-beyond-float", "copula-text-ranks", "uniform-width-beyond-float",
+            "sample-moment-beyond-float", "sample-odd-moment-beyond-float",
+            "sample-even-moment-beyond-float", "ci-level-text", "ci-level-none",
+            "coverage-level-text", "gap-inference-level-none"])
     def test_typed_error(self, call, error):
         with pytest.raises(error):
             call()
@@ -1215,7 +1252,7 @@ class TestContractSweep:
         ("a", [Uniform(0, 1)]), (1.0, [Uniform(0, 1)]), ([0.5, "x"], [Uniform(0, 1)] * 2)])
     def test_gap_weights_need_one_row_of_numbers(self, weights, groups):
         with pytest.raises(BadWeights):
-            gap_variance(weights, groups, lambda m: named_representation(m, NamedIndex.sen(0.5)))
+            gap_variance(weights, groups, NamedIndex.sen(0.5))
 
     @pytest.mark.parametrize("level", ["abc", [[0.5], [0.5, 0.2]]])
     def test_sample_quantile_levels_need_numbers(self, level):
@@ -1239,3 +1276,17 @@ class TestContractSweep:
         with pytest.raises(BadWeights):
             decomposability_experiment([Uniform(0, 1), Uniform(0, 1.25)], weights,
                                        NamedIndex.sen(0.5), 20, 2, 1)
+
+    @pytest.mark.parametrize("weights, groups", [
+        ([0.5, 0.500004], [Uniform(0, 1), Uniform(0, 1.25)]), ([1.000004], [Uniform(0, 1)])],
+        ids=["two-groups", "one-group"])
+    def test_one_weights_rule(self, weights, groups):
+        # the sum is within numpy's default relative tolerance of 1, but not
+        # within the 1e-9 that a mixture of the groups needs
+        sen = NamedIndex.sen(0.5)
+        with pytest.raises(BadWeights):
+            gap_variance(weights, groups, sen)
+        with pytest.raises(BadWeights):
+            decomposability_experiment(groups, weights, sen, 20, 2, 1)
+        with pytest.raises(BadWeights):
+            Mixture(weights, groups)
