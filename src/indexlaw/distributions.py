@@ -3,6 +3,8 @@
 A distribution model is anything exposing
 
 * ``cdf(x)``            -- nondecreasing, right-continuous,
+* ``sf(x)``             -- the survival function ``1 - F(x)``, kept to full
+  precision in the upper tail where a family has a closed form,
 * ``pdf(x)``            -- the density, or None where there is none,
 * ``quantile(s)``       -- the generalized inverse on (0, 1),
 * ``integrate_score(f)``-- the expectation of a score under the model,
@@ -32,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .empirical import EmpiricalSample, _real, build_sample, ecdf
+from .empirical import EmpiricalSample, _at_or_below, _real, build_sample, ecdf
 from .errors import BadParams, BadWeights, NonFiniteIntegral, NonFiniteMoment, OutOfRange
 from . import ugrid
 from .ugrid import gauss_nodes, gauss_sum, mesh_edges
@@ -179,6 +181,22 @@ class DistributionModel:
     def cdf(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def sf(self, x):
+        """The survival function ``S(x) = 1 - F(x)``.  This default keeps
+        only F's absolute precision; the families override it with a form
+        that keeps S's digits where it is small."""
+        out = 1.0 - np.asarray(self.cdf(x), dtype=float)
+        return float(out) if out.ndim == 0 else out
+
+    def _sides(self, x: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """F(x) where ``upper`` is False and S(x) where it is True, for a
+        1-d x: the side of F on which a mixture quantile is solved, in one
+        call per component and pass of the search."""
+        out = np.empty(x.shape)
+        out[~upper] = self.cdf(x[~upper])
+        out[upper] = self.sf(x[upper])
+        return out
+
     def quantile(self, s):
         """Generalized inverse CDF on (0, 1)."""
         s_arr = _levels(s)
@@ -238,6 +256,11 @@ class EmpiricalDistribution(DistributionModel):
     def cdf(self, x):
         return ecdf(self.sample, x)
 
+    def sf(self, x):
+        """The fraction of observations > x, from exact counts."""
+        out = (self.sample.n - _at_or_below(self.sample, x)) / self.sample.n
+        return float(out) if np.isscalar(x) else out
+
     def quantile(self, s):
         s_arr = _levels(s)
         if np.any(~((s_arr > 0.0) & (s_arr <= 1.0))):
@@ -292,6 +315,10 @@ class Uniform(DistributionModel):
         with np.errstate(over="ignore"):  # a point near the float limit is beyond b or a
             return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
 
+    def sf(self, x):
+        with np.errstate(over="ignore"):
+            return np.clip((self.b - np.asarray(x, dtype=float)) / (self.b - self.a), 0.0, 1.0)
+
     def quantile_extended(self, s):
         return self.a + (self.b - self.a) * np.asarray(s, dtype=float)
 
@@ -315,9 +342,19 @@ class Exponential(DistributionModel):
             raise BadParams(f"exponential rate must be a positive number, got {rate}")
         self.rate = rate
 
+    def _exponent(self, x):
+        """``-rate x`` at the points above 0, and 0 at or below: -inf where
+        the product passes the float range, at which F is 1 and S is 0."""
+        with np.errstate(over="ignore"):
+            return -self.rate * np.maximum(x, 0.0)
+
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
+        return np.where(x <= 0.0, 0.0, -np.expm1(self._exponent(x)))
+
+    def sf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= 0.0, 1.0, np.exp(self._exponent(x)))
 
     def quantile_extended(self, s):
         s = np.asarray(s, dtype=float)
@@ -326,7 +363,7 @@ class Exponential(DistributionModel):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
+        return np.where(x < 0.0, 0.0, self.rate * np.exp(self._exponent(x)))
 
     @_closed_form
     def raw_moment(self, k: int) -> float:
@@ -345,12 +382,29 @@ class LogNormal(DistributionModel):
             raise BadParams(f"lognormal requires numbers mu and sigma > 0, got ({mu}, {sigma})")
         self.mu, self.sigma = mu, sigma
 
-    def cdf(self, x):
+    def _z(self, x):
+        """The mask of the points x > 0 and their standardized logs."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
         pos = x > 0.0
-        out[pos] = normal_cdf((np.log(x[pos]) - self.mu) / self.sigma)
+        return pos, (np.log(x[pos]) - self.mu) / self.sigma
+
+    def cdf(self, x):
+        pos, z = self._z(x)
+        out = np.zeros(pos.shape)
+        out[pos] = normal_cdf(z)
         return float(out) if out.ndim == 0 else out
+
+    def sf(self, x):
+        pos, z = self._z(x)
+        out = np.ones(pos.shape)
+        out[pos] = normal_cdf(-z)
+        return float(out) if out.ndim == 0 else out
+
+    def _sides(self, x, upper):
+        pos, z = self._z(x)
+        out = upper.astype(float)          # F is 0 and S is 1 at and below 0
+        out[pos] = normal_cdf(np.where(upper[pos], -z, z))
+        return out
 
     def quantile_extended(self, s):
         s = np.asarray(s, dtype=float)
@@ -395,6 +449,11 @@ class Pareto(DistributionModel):
         out = np.where(x <= self.xm, 0.0, 1.0 - np.power(self.xm / np.maximum(x, self.xm), self.a))
         return float(out) if out.ndim == 0 else out
 
+    def sf(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.where(x <= self.xm, 1.0, np.power(self.xm / np.maximum(x, self.xm), self.a))
+        return float(out) if out.ndim == 0 else out
+
     def quantile_extended(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore"):
@@ -426,9 +485,19 @@ class Normal(DistributionModel):
             raise BadParams(f"normal requires numbers mu and sigma > 0, got ({mu}, {sigma})")
         self.mu, self.sigma = mu, sigma
 
-    def cdf(self, x):
+    def _z(self, x):
         with np.errstate(over="ignore"):  # an infinite standardized point has F 0 or 1
-            return normal_cdf((np.asarray(x, dtype=float) - self.mu) / self.sigma)
+            return (np.asarray(x, dtype=float) - self.mu) / self.sigma
+
+    def cdf(self, x):
+        return normal_cdf(self._z(x))
+
+    def sf(self, x):
+        return normal_cdf(-self._z(x))
+
+    def _sides(self, x, upper):
+        z = self._z(x)
+        return normal_cdf(np.where(upper, -z, z))
 
     def quantile_extended(self, s):
         z = normal_quantile(s)
@@ -493,6 +562,15 @@ class Mixture(DistributionModel):
                   for p, c in zip(self.weights, self.components))
         return float(out) if np.asarray(out).ndim == 0 else out
 
+    def sf(self, x):
+        x = np.asarray(x, dtype=float)
+        out = sum(p * np.asarray(c.sf(x), dtype=float)
+                  for p, c in zip(self.weights, self.components))
+        return float(out) if np.asarray(out).ndim == 0 else out
+
+    def _sides(self, x, upper):
+        return sum(p * c._sides(x, upper) for p, c in zip(self.weights, self.components))
+
     def pdf(self, x):
         """The weighted sum of the components' densities; None if one has none."""
         parts = [c.pdf(x) for c in self.components]
@@ -501,23 +579,33 @@ class Mixture(DistributionModel):
         return sum(p * np.asarray(part, dtype=float) for p, part in zip(self.weights, parts))
 
     def quantile_extended(self, s):
-        """Generalized inverse ``inf {x : F(x) >= s}`` by safeguarded Newton steps.
+        """Generalized inverse ``inf {x : F(x) >= s}`` by safeguarded Newton
+        steps, each level solved on the side of F that holds its digits.
+
+        A level s up to 1/2 is solved as ``F(x) >= s``; a level above 1/2
+        as ``-S(x) >= -(1 - s)`` with the survival function S = 1 - F,
+        where ``1 - s`` is exact (Sterbenz's lemma) and S keeps the relative
+        precision that F, rounded to an absolute 2^-53, loses in the upper
+        tail.  Write V for F or -S and t for s or -(1 - s); V is
+        nondecreasing with derivative the mixture density either way.
 
         Each interior level starts between the two adjacent points of a
-        sorted grid of component quantiles that one pass of F brackets it
+        sorted grid of component quantiles that one pass of V brackets it
         by, widened where round-off makes it miss, so that
-        ``F(lo) < s <= F(hi)``.  Every pass then evaluates F once on the
-        brackets still open and moves one of their ends to the trial point:
-        the Newton point on the mixture density (rtsafe, Press et al.),
+        ``V(lo) < t <= V(hi)``.  The first trial inverts the cubic Hermite
+        interpolant of V on the bracket.  Every pass then evaluates V once
+        on the brackets still open (one call per component for both sides)
+        and moves one of their ends to the trial point, and the next trial
+        is the Newton point on the mixture density (rtsafe, Press et al.),
         aimed one reach past the root, or the bisection point
-        ``lo + (hi - lo) / 2`` where the Newton point leaves the bracket,
-        the density is 0 or missing, or the step is not at most half the one
-        before last.  A bracket closes on two adjacent floats, and its upper
-        end, the smallest float found with ``F(x) >= s``, is returned, so in
-        a flat region of F the result is its left end.  Levels <= 0 and >= 1
-        give the smallest and the largest component endpoint, a level whose
-        root lies beyond the float range gives +-inf, and a nan level gives
-        nan.
+        ``lo + (hi - lo) / 2`` where the Newton point leaves the bracket, the
+        density is 0 or missing, or the step is not at most half the one
+        before last.  A bracket closes on two
+        adjacent floats, and its upper end, the smallest float found with
+        ``V(x) >= t``, is returned, so in a flat region of F the result is
+        its left end.  Levels <= 0 and >= 1 give the smallest and the
+        largest component endpoint, a level whose root lies beyond the float
+        range gives +-inf, and a nan level gives nan.
         """
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.full_like(s_arr, np.nan)
@@ -530,50 +618,73 @@ class Mixture(DistributionModel):
         return float(out[0]) if np.asarray(s).ndim == 0 else out
 
     def _roots(self, level: np.ndarray) -> np.ndarray:
-        """``inf {x : F(x) >= s}`` for every level s of a 1-d array in (0, 1)."""
+        """``inf {x : V(x) >= t}`` for every level s of a 1-d array in (0, 1),
+        with V = F and t = s up to 1/2, V = -S and t = -(1 - s) above."""
         comp = np.array([c.quantile_extended(level) for c in self.components], dtype=float)
+        upper = level > 0.5
+        target = np.where(upper, level - 1.0, level)
+
+        def value(x, up):
+            v = self._sides(x, up)
+            return np.where(up, -v, v)
+
         # The root of level s lies between the components' quantiles at s.
-        # One pass of F over a sorted grid of component quantiles -- at every
+        # One pass of V over a sorted grid of component quantiles -- at every
         # NODES-th level, one per cell of a mesh call, and the extremes of
         # all -- brackets each level between two adjacent grid points.
         grid = np.sort(np.concatenate([comp[:, ::ugrid.NODES].ravel(),
                                        [comp.min(), comp.max()]]))
-        f_grid = np.asarray(self.cdf(grid), dtype=float)
-        # the first grid point whose F reaches s, read off the running
-        # maximum so that a round-off dip of F cannot hide it
-        k = np.searchsorted(np.maximum.accumulate(f_grid), level)
-        upper, lower = np.minimum(k, grid.size - 1), np.maximum(k - 1, 0)
-        lo, hi, f_lo, f_hi = grid[lower], grid[upper], f_grid[lower], f_grid[upper]
+        v_grid = value(np.tile(grid, 2), np.repeat([False, True], grid.size)).reshape(2, -1)
+        # the first grid point whose V reaches t, read off the running
+        # maximum so that a round-off dip of V cannot hide it
+        running = np.maximum.accumulate(v_grid, axis=1)
+        k = np.where(upper, np.searchsorted(running[1], target), np.searchsorted(running[0], target))
+        above, below, side = np.minimum(k, grid.size - 1), np.maximum(k - 1, 0), upper.astype(int)
+        lo, hi, f_lo, f_hi = grid[below], grid[above], v_grid[side, below], v_grid[side, above]
         # where a component's cdf and quantile disagree by round-off (deep
-        # tails) the grid can miss a level; widen until F(lo) < s <= F(hi),
+        # tails) the grid can miss a level; widen until V(lo) < t <= V(hi),
         # or until the end is infinite
         step = hi - lo + np.abs(lo) + np.abs(hi) + np.finfo(float).tiny
         with np.errstate(over="ignore"):
-            while (miss := (f_hi < level) & (hi < np.inf)).any():
+            while (miss := (f_hi < target) & (hi < np.inf)).any():
                 lo[miss], hi[miss], f_lo[miss] = hi[miss], hi[miss] + step[miss], f_hi[miss]
                 step[miss] *= 2.0
-                f_hi[miss] = self.cdf(hi[miss])
-            while (miss := (f_lo >= level) & (lo > -np.inf)).any():
+                f_hi[miss] = value(hi[miss], upper[miss])
+            while (miss := (f_lo >= target) & (lo > -np.inf)).any():
                 lo[miss], hi[miss], f_hi[miss] = lo[miss] - step[miss], lo[miss], f_lo[miss]
                 step[miss] *= 2.0
-                f_lo[miss] = self.cdf(lo[miss])
+                f_lo[miss] = value(lo[miss], upper[miss])
         # An infinite end (a component quantile or a widening overflowed) is
-        # the largest float of its sign.  A level that F has not reached
-        # there, or has passed, has its root beyond the float range: +inf or
-        # -inf, as a component's own quantile gives.
+        # the largest float of its sign.  A level that V has not reached
+        # there (F below s, or S above 1 - s), or has passed, has its root
+        # beyond the float range: +inf or -inf, as a component's own
+        # quantile gives.
         for end, f_end in ((hi, f_hi), (lo, f_lo)):
             if (wide := np.isinf(end)).any():
                 end[wide] = np.copysign(np.finfo(float).max, end[wide])
-                f_end[wide] = self.cdf(end[wide])
-        found = np.where(f_hi < level, np.inf, -np.inf)
-        idx = np.flatnonzero((f_lo < level) & (level <= f_hi))  # the open brackets
-        level, lo, hi, f_lo, f_hi = (a[idx] for a in (level, lo, hi, f_lo, f_hi))
-        # the first trial is the false-position point of the bracket
+                f_end[wide] = value(end[wide], upper[wide])
+        found = np.where(f_hi < target, np.inf, -np.inf)
+        idx = np.flatnonzero((f_lo < target) & (target <= f_hi))  # the open brackets
+        target, upper, lo, hi, f_lo, f_hi = (a[idx] for a in (target, upper, lo, hi, f_lo, f_hi))
+        # The first trial inverts the cubic Hermite interpolant of V on the
+        # bracket, from V and the density at both ends, which starts most
+        # levels one Newton pass nearer the root than the false-position
+        # point; that point stands where a density is missing or the cubic
+        # leaves the bracket.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = lo - (f_lo - level) * ((hi - lo) / (f_hi - f_lo))
+            width, rise = hi - lo, f_hi - f_lo
+            u = (target - f_lo) / rise
+            t = lo + u * width
+            dens = self.pdf(np.concatenate([lo, hi]))
+            if dens is not None:
+                m0, m1 = rise / dens[:lo.size], rise / dens[lo.size:]
+                cubic = lo + u * (m0 + u * (3.0 * width - 2.0 * m0 - m1
+                                            + u * (m0 + m1 - 2.0 * width)))
+                t = np.where((cubic > lo) & (cubic < hi), cubic, t)
         t = np.where((t > lo) & (t < hi), t, lo + 0.5 * (hi - lo))
-        d = hi - lo                        # the step before last (rtsafe's dxold)
-        bisect = np.zeros(level.size, dtype=bool)
+        d = width                          # the step before last (rtsafe's dxold)
+        ulp = np.abs(np.spacing(target))
+        bisect = np.zeros(target.size, dtype=bool)
         # A bracket bisects from the pass where the density is 0 or missing or
         # the bracket is narrower than Newton's resolution.  A level's steps
         # depend on the grid, so on the other levels of the call, but its
@@ -582,43 +693,43 @@ class Mixture(DistributionModel):
         for _ in range(_NEWTON_PASSES):
             if not idx.size or bisect.all():
                 break
-            g = np.asarray(self.cdf(t), dtype=float) - level
+            g = value(t, upper) - target
             above = g >= 0.0
             lo, hi = np.where(above, lo, t), np.where(above, t, hi)
             open_ = np.nextafter(lo, hi) < hi
             if not open_.all():
                 found[idx[~open_]] = hi[~open_]
-                idx, level, lo, hi, t, g, above, d, bisect = (
-                    a[open_] for a in (idx, level, lo, hi, t, g, above, d, bisect))
+                idx, target, upper, ulp, lo, hi, t, g, above, d, bisect = (
+                    a[open_] for a in (idx, target, upper, ulp, lo, hi, t, g, above, d, bisect))
             mid = lo + 0.5 * (hi - lo)
             dens = self.pdf(t)
             if dens is None:
                 t = mid
                 break
-            # Within round-off of s, F is a staircase whose steps span many
+            # Within round-off of t, V is a staircase whose steps span many
             # floats, and a Newton point on the root lands on the same side
             # again and again.  So each trial aims one reach past the root,
-            # towards the bracket's other end: the x-width of one ulp of s
+            # towards the bracket's other end: the x-width of one ulp of t
             # under the density, at least one float.  There the steps are
             # noise, and rtsafe's halving test gives way to the bracket.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 root = t - g / dens
                 corr = np.abs(root - t)
-                reach = np.maximum(np.spacing(level) / dens, np.spacing(np.abs(root)))
+                reach = np.maximum(ulp / dens, np.spacing(np.abs(root)))
             trial = np.where(above, root - reach, root + reach)
-            near = np.abs(g) <= 64.0 * np.spacing(level)
+            near = np.abs(g) <= 64.0 * ulp
             bisect |= ~(dens > 0.0) | (hi - lo <= 4.0 * reach)
             take = ~bisect & (trial > lo) & (trial < hi) & (near | (corr <= 0.5 * d))
             d = np.where(take, corr, 0.5 * (hi - lo))
             t = np.where(take, trial, mid)
         # no Newton step left to take: bisection closes the rest
         while idx.size:
-            above = np.asarray(self.cdf(t)) >= level
+            above = value(t, upper) >= target
             lo, hi = np.where(above, lo, t), np.where(above, t, hi)
             open_ = np.nextafter(lo, hi) < hi
             if not open_.all():
                 found[idx[~open_]] = hi[~open_]
-                idx, level, lo, hi = (a[open_] for a in (idx, level, lo, hi))
+                idx, target, upper, lo, hi = (a[open_] for a in (idx, target, upper, lo, hi))
             t = lo + 0.5 * (hi - lo)
         return found
 

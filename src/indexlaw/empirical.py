@@ -81,17 +81,22 @@ def build_sample(values) -> EmpiricalSample:
     return EmpiricalSample(values=sorted_vals, _inputs=arr)
 
 
-def ecdf(sample: EmpiricalSample, x) -> float | np.ndarray:
-    """Empirical CDF: fraction of observations <= x (vectorized in x);
-    ``OutOfRange`` unless every point is a number other than nan."""
+def _at_or_below(sample: EmpiricalSample, x) -> np.ndarray:
+    """The number of observations <= x (vectorized in x); ``OutOfRange``
+    unless every point is a number other than nan."""
     try:
         points = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         points = np.array(np.nan)
     if np.isnan(points).any():
         raise OutOfRange(f"ecdf points must be numbers, got {x!r}")
-    counts = np.searchsorted(sample.values, points, side="right")
-    out = counts / sample.n
+    return np.searchsorted(sample.values, points, side="right")
+
+
+def ecdf(sample: EmpiricalSample, x) -> float | np.ndarray:
+    """Empirical CDF: fraction of observations <= x (vectorized in x);
+    ``OutOfRange`` unless every point is a number other than nan."""
+    out = _at_or_below(sample, x) / sample.n
     return float(out) if np.isscalar(x) else out
 
 

@@ -346,6 +346,13 @@ class BivariateFrame:
     margin2: DistributionModel
     copula: CopulaModel
 
+    def __post_init__(self) -> None:
+        if not all(isinstance(m, DistributionModel) for m in (self.margin1, self.margin2)):
+            raise BadParams("a frame's margins must be distribution models")
+        if not isinstance(self.copula, CopulaModel):
+            raise BadParams("a frame's copula must be one of IndependenceCopula, "
+                            "ComonotoneCopula, GaussianCopula and EmpiricalCopula")
+
 
 @dataclass(frozen=True)
 class JointCovariance:

@@ -77,14 +77,41 @@ class TestFamilies:
 
     @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
     def test_pdf_matches_scipy(self, model):
-        frozen = {Uniform: lambda m: stats.uniform(m.a, m.b - m.a),
-                  Exponential: lambda m: stats.expon(scale=1 / m.rate),
-                  LogNormal: lambda m: stats.lognorm(m.sigma, scale=np.exp(m.mu)),
-                  Pareto: lambda m: stats.pareto(m.a, scale=m.xm),
-                  Normal: lambda m: stats.norm(m.mu, m.sigma)}[type(model)](model)
+        frozen = _scipy(model)
         x = np.concatenate([np.asarray(model.quantile(np.linspace(0.001, 0.999, 97))),
                             [-1e100, -1.0, 0.0, 1e100]])
         assert np.allclose(np.asarray(model.pdf(x)), frozen.pdf(x), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: type(m).__name__)
+    def test_sf_matches_scipy_deep_in_the_upper_tail(self, model):
+        # from S = 0.1 down to 1e-300, where 1 - F is 0 or one ulp
+        frozen = _scipy(model)
+        x = frozen.isf(10.0 ** -np.linspace(1, 300, 120))
+        want = frozen.sf(x)
+        if isinstance(model, Uniform):   # scipy's is 1 - F; the exact S instead
+            b, width = Fraction(model.b), Fraction(model.b) - Fraction(model.a)
+            want = [float((b - Fraction(v)) / width) for v in x]
+        assert np.allclose(model.sf(x), want, rtol=1e-12, atol=0.0)
+        deep = frozen.sf(x) < 1e-17
+        assert np.all(1.0 - np.asarray(model.cdf(x[deep])) <= np.finfo(float).eps)
+
+    @pytest.mark.parametrize("model", FAMILIES + [
+        Mixture([0.3, 0.7], [LogNormal(0, 1), Normal(2, 1)]),
+        EmpiricalDistribution(np.random.default_rng(6).lognormal(size=99))],
+        ids=lambda m: type(m).__name__)
+    def test_cdf_and_sf_add_to_one(self, model):
+        x = np.asarray(model.quantile(np.linspace(0.001, 0.999, 97)))
+        total = np.asarray(model.cdf(x)) + np.asarray(model.sf(x))
+        assert np.max(np.abs(total - 1.0)) <= 4 * np.finfo(float).eps
+        assert [model.sf(v) for v in x] == list(model.sf(x))
+
+    def test_empirical_sf_counts(self):
+        values = np.random.default_rng(7).integers(0, 20, size=60).astype(float)
+        m = EmpiricalDistribution(values)
+        x = np.arange(-1.0, 21.0, 0.5)
+        assert np.array_equal(m.sf(x), [np.sum(values > v) / 60 for v in x])
+        with pytest.raises(OutOfRange):
+            m.sf(np.nan)
 
     @pytest.mark.parametrize("model,k", [(Uniform(0, 1), 3), (Exponential(2.0), 4),
                                          (LogNormal(0.2, 0.8), 3), (Normal(0.5, 1.5), 4),
@@ -152,6 +179,24 @@ class TestFamilies:
         assert m.cdf(-1e300) == 0.0
         x = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e3, 200), [1e300, np.inf]])
         assert np.array_equal(m.cdf(x), -np.expm1(-m.rate * x))
+
+    @pytest.mark.filterwarnings("error")
+    def test_exponential_far_above_zero(self):
+        # rate x passes the float range: F is 1, S and the density 0, and a
+        # mixture search that evaluates them at the largest float goes on
+        m = Exponential(3.0)
+        assert (m.cdf(1e308), m.sf(1e308), m.pdf(1e308)) == (1.0, 0.0, 0.0)
+        mix = Mixture([0.5, 0.5], [m, LogNormal(0, 300)])
+        assert mix.quantile_extended(0.999) == np.inf
+
+
+def _scipy(model):
+    """The frozen scipy law of one of the package's families."""
+    return {Uniform: lambda m: stats.uniform(m.a, m.b - m.a),
+            Exponential: lambda m: stats.expon(scale=1 / m.rate),
+            LogNormal: lambda m: stats.lognorm(m.sigma, scale=np.exp(m.mu)),
+            Pareto: lambda m: stats.pareto(m.a, scale=m.xm),
+            Normal: lambda m: stats.norm(m.mu, m.sigma)}[type(model)](model)
 
 
 class DistributionQuad:
@@ -279,15 +324,15 @@ class TestMixtureGeneralizedInverse:
     def test_smallest_float_reaching_level(self, name, s):
         mix = _PAIRS[name]
         q = mix.quantile(s)
-        assert mix.cdf(q) >= s > mix.cdf(np.nextafter(q, -np.inf))
+        assert _reaches(mix, q, s) and not _reaches(mix, np.nextafter(q, -np.inf), s)
 
     @pytest.mark.parametrize("name", sorted(_PAIRS))
     def test_vector_matches_scalar(self, name):
         mix = _PAIRS[name]
         s = np.random.default_rng(8).uniform(size=300)
         q = mix.quantile(s)
-        assert np.all(np.asarray(mix.cdf(q)) >= s)
-        assert np.all(np.asarray(mix.cdf(np.nextafter(q, -np.inf))) < s)
+        assert np.all(_reaches(mix, q, s))
+        assert not np.any(_reaches(mix, np.nextafter(q, -np.inf), s))
         assert np.array_equal(q, [mix.quantile(x) for x in s])
 
     @pytest.mark.parametrize("passes", [0, 3])
@@ -353,25 +398,28 @@ class TestMixtureGeneralizedInverse:
         components = [LogNormal(0, 300), LogNormal(0, 1)]
         mix = _CdfPasses([0.5, 0.5], components)
         assert np.array_equal(mix.quantile_extended(np.array([0.999, 1 - 1e-12])), [np.inf] * 2)
-        assert mix.passes == [4, 2]    # the grid, then F at the largest float
+        # the grid on both sides, then S at the largest float
+        assert mix.passes == [8, 2]
         plain = Mixture([0.5, 0.5], components)
         s = np.array([0.999, 0.3, 0.99, 0.995, 0.9955])
         assert np.array_equal(plain.quantile_extended(s), _bit_bisection(plain, s))
 
     def test_level_beyond_the_total_weight(self):
         # these weights add up, as F(inf), to 1 - 2^-52 in floats, so F never
-        # reaches the level 1 - 2^-53 and its root is +inf; the widening of
-        # its bracket, which doubles a step, ends at inf within the exponent
-        # range, where it used to run on at inf
+        # reaches the level 1 - 2^-53, whose root on F was +inf.  Solved on
+        # S, which is 0 at the uniforms' end however the weights round, its
+        # root is the smallest float where S falls to 2^-53: two below 5
         w = [0.0178319779747, 0.1132633576592, 0.1917000020765, 0.3900471898913,
              0.2871574723982]
         components = [Uniform(0, j + 1) for j in range(5)]
         mix = _CdfPasses(w, components)
         s = np.array([1 - 2 ** -53, 0.5])
-        assert mix.cdf(np.inf) < s[0]
+        assert mix.cdf(np.inf) < s[0] and mix.sf(5.0) == 0.0
+        mix.passes.clear()
         got = mix.quantile_extended(s)
-        assert got[0] == np.inf and len(mix.passes) < 1100
+        assert got[0] == np.nextafter(np.nextafter(5.0, 0.0), 0.0)
         assert np.array_equal(got, _bit_bisection(Mixture(w, components), s))
+        assert mix.passes == [14, 2, 2, 1, 1, 1]    # the grid on both sides, then five passes
 
     def test_scalar_matches_batch_on_bench_mesh(self):
         # a level's first bracket comes from the grid of its whole call
@@ -379,28 +427,101 @@ class TestMixtureGeneralizedInverse:
         batch = mix.quantile_extended(BENCH_LEVELS)
         assert np.array_equal(batch, [mix.quantile_extended(float(s)) for s in BENCH_LEVELS])
 
+    def test_bench_mesh_passes_and_points(self):
+        # the grid on both sides, then each pass evaluates F or S once per
+        # component on the brackets still open, from a cubic first trial:
+        # 13,807 points in 14 passes (16,470 from the false-position point).
+        # Solved on F alone the upper half met F's staircase of absolute
+        # steps 2^-53, and took 21,451 points in 49 passes
+        mix = _CdfPasses([0.5, 0.5], [LogNormal(0, 1), LogNormal(0.5, 1)])
+        mix.quantile_extended(BENCH_LEVELS)
+        assert len(mix.passes) <= 14 and sum(mix.passes) <= 13_807
+
+    def test_bench_mesh_matches_scipy_accurate_side(self):
+        # an oracle from scipy's lognormal cdf and sf, solved on the same
+        # sides; on F alone the upper half was up to 5.3e-4 relative off
+        mix = _PAIRS["lognormal"]
+        parts = [(p, stats.lognorm(c.sigma, scale=np.exp(c.mu)))
+                 for p, c in zip(mix.weights, mix.components)]
+        want = _bit_bisection(mix, BENCH_LEVELS,
+                              cdf=lambda x: sum(p * f.cdf(x) for p, f in parts),
+                              sf=lambda x: sum(p * f.sf(x) for p, f in parts))
+        got = mix.quantile_extended(BENCH_LEVELS)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_model_without_its_own_sf(self, seed):
+        # a user's model with cdf, quantile and pdf only: its sf is 1 - F
+        rng = np.random.default_rng([seed, 35])
+        own = _OwnCdf(Exponential(rng.uniform(0.3, 3)))
+        x = np.asarray(own.quantile(rng.uniform(size=50)))
+        assert np.array_equal(own.sf(x), 1.0 - own.cdf(x))
+        mix = Mixture([0.4, 0.6], [own, LogNormal(rng.uniform(-1, 1), rng.uniform(0.2, 1.5))])
+        s = np.concatenate([rng.uniform(size=200), 1.0 - 10.0 ** -rng.uniform(1, 16, 20),
+                            BENCH_LEVELS[::7]])
+        assert np.array_equal(mix.quantile_extended(s), _bit_bisection(mix, s))
+
+
+class _OwnCdf(DistributionModel):
+    """A model defined by its cdf, quantile and pdf alone, as a user's
+    subclass may be, so that its sf is the base class's ``1 - F``."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def cdf(self, x):
+        return self.model.cdf(x)
+
+    def quantile_extended(self, s):
+        return self.model.quantile_extended(s)
+
+    def pdf(self, x):
+        return self.model.pdf(x)
+
 
 class _CdfPasses(Mixture):
-    """A mixture that records the size of each cdf pass, and fails past
+    """A mixture that records the size of each pass of F or S -- ``cdf``,
+    ``sf`` or the one call for both sides, ``_sides`` -- and fails past
     2,048 of them, so that a search that would not end stops there."""
 
     def __init__(self, weights, components):
         super().__init__(weights, components)
         self.passes = []
 
-    def cdf(self, x):
+    def _count(self, x):
         self.passes.append(np.size(x))
         assert len(self.passes) <= 2048, "the quantile search does not end"
+
+    def cdf(self, x):
+        self._count(x)
         return super().cdf(x)
+
+    def sf(self, x):
+        self._count(x)
+        return super().sf(x)
+
+    def _sides(self, x, upper):
+        self._count(x)
+        return super()._sides(x, upper)
+
+
+def _reaches(model, x, s, cdf=None, sf=None):
+    """Whether x reaches level s on the side of F that holds its digits:
+    ``F(x) >= s`` for s up to 1/2 and ``-S(x) >= -(1 - s)`` above, with
+    the model's own cdf and sf unless others are given."""
+    cdf, sf = cdf or model.cdf, sf or model.sf
+    s = np.asarray(s, dtype=float)
+    return np.where(s > 0.5, -np.asarray(sf(x)) >= s - 1.0, np.asarray(cdf(x)) >= s)
 
 
 _SIGN = np.int64(np.iinfo(np.int64).min)
 
 
-def _bit_bisection(mix, s):
-    """``inf {x : F(x) >= s}`` by bisection on the int64 bit patterns of the
-    floats, ordered as the floats are (-0.0 and 0.0 share a key), from the
-    bracket (-inf, inf]; each pass evaluates F once at every level."""
+def _bit_bisection(mix, s, **sides):
+    """``inf {x : x reaches s}`` on the accurate side (``_reaches``) by
+    bisection on the int64 bit patterns of the floats, ordered as the floats
+    are (-0.0 and 0.0 share a key), from the bracket (-inf, inf]; each pass
+    evaluates F and S once at every level."""
     def key(x):
         bits = np.asarray(x, dtype=float).view(np.int64)
         return np.where(bits < 0, -(bits & ~_SIGN), bits)
@@ -412,7 +533,7 @@ def _bit_bisection(mix, s):
     lo, hi = key(np.full(s.shape, -np.inf)), key(np.full(s.shape, np.inf))
     while (open_ := lo + 1 < hi).any():
         mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-        above = np.asarray(mix.cdf(value(mid)), dtype=float) >= s
+        above = _reaches(mix, value(mid), s, **sides)
         hi, lo = np.where(open_ & above, mid, hi), np.where(open_ & ~above, mid, lo)
     return value(hi)
 

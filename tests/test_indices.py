@@ -197,6 +197,17 @@ class TestMoments:
         with pytest.raises(ZeroVariance):
             named_estimate(build_sample([2.0, 2.0]), NamedIndex.even_normalized(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-110, 1e-200, 1e-300])
+    def test_normalized_moments_of_a_tiny_scale(self, scale):
+        # mu_2^(p) underflows to 0 at these scales; the ratios are scale-free
+        values = [1.0, 2.0, 4.0, 7.0]
+        for index in (NamedIndex.even_normalized(2), NamedIndex.odd_normalized(2),
+                      NamedIndex.even_normalized(3)):
+            want = named_estimate(build_sample(values), index)
+            got = named_estimate(build_sample([scale * v for v in values]), index)
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_influence_simplifies_to_centered_square(self):
         # A(2)(x) == (x - m1)^2 pointwise
         model = EmpiricalDistribution(np.sort(np.random.default_rng(17).lognormal(size=40)))

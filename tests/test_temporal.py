@@ -1096,6 +1096,15 @@ def _sweep_table():
         mix = Mixture(v, groups)
         return [mix.weights, mix.quantile(0.5)]
 
+    def frame(position):
+        def call(v):
+            parts = [groups[0], groups[0], IndependenceCopula()]
+            parts[position] = v
+            joint = BivariateFrame(*parts)
+            fgt = named_representation(groups[0], NamedIndex.fgt(1.0, 0.5))
+            return [temporal_joint_covariance(joint, fgt, fgt).matrix]
+        return call
+
     def family(cls, param):
         def call(v):
             model = cls(**{param: v})
@@ -1112,6 +1121,9 @@ def _sweep_table():
         "gap_variance.weights": gap,
         "decomposability_experiment.weights": experiment,
         "Mixture.weights": mixture,
+        "BivariateFrame.margin1": frame(0),
+        "BivariateFrame.margin2": frame(1),
+        "BivariateFrame.copula": frame(2),
         "DistributionModel.quantile": lambda v: [LogNormal(0, 1).quantile(v)],
         "EmpiricalDistribution.quantile": lambda v: [sample.quantile(v)],
         "ks_pvalue.stat": lambda v: [ks_pvalue(v, 10)],
@@ -1204,6 +1216,9 @@ class TestContractSweep:
         (lambda: gap_inference(build_sample([0.4, 1.0, 2.5, 3.0]),
                                SubgroupPartition.from_labels([1, 2, 1, 2]),
                                NamedIndex.sen(1.5), level=None), BadLevel),
+        (lambda: BivariateFrame(1, 2, 3), BadParams),
+        (lambda: BivariateFrame(LogNormal(0, 1), "x", IndependenceCopula()), BadParams),
+        (lambda: BivariateFrame(LogNormal(0, 1), LogNormal(0, 1), 0.5), BadParams),
     ], ids=["normal-quantile-nan", "normal-quantile-nan-in-array", "ecdf-string",
             "ks-empty", "ks-nan", "fgt-alpha-nan", "fgt-line-inf", "ecdf-nan",
             "sample-cdf-nan-in-array", "ci-variance-nan", "ci-estimate-nan", "ci-n-fraction",
@@ -1212,7 +1227,8 @@ class TestContractSweep:
             "ratio-weight-beyond-float", "copula-text-ranks", "uniform-width-beyond-float",
             "sample-moment-beyond-float", "sample-odd-moment-beyond-float",
             "sample-even-moment-beyond-float", "ci-level-text", "ci-level-none",
-            "coverage-level-text", "gap-inference-level-none"])
+            "coverage-level-text", "gap-inference-level-none", "frame-numbers",
+            "frame-text-margin", "frame-number-copula"])
     def test_typed_error(self, call, error):
         with pytest.raises(error):
             call()
