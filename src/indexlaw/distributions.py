@@ -188,15 +188,6 @@ class DistributionModel:
         out = 1.0 - np.asarray(self.cdf(x), dtype=float)
         return float(out) if out.ndim == 0 else out
 
-    def _sides(self, x: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        """F(x) where ``upper`` is False and S(x) where it is True, for a
-        1-d x: the side of F on which a mixture quantile is solved, in one
-        call per component and pass of the search."""
-        out = np.empty(x.shape)
-        out[~upper] = self.cdf(x[~upper])
-        out[upper] = self.sf(x[upper])
-        return out
-
     def quantile(self, s):
         """Generalized inverse CDF on (0, 1)."""
         s_arr = _levels(s)
@@ -400,12 +391,6 @@ class LogNormal(DistributionModel):
         out[pos] = normal_cdf(-z)
         return float(out) if out.ndim == 0 else out
 
-    def _sides(self, x, upper):
-        pos, z = self._z(x)
-        out = upper.astype(float)          # F is 0 and S is 1 at and below 0
-        out[pos] = normal_cdf(np.where(upper[pos], -z, z))
-        return out
-
     def quantile_extended(self, s):
         s = np.asarray(s, dtype=float)
         z = normal_quantile(s)
@@ -495,10 +480,6 @@ class Normal(DistributionModel):
     def sf(self, x):
         return normal_cdf(-self._z(x))
 
-    def _sides(self, x, upper):
-        z = self._z(x)
-        return normal_cdf(np.where(upper, -z, z))
-
     def quantile_extended(self, s):
         z = normal_quantile(s)
         with np.errstate(over="ignore"):  # a quantile beyond the float range is inf
@@ -568,9 +549,6 @@ class Mixture(DistributionModel):
                   for p, c in zip(self.weights, self.components))
         return float(out) if np.asarray(out).ndim == 0 else out
 
-    def _sides(self, x, upper):
-        return sum(p * c._sides(x, upper) for p, c in zip(self.weights, self.components))
-
     def pdf(self, x):
         """The weighted sum of the components' densities; None if one has none."""
         parts = [c.pdf(x) for c in self.components]
@@ -579,8 +557,10 @@ class Mixture(DistributionModel):
         return sum(p * np.asarray(part, dtype=float) for p, part in zip(self.weights, parts))
 
     def quantile_extended(self, s):
-        """Generalized inverse ``inf {x : F(x) >= s}`` by safeguarded Newton
-        steps, each level solved on the side of F that holds its digits.
+        """The generalized inverse, computed as ``inf {x : F(x) >= s}`` for
+        s up to 1/2 and ``inf {x : S(x) <= 1 - s}`` above, by safeguarded
+        Newton steps on the side of F that holds the level's digits; so
+        ``cdf(q) >= s`` may fail by rounding for s > 1/2.
 
         A level s up to 1/2 is solved as ``F(x) >= s``; a level above 1/2
         as ``-S(x) >= -(1 - s)`` with the survival function S = 1 - F,
@@ -592,16 +572,14 @@ class Mixture(DistributionModel):
         Each interior level starts between the two adjacent points of a
         sorted grid of component quantiles that one pass of V brackets it
         by, widened where round-off makes it miss, so that
-        ``V(lo) < t <= V(hi)``.  The first trial inverts the cubic Hermite
-        interpolant of V on the bracket.  Every pass then evaluates V once
-        on the brackets still open (one call per component for both sides)
-        and moves one of their ends to the trial point, and the next trial
-        is the Newton point on the mixture density (rtsafe, Press et al.),
-        aimed one reach past the root, or the bisection point
-        ``lo + (hi - lo) / 2`` where the Newton point leaves the bracket, the
-        density is 0 or missing, or the step is not at most half the one
-        before last.  A bracket closes on two
-        adjacent floats, and its upper end, the smallest float found with
+        ``V(lo) < t <= V(hi)``.  Every pass evaluates V once on the brackets
+        still open and moves one of their ends to the trial point: the
+        false-position point of the bracket at first, then the Newton point
+        on the mixture density (rtsafe, Press et al.), aimed one reach past
+        the root, or the bisection point ``lo + (hi - lo) / 2`` where the
+        Newton point leaves the bracket, the density is 0 or missing, or the
+        step is not at most half the one before last.  A bracket closes on
+        two adjacent floats, and its upper end, the smallest float found with
         ``V(x) >= t``, is returned, so in a flat region of F the result is
         its left end.  Levels <= 0 and >= 1 give the smallest and the
         largest component endpoint, a level whose root lies beyond the float
@@ -610,8 +588,10 @@ class Mixture(DistributionModel):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.full_like(s_arr, np.nan)
         low, high = s_arr <= 0.0, s_arr >= 1.0
-        out[low] = min(np.min(c.quantile_extended(0.0)) for c in self.components)
-        out[high] = max(np.max(c.quantile_extended(1.0)) for c in self.components)
+        if low.any():
+            out[low] = min(np.min(c.quantile_extended(0.0)) for c in self.components)
+        if high.any():
+            out[high] = max(np.max(c.quantile_extended(1.0)) for c in self.components)
         inner = (s_arr > 0.0) & (s_arr < 1.0)   # a nan level stays nan
         if inner.any():
             out[inner] = self._roots(s_arr[inner])
@@ -625,8 +605,13 @@ class Mixture(DistributionModel):
         target = np.where(upper, level - 1.0, level)
 
         def value(x, up):
-            v = self._sides(x, up)
-            return np.where(up, -v, v)
+            """V at the points x: F where ``up`` is False, -S where True."""
+            v = np.empty(x.shape)
+            if not up.all():
+                v[~up] = self.cdf(x[~up])
+            if up.any():
+                v[up] = -self.sf(x[up])
+            return v
 
         # The root of level s lies between the components' quantiles at s.
         # One pass of V over a sorted grid of component quantiles -- at every
@@ -634,7 +619,7 @@ class Mixture(DistributionModel):
         # all -- brackets each level between two adjacent grid points.
         grid = np.sort(np.concatenate([comp[:, ::ugrid.NODES].ravel(),
                                        [comp.min(), comp.max()]]))
-        v_grid = value(np.tile(grid, 2), np.repeat([False, True], grid.size)).reshape(2, -1)
+        v_grid = np.stack([self.cdf(grid), -self.sf(grid)])
         # the first grid point whose V reaches t, read off the running
         # maximum so that a round-off dip of V cannot hide it
         running = np.maximum.accumulate(v_grid, axis=1)
@@ -666,23 +651,11 @@ class Mixture(DistributionModel):
         found = np.where(f_hi < target, np.inf, -np.inf)
         idx = np.flatnonzero((f_lo < target) & (target <= f_hi))  # the open brackets
         target, upper, lo, hi, f_lo, f_hi = (a[idx] for a in (target, upper, lo, hi, f_lo, f_hi))
-        # The first trial inverts the cubic Hermite interpolant of V on the
-        # bracket, from V and the density at both ends, which starts most
-        # levels one Newton pass nearer the root than the false-position
-        # point; that point stands where a density is missing or the cubic
-        # leaves the bracket.
+        # the first trial is the false-position point of the bracket
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            width, rise = hi - lo, f_hi - f_lo
-            u = (target - f_lo) / rise
-            t = lo + u * width
-            dens = self.pdf(np.concatenate([lo, hi]))
-            if dens is not None:
-                m0, m1 = rise / dens[:lo.size], rise / dens[lo.size:]
-                cubic = lo + u * (m0 + u * (3.0 * width - 2.0 * m0 - m1
-                                            + u * (m0 + m1 - 2.0 * width)))
-                t = np.where((cubic > lo) & (cubic < hi), cubic, t)
+            t = lo - (f_lo - target) * ((hi - lo) / (f_hi - f_lo))
         t = np.where((t > lo) & (t < hi), t, lo + 0.5 * (hi - lo))
-        d = width                          # the step before last (rtsafe's dxold)
+        d = hi - lo                        # the step before last (rtsafe's dxold)
         ulp = np.abs(np.spacing(target))
         bisect = np.zeros(target.size, dtype=bool)
         # A bracket bisects from the pass where the density is 0 or missing or

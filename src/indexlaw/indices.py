@@ -242,14 +242,15 @@ def _moment_estimate(sample: EmpiricalSample, top: int, normalized: bool) -> flo
     normalized if asked; exactly 0 at order 1, where the sum vanishes
     identically.  A moment beyond the float range raises ``NonFiniteMoment``,
     as the plug-in model's does.  The normalized ratio is scale-free, so
-    where ``mu_2^(top/2)`` underflows to 0 on a sample of tiny spread it is
-    taken on the deviations divided by the largest of them."""
+    where ``mu_2^(top/2)`` falls below the normal floats (subnormal, with
+    few digits left, or 0) on a sample of tiny spread it is taken on the
+    deviations divided by the largest of them."""
     plug_in = EmpiricalDistribution(sample)
     central = lambda k: 0.0 if k == 1 else plug_in.central_moment(k)
     if not normalized:
         return central(top)
     moment, scale = central(top), central(2) ** (top / 2.0)
-    if scale > 0.0:
+    if scale >= np.finfo(float).tiny:
         return moment / scale
     dev = sample.values - np.mean(sample.values)
     y = dev / np.max(np.abs(dev)) if dev.any() else dev

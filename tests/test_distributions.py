@@ -398,8 +398,8 @@ class TestMixtureGeneralizedInverse:
         components = [LogNormal(0, 300), LogNormal(0, 1)]
         mix = _CdfPasses([0.5, 0.5], components)
         assert np.array_equal(mix.quantile_extended(np.array([0.999, 1 - 1e-12])), [np.inf] * 2)
-        # the grid on both sides, then S at the largest float
-        assert mix.passes == [8, 2]
+        # F and S on the grid, then S at the largest float
+        assert mix.passes == [4, 4, 2]
         plain = Mixture([0.5, 0.5], components)
         s = np.array([0.999, 0.3, 0.99, 0.995, 0.9955])
         assert np.array_equal(plain.quantile_extended(s), _bit_bisection(plain, s))
@@ -419,7 +419,8 @@ class TestMixtureGeneralizedInverse:
         got = mix.quantile_extended(s)
         assert got[0] == np.nextafter(np.nextafter(5.0, 0.0), 0.0)
         assert np.array_equal(got, _bit_bisection(Mixture(w, components), s))
-        assert mix.passes == [14, 2, 2, 1, 1, 1]    # the grid on both sides, then five passes
+        # F and S on the grid, then three passes, two of them on both sides
+        assert mix.passes == [7, 7, 1, 1, 1, 1, 1]
 
     def test_scalar_matches_batch_on_bench_mesh(self):
         # a level's first bracket comes from the grid of its whole call
@@ -428,14 +429,14 @@ class TestMixtureGeneralizedInverse:
         assert np.array_equal(batch, [mix.quantile_extended(float(s)) for s in BENCH_LEVELS])
 
     def test_bench_mesh_passes_and_points(self):
-        # the grid on both sides, then each pass evaluates F or S once per
-        # component on the brackets still open, from a cubic first trial:
-        # 13,807 points in 14 passes (16,470 from the false-position point).
-        # Solved on F alone the upper half met F's staircase of absolute
-        # steps 2^-53, and took 21,451 points in 49 passes
+        # F and S on the grid, then each pass evaluates F and S on the
+        # brackets still open on each side: 16,470 points in 14 passes of
+        # 27 calls, and the density at 12,231.  Solved on F alone the upper
+        # half met F's staircase of absolute steps 2^-53, and took 21,451
+        # points in 49 passes and the density at 14,718
         mix = _CdfPasses([0.5, 0.5], [LogNormal(0, 1), LogNormal(0.5, 1)])
         mix.quantile_extended(BENCH_LEVELS)
-        assert len(mix.passes) <= 14 and sum(mix.passes) <= 13_807
+        assert len(mix.passes) <= 27 and sum(mix.passes) <= 16_470
 
     def test_bench_mesh_matches_scipy_accurate_side(self):
         # an oracle from scipy's lognormal cdf and sf, solved on the same
@@ -480,9 +481,10 @@ class _OwnCdf(DistributionModel):
 
 
 class _CdfPasses(Mixture):
-    """A mixture that records the size of each pass of F or S -- ``cdf``,
-    ``sf`` or the one call for both sides, ``_sides`` -- and fails past
-    2,048 of them, so that a search that would not end stops there."""
+    """A mixture that records the size of each call of ``cdf`` or ``sf`` (a
+    pass of the quantile search makes one on each side with brackets still
+    open) and fails past 2,048 of them, so that a search that would not end
+    stops there."""
 
     def __init__(self, weights, components):
         super().__init__(weights, components)
@@ -499,10 +501,6 @@ class _CdfPasses(Mixture):
     def sf(self, x):
         self._count(x)
         return super().sf(x)
-
-    def _sides(self, x, upper):
-        self._count(x)
-        return super()._sides(x, upper)
 
 
 def _reaches(model, x, s, cdf=None, sf=None):

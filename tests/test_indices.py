@@ -198,9 +198,11 @@ class TestMoments:
             named_estimate(build_sample([2.0, 2.0]), NamedIndex.even_normalized(2))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e-110, 1e-200, 1e-300])
+    @pytest.mark.parametrize("scale", [1e-53, 1e-80, 1e-81, 1e-110, 1e-200, 1e-300])
     def test_normalized_moments_of_a_tiny_scale(self, scale):
-        # mu_2^(p) underflows to 0 at these scales; the ratios are scale-free
+        # mu_2^(top/2) underflows at these scales, to 0 or, at 1e-53 (top 6)
+        # and 1e-80 and 1e-81 (top 4), to a subnormal with few digits left;
+        # the ratios are scale-free
         values = [1.0, 2.0, 4.0, 7.0]
         for index in (NamedIndex.even_normalized(2), NamedIndex.odd_normalized(2),
                       NamedIndex.even_normalized(3)):
